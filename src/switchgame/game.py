@@ -17,6 +17,17 @@ cascades of the extracted saddle strategies terminate; adversarially cyclic
 tables are cut off by a switch-count cap and only pay for the detour.  The
 BSDE step then runs under the settled pair, and the switch costs are
 charged.
+
+The read-out is not replayed round by round.  One round (I reads, then II
+reads) is a map on each node's m1*m2 pairs; `_resolve_modes` composes it
+with itself by powers of two, lets each entry take the longest run of
+rounds that stays within the cap, and replays the one round the cap can cut
+partway.  Settled pairs and switch counts are those of the round-by-round
+read-out.  Costs agree with it to rounding, and bit for bit whenever each
+player switches at most twice in a step, which covers every cascade of the
+extracted saddle strategies on the bundled scenarios.  `verify_saddle`
+checks the terminal once and evaluates every catalog strategy from the same
+leaf values.
 """
 
 from __future__ import annotations
@@ -111,32 +122,75 @@ def _resolve_modes(A, B, n_idx, m1, m2, k, l):
 
     Alternating read-out with Player I first: each player in turn reads its
     table at the current pair and switches if the read differs, repeated
-    until neither player moves.  A player whose table keeps moving is cut
-    off after 4*m1*m2 switches (only adversarially cyclic tables hit the
-    cap; every switch costs, so cyclists only hurt themselves).  Returns the
-    settled (i, j) tables and each player's accumulated switch cost, all
-    shaped like A.
+    until neither player moves.  Switching stops for both players once
+    4*m1*m2 switches have been made (only adversarially cyclic tables hit
+    the cap; every switch costs, so cyclists only hurt themselves).  Returns
+    the settled (i, j) tables and each player's accumulated switch cost, all
+    shaped like A.  `n_idx` (the caller's node index grid) is not needed
+    here and is accepted for call compatibility.
+
+    The read-out is resolved in closed form.  One round (I reads, then II
+    reads) maps each (node, pair) entry to its next pair, with the round's
+    switch count and each player's cost, masked by whether that player
+    moved.  Composing the round map with itself gives jump tables for 1, 2,
+    4, ... rounds, enough to cover cap + 1 rounds; descending from the
+    largest jump, an entry takes each jump that keeps its switch total
+    within the cap.  Rounds taken this way are exactly the rounds of the
+    read-out, since no switch in them meets the cap.  One more round with
+    the cap checks then replays the round the cap can cut partway (I
+    switches, II is blocked).  Settled pairs and switch counts equal the
+    round-by-round read-out's exactly; costs are sums of the same terms in
+    another grouping, so they agree to rounding, and bit for bit when each
+    player switches at most twice (every other term added is an exact zero).
     """
-    cap = 4 * m1 * m2
-    ci = np.broadcast_to(np.arange(m1)[None, :, None], A.shape).copy()
-    cj = np.broadcast_to(np.arange(m2)[None, None, :], A.shape).copy()
-    costA = np.zeros(A.shape)
-    costB = np.zeros(A.shape)
-    switches = np.zeros(A.shape, dtype=int)
-    for _ in range(cap + 1):
-        ni = A[n_idx, ci, cj]
-        movI = (ni != ci) & (switches < cap)
-        costA += np.where(movI, k[ci, ni], 0.0)
-        ci = np.where(movI, ni, ci)
-        switches += movI
-        nj = B[n_idx, ci, cj]
-        movJ = (nj != cj) & (switches < cap)
-        costB += np.where(movJ, l[cj, nj], 0.0)
-        cj = np.where(movJ, nj, cj)
-        switches += movJ
-        if not (movI.any() or movJ.any()):
-            break
-    return ci, cj, costA, costB
+    n_t = A.shape[0]
+    M = int(m1 * m2)
+    T = n_t * M
+    cap = 4 * M
+    A, B = A.reshape(-1), B.reshape(-1)
+    # cost tables with the diagonal zeroed: a player who does not move reads
+    # its own diagonal entry, so the charge is masked by "moved" exactly
+    kz = np.where(np.eye(m1, dtype=bool), 0.0, k).reshape(-1)
+    lz = np.where(np.eye(m2, dtype=bool), 0.0, l).reshape(-1)
+    pair = np.arange(M)
+    base = np.repeat(np.arange(n_t) * M, M)          # flat node offset
+    i0 = np.tile(pair // m2, n_t)
+    j0 = np.tile(pair % m2, n_t)
+
+    def one_round(i, j, switches):
+        """One capped round from modes (i, j) at the flat entries' nodes."""
+        ni = A[base + i * m2 + j]
+        ni = i + ((ni != i) & (switches < cap)) * (ni - i)
+        switches = switches + (ni != i)
+        nj = B[base + ni * m2 + j]
+        nj = j + ((nj != j) & (switches < cap)) * (nj - j)
+        return ni, nj, switches + (nj != j), kz[i * m1 + ni], lz[j * m2 + nj]
+
+    # Jump tables (next flat entry, switches, Player-I cost, Player-II cost)
+    # for 1, 2, 4, ... rounds.  Entry T is an absorbing no-op that a skipped
+    # jump reads, so skipping adds an exact zero.
+    i1, j1, s1, cA1, cB1 = one_round(i0, j0, 0)
+    jumps = [(np.append(base + i1 * m2 + j1, T), np.append(s1, 0),
+              np.append(cA1, 0.0), np.append(cB1, 0.0))]
+    for _ in range(cap.bit_length() - 1):
+        nxt, s, cA, cB = jumps[-1]
+        jumps.append((nxt[nxt], s + s[nxt], cA + cA[nxt], cB + cB[nxt]))
+
+    pos = np.arange(T)
+    switches = np.zeros(T, dtype=int)
+    costA = np.zeros(T)
+    costB = np.zeros(T)
+    for nxt, s, cA, cB in reversed(jumps):
+        take = switches + s[pos] <= cap
+        q = pos + ~take * (T - pos)
+        switches = switches + s[q]
+        costA = costA + cA[q]
+        costB = costB + cB[q]
+        pos = pos + take * (nxt[q] - pos)
+    ci, cj, _, cA, cB = one_round(i0[pos], j0[pos], switches)
+    shape = (n_t, m1, m2)
+    return (ci.reshape(shape), cj.reshape(shape),
+            (costA + cA).reshape(shape), (costB + cB).reshape(shape))
 
 
 def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy,
@@ -151,13 +205,31 @@ def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
     """
     if a.player != "I" or b.player != "II":
         raise DataError("eval_switched expects (Player-I strategy, Player-II strategy)")
+    # the flat gathers of _resolve_modes would read a neighbouring node's
+    # entry for an out-of-range mode instead of failing
+    for strategy, hi in ((a, spec.m1), (b, spec.m2)):
+        acts = strategy.actions
+        if len(acts) != tree.N or any(
+                np.shape(x) != (tree.level_size(t), spec.m1, spec.m2)
+                or np.min(x) < 0 or np.max(x) >= hi for t, x in enumerate(acts)):
+            raise DataError(
+                f"Player-{strategy.player} action tables must have shape "
+                f"(level size, {spec.m1}, {spec.m2}) on each of the tree's {tree.N} "
+                f"levels and hold modes 1..{hi}"
+            )
+    return _switched_backward(spec, tree, spec.check_terminal(tree.leaf_w), a, b,
+                              picard_tol)
+
+
+def _switched_backward(spec, tree, xi, a, b, picard_tol=bsde.DEFAULT_PICARD_TOL):
+    """The backward pass of `eval_switched` from checked leaf values `xi`."""
     bsde.check_contraction(tree.dt, spec.generator.lipschitz)
     m1, m2 = spec.m1, spec.m2
     gen = spec.generator
     k, l = spec.costs.k, spec.costs.l
 
     U = [None] * (tree.N + 1)
-    U[tree.N] = spec.check_terminal(tree.leaf_w)
+    U[tree.N] = xi
     for t in range(tree.N - 1, -1, -1):
         E = tree.expect_next(t, U[t + 1])          # (n, m1, m2)
         Z = tree.z_next(t, U[t + 1])               # (n, d, m1, m2)
@@ -316,16 +388,20 @@ class SaddleReport:
 
 
 def _catalog(sol, player, catalog_size, rng):
+    """Yield the player's named catalog strategies one at a time.
+
+    The random strategies draw from `rng` only when reached, so exhausting
+    one player's catalog before starting the other's keeps the draw order.
+    """
     spec, tree = sol.spec, sol.tree
     m1, m2 = spec.m1, spec.m2
-    out = [("stay", FeedbackStrategy.stay(player, tree, m1, m2))]
+    yield "stay", FeedbackStrategy.stay(player, tree, m1, m2)
     count = m1 if player == "I" else m2
     for mode in range(count):
-        out.append((f"constant_{mode + 1}", FeedbackStrategy.constant(player, tree, m1, m2, mode)))
-    out.append(("greedy", greedy_strategy(sol, player)))
+        yield f"constant_{mode + 1}", FeedbackStrategy.constant(player, tree, m1, m2, mode)
+    yield "greedy", greedy_strategy(sol, player)
     for s in range(catalog_size):
-        out.append((f"random_{s}", FeedbackStrategy.random(player, tree, m1, m2, rng)))
-    return out
+        yield f"random_{s}", FeedbackStrategy.random(player, tree, m1, m2, rng)
 
 
 def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 200,
@@ -337,11 +413,14 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
     Player-I strategy a, U(a, b*) >= Y(root) - tol.  The catalog always
     contains the stay, all constant-mode, and the greedy strategies plus
     seeded random ones.  Violations carry the serialized strategy for replay.
+    The terminal is checked once for all evaluations, and catalog strategies
+    are drawn one at a time: only violating ones are kept.
     """
     spec.require_valid()
+    xi = spec.check_terminal(tree.leaf_w)
     a_star, b_star = extract_saddle(sol, spec)
     root_Y = sol.root
-    value = eval_switched(spec, tree, a_star, b_star)
+    value = _switched_backward(spec, tree, xi, a_star, b_star)
     gaps = {}
     violations = []
     for i in range(spec.m1):
@@ -351,18 +430,18 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
             if gap > tol:
                 violations.append(("value", "saddle_pair", (i, j), gap, None))
 
+    # all Player-II draws come first, then the Player-I draws, from one rng
     rng = np.random.default_rng(seed)
-    cat_II = _catalog(sol, "II", catalog_size, rng)
-    cat_I = _catalog(sol, "I", catalog_size, rng)
-    for name, b in cat_II:
-        u = eval_switched(spec, tree, a_star, b)
+    size_II = size_I = 0
+    for size_II, (name, b) in enumerate(_catalog(sol, "II", catalog_size, rng), 1):
+        u = _switched_backward(spec, tree, xi, a_star, b)
         for i in range(spec.m1):
             for j in range(spec.m2):
                 slack = u.root((i, j)) - root_Y[i, j]
                 if slack > tol:
                     violations.append(("upper", name, (i, j), slack, b))
-    for name, a in cat_I:
-        u = eval_switched(spec, tree, a, b_star)
+    for size_I, (name, a) in enumerate(_catalog(sol, "I", catalog_size, rng), 1):
+        u = _switched_backward(spec, tree, xi, a, b_star)
         for i in range(spec.m1):
             for j in range(spec.m2):
                 slack = root_Y[i, j] - u.root((i, j))
@@ -370,7 +449,7 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
                     violations.append(("lower", name, (i, j), slack, a))
     return SaddleReport(
         value_gap=gaps, violations=violations,
-        catalog_size_I=len(cat_I), catalog_size_II=len(cat_II),
+        catalog_size_I=size_I, catalog_size_II=size_II,
     )
 
 

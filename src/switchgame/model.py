@@ -13,6 +13,7 @@ and the reflection pushes individual coordinates down (recorded in dK) or up
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -125,7 +126,13 @@ def enumerate_primary_loops(m1: int, m2: int, cap: int = DEFAULT_LOOP_CAP):
     one player's mode; a primary loop visits no intermediate pair twice.
     Loops are returned canonicalized (deduplicated up to rotation and
     reversal) as tuples of 0-based (i, j) pairs without the repeated endpoint.
+    The enumeration runs once per (m1, m2, cap); each call returns a new list.
     """
+    return list(_primary_loops(m1, m2, cap))
+
+
+@functools.cache
+def _primary_loops(m1, m2, cap):
     if m1 * m2 > cap:
         raise SizingError(
             f"mode grid {m1}x{m2} exceeds the loop enumeration cap of {cap} pairs"
@@ -156,7 +163,7 @@ def enumerate_primary_loops(m1: int, m2: int, cap: int = DEFAULT_LOOP_CAP):
 
     for start in pairs:
         extend([start], {start})
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def loop_alternating_cost(loop, costs: CostTables) -> float:

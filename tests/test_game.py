@@ -1,14 +1,17 @@
 """Strategies, the switched system, saddle extraction/verification, and the
 strategy-enumeration oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from switchgame import build_tree
+from switchgame import build_tree, game
 from switchgame.errors import DataError, SizingError
 from switchgame.game import (
     FeedbackStrategy,
     SwitchedValue,
+    _catalog,
     _resolve_modes,
     brute_force_value,
     enumerate_feedback_strategies,
@@ -22,8 +25,11 @@ from switchgame.game import (
 )
 from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from switchgame.reflected import RbsdeSolution, solve_rbsde
+from switchgame.runner import parse_scenario
 
 from conftest import make_standard, standard_costs
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
 
 
 def resolve_oracle(a_tbl, b_tbl, node, i, j, k, l, cap):
@@ -54,6 +60,34 @@ def resolve_oracle(a_tbl, b_tbl, node, i, j, k, l, cap):
         if not moved:
             break
     return i, j, costA, costB, events
+
+
+def resolve_modes_loop(A, B, n_idx, m1, m2, k, l):
+    """Round-by-round vectorized mode settlement, the oracle for the closed
+    form in `game._resolve_modes` (same signature and results): alternate the
+    two read-outs over every (node, i, j), Player I first, for at most
+    4*m1*m2 + 1 rounds, stopping switches at 4*m1*m2 per entry.
+    """
+    cap = 4 * m1 * m2
+    ci = np.broadcast_to(np.arange(m1)[None, :, None], A.shape).copy()
+    cj = np.broadcast_to(np.arange(m2)[None, None, :], A.shape).copy()
+    costA = np.zeros(A.shape)
+    costB = np.zeros(A.shape)
+    switches = np.zeros(A.shape, dtype=int)
+    for _ in range(cap + 1):
+        ni = A[n_idx, ci, cj]
+        movI = (ni != ci) & (switches < cap)
+        costA += np.where(movI, k[ci, ni], 0.0)
+        ci = np.where(movI, ni, ci)
+        switches += movI
+        nj = B[n_idx, ci, cj]
+        movJ = (nj != cj) & (switches < cap)
+        costB += np.where(movJ, l[cj, nj], 0.0)
+        cj = np.where(movJ, nj, cj)
+        switches += movJ
+        if not (movI.any() or movJ.any()):
+            break
+    return ci, cj, costA, costB
 
 
 class TestModeResolution:
@@ -106,6 +140,60 @@ class TestModeResolution:
         np.testing.assert_array_equal(ci[0], [[0, 0], [1, 1]])
         np.testing.assert_array_equal(cj[0], [[0, 1], [0, 1]])
         assert not cA.any() and not cB.any()
+
+
+class TestClosedFormResolution:
+    """`_resolve_modes` (power-of-two jumps of the round map) against the
+    round-by-round loop oracle."""
+
+    @staticmethod
+    def _tables(rng, n_t, m1, m2, derange):
+        if derange:
+            # every read asks for a switch, so the walks cycle into the cap
+            A = (np.arange(m1)[None, :, None]
+                 + rng.integers(1, max(m1, 2), (n_t, m1, m2))) % m1
+            B = (np.arange(m2)[None, None, :]
+                 + rng.integers(1, max(m2, 2), (n_t, m1, m2))) % m2
+        else:
+            A = rng.integers(0, m1, (n_t, m1, m2))
+            B = rng.integers(0, m2, (n_t, m1, m2))
+        return A, B
+
+    def test_matches_loop_oracle_fuzz(self, rng):
+        capped = cut = bitwise = 0
+        for m1 in range(1, 5):
+            for m2 in range(1, 5):
+                cap = 4 * m1 * m2
+                for trial in range(12):
+                    n_t = int(rng.integers(1, 6))
+                    A, B = self._tables(rng, n_t, m1, m2, derange=trial % 2 == 1)
+                    n_idx = np.arange(n_t)[:, None, None]
+                    # nonzero diagonals: only switches that happen may be charged
+                    k = rng.uniform(0.1, 2.0, (m1, m1))
+                    l = rng.uniform(0.1, 2.0, (m2, m2))
+                    ci, cj, cA, cB = _resolve_modes(A, B, n_idx, m1, m2, k, l)
+                    oi, oj, oA, oB = resolve_modes_loop(A, B, n_idx, m1, m2, k, l)
+                    np.testing.assert_array_equal(ci, oi)
+                    np.testing.assert_array_equal(cj, oj)
+                    np.testing.assert_allclose(cA, oA, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(cB, oB, rtol=0, atol=1e-12)
+                    # unit costs turn the charges into per-player switch counts
+                    ones_k, ones_l = np.ones((m1, m1)), np.ones((m2, m2))
+                    _, _, nA, nB = _resolve_modes(A, B, n_idx, m1, m2, ones_k, ones_l)
+                    _, _, onA, onB = resolve_modes_loop(A, B, n_idx, m1, m2,
+                                                        ones_k, ones_l)
+                    np.testing.assert_array_equal(nA, onA)
+                    np.testing.assert_array_equal(nB, onB)
+                    few = (onA <= 2) & (onB <= 2)
+                    np.testing.assert_array_equal(cA[few], oA[few])
+                    np.testing.assert_array_equal(cB[few], oB[few])
+                    bitwise += int(few.sum())
+                    for n, i, j in zip(*np.nonzero(onA + onB == cap)):
+                        capped += 1
+                        fi, fj, _, _, events = resolve_oracle(A, B, n, i, j, k, l, cap)
+                        # the cap-th switch was Player I's and cut Player II off
+                        cut += events[-1][0] == "I" and B[n, fi, fj] != fj
+        assert capped > 0 and cut > 0 and bitwise > 0
 
 
 class TestEvalSwitched:
@@ -196,6 +284,23 @@ class TestEvalSwitched:
         with pytest.raises(DataError):
             eval_switched(standard_spec, tree, a, a)
 
+    def test_action_tables_are_checked(self, standard_spec):
+        tree = build_tree(2, 1, standard_spec.horizon)
+        a = FeedbackStrategy.stay("I", tree, 2, 2)
+        b = FeedbackStrategy.stay("II", tree, 2, 2)
+        bad = FeedbackStrategy("I", [x.copy() for x in a.actions])
+        bad.actions[1][0, 1, 0] = 2            # mode 3 of a 2-mode player
+        with pytest.raises(DataError, match="modes 1..2"):
+            eval_switched(standard_spec, tree, bad, b)
+        bad.actions[1][0, 1, 0] = -1
+        with pytest.raises(DataError):
+            eval_switched(standard_spec, tree, bad, b)
+        with pytest.raises(DataError):
+            eval_switched(standard_spec, tree, a,
+                          FeedbackStrategy("II", [x[:, :1] for x in b.actions]))
+        with pytest.raises(DataError):
+            eval_switched(standard_spec, tree, a, FeedbackStrategy("II", b.actions[:1]))
+
 
 class TestSaddle:
     def test_interior_solution_yields_stay_strategies(self):
@@ -257,6 +362,70 @@ class TestSaddle:
         rows = list(b.serialize_rows())
         assert len(rows) == (1 + 2) * 4
         assert rows[0] == [0, 0, 1, 1, 1]
+
+    def test_catalog_keeps_the_draw_order(self, standard_spec):
+        # the catalog is drawn lazily; exhausting Player II's before starting
+        # Player I's must reproduce the eager draw order from one generator
+        tree = build_tree(3, 1, standard_spec.horizon)
+        sol = solve_rbsde(standard_spec, tree)
+        rng = np.random.default_rng(11)
+        drawn = [s for player in ("II", "I")
+                 for name, s in _catalog(sol, player, 5, rng) if name.startswith("random_")]
+        eager = np.random.default_rng(11)
+        expected = [FeedbackStrategy.random(player, tree, 2, 2, eager)
+                    for player in ("II", "I") for _ in range(5)]
+        assert len(drawn) == len(expected) == 10
+        for got, want in zip(drawn, expected):
+            assert got.player == want.player
+            for x, y in zip(got.actions, want.actions):
+                np.testing.assert_array_equal(x, y)
+
+
+class TestResolutionDifferential:
+    """Switched evaluation and saddle verification with the closed-form mode
+    resolution against the same code with the loop oracle patched in."""
+
+    @staticmethod
+    def _instances():
+        spec = make_standard()
+        yield spec, build_tree(8, 1, spec.horizon)
+        scenario = parse_scenario(SCENARIOS / "perf_3x3.json")
+        yield scenario.spec, scenario.build_tree()
+
+    def test_eval_switched_roots_match_the_loop(self, monkeypatch, rng):
+        for spec, tree in self._instances():
+            a_star, b_star = extract_saddle(solve_rbsde(spec, tree), spec)
+            pairs = [(FeedbackStrategy.random("I", tree, spec.m1, spec.m2, rng),
+                      FeedbackStrategy.random("II", tree, spec.m1, spec.m2, rng))
+                     for _ in range(20)]
+            closed = [eval_switched(spec, tree, a, b).root()
+                      for a, b in [(a_star, b_star)] + pairs]
+            with monkeypatch.context() as patch:
+                patch.setattr(game, "_resolve_modes", resolve_modes_loop)
+                looped = [eval_switched(spec, tree, a, b).root()
+                          for a, b in [(a_star, b_star)] + pairs]
+            # the saddle pair's cascades are short enough to add up bit for bit
+            np.testing.assert_array_equal(closed[0], looped[0])
+            for new, old in zip(closed[1:], looped[1:]):
+                np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+
+    def test_verify_saddle_outcome_matches_the_loop(self, monkeypatch, standard_spec):
+        tree = build_tree(8, 1, standard_spec.horizon)
+        sol = solve_rbsde(standard_spec, tree)
+        # the solved field passes; shifted up at the root it must fail the same way
+        for shift in (0.0, 0.25):
+            sol.Y[0] = sol.Y[0] + shift
+            new = verify_saddle(standard_spec, tree, sol, catalog_size=30, seed=7)
+            with monkeypatch.context() as patch:
+                patch.setattr(game, "_resolve_modes", resolve_modes_loop)
+                old = verify_saddle(standard_spec, tree, sol, catalog_size=30, seed=7)
+            assert new.value_gap == old.value_gap
+            assert [v[:3] for v in new.violations] == [v[:3] for v in old.violations]
+            np.testing.assert_allclose([v[3] for v in new.violations],
+                                       [v[3] for v in old.violations], rtol=0, atol=1e-12)
+            assert bool(new.violations) == (shift > 0.0)
+            assert (new.catalog_size_I, new.catalog_size_II) == (34, 34)
+            assert (old.catalog_size_I, old.catalog_size_II) == (34, 34)
 
 
 class TestRepresentation:
