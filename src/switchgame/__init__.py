@@ -2,7 +2,7 @@
 Brownian filtrations: the obliquely reflected system, its penalization route,
 and game-theoretic verification oracles."""
 
-from .bsde import DriverFn, bsde_step, solve_system
+from .bsde import DriverFn, solve_system
 from .errors import (
     ConvergenceError,
     DataError,

@@ -1,15 +1,29 @@
-"""Implicit backward-induction kernel for unreflected BSDE systems.
+"""The backward-induction kernel shared by every solver in the package.
 
-One step computes, per node of a level,
+Each solver is one backward recursion over the tree levels.  `backward` owns
+that recursion: it puts the terminal values in the leaf slot, checks the
+contraction condition, and for t = N-1, ..., 0 conditions the level-(t+1)
+values on level t,
 
+    E   = E[Y_next]                  (per node)
     z_p = E[Y_next * dW_p] / dt
-    y   = E[Y_next] + driver(t, w, y, z) * dt        (implicit in y)
 
-by Picard iteration started from the plain expectation.  The contraction
-condition ``dt * C < 1`` (C the driver's Lipschitz constant) is enforced at
-solve start, so the fixed point is unique; the iteration cap is generous
-because the convergence rate degrades like 1/(1 - dt*C) near the boundary
-(penalized drivers deliberately run close to it).
+before handing them to the solver's per-level step.  A step gathers at
+settled modes if its solver switches, solves the implicit equation
+
+    y = E + driver(t, w, y, z) * dt
+
+by Picard iteration started from the plain expectation, and post-processes:
+the oblique projection (`reflected`), a penalty in the driver plus the
+upper-only projection (`penalty`), switch costs (`game.eval_switched`), or
+the lower-only projection (`game.solve_lower_reflected`).  This is the
+discretely obliquely reflected scheme of Chassagneux, Elie & Kharroubi
+(AAP 2012): an implicit step followed by a projection.
+
+The contraction condition ``dt * C < 1`` (C the driver's Lipschitz constant)
+makes the fixed point unique; the iteration cap is generous because the
+convergence rate degrades like 1/(1 - dt*C) near the boundary (penalized
+drivers deliberately run close to it).
 """
 
 from __future__ import annotations
@@ -68,32 +82,28 @@ def picard_solve(E, update, picard_tol=DEFAULT_PICARD_TOL, max_iter=DEFAULT_MAX_
     )
 
 
-def bsde_level_step(tree, t, next_values, driver, picard_tol=DEFAULT_PICARD_TOL,
-                    max_iter=DEFAULT_MAX_ITER):
-    """One implicit Euler step for every node of level t at once.
+def backward(tree, terminal, lipschitz, step):
+    """Run the backward induction from the leaf values `terminal` to the root.
 
-    Returns (y, z, iterations) with y shaped (n_t, m1, m2) and z shaped
-    (n_t, d, m1, m2).  z is the martingale coefficient of the next-level
-    values and is not affected by the implicit y-solve.
+    ``step(t, E, z, w, time)`` computes level t from its conditioned
+    next-level values: E is (n_t, m1, m2), z is (n_t, d, m1, m2), w the
+    level's (n_t, d) W-states and time its time point.  It returns a tuple
+    whose first entry is level t's values; each further entry is kept per
+    level.  `lipschitz` is the step's contraction constant, checked once.
+
+    Returns ``(Y, *kept)``: Y[0..N] with `terminal` at N, then one list of
+    N per-level entries (index 0 = root level) per further tuple entry.  A
+    step that returns a one-tuple keeps nothing beyond the values.
     """
-    E = tree.expect_next(t, next_values)
-    z = tree.z_next(t, next_values)
-    w = tree.level_w(t)
-    time = tree.time(t)
-    dt = tree.dt
-
-    y, iters = picard_solve(
-        E, lambda y: dt * np.asarray(driver(time, w, y, z), dtype=float),
-        picard_tol=picard_tol, max_iter=max_iter,
-    )
-    return y, z, iters
-
-
-def bsde_step(tree, t, node, next_values, driver, picard_tol=DEFAULT_PICARD_TOL,
-              max_iter=DEFAULT_MAX_ITER):
-    """Single-node step (path trees); thin wrapper over the level kernel."""
-    y, z, _ = bsde_level_step(tree, t, next_values, driver, picard_tol, max_iter)
-    return y[node], z[node]
+    check_contraction(tree.dt, lipschitz)
+    N = tree.N
+    Y = [None] * (N + 1)
+    kept = [None] * N
+    Y[N] = terminal
+    for t in range(N - 1, -1, -1):
+        Y[t], *kept[t] = step(t, tree.expect_next(t, Y[t + 1]), tree.z_next(t, Y[t + 1]),
+                              tree.level_w(t), tree.time(t))
+    return (Y, *map(list, zip(*kept)))
 
 
 def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL,
@@ -109,11 +119,11 @@ def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL,
     Y : list of per-level value arrays, index 0 (root) to N (leaves).
     Z : list of per-level martingale coefficient arrays, index 0 to N-1.
     """
-    check_contraction(tree.dt, driver.lipschitz)
-    N = tree.N
-    Y = [None] * (N + 1)
-    Z = [None] * N
-    Y[N] = np.asarray(terminal_values, dtype=float)
-    for t in range(N - 1, -1, -1):
-        Y[t], Z[t], _ = bsde_level_step(tree, t, Y[t + 1], driver, picard_tol, max_iter)
-    return Y, Z
+    def step(t, E, z, w, time):
+        y, _ = picard_solve(
+            E, lambda y: tree.dt * np.asarray(driver(time, w, y, z), dtype=float),
+            picard_tol=picard_tol, max_iter=max_iter,
+        )
+        return y, z
+
+    return backward(tree, np.asarray(terminal_values, dtype=float), driver.lipschitz, step)

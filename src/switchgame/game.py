@@ -117,7 +117,7 @@ class SwitchedValue:
         return float(self.U[0][0, i, j])
 
 
-def _resolve_modes(A, B, n_idx, m1, m2, k, l):
+def _resolve_modes(A, B, m1, m2, k, l):
     """Settle one step's mode pair from both action tables.
 
     Alternating read-out with Player I first: each player in turn reads its
@@ -126,8 +126,7 @@ def _resolve_modes(A, B, n_idx, m1, m2, k, l):
     4*m1*m2 switches have been made (only adversarially cyclic tables hit
     the cap; every switch costs, so cyclists only hurt themselves).  Returns
     the settled (i, j) tables and each player's accumulated switch cost, all
-    shaped like A.  `n_idx` (the caller's node index grid) is not needed
-    here and is accepted for call compatibility.
+    shaped like A.
 
     The read-out is resolved in closed form.  One round (I reads, then II
     reads) maps each (node, pair) entry to its next pair, with the round's
@@ -193,6 +192,26 @@ def _resolve_modes(A, B, n_idx, m1, m2, k, l):
             (costA + cA).reshape(shape), (costB + cB).reshape(shape))
 
 
+def _check_actions(spec: GameSpec, tree, strategy: FeedbackStrategy):
+    """Require one (level size, m1, m2) action table per tree level, holding
+    modes inside the player's range.
+
+    NumPy would read a mode of -1 as the last mode, and the flat gathers of
+    `_resolve_modes` would read a neighbouring node's entry for a mode past
+    the range, so both are rejected here rather than evaluated.
+    """
+    hi = spec.m1 if strategy.player == "I" else spec.m2
+    acts = strategy.actions
+    if len(acts) != tree.N or any(
+            np.shape(x) != (tree.level_size(t), spec.m1, spec.m2)
+            or np.min(x) < 0 or np.max(x) >= hi for t, x in enumerate(acts)):
+        raise DataError(
+            f"Player-{strategy.player} action tables must have shape "
+            f"(level size, {spec.m1}, {spec.m2}) on each of the tree's {tree.N} "
+            f"levels and hold modes 1..{hi}"
+        )
+
+
 def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy,
                   picard_tol=bsde.DEFAULT_PICARD_TOL) -> SwitchedValue:
     """Backward evaluation of the switched BSDE for every start mode pair.
@@ -205,44 +224,25 @@ def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
     """
     if a.player != "I" or b.player != "II":
         raise DataError("eval_switched expects (Player-I strategy, Player-II strategy)")
-    # the flat gathers of _resolve_modes would read a neighbouring node's
-    # entry for an out-of-range mode instead of failing
-    for strategy, hi in ((a, spec.m1), (b, spec.m2)):
-        acts = strategy.actions
-        if len(acts) != tree.N or any(
-                np.shape(x) != (tree.level_size(t), spec.m1, spec.m2)
-                or np.min(x) < 0 or np.max(x) >= hi for t, x in enumerate(acts)):
-            raise DataError(
-                f"Player-{strategy.player} action tables must have shape "
-                f"(level size, {spec.m1}, {spec.m2}) on each of the tree's {tree.N} "
-                f"levels and hold modes 1..{hi}"
-            )
+    _check_actions(spec, tree, a)
+    _check_actions(spec, tree, b)
     return _switched_backward(spec, tree, spec.check_terminal(tree.leaf_w), a, b,
                               picard_tol)
 
 
 def _switched_backward(spec, tree, xi, a, b, picard_tol=bsde.DEFAULT_PICARD_TOL):
     """The backward pass of `eval_switched` from checked leaf values `xi`."""
-    bsde.check_contraction(tree.dt, spec.generator.lipschitz)
     m1, m2 = spec.m1, spec.m2
     gen = spec.generator
     k, l = spec.costs.k, spec.costs.l
 
-    U = [None] * (tree.N + 1)
-    U[tree.N] = xi
-    for t in range(tree.N - 1, -1, -1):
-        E = tree.expect_next(t, U[t + 1])          # (n, m1, m2)
-        Z = tree.z_next(t, U[t + 1])               # (n, d, m1, m2)
-        n_t = E.shape[0]
-        n_idx = np.arange(n_t)[:, None, None]
+    def step(t, E, Z, w, time):
+        n_idx = np.arange(E.shape[0])[:, None, None]
         i_fin, j_fin, costA, costB = _resolve_modes(
-            a.actions[t], b.actions[t], n_idx, m1, m2, k, l
+            a.actions[t], b.actions[t], m1, m2, k, l
         )
         Eg = E[n_idx, i_fin, j_fin]                  # continuation at settled modes
         Zg = np.moveaxis(Z, 1, -1)[n_idx, i_fin, j_fin]   # (n, m1, m2, d)
-        w = tree.level_w(t)
-        time = tree.time(t)
-
         y, _ = bsde.picard_solve(
             Eg,
             lambda y: tree.dt * np.asarray(
@@ -250,7 +250,9 @@ def _switched_backward(spec, tree, xi, a, b, picard_tol=bsde.DEFAULT_PICARD_TOL)
             ),
             picard_tol=picard_tol,
         )
-        U[t] = y + costA - costB
+        return (y + costA - costB,)
+
+    U = bsde.backward(tree, xi, gen.lipschitz, step)[0]
     return SwitchedValue(tree=tree, U=U)
 
 
@@ -264,6 +266,8 @@ def simulate_path(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
     """
     if tree.recombining:
         raise DataError("forward simulation requires a path tree")
+    _check_actions(spec, tree, a)
+    _check_actions(spec, tree, b)
     i, j = start
     node = 0
     nodes, modes, A, B = [0], [(i, j)], [0.0], [0.0]
@@ -312,6 +316,22 @@ def _argmax_lower(y, costs):
     return shifted.argmax(axis=-1)
 
 
+def _barrier_actions(y, costs, player, fire):
+    """One player's action table on level values y: the barrier argmin
+    (Player I) or argmax (Player II) where `fire` holds, stay elsewhere.
+
+    A player with a single mode has no target but its own mode, so its table
+    is all stays whatever `fire` holds.
+    """
+    if player == "I":
+        target = _argmin_upper(y, costs)
+        stay = np.arange(costs.m1)[:, None]
+    else:
+        target = _argmax_lower(y, costs)
+        stay = np.arange(costs.m2)
+    return np.where(fire, target, stay).astype(int)
+
+
 def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None,
                    tol: float = 1e-9):
     """Candidate saddle strategies from the solved value field.
@@ -321,55 +341,27 @@ def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None,
     once, Player I switches and Player II stays.  Switch targets are the
     barrier argmin/argmax, smallest index on ties.
     """
-    spec = spec or sol.spec
-    tree = sol.tree
-    m1, m2 = spec.m1, spec.m2
+    costs = (spec or sol.spec).costs
     acts_I, acts_II = [], []
-    for t in range(tree.N):
-        y = sol.Y[t]
-        up = upper_barrier(y, spec.costs)
-        lo = lower_barrier(y, spec.costs)
-        fire_I = y >= up - tol
-        fire_II = (y <= lo + tol) & ~fire_I
-        stay_I = np.broadcast_to(np.arange(m1)[None, :, None], y.shape)
-        stay_II = np.broadcast_to(np.arange(m2)[None, None, :], y.shape)
-        if m1 > 1:
-            tgt_I = _argmin_upper(y, spec.costs)
-            acts_I.append(np.where(fire_I, tgt_I, stay_I).astype(int))
-        else:
-            acts_I.append(stay_I.copy().astype(int))
-        if m2 > 1:
-            tgt_II = _argmax_lower(y, spec.costs)
-            acts_II.append(np.where(fire_II, tgt_II, stay_II).astype(int))
-        else:
-            acts_II.append(stay_II.copy().astype(int))
+    for y in sol.Y[:sol.tree.N]:
+        fire_I = y >= upper_barrier(y, costs) - tol
+        fire_II = (y <= lower_barrier(y, costs) + tol) & ~fire_I
+        acts_I.append(_barrier_actions(y, costs, "I", fire_I))
+        acts_II.append(_barrier_actions(y, costs, "II", fire_II))
     return (FeedbackStrategy("I", acts_I), FeedbackStrategy("II", acts_II))
 
 
 def greedy_strategy(sol: RbsdeSolution, player: str) -> FeedbackStrategy:
     """Myopic strategy: switch whenever the barrier move looks immediately
     profitable on the solved value field, ignoring future consequences."""
-    spec = sol.spec
-    tree = sol.tree
+    costs = sol.spec.costs
     acts = []
-    for t in range(tree.N):
-        y = sol.Y[t]
+    for y in sol.Y[:sol.tree.N]:
         if player == "I":
-            if spec.m1 == 1:
-                acts.append(FeedbackStrategy.stay("I", tree, 1, spec.m2).actions[t])
-                continue
-            bar = upper_barrier(y, spec.costs)
-            tgt = _argmin_upper(y, spec.costs)
-            stay = np.broadcast_to(np.arange(spec.m1)[None, :, None], y.shape)
-            acts.append(np.where(bar < y, tgt, stay).astype(int))
+            fire = upper_barrier(y, costs) < y
         else:
-            if spec.m2 == 1:
-                acts.append(FeedbackStrategy.stay("II", tree, spec.m1, 1).actions[t])
-                continue
-            bar = lower_barrier(y, spec.costs)
-            tgt = _argmax_lower(y, spec.costs)
-            stay = np.broadcast_to(np.arange(spec.m2)[None, None, :], y.shape)
-            acts.append(np.where(bar > y, tgt, stay).astype(int))
+            fire = lower_barrier(y, costs) > y
+        acts.append(_barrier_actions(y, costs, player, fire))
     return FeedbackStrategy(player, acts)
 
 
@@ -458,43 +450,33 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
 # ---------------------------------------------------------------------------
 
 def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy,
-                          picard_tol=bsde.DEFAULT_PICARD_TOL,
-                          proj_tol=1e-12, frozen_dL=None):
+                          picard_tol=bsde.DEFAULT_PICARD_TOL, proj_tol=1e-12):
     """Solve the Player-II-reflected system under a fixed Player-I strategy.
 
     The strategy must not read the opponent coordinate (its action table is
     constant across j).  Each step: continuation at the strategy's mode
     choice, driver at that mode, Player-I switch cost, then the lower (l)
     barriers are enforced by upward projection with the system's own minimal
-    push.  With `frozen_dL` (per-level increments from a reflected solution)
-    the projection is replaced by adding the given pushes at the switched
-    coordinate, for comparison runs only.
+    push.
 
     Returns the list of per-level (n_t, m1, m2) value fields.
     """
     if a.player != "I":
         raise DataError("expected a Player-I strategy")
+    _check_actions(spec, tree, a)
     if not a.j_uniform():
         raise DataError("the representation route needs a j-independent strategy")
-    bsde.check_contraction(tree.dt, spec.generator.lipschitz)
     gen = spec.generator
     k = spec.costs.k
-    m1, m2 = spec.m1, spec.m2
-    i_grid = np.arange(m1)[:, None]
+    i_grid = np.arange(spec.m1)[:, None]
+    j_grid = np.arange(spec.m2)[None, None, :]
 
-    U = [None] * (tree.N + 1)
-    U[tree.N] = spec.check_terminal(tree.leaf_w)
-    for t in range(tree.N - 1, -1, -1):
-        E = tree.expect_next(t, U[t + 1])
-        Z = tree.z_next(t, U[t + 1])
-        n_t = E.shape[0]
+    def step(t, E, Z, w, time):
         ia = a.actions[t]                           # (n, m1, m2), j-uniform
-        jb = np.broadcast_to(np.arange(m2)[None, None, :], ia.shape)
-        n_idx = np.arange(n_t)[:, None, None]
+        jb = np.broadcast_to(j_grid, ia.shape)
+        n_idx = np.arange(E.shape[0])[:, None, None]
         Eg = E[n_idx, ia, jb]
         Zg = np.moveaxis(Z, 1, -1)[n_idx, ia, jb]
-        w = tree.level_w(t)
-        time = tree.time(t)
         y, _ = bsde.picard_solve(
             Eg,
             lambda y: tree.dt * np.asarray(
@@ -503,12 +485,10 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy,
             picard_tol=picard_tol,
         )
         y = y + k[i_grid, ia]
-        if frozen_dL is None:
-            y, _, _ = project_oblique_batch(y, spec.costs, tol=proj_tol, lower_only=True)
-        else:
-            y = y + frozen_dL[t][n_idx, ia, jb]
-        U[t] = y
-    return U
+        y, _, _ = project_oblique_batch(y, spec.costs, tol=proj_tol, lower_only=True)
+        return (y,)
+
+    return bsde.backward(tree, spec.check_terminal(tree.leaf_w), gen.lipschitz, step)[0]
 
 
 def _interior_sizes(tree):

@@ -40,29 +40,58 @@ def _branch_signs(d: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-class PathTree:
-    """Non-recombining binary-per-component tree over N steps in dimension d."""
+class _Tree:
+    """Constructor checks, time grid and leaf states shared by both carriers.
 
-    recombining = False
+    A subclass defines `level_size` (used here to count its nodes) and the
+    noun and unit its node-cap message uses.
+    """
 
-    def __init__(self, N: int, d: int, T: float, node_cap: int = DEFAULT_NODE_CAP):
+    def __init__(self, N: int, d: int, T: float, node_cap: int):
         if N < 1 or d < 1:
             raise DataError("need N >= 1 and d >= 1")
         if T <= 0:
             raise DataError("horizon must be positive")
-        B = 1 << d
-        total = sum(B ** t for t in range(N + 1))
-        if total > node_cap:
-            raise SizingError(
-                f"tree with N={N}, d={d} has {total} nodes, exceeding the cap {node_cap}"
-            )
         self.N = N
         self.d = d
         self.T = float(T)
         self.dt = float(T) / N
-        self.branching = B
-        self.num_nodes = total
+        self.branching = 1 << d
+        self.num_nodes = sum(self.level_size(t) for t in range(N + 1))
+        if self.num_nodes > node_cap:
+            raise SizingError(
+                f"{self._noun} with N={N}, d={d} has {self.num_nodes} {self._unit}, "
+                f"exceeding the cap {node_cap}"
+            )
         self.signs = _branch_signs(d)
+
+    @property
+    def leaf_w(self) -> np.ndarray:
+        return self.level_w(self.N)
+
+    def time(self, t: int) -> float:
+        return t * self.dt
+
+    def stats(self) -> dict:
+        return {
+            "kind": self._kind,
+            "steps": self.N,
+            "dimension": self.d,
+            "dt": self.dt,
+            "nodes": self.num_nodes,
+        }
+
+
+class PathTree(_Tree):
+    """Non-recombining binary-per-component tree over N steps in dimension d."""
+
+    recombining = False
+    _kind = "path_tree"
+    _noun = "tree"
+    _unit = "nodes"
+
+    def __init__(self, N: int, d: int, T: float, node_cap: int = DEFAULT_NODE_CAP):
+        super().__init__(N, d, T, node_cap)
         self._increments = self.signs * math.sqrt(self.dt)  # (B, d)
         self._w = [np.zeros((1, d))]
         for t in range(N):
@@ -76,18 +105,6 @@ class PathTree:
     def level_w(self, t: int) -> np.ndarray:
         """(n_t, d) W-states of level t."""
         return self._w[t]
-
-    @property
-    def leaf_w(self) -> np.ndarray:
-        return self._w[self.N]
-
-    def time(self, t: int) -> float:
-        return t * self.dt
-
-    def children(self, t: int, node: int) -> np.ndarray:
-        if t >= self.N:
-            raise DataError("leaf nodes have no children")
-        return node * self.branching + np.arange(self.branching)
 
     def expect_next(self, t: int, values: np.ndarray) -> np.ndarray:
         """Conditional expectation of level-(t+1) values, per level-t node."""
@@ -115,17 +132,8 @@ class PathTree:
         wgt = self._increments / (self.branching * self.dt)
         return np.einsum("nb...,bp->np...", grouped, wgt)
 
-    def stats(self) -> dict:
-        return {
-            "kind": "path_tree",
-            "steps": self.N,
-            "dimension": self.d,
-            "dt": self.dt,
-            "nodes": self.num_nodes,
-        }
 
-
-class RecombiningTree:
+class RecombiningTree(_Tree):
     """Recombining scaled-random-walk lattice; level t holds (t+1)**d states.
 
     State u (a multi-index, one entry per component) at level t maps to
@@ -134,24 +142,12 @@ class RecombiningTree:
     """
 
     recombining = True
+    _kind = "recombining"
+    _noun = "lattice"
+    _unit = "states"
 
     def __init__(self, N: int, d: int, T: float, node_cap: int = DEFAULT_NODE_CAP):
-        if N < 1 or d < 1:
-            raise DataError("need N >= 1 and d >= 1")
-        if T <= 0:
-            raise DataError("horizon must be positive")
-        total = sum((t + 1) ** d for t in range(N + 1))
-        if total > node_cap:
-            raise SizingError(
-                f"lattice with N={N}, d={d} has {total} states, exceeding the cap {node_cap}"
-            )
-        self.N = N
-        self.d = d
-        self.T = float(T)
-        self.dt = float(T) / N
-        self.branching = 1 << d
-        self.num_nodes = total
-        self.signs = _branch_signs(d)
+        super().__init__(N, d, T, node_cap)
         self._sqdt = math.sqrt(self.dt)
 
     def level_size(self, t: int) -> int:
@@ -163,13 +159,6 @@ class RecombiningTree:
     def level_w(self, t: int) -> np.ndarray:
         axes = np.indices(self._grid(t)).reshape(self.d, -1).T  # (n_t, d)
         return (2.0 * axes - t) * self._sqdt
-
-    @property
-    def leaf_w(self) -> np.ndarray:
-        return self.level_w(self.N)
-
-    def time(self, t: int) -> float:
-        return t * self.dt
 
     def expect_next(self, t: int, values: np.ndarray) -> np.ndarray:
         if t >= self.N:
@@ -206,15 +195,6 @@ class RecombiningTree:
                 out[:, p] += piece * (sign * self._sqdt / (self.branching * self.dt))
         return out
 
-    def stats(self) -> dict:
-        return {
-            "kind": "recombining",
-            "steps": self.N,
-            "dimension": self.d,
-            "dt": self.dt,
-            "nodes": self.num_nodes,
-        }
-
 
 def build_tree(N: int, d: int, T: float, recombining: bool = False,
                node_cap: int = DEFAULT_NODE_CAP):
@@ -225,23 +205,3 @@ def build_tree(N: int, d: int, T: float, recombining: bool = False,
     """
     cls = RecombiningTree if recombining else PathTree
     return cls(N, d, T, node_cap=node_cap)
-
-
-def node_expectation(tree, t: int, node: int, next_level_values: np.ndarray):
-    """Per-node conditional expectation (path trees only)."""
-    if tree.recombining:
-        raise DataError("per-node access requires a path tree")
-    kids = tree.children(t, node)
-    return np.asarray(next_level_values, dtype=float)[kids].mean(axis=0)
-
-
-def martingale_coefficient(tree, t: int, node: int, next_level_values: np.ndarray,
-                           component: int):
-    """Per-node martingale coefficient E[value * dW_p] / dt (path trees only)."""
-    if tree.recombining:
-        raise DataError("per-node access requires a path tree")
-    kids = tree.children(t, node)
-    v = np.asarray(next_level_values, dtype=float)[kids]
-    incr = tree.signs[:, component] * math.sqrt(tree.dt)
-    wgt = incr / (tree.branching * tree.dt)
-    return np.einsum("b...,b->...", v, wgt)

@@ -109,17 +109,7 @@ def solve_penalized(spec: GameSpec, tree, n: int,
     lip = gen.lipschitz + penalty_rate(n, spec.m2)
     _require_penalty_contraction(tree, spec, lip, n)
 
-    xi = spec.check_terminal(tree.leaf_w)
-    N = tree.N
-    Y = [None] * (N + 1)
-    Z = [None] * N
-    dK = [None] * N
-    Y[N] = xi
-    for t in range(N - 1, -1, -1):
-        E = tree.expect_next(t, Y[t + 1])
-        z = tree.z_next(t, Y[t + 1])
-        w = tree.level_w(t)
-        time = tree.time(t)
+    def step(t, E, z, w, time):
         y, _ = bsde.picard_solve(
             E,
             lambda y: tree.dt * (
@@ -129,9 +119,10 @@ def solve_penalized(spec: GameSpec, tree, n: int,
             picard_tol=picard_tol,
         )
         y, dk, _ = project_oblique_batch(y, spec.costs, upper_only=True)
-        Y[t], Z[t], dK[t] = y, z, dk
+        return y, z, dk
 
-    beta = [lower_penalty_intensity(Y[t], l, n) for t in range(N + 1)]
+    Y, Z, dK = bsde.backward(tree, spec.check_terminal(tree.leaf_w), lip, step)
+    beta = [lower_penalty_intensity(y, l, n) for y in Y]
     sol = PenalizedSolution(tree=tree, spec=spec, n=n, Y=Y, Z=Z, dK=dK, beta=beta)
     if not tree.recombining:
         sol.K = _accumulate(tree, dK)
@@ -165,11 +156,7 @@ def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
     gen = spec.generator
     k, l = spec.costs.k, spec.costs.l
     lip = gen.lipschitz + penalty_rate(n, spec.m2) + penalty_rate(m, spec.m1)
-    if tree.dt * lip >= 1.0:
-        raise SizingError(
-            f"dt={tree.dt:g} breaks the contraction condition for penalty levels "
-            f"(n={n}, m={m}); refine the tree"
-        )
+    _require_penalty_contraction(tree, spec, lip, n, f" with upper penalty level {m}")
 
     def driver(t, w, y, z):
         return (np.asarray(gen(t, w, y, z), dtype=float)

@@ -9,7 +9,7 @@ does not load on the Brownian increments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,47 +66,29 @@ def _accumulate(tree, increments):
     return out
 
 
-def rbsde_level_step(tree, t, next_Y, spec: GameSpec, picard_tol=bsde.DEFAULT_PICARD_TOL,
-                     proj_tol=DEFAULT_PROJ_TOL):
-    """One reflected step for all nodes of level t: BSDE step, then projection."""
-    y_raw, z, _ = bsde.bsde_level_step(
-        tree, t, next_Y, bsde.DriverFn.from_generator(spec.generator),
-        picard_tol=picard_tol,
-    )
-    y, dK, dL = project_oblique_batch(y_raw, spec.costs, tol=proj_tol)
-    return y, z, dK, dL
-
-
-def rbsde_step(tree, t, node, next_Y, spec: GameSpec, **kw):
-    """Single-node reflected step (path trees); returns (y, z, dK, dL)."""
-    y, z, dK, dL = rbsde_level_step(tree, t, next_Y, spec, **kw)
-    return y[node], z[node], dK[node], dL[node]
-
-
 def solve_rbsde(spec: GameSpec, tree, picard_tol=bsde.DEFAULT_PICARD_TOL,
                 proj_tol=DEFAULT_PROJ_TOL) -> RbsdeSolution:
     """Solve the reflected system on the whole tree.
 
     Validates the cost structure, checks the terminal matrix lies in the
     constraint region at every leaf (hard error otherwise), then runs the
-    reflected backward induction.
+    reflected backward induction: per level the implicit BSDE step with the
+    raw generator, then the oblique projection.
     """
     spec.require_valid()
     if tree.recombining and not spec.terminal.markovian:
         raise DataError("the recombining fast path requires a Markovian terminal")
-    bsde.check_contraction(tree.dt, spec.generator.lipschitz)
+    gen = spec.generator
 
-    xi = spec.check_terminal(tree.leaf_w)
-    N = tree.N
-    Y = [None] * (N + 1)
-    Z = [None] * N
-    dK = [None] * N
-    dL = [None] * N
-    Y[N] = xi
-    for t in range(N - 1, -1, -1):
-        Y[t], Z[t], dK[t], dL[t] = rbsde_level_step(
-            tree, t, Y[t + 1], spec, picard_tol=picard_tol, proj_tol=proj_tol
+    def step(t, E, z, w, time):
+        y, _ = bsde.picard_solve(
+            E, lambda y: tree.dt * np.asarray(gen(time, w, y, z), dtype=float),
+            picard_tol=picard_tol,
         )
+        y, dK, dL = project_oblique_batch(y, spec.costs, tol=proj_tol)
+        return y, z, dK, dL
+
+    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree.leaf_w), gen.lipschitz, step)
     sol = RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
     if not tree.recombining:
         sol.K = _accumulate(tree, dK)

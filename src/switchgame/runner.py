@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ from .reflected import (
 )
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "SWITCHGAME_WORKERS"
 
 DEFAULT_TOLERANCES = {
     "picard": bsde.DEFAULT_PICARD_TOL,
@@ -389,7 +387,6 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
         "scenario_name": scenario.name,
         "scenario_sha256": scenario.source_sha256,
         "seed": seed,
-        "workers": os.environ.get(WORKERS_ENV),
         "tolerances": tol,
         "tasks": task_entries,
         "exit_code": exit_code,

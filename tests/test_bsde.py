@@ -7,8 +7,7 @@ import pytest
 from switchgame import build_tree
 from switchgame.bsde import (
     DriverFn,
-    bsde_level_step,
-    bsde_step,
+    backward,
     check_contraction,
     picard_solve,
     solve_system,
@@ -21,11 +20,23 @@ def zero_driver():
     return DriverFn(lambda t, w, y, z: np.zeros_like(y), 0.0)
 
 
+def last_step(tree, nxt, driver):
+    """Level N-1 of the kernel from leaf values `nxt` under a plain implicit
+    step: (y, z, Picard iterations)."""
+    def step(t, E, z, w, time):
+        y, iters = picard_solve(E, lambda y: tree.dt * driver(time, w, y, z))
+        return y, z, iters
+
+    Y, Z, iters = backward(tree, nxt, driver.lipschitz, step)
+    t = tree.N - 1
+    return Y[t], Z[t], iters[t]
+
+
 class TestStep:
     def test_zero_driver_reduces_to_expectation(self, rng):
         tree = build_tree(2, 1, 1.0)
         nxt = rng.normal(size=(4, 2, 2))
-        y, z, iters = bsde_level_step(tree, 1, nxt, zero_driver())
+        y, z, iters = last_step(tree, nxt, zero_driver())
         np.testing.assert_allclose(y, tree.expect_next(1, nxt), atol=1e-15)
         np.testing.assert_allclose(z, tree.z_next(1, nxt), atol=1e-15)
         assert iters <= 2
@@ -36,7 +47,7 @@ class TestStep:
         c = 1.3
         driver = DriverFn(lambda t, w, y, z: np.full_like(y, c), 0.0)
         nxt = rng.normal(size=(4, 1, 1))
-        y, _, _ = bsde_level_step(tree, 1, nxt, driver)
+        y, _, _ = last_step(tree, nxt, driver)
         np.testing.assert_allclose(y, tree.expect_next(1, nxt) + 0.5 * c, atol=1e-14)
 
     def test_linear_driver_has_closed_form(self, rng):
@@ -47,15 +58,35 @@ class TestStep:
         driver = DriverFn.from_generator(gen)
         assert driver.lipschitz == 1.0
         nxt = rng.normal(size=(4, 1, 1))
-        y, _, _ = bsde_level_step(tree, 1, nxt, driver)
+        y, _, _ = last_step(tree, nxt, driver)
         np.testing.assert_allclose(y, tree.expect_next(1, nxt) / 1.5, atol=1e-11)
 
-    def test_single_node_wrapper(self, rng):
+    def test_single_node_values(self, rng):
+        # node 1 of level 1 has the leaves 2 (down) and 3 (up) as its children
         tree = build_tree(2, 1, 1.0)
         nxt = rng.normal(size=(4, 1, 1))
-        y, z = bsde_step(tree, 1, 1, nxt, zero_driver())
-        assert y == pytest.approx(nxt[2:4].mean())
-        assert z.shape == (1, 1, 1)
+        Y, Z = solve_system(tree, zero_driver(), nxt)
+        assert Y[1][1] == pytest.approx(nxt[2:4].mean())
+        assert Z[1][1].shape == (1, 1, 1)
+        up, down = nxt[3, 0, 0], nxt[2, 0, 0]
+        assert Z[1][1, 0, 0, 0] == pytest.approx((up - down) / (2 * np.sqrt(tree.dt)))
+
+    def test_kernel_keeps_only_what_the_step_returns(self, rng):
+        tree = build_tree(3, 1, 1.0)
+        xi = rng.normal(size=(8, 2, 2))
+        seen = []
+
+        def step(t, E, z, w, time):
+            seen.append((t, time, w.shape, E.shape, z.shape))
+            return (E,)
+
+        out = backward(tree, xi, 0.0, step)
+        assert len(out) == 1 and len(out[0]) == 4 and out[0][3] is xi
+        assert seen == [(t, t / 3, (2 ** t, 1), (2 ** t, 2, 2), (2 ** t, 1, 2, 2))
+                        for t in (2, 1, 0)]
+        np.testing.assert_allclose(out[0][0][0], xi.mean(axis=0), atol=1e-15)
+        with pytest.raises(SizingError, match="refine the tree"):
+            backward(tree, xi, 3.0, step)
 
     def test_contraction_guard(self):
         with pytest.raises(SizingError, match="refine the tree"):

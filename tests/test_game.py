@@ -62,13 +62,14 @@ def resolve_oracle(a_tbl, b_tbl, node, i, j, k, l, cap):
     return i, j, costA, costB, events
 
 
-def resolve_modes_loop(A, B, n_idx, m1, m2, k, l):
+def resolve_modes_loop(A, B, m1, m2, k, l):
     """Round-by-round vectorized mode settlement, the oracle for the closed
     form in `game._resolve_modes` (same signature and results): alternate the
     two read-outs over every (node, i, j), Player I first, for at most
     4*m1*m2 + 1 rounds, stopping switches at 4*m1*m2 per entry.
     """
     cap = 4 * m1 * m2
+    n_idx = np.arange(A.shape[0])[:, None, None]
     ci = np.broadcast_to(np.arange(m1)[None, :, None], A.shape).copy()
     cj = np.broadcast_to(np.arange(m2)[None, None, :], A.shape).copy()
     costA = np.zeros(A.shape)
@@ -98,8 +99,7 @@ class TestModeResolution:
             n_t = int(rng.integers(1, 5))
             A = rng.integers(0, 2, (n_t, 2, 2))
             B = rng.integers(0, 2, (n_t, 2, 2))
-            n_idx = np.arange(n_t)[:, None, None]
-            ci, cj, cA, cB = _resolve_modes(A, B, n_idx, 2, 2, k, l)
+            ci, cj, cA, cB = _resolve_modes(A, B, 2, 2, k, l)
             for n in range(n_t):
                 for i in range(2):
                     for j in range(2):
@@ -133,8 +133,7 @@ class TestModeResolution:
         tree = build_tree(2, 1, 1.0)
         a = FeedbackStrategy.stay("I", tree, 2, 2)
         b = FeedbackStrategy.stay("II", tree, 2, 2)
-        n_idx = np.arange(1)[:, None, None]
-        ci, cj, cA, cB = _resolve_modes(a.actions[0], b.actions[0], n_idx, 2, 2,
+        ci, cj, cA, cB = _resolve_modes(a.actions[0], b.actions[0], 2, 2,
                                         np.array(standard_costs().k),
                                         np.array(standard_costs().l))
         np.testing.assert_array_equal(ci[0], [[0, 0], [1, 1]])
@@ -167,20 +166,19 @@ class TestClosedFormResolution:
                 for trial in range(12):
                     n_t = int(rng.integers(1, 6))
                     A, B = self._tables(rng, n_t, m1, m2, derange=trial % 2 == 1)
-                    n_idx = np.arange(n_t)[:, None, None]
                     # nonzero diagonals: only switches that happen may be charged
                     k = rng.uniform(0.1, 2.0, (m1, m1))
                     l = rng.uniform(0.1, 2.0, (m2, m2))
-                    ci, cj, cA, cB = _resolve_modes(A, B, n_idx, m1, m2, k, l)
-                    oi, oj, oA, oB = resolve_modes_loop(A, B, n_idx, m1, m2, k, l)
+                    ci, cj, cA, cB = _resolve_modes(A, B, m1, m2, k, l)
+                    oi, oj, oA, oB = resolve_modes_loop(A, B, m1, m2, k, l)
                     np.testing.assert_array_equal(ci, oi)
                     np.testing.assert_array_equal(cj, oj)
                     np.testing.assert_allclose(cA, oA, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(cB, oB, rtol=0, atol=1e-12)
                     # unit costs turn the charges into per-player switch counts
                     ones_k, ones_l = np.ones((m1, m1)), np.ones((m2, m2))
-                    _, _, nA, nB = _resolve_modes(A, B, n_idx, m1, m2, ones_k, ones_l)
-                    _, _, onA, onB = resolve_modes_loop(A, B, n_idx, m1, m2,
+                    _, _, nA, nB = _resolve_modes(A, B, m1, m2, ones_k, ones_l)
+                    _, _, onA, onB = resolve_modes_loop(A, B, m1, m2,
                                                         ones_k, ones_l)
                     np.testing.assert_array_equal(nA, onA)
                     np.testing.assert_array_equal(nB, onB)
@@ -300,6 +298,29 @@ class TestEvalSwitched:
                           FeedbackStrategy("II", [x[:, :1] for x in b.actions]))
         with pytest.raises(DataError):
             eval_switched(standard_spec, tree, a, FeedbackStrategy("II", b.actions[:1]))
+
+    def test_every_entry_point_rejects_out_of_range_modes(self, standard_spec):
+        # -1 would wrap to the last mode and 2 overruns a 2-mode player.  The
+        # bad Player-I rows stay j-uniform, so the representation route
+        # reaches the range check, and the paths below visit the bad entries.
+        tree = build_tree(2, 1, standard_spec.horizon)
+        a = FeedbackStrategy.stay("I", tree, 2, 2)
+        b = FeedbackStrategy.stay("II", tree, 2, 2)
+        for mode in (-1, 2):
+            bad_a = FeedbackStrategy("I", [x.copy() for x in a.actions])
+            bad_a.actions[1][1, 1, :] = mode
+            bad_b = FeedbackStrategy("II", [x.copy() for x in b.actions])
+            bad_b.actions[1][1, :, 1] = mode
+            calls = (
+                lambda: eval_switched(standard_spec, tree, bad_a, b),
+                lambda: eval_switched(standard_spec, tree, a, bad_b),
+                lambda: solve_lower_reflected(standard_spec, tree, bad_a),
+                lambda: simulate_path(standard_spec, tree, bad_a, b, (1, 0), [1, 0]),
+                lambda: simulate_path(standard_spec, tree, a, bad_b, (0, 1), [1, 0]),
+            )
+            for call in calls:
+                with pytest.raises(DataError, match="modes 1..2"):
+                    call()
 
 
 class TestSaddle:
@@ -457,13 +478,6 @@ class TestRepresentation:
         val = eval_switched(spec, tree, a, FeedbackStrategy.stay("II", tree, 2, 1))
         for t in range(4):
             np.testing.assert_allclose(U[t], val.U[t], atol=1e-12)
-
-    def test_frozen_push_variant_runs(self, standard_spec):
-        tree = build_tree(2, 1, standard_spec.horizon)
-        sol = solve_rbsde(standard_spec, tree)
-        a = FeedbackStrategy.stay("I", tree, 2, 2)
-        U = solve_lower_reflected(standard_spec, tree, a, frozen_dL=sol.dL)
-        assert U[0].shape == (1, 2, 2)
 
     def test_single_step_hand_recursion(self):
         # N=1, 2x1: the best strategy picks the cheaper of "stay" and

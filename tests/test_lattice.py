@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from switchgame.errors import DataError, SizingError
-from switchgame.lattice import (
-    PathTree,
-    RecombiningTree,
-    build_tree,
-    martingale_coefficient,
-    node_expectation,
-)
+from switchgame.game import FeedbackStrategy, simulate_path
+from switchgame.lattice import PathTree, RecombiningTree, build_tree
+
+from conftest import make_standard
 
 
 class TestConstruction:
@@ -62,24 +59,24 @@ class TestExactMoments:
 
     def test_node_expectation_examples(self):
         tree = build_tree(1, 1, 1.0)
-        assert node_expectation(tree, 0, 0, np.array([1.0, 3.0])) == 2.0
-        assert node_expectation(tree, 0, 0, np.array([7.0, 7.0])) == 7.0
+        assert tree.expect_next(0, np.array([1.0, 3.0]))[0] == 2.0
+        assert tree.expect_next(0, np.array([7.0, 7.0]))[0] == 7.0
         tree2 = build_tree(1, 2, 1.0)
-        assert node_expectation(tree2, 0, 0, np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
+        assert tree2.expect_next(0, np.array([1.0, 2.0, 3.0, 4.0]))[0] == 2.5
 
     def test_martingale_coefficient_examples(self):
         tree = build_tree(1, 1, 1.0)
-        assert martingale_coefficient(tree, 0, 0, np.array([5.0, 5.0]), 0) == 0.0
+        assert tree.z_next(0, np.array([5.0, 5.0]))[0, 0] == 0.0
         # value equal to the increment itself has coefficient 1
         vals = tree.level_w(1)[:, 0]
-        assert martingale_coefficient(tree, 0, 0, vals, 0) == pytest.approx(1.0)
+        assert tree.z_next(0, vals)[0, 0] == pytest.approx(1.0)
 
     def test_martingale_coefficient_hand_sum(self):
         # dt = 0.25: children (up=1, down=0) -> E[Y dW]/dt = 1
         tree = build_tree(4, 1, 1.0)
         up_first = tree._increments[0, 0] > 0
         vals = np.array([1.0, 0.0]) if up_first else np.array([0.0, 1.0])
-        assert martingale_coefficient(tree, 0, 0, np.tile(vals, 1), 0) == pytest.approx(1.0)
+        assert tree.z_next(0, np.tile(vals, 1))[0, 0] == pytest.approx(1.0)
 
     def test_tower_property_exact(self, rng):
         tree = build_tree(4, 1, 2.0)
@@ -151,8 +148,10 @@ class TestRecombining:
         np.testing.assert_allclose(path.z_next(0, vp), lat.z_next(0, vl), rtol=1e-12)
 
     def test_per_node_access_requires_path_tree(self):
+        # following one node's path needs the path, which a lattice state
+        # does not determine
         lat = build_tree(2, 1, 1.0, recombining=True)
-        with pytest.raises(DataError):
-            node_expectation(lat, 0, 0, np.zeros(2))
-        with pytest.raises(DataError):
-            martingale_coefficient(lat, 0, 0, np.zeros(2), 0)
+        a = FeedbackStrategy.stay("I", lat, 2, 2)
+        b = FeedbackStrategy.stay("II", lat, 2, 2)
+        with pytest.raises(DataError, match="path tree"):
+            simulate_path(make_standard(), lat, a, b, (0, 0), [0, 1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from switchgame import build_tree
-from switchgame.bsde import bsde_level_step, DriverFn
+from switchgame.bsde import DriverFn, backward, picard_solve, solve_system
 from switchgame.errors import DataError
 from switchgame.game import brute_force_value
 from switchgame.model import (
@@ -56,9 +56,9 @@ class TestTrivialInstances:
             horizon=1.0,
         )
         tree = build_tree(1, 1, 1.0)
-        y, z, _ = bsde_level_step(tree, 0, np.broadcast_to([[3.0], [0.0]], (2, 2, 1)),
-                                  DriverFn(lambda t, w, y, z: np.zeros_like(y), 0.0))
-        y_star, dK, dL = project_oblique_batch(y, costs)
+        Y, _ = solve_system(tree, DriverFn(lambda t, w, y, z: np.zeros_like(y), 0.0),
+                            np.broadcast_to([[3.0], [0.0]], (2, 2, 1)))
+        y_star, dK, dL = project_oblique_batch(Y[0], costs)
         np.testing.assert_allclose(y_star, [[[1.0], [0.0]]])
         np.testing.assert_allclose(dK, [[[2.0], [0.0]]])
         assert not dL.any()
@@ -152,13 +152,14 @@ class TestOneSidedReduction:
         spec = make_standard()
         tree = build_tree(4, 1, spec.horizon)
         driver = DriverFn.from_generator(spec.generator)
-        Y = spec.check_terminal(tree.leaf_w)
-        upper_only = [None] * (tree.N + 1)
-        upper_only[tree.N] = Y
-        for t in range(tree.N - 1, -1, -1):
-            y, _, _ = bsde_level_step(tree, t, upper_only[t + 1], driver)
+
+        def step(t, E, z, w, time):
+            y, _ = picard_solve(E, lambda y: tree.dt * driver(time, w, y, z))
             y, _, _ = project_oblique_batch(y, spec.costs, upper_only=True)
-            upper_only[t] = y
+            return (y,)
+
+        upper_only = backward(tree, spec.check_terminal(tree.leaf_w),
+                              driver.lipschitz, step)[0]
 
         costs_col = CostTables(k=spec.costs.k, l=[[0.0]])
         for j in range(2):

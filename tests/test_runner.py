@@ -1,5 +1,6 @@
 """Scenario parsing, the task pipeline, report determinism, and CLI exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,7 +10,11 @@ from switchgame.cli import main as cli_main
 from switchgame.errors import ScenarioError
 from switchgame.runner import parse_scenario, run
 
-BUNDLED = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED = ROOT / "src" / "switchgame" / "scenarios"
+# Report digests of the bundled scenarios, recorded by bench/record.py; they
+# do not depend on the seed.
+REFERENCE = ROOT / "bench" / "reference.json"
 
 
 def small_scenario(tmp_path, **overrides):
@@ -162,11 +167,17 @@ class TestPipeline:
         assert lines[0] == "i,j,value,direct,diff"
         assert len(lines) == 5
 
-    def test_workers_env_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SWITCHGAME_WORKERS", "4")
-        scenario = parse_scenario(small_scenario(tmp_path, tasks=["validate"]))
-        result = run(scenario, out_dir=tmp_path / "w")
-        assert result.manifest["workers"] == "4"
+
+class TestGolden:
+    @pytest.mark.parametrize("name", ["standard_2x2", "perf_3x3"])
+    def test_bundled_reports_match_the_reference_digests(self, tmp_path, name):
+        expected = json.loads(REFERENCE.read_text())["pipeline_bundled"][name]
+        out = tmp_path / name
+        assert cli_main(["solve", str(BUNDLED / f"{name}.json"), "--out", str(out),
+                         "--seed", "0"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.glob("*.csv")}
+        assert digests == expected
 
 
 class TestCli:
