@@ -106,8 +106,7 @@ def backward(tree, terminal, lipschitz, step):
     return (Y, *map(list, zip(*kept)))
 
 
-def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL,
-                 max_iter=DEFAULT_MAX_ITER):
+def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL):
     """Full unreflected backward solve.
 
     Parameters
@@ -122,7 +121,7 @@ def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL,
     def step(t, E, z, w, time):
         y, _ = picard_solve(
             E, lambda y: tree.dt * np.asarray(driver(time, w, y, z), dtype=float),
-            picard_tol=picard_tol, max_iter=max_iter,
+            picard_tol=picard_tol,
         )
         return y, z
 

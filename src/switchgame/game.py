@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError
-from .model import GameSpec, lower_barrier, project_oblique_batch, upper_barrier
+from .model import GameSpec, lower_candidates, project_oblique_batch, upper_candidates
 from .reflected import RbsdeSolution
 
 BRUTE_FORCE_MAX_STEPS = 3
@@ -212,8 +212,8 @@ def _check_actions(spec: GameSpec, tree, strategy: FeedbackStrategy):
         )
 
 
-def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy,
-                  picard_tol=bsde.DEFAULT_PICARD_TOL) -> SwitchedValue:
+def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy,
+                  b: FeedbackStrategy) -> SwitchedValue:
     """Backward evaluation of the switched BSDE for every start mode pair.
 
     At each (node, i, j) the mode pair settles by the alternating read-out
@@ -226,11 +226,10 @@ def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
         raise DataError("eval_switched expects (Player-I strategy, Player-II strategy)")
     _check_actions(spec, tree, a)
     _check_actions(spec, tree, b)
-    return _switched_backward(spec, tree, spec.check_terminal(tree.leaf_w), a, b,
-                              picard_tol)
+    return _switched_backward(spec, tree, spec.check_terminal(tree.leaf_w), a, b)
 
 
-def _switched_backward(spec, tree, xi, a, b, picard_tol=bsde.DEFAULT_PICARD_TOL):
+def _switched_backward(spec, tree, xi, a, b):
     """The backward pass of `eval_switched` from checked leaf values `xi`."""
     m1, m2 = spec.m1, spec.m2
     gen = spec.generator
@@ -248,7 +247,6 @@ def _switched_backward(spec, tree, xi, a, b, picard_tol=bsde.DEFAULT_PICARD_TOL)
             lambda y: tree.dt * np.asarray(
                 gen.at_modes(time, w, y, Zg, i_fin, j_fin), dtype=float
             ),
-            picard_tol=picard_tol,
         )
         return (y + costA - costB,)
 
@@ -299,37 +297,25 @@ def simulate_path(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
 # Saddle extraction and verification
 # ---------------------------------------------------------------------------
 
-def _argmin_upper(y, costs):
-    """Per coordinate (i, j): the i' != i minimizing y[i', j] + k(i, i')."""
-    m1 = costs.m1
-    shifted = y[..., None, :, :] + costs.k[:, :, None]
-    eye = np.eye(m1, dtype=bool)
-    shifted = np.where(eye[:, :, None], np.inf, shifted)
-    return shifted.argmin(axis=-2)
-
-
-def _argmax_lower(y, costs):
-    m2 = costs.m2
-    shifted = y[..., :, None, :] - costs.l[None, :, :]
-    eye = np.eye(m2, dtype=bool)
-    shifted = np.where(eye[None, :, :], -np.inf, shifted)
-    return shifted.argmax(axis=-1)
-
-
 def _barrier_actions(y, costs, player, fire):
-    """One player's action table on level values y: the barrier argmin
-    (Player I) or argmax (Player II) where `fire` holds, stay elsewhere.
+    """One player's action table on level values y, and the mask where it fires.
 
-    A player with a single mode has no target but its own mode, so its table
-    is all stays whatever `fire` holds.
+    The barrier (Player I: upper, Player II: lower) and the switch target
+    (its argmin/argmax, smallest index on ties) come from one candidate
+    tensor.  The table holds the target where `fire(barrier)` holds and stay
+    elsewhere.  A player with a single mode has no target but its own mode,
+    so its table is all stays whatever fires.
     """
     if player == "I":
-        target = _argmin_upper(y, costs)
+        cand = upper_candidates(y, costs)
+        barrier, target = cand.min(axis=-2), cand.argmin(axis=-2)
         stay = np.arange(costs.m1)[:, None]
     else:
-        target = _argmax_lower(y, costs)
+        cand = lower_candidates(y, costs)
+        barrier, target = cand.max(axis=-1), cand.argmax(axis=-1)
         stay = np.arange(costs.m2)
-    return np.where(fire, target, stay).astype(int)
+    fired = fire(barrier)
+    return np.where(fired, target, stay).astype(int), fired
 
 
 def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None,
@@ -344,10 +330,10 @@ def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None,
     costs = (spec or sol.spec).costs
     acts_I, acts_II = [], []
     for y in sol.Y[:sol.tree.N]:
-        fire_I = y >= upper_barrier(y, costs) - tol
-        fire_II = (y <= lower_barrier(y, costs) + tol) & ~fire_I
-        acts_I.append(_barrier_actions(y, costs, "I", fire_I))
-        acts_II.append(_barrier_actions(y, costs, "II", fire_II))
+        a, fire_I = _barrier_actions(y, costs, "I", lambda up: y >= up - tol)
+        b, _ = _barrier_actions(y, costs, "II", lambda lo: (y <= lo + tol) & ~fire_I)
+        acts_I.append(a)
+        acts_II.append(b)
     return (FeedbackStrategy("I", acts_I), FeedbackStrategy("II", acts_II))
 
 
@@ -357,11 +343,8 @@ def greedy_strategy(sol: RbsdeSolution, player: str) -> FeedbackStrategy:
     costs = sol.spec.costs
     acts = []
     for y in sol.Y[:sol.tree.N]:
-        if player == "I":
-            fire = upper_barrier(y, costs) < y
-        else:
-            fire = lower_barrier(y, costs) > y
-        acts.append(_barrier_actions(y, costs, player, fire))
+        fire = (lambda up: up < y) if player == "I" else (lambda lo: lo > y)
+        acts.append(_barrier_actions(y, costs, player, fire)[0])
     return FeedbackStrategy(player, acts)
 
 
@@ -449,8 +432,7 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
 # The representation route: lower-reflected systems and brute force
 # ---------------------------------------------------------------------------
 
-def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy,
-                          picard_tol=bsde.DEFAULT_PICARD_TOL, proj_tol=1e-12):
+def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     """Solve the Player-II-reflected system under a fixed Player-I strategy.
 
     The strategy must not read the opponent coordinate (its action table is
@@ -482,10 +464,9 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy,
             lambda y: tree.dt * np.asarray(
                 gen.at_modes(time, w, y, Zg, ia, jb), dtype=float
             ),
-            picard_tol=picard_tol,
         )
         y = y + k[i_grid, ia]
-        y, _, _ = project_oblique_batch(y, spec.costs, tol=proj_tol, lower_only=True)
+        y, _, _ = project_oblique_batch(y, spec.costs, lower_only=True)
         return (y,)
 
     return bsde.backward(tree, spec.check_terminal(tree.leaf_w), gen.lipschitz, step)[0]
@@ -531,7 +512,7 @@ def enumerate_feedback_strategies(tree, player, m1, m2):
 
 def brute_force_value(spec: GameSpec, tree, start=None,
                       max_steps: int = BRUTE_FORCE_MAX_STEPS,
-                      max_modes: int = BRUTE_FORCE_MAX_MODES, **kw):
+                      max_modes: int = BRUTE_FORCE_MAX_MODES):
     """Exhaustive minimum over Player-I strategies of the lower-reflected solve.
 
     Returns the (m1, m2) matrix of root values (or the scalar for `start`).
@@ -546,7 +527,7 @@ def brute_force_value(spec: GameSpec, tree, start=None,
     spec.require_valid()
     best = None
     for a in enumerate_player_I_strategies(tree, spec.m1, spec.m2):
-        root = solve_lower_reflected(spec, tree, a, **kw)[0][0]
+        root = solve_lower_reflected(spec, tree, a)[0][0]
         best = root.copy() if best is None else np.minimum(best, root)
     if start is None:
         return best

@@ -44,8 +44,17 @@ class ValidationReport:
         return ValidationReport(self.violations + other.violations)
 
 
+def _require_finite(name, a):
+    """DataError naming the field `name` when array `a` holds a NaN or an infinity."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        idx = tuple(int(x) for x in np.argwhere(bad)[0])
+        at = f" at index {idx}" if idx else ""
+        raise DataError(f"{name} must be finite; found {float(a[idx])!r}{at}")
+
+
 class CostTables:
-    """Switching cost tables for both players.
+    """Switching cost tables for both players, and the constraint geometry they fix.
 
     Parameters
     ----------
@@ -53,17 +62,41 @@ class CostTables:
         Player-I switch costs, zero diagonal, positive off-diagonal.
     l : (m2, m2) array_like
         Player-II switch costs, same structure.
+
+    The tables are copied into read-only arrays and attributes cannot be
+    reassigned, so what derives from them is computed once: `k_off`/`l_off`
+    carry +inf on the diagonal (no barrier reads a player's own mode), and
+    `loop_costs`/`min_loop_cost` are filled on first use, since loop
+    enumeration raises SizingError above DEFAULT_LOOP_CAP pairs.  Entries
+    must be finite, or alternating loop costs could be `inf - inf`.
     """
 
     def __init__(self, k, l):
-        self.k = np.asarray(k, dtype=float)
-        self.l = np.asarray(l, dtype=float)
-        if self.k.ndim != 2 or self.k.shape[0] != self.k.shape[1]:
-            raise DataError("k must be a square matrix")
-        if self.l.ndim != 2 or self.l.shape[0] != self.l.shape[1]:
-            raise DataError("l must be a square matrix")
-        self.m1 = self.k.shape[0]
-        self.m2 = self.l.shape[0]
+        for name, raw in (("k", k), ("l", l)):
+            table = np.array(raw, dtype=float)
+            if table.ndim != 2 or table.shape[0] != table.shape[1]:
+                raise DataError(f"{name} must be a square matrix")
+            _require_finite(name, table)
+            off = np.where(np.eye(len(table), dtype=bool), np.inf, table)
+            for attr, arr in ((name, table), (name + "_off", off)):
+                arr.setflags(write=False)
+                object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "m1", self.k.shape[0])
+        object.__setattr__(self, "m2", self.l.shape[0])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CostTables is immutable; cannot set {name!r}")
+
+    @functools.cached_property
+    def loop_costs(self):
+        """((loop, alternating cost), ...) over the grid's primary loops."""
+        return tuple((loop, loop_alternating_cost(loop, self))
+                     for loop in enumerate_primary_loops(self.m1, self.m2))
+
+    @functools.cached_property
+    def min_loop_cost(self):
+        """Smallest absolute alternating loop cost; infinite without loops."""
+        return min((abs(cost) for _, cost in self.loop_costs), default=math.inf)
 
     def __repr__(self):
         return f"CostTables(m1={self.m1}, m2={self.m2})"
@@ -90,12 +123,10 @@ def validate_cost_matrices(costs: CostTables) -> ValidationReport:
     Violations are returned in the report; nothing raises.
     """
     bad = []
-    for name, table in (("k", costs.k), ("l", costs.l)):
-        diag = np.diag(table)
-        if np.any(diag != 0.0):
+    for name, table, off in (("k", costs.k, costs.k_off), ("l", costs.l, costs.l_off)):
+        if np.any(np.diag(table) != 0.0):
             bad.append(f"{name} has a nonzero diagonal entry")
-        off = table[~np.eye(table.shape[0], dtype=bool)]
-        if off.size and np.any(off <= 0.0):
+        if np.any(off <= 0.0):  # the +inf diagonal never counts
             bad.append(f"{name} has a nonpositive off-diagonal entry")
         bad.extend(_triangle_violations(table, name))
     return ValidationReport(tuple(bad))
@@ -176,68 +207,60 @@ def loop_alternating_cost(loop, costs: CostTables) -> float:
     return total
 
 
+def _pretty_loop(loop):
+    return "->".join(f"({i + 1},{j + 1})" for i, j in loop)
+
+
 def check_loop_costs(costs: CostTables, tol: float = DEFAULT_LOOP_TOL) -> ValidationReport:
     """Report every primary loop whose alternating cost is zero within `tol`."""
-    bad = []
-    for loop in enumerate_primary_loops(costs.m1, costs.m2):
-        cost = loop_alternating_cost(loop, costs)
-        if abs(cost) <= tol:
-            pretty = "->".join(f"({i + 1},{j + 1})" for i, j in loop)
-            bad.append(f"loop {pretty} has zero alternating cost ({cost:g})")
-    return ValidationReport(tuple(bad))
+    return ValidationReport(tuple(
+        f"loop {_pretty_loop(loop)} has zero alternating cost ({cost:g})"
+        for loop, cost in costs.loop_costs if abs(cost) <= tol
+    ))
 
 
 def min_loop_cost(costs: CostTables) -> float:
     """Smallest absolute alternating cost over all primary loops.
 
     Used to bound the number of projection sweeps; infinite when the grid has
-    no loops at all (1 x 1).
+    no loops at all (1 x 1).  Read from the tables' cache.
     """
-    best = math.inf
-    for loop in enumerate_primary_loops(costs.m1, costs.m2):
-        best = min(best, abs(loop_alternating_cost(loop, costs)))
-    return best
+    return costs.min_loop_cost
 
 
 # ---------------------------------------------------------------------------
 # The constraint domain and its oblique projection
 # ---------------------------------------------------------------------------
 
-def upper_barrier(y, costs: CostTables):
-    """min over i' != i of y[..., i', j] + k[i, i'], per coordinate (i, j).
+def upper_candidates(y, costs: CostTables):
+    """c[..., i, i', j] = y[..., i', j] + k[i, i'] (+inf at i' = i); y's last axes are (i, j)."""
+    return np.asarray(y, dtype=float)[..., None, :, :] + costs.k_off[:, :, None]
 
-    `y` may carry leading batch axes; the last two axes are (i, j).
-    """
-    m1 = costs.m1
-    if m1 == 1:
-        return np.full_like(np.asarray(y, dtype=float), np.inf)
-    y = np.asarray(y, dtype=float)
-    # shifted[..., i, i', j] = y[..., i', j] + k[i, i']
-    shifted = y[..., None, :, :] + costs.k[:, :, None]
-    eye = np.eye(m1, dtype=bool)
-    shifted = np.where(eye[:, :, None], np.inf, shifted)
-    return shifted.min(axis=-2)
+
+def lower_candidates(y, costs: CostTables):
+    """c[..., i, j, j'] = y[..., i, j'] - l[j, j'] (-inf at j' = j)."""
+    return np.asarray(y, dtype=float)[..., :, None, :] - costs.l_off
+
+
+def upper_barrier(y, costs: CostTables):
+    """min over i' != i of y[..., i', j] + k[i, i'] per (i, j); +inf for a single mode."""
+    return upper_candidates(y, costs).min(axis=-2)
 
 
 def lower_barrier(y, costs: CostTables):
-    """max over j' != j of y[..., i, j'] - l[j, j'], per coordinate (i, j)."""
-    m2 = costs.m2
-    if m2 == 1:
-        return np.full_like(np.asarray(y, dtype=float), -np.inf)
+    """max over j' != j of y[..., i, j'] - l[j, j'] per (i, j); -inf for a single mode."""
+    return lower_candidates(y, costs).max(axis=-1)
+
+
+def _outside_region(y, costs: CostTables, tol: float):
+    """Mask of the coordinates of y beyond a barrier by more than tol (NaN counts)."""
     y = np.asarray(y, dtype=float)
-    # shifted[..., i, j, j'] = y[..., i, j'] - l[j, j']
-    shifted = y[..., :, None, :] - costs.l[None, :, :]
-    eye = np.eye(m2, dtype=bool)
-    shifted = np.where(eye[None, :, :], -np.inf, shifted)
-    return shifted.max(axis=-1)
+    return ~((y <= upper_barrier(y, costs) + tol) & (y >= lower_barrier(y, costs) - tol))
 
 
 def in_Qbar(y, costs: CostTables, tol: float = 1e-9) -> bool:
     """True when every coordinate of y satisfies both barrier constraints within tol."""
-    y = np.asarray(y, dtype=float)
-    up = upper_barrier(y, costs)
-    lo = lower_barrier(y, costs)
-    return bool(np.all(y <= up + tol) and np.all(y >= lo - tol))
+    return not _outside_region(y, costs, tol).any()
 
 
 def project_oblique_batch(
@@ -247,7 +270,6 @@ def project_oblique_batch(
     order: str = "min_first",
     upper_only: bool = False,
     lower_only: bool = False,
-    max_sweeps: int | None = None,
 ):
     """Project a batch of mode matrices onto the constraint region.
 
@@ -277,73 +299,60 @@ def project_oblique_batch(
     """
     y0 = np.asarray(y, dtype=float)
     squeeze = y0.ndim == 2
-    out = (y0[None] if squeeze else y0).copy()
+    base = y0[None] if squeeze else y0
     m1, m2 = costs.m1, costs.m2
-    if out.shape[-2:] != (m1, m2):
-        raise DataError(f"value shape {out.shape[-2:]} does not match mode grid {(m1, m2)}")
+    if base.shape[-2:] != (m1, m2):
+        raise DataError(f"value shape {base.shape[-2:]} does not match mode grid {(m1, m2)}")
+    if order not in ("min_first", "max_first"):
+        raise ValueError(f"unknown sweep order {order!r}")
 
     do_upper = not lower_only and m1 > 1
     do_lower = not upper_only and m2 > 1
-
-    if max_sweeps is None:
-        if do_upper and do_lower:
-            c = min_loop_cost(costs)
-            span = float(out.max() - out.min()) if out.size else 0.0
-            if not math.isfinite(c) or c <= 0.0:
-                worst = None  # diagnosed below on non-termination
-                max_sweeps = m1 * m2 * 64 + 64
-            else:
-                max_sweeps = m1 * m2 * math.ceil(span / c + 1.0) + 64
+    if do_upper and do_lower:
+        c = min_loop_cost(costs)
+        span = float(base.max() - base.min()) if base.size else 0.0
+        if c > 0.0:
+            sweep_cap = m1 * m2 * math.ceil(span / c + 1.0) + 64
         else:
-            # one-sided projections settle in at most m1*m2 sweeps
-            max_sweeps = m1 * m2 + 2
+            # a zero-cost loop: diagnosed below when the sweeps do not settle
+            sweep_cap = m1 * m2 * 64 + 64
+    else:
+        # one-sided projections settle in at most m1*m2 sweeps
+        sweep_cap = m1 * m2 + 2
 
-    if order not in ("min_first", "max_first"):
-        raise ValueError(f"unknown sweep order {order!r}")
-    base = (y0[None] if squeeze else y0)
-    not_i = [[i2 for i2 in range(m1) if i2 != i] for i in range(m1)]
-    not_j = [[j2 for j2 in range(m2) if j2 != j] for j in range(m2)]
-
-    def up_bar(i, j):
-        return (out[:, not_i[i], j] + costs.k[i, not_i[i]][None, :]).min(axis=1)
-
-    def low_bar(i, j):
-        return (out[:, i, not_j[j]] - costs.l[j, not_j[j]][None, :]).max(axis=1)
-
-    converged = False
-    for _ in range(max_sweeps):
-        prev = out.copy()
+    # The sweep runs on an (m1, m2, n) copy, so a barrier reduces across
+    # whole batch rows, not over a short axis once per batch entry.  The
+    # masked rows make it one reduction: a coordinate's own entry reads +inf
+    # (upper) or -inf (lower) and never wins.
+    work = np.moveaxis(base, 0, -1).copy()
+    k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
+    upper_first = do_upper and order == "min_first"
+    upper_last = do_upper and order == "max_first"
+    for _ in range(sweep_cap):
+        prev = work.copy()
         for i in range(m1):
             for j in range(m2):
                 val = base[:, i, j]
-                if order == "min_first":
-                    if do_upper:
-                        val = np.minimum(val, up_bar(i, j))
-                    if do_lower:
-                        val = np.maximum(val, low_bar(i, j))
-                else:
-                    if do_lower:
-                        val = np.maximum(val, low_bar(i, j))
-                    if do_upper:
-                        val = np.minimum(val, up_bar(i, j))
-                out[:, i, j] = val
-        if np.abs(out - prev).max() <= tol:
-            converged = True
+                if upper_first:
+                    val = np.minimum(val, (work[:, j] + k_off[i]).min(axis=0))
+                if do_lower:
+                    val = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
+                if upper_last:
+                    val = np.minimum(val, (work[:, j] + k_off[i]).min(axis=0))
+                work[i, j] = val
+        if np.abs(work - prev).max() <= tol:
             break
-    if not converged:
-        loops = enumerate_primary_loops(m1, m2)
-        if loops:
-            worst = min(loops, key=lambda lp: abs(loop_alternating_cost(lp, costs)))
-            pretty = "->".join(f"({i + 1},{j + 1})" for i, j in worst)
-            detail = f"; nearest-to-zero loop cost is {loop_alternating_cost(worst, costs):g} on {pretty}"
-        else:
-            detail = ""
+    else:
+        detail = ""
+        if costs.loop_costs:
+            worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
+            detail = f"; nearest-to-zero loop cost is {cost:g} on {_pretty_loop(worst)}"
         raise ConvergenceError(
-            f"oblique projection did not settle in {max_sweeps} sweeps{detail}"
+            f"oblique projection did not settle in {sweep_cap} sweeps{detail}"
         )
 
-    y_in = y0[None] if squeeze else y0
-    net = y_in - out
+    out = np.ascontiguousarray(np.moveaxis(work, -1, 0))
+    net = base - out
     dK = np.maximum(net, 0.0)
     dL = np.maximum(-net, 0.0)
     if squeeze:
@@ -371,7 +380,8 @@ class GeneratorSpec:
                         with sat_M clamping to [-M, M].
 
     The declared Lipschitz constant and sup norm are computed from the
-    parameters, never asserted by the caller.
+    parameters, never asserted by the caller.  Every parameter must be
+    finite.
     """
 
     FAMILIES = ("zero", "mode_constant", "saturated_affine")
@@ -390,6 +400,8 @@ class GeneratorSpec:
         if self.b.shape != (d,):
             raise DataError(f"b must have shape ({d},), got {self.b.shape}")
         self.M = float(M)
+        for name in ("c", "a", "b", "M"):
+            _require_finite(name, np.asarray(getattr(self, name)))
         if family != "saturated_affine" and (self.a != 0.0 or np.any(self.b != 0.0)):
             raise DataError("a and b are only meaningful for the saturated_affine family")
         if family == "zero" and np.any(self.c != 0.0):
@@ -452,6 +464,8 @@ class TerminalSpec:
     "affine"     : xi[i, j] = alpha[i, j] + beta[i, j] * W_T(1) (first Brownian
                    component at the leaf).
     "leaf_table" : explicit (num_leaves, m1, m2) table; tied to one tree shape.
+
+    Every entry of alpha, beta and table must be finite.
     """
 
     FAMILIES = ("constant", "affine", "leaf_table")
@@ -465,14 +479,17 @@ class TerminalSpec:
             self.alpha = np.asarray(alpha, dtype=float)
             if self.alpha.shape != (m1, m2):
                 raise DataError(f"alpha must have shape {(m1, m2)}")
+            _require_finite("alpha", self.alpha)
         if family == "affine":
             self.beta = np.asarray(beta, dtype=float)
             if self.beta.shape != (m1, m2):
                 raise DataError(f"beta must have shape {(m1, m2)}")
+            _require_finite("beta", self.beta)
         if family == "leaf_table":
             self.table = np.asarray(table, dtype=float)
             if self.table.ndim != 3 or self.table.shape[1:] != (m1, m2):
                 raise DataError("leaf table must have shape (num_leaves, m1, m2)")
+            _require_finite("table", self.table)
 
     @property
     def markovian(self) -> bool:
@@ -539,12 +556,9 @@ class GameSpec:
     def check_terminal(self, leaf_w, tol: float = 1e-9):
         """Hard error when any leaf's terminal matrix leaves the constraint region."""
         xi = self.terminal.evaluate(leaf_w)
-        up = upper_barrier(xi, self.costs)
-        lo = lower_barrier(xi, self.costs)
-        bad_up = xi > up + tol
-        bad_lo = xi < lo - tol
-        if np.any(bad_up) or np.any(bad_lo):
-            n, i, j = np.argwhere(bad_up | bad_lo)[0]
+        bad = _outside_region(xi, self.costs, tol)
+        if bad.any():
+            n, i, j = np.argwhere(bad)[0]
             raise DataError(
                 f"terminal value at leaf {n}, mode pair ({i + 1},{j + 1}) lies outside "
                 "the constraint region"

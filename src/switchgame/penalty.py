@@ -54,22 +54,32 @@ def penalty_rate(n: int, m: int) -> float:
 
 def max_penalty_level(tree, spec: GameSpec) -> int:
     """Largest integer n whose penalty keeps dt * (C + rate) < 1 on this tree."""
-    slack = 1.0 / tree.dt - spec.generator.lipschitz
-    if slack <= 0:
-        return 0
+    return _largest_level(tree, spec, spec.generator.lipschitz)
+
+
+def _largest_level(tree, spec, lip):
+    """Largest n with dt * (lip + rate of the level-n lower penalty) < 1; 0 if none."""
     n = 0
-    while tree.dt * (spec.generator.lipschitz + penalty_rate(n + 1, spec.m2)) < 1.0:
+    while tree.dt * (lip + penalty_rate(n + 1, spec.m2)) < 1.0:
         n += 1
     return n
 
 
-def _require_penalty_contraction(tree, spec, lip, n, extra=""):
-    if tree.dt * lip >= 1.0:
+def _require_penalty_contraction(tree, spec, n, m):
+    """Lipschitz constant of the driver penalized at levels n (lower) and m
+    (upper; 0 for none).  SizingError when it breaks the contraction
+    condition, naming the largest n that contracts at the same m."""
+    lip = spec.generator.lipschitz + penalty_rate(m, spec.m1)
+    if tree.dt * (lip + penalty_rate(n, spec.m2)) >= 1.0:
+        extra = f" with upper penalty level {m}" if m else ""
+        best = _largest_level(tree, spec, lip)
+        usable = (f"the largest usable n on this tree is {best}" if best
+                  else "no n is usable on this tree")
         raise SizingError(
             f"dt={tree.dt:g} breaks the contraction condition for penalty level "
-            f"{n}{extra}; the largest usable n on this tree is {max_penalty_level(tree, spec)} "
-            "(refine the tree for higher levels)"
+            f"{n}{extra}; {usable} (refine the tree for higher levels)"
         )
+    return lip + penalty_rate(n, spec.m2)
 
 
 @dataclass
@@ -106,8 +116,7 @@ def solve_penalized(spec: GameSpec, tree, n: int,
     spec.require_valid()
     gen = spec.generator
     l = spec.costs.l
-    lip = gen.lipschitz + penalty_rate(n, spec.m2)
-    _require_penalty_contraction(tree, spec, lip, n)
+    lip = _require_penalty_contraction(tree, spec, n, 0)
 
     def step(t, E, z, w, time):
         y, _ = bsde.picard_solve(
@@ -155,8 +164,7 @@ def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
     spec.require_valid()
     gen = spec.generator
     k, l = spec.costs.k, spec.costs.l
-    lip = gen.lipschitz + penalty_rate(n, spec.m2) + penalty_rate(m, spec.m1)
-    _require_penalty_contraction(tree, spec, lip, n, f" with upper penalty level {m}")
+    lip = _require_penalty_contraction(tree, spec, n, m)
 
     def driver(t, w, y, z):
         return (np.asarray(gen(t, w, y, z), dtype=float)

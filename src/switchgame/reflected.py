@@ -16,6 +16,7 @@ import numpy as np
 from . import bsde
 from .errors import DataError
 from .model import (
+    DEFAULT_PROJECTION_TOL,
     GameSpec,
     ValidationReport,
     in_Qbar,
@@ -23,8 +24,6 @@ from .model import (
     project_oblique_batch,
     upper_barrier,
 )
-
-DEFAULT_PROJ_TOL = 1e-12
 
 
 @dataclass
@@ -67,7 +66,7 @@ def _accumulate(tree, increments):
 
 
 def solve_rbsde(spec: GameSpec, tree, picard_tol=bsde.DEFAULT_PICARD_TOL,
-                proj_tol=DEFAULT_PROJ_TOL) -> RbsdeSolution:
+                proj_tol=DEFAULT_PROJECTION_TOL) -> RbsdeSolution:
     """Solve the reflected system on the whole tree.
 
     Validates the cost structure, checks the terminal matrix lies in the

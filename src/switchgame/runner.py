@@ -27,7 +27,7 @@ from . import bsde
 from .errors import ScenarioError, SwitchGameError
 from .game import brute_force_value, verify_saddle
 from .lattice import DEFAULT_NODE_CAP, build_tree
-from .model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
+from .model import DEFAULT_PROJECTION_TOL, CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from .penalty import penalization_report, solve_double_penalized, solve_penalized
 from .reflected import (
     check_minimality,
@@ -41,7 +41,7 @@ SCHEMA_VERSION = 1
 
 DEFAULT_TOLERANCES = {
     "picard": bsde.DEFAULT_PICARD_TOL,
-    "projection": 1e-12,
+    "projection": DEFAULT_PROJECTION_TOL,
     "saddle": 1e-8,
     "match": 1e-9,
 }
@@ -539,12 +539,8 @@ def _run_saddle(scenario, task, state, out, tol, seed, hook):
 def _run_brute_force(scenario, task, state, out, tol, seed, hook):
     spec = scenario.spec
     tree = _get_tree(scenario, state)
-    kw = {}
-    if "max_steps" in task.params:
-        kw["max_steps"] = task.params["max_steps"]
-    if "max_modes" in task.params:
-        kw["max_modes"] = task.params["max_modes"]
-    values = brute_force_value(spec, tree, **kw)
+    # the parser admits exactly brute_force_value's two cap keywords
+    values = brute_force_value(spec, tree, **task.params)
     direct = state.get("direct")
     rows = []
     failures = []

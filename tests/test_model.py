@@ -2,13 +2,16 @@
 projection, checked against independent brute-force oracles."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchgame import build_tree, model, solve_rbsde
 from switchgame.errors import ConvergenceError, DataError
+from switchgame.game import _barrier_actions
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -25,7 +28,15 @@ from switchgame.model import (
     validate_cost_matrices,
 )
 
-from conftest import standard_costs
+from conftest import (
+    STANDARD_ALPHA,
+    STANDARD_BETA,
+    STANDARD_C,
+    STANDARD_K,
+    STANDARD_L,
+    make_3x3,
+    standard_costs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +134,62 @@ class TestCostValidation:
         assert validate_cost_matrices(costs).ok
         assert check_loop_costs(costs).ok
 
+    def test_tables_are_read_only_copies(self):
+        k, l = np.array(STANDARD_K), np.array(STANDARD_L)
+        costs = CostTables(k=k, l=l)
+        k[0, 1] = l[0, 1] = 5.0
+        assert costs.k[0, 1] == 1.0 and costs.l[0, 1] == 0.8
+        np.testing.assert_array_equal(costs.k_off, [[np.inf, 1.0], [1.0, np.inf]])
+        np.testing.assert_array_equal(costs.l_off, [[np.inf, 0.8], [0.8, np.inf]])
+        for table in (costs.k, costs.l, costs.k_off, costs.l_off):
+            with pytest.raises(ValueError):
+                table[0, 1] = 2.0
+        for name in ("k", "l", "k_off", "m1", "min_loop_cost"):
+            with pytest.raises(AttributeError):
+                setattr(costs, name, 0.0)
+        assert costs.k[0, 1] == 1.0 and costs.m1 == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["k", "l", "c", "a", "b", "M", "alpha", "beta", "table"])
+def test_non_finite_input_is_rejected_naming_the_field(field, bad):
+    fields = {
+        "k": np.array(STANDARD_K), "l": np.array(STANDARD_L),
+        "c": np.array(STANDARD_C), "a": 0.5, "b": np.array([0.3]), "M": 1.0,
+        "alpha": np.array(STANDARD_ALPHA), "beta": np.array(STANDARD_BETA),
+        "table": np.zeros((4, 2, 2)),
+    }
+    value = fields[field]
+    if np.ndim(value):
+        value.flat[-1] = bad
+    else:
+        fields[field] = bad
+    with pytest.raises(DataError, match=rf"^{field} must be finite"):
+        CostTables(k=fields["k"], l=fields["l"])
+        GeneratorSpec("saturated_affine", 2, 2, c=fields["c"], a=fields["a"],
+                      b=fields["b"], M=fields["M"])
+        TerminalSpec("affine", 2, 2, alpha=fields["alpha"], beta=fields["beta"])
+        TerminalSpec("leaf_table", 2, 2, table=fields["table"])
+
 
 class TestLoops:
+    def test_loop_costs_are_computed_once_per_cost_table(self, monkeypatch):
+        # validation, the solver's own validation and the projection at each
+        # of the six levels all read the tables' cached loop costs
+        calls = Counter()
+        original = model.loop_alternating_cost
+
+        def counting(loop, costs):
+            calls[id(costs)] += 1
+            return original(loop, costs)
+
+        monkeypatch.setattr(model, "loop_alternating_cost", counting)
+        spec = make_3x3()
+        assert spec.validate().ok
+        tree = build_tree(6, 1, spec.horizon)
+        solve_rbsde(spec, tree)
+        assert calls == {id(spec.costs): len(enumerate_primary_loops(3, 3))}
+
     def test_single_pair_has_no_loops(self):
         assert enumerate_primary_loops(1, 1) == []
 
@@ -182,16 +247,28 @@ class TestDomain:
             assert in_Qbar(y + rng.normal() * 5.0, costs, tol=1e-9)
 
     def test_barriers_match_direct_formulas(self, rng):
-        costs = admissible_costs(rng, 3, 3)
-        y = rng.uniform(-2, 2, (3, 3))
-        up = upper_barrier(y, costs)
-        lo = lower_barrier(y, costs)
-        for i in range(3):
-            for j in range(3):
-                assert up[i, j] == pytest.approx(
-                    min(y[i2, j] + costs.k[i, i2] for i2 in range(3) if i2 != i))
-                assert lo[i, j] == pytest.approx(
-                    max(y[i, j2] - costs.l[j, j2] for j2 in range(3) if j2 != j))
+        # barriers and switch targets against per-coordinate brute force on
+        # 1-3 modes per player; the equal-cost tables on a flat y make every
+        # candidate tie, where the target must be the smallest index
+        fire_all = lambda bar: np.ones(bar.shape, dtype=bool)  # noqa: E731
+        for m1, m2 in itertools.product((1, 2, 3), repeat=2):
+            ties = CostTables(k=1.0 - np.eye(m1), l=0.8 * (1.0 - np.eye(m2)))
+            cases = [(admissible_costs(rng, m1, m2), rng.uniform(-2, 2, (m1, m2))),
+                     (ties, np.zeros((m1, m2)))]
+            for costs, y in cases:
+                up = upper_barrier(y, costs)
+                lo = lower_barrier(y, costs)
+                to_I, _ = _barrier_actions(y, costs, "I", fire_all)
+                to_II, _ = _barrier_actions(y, costs, "II", fire_all)
+                for i in range(m1):
+                    for j in range(m2):
+                        ups = {i2: y[i2, j] + costs.k[i, i2] for i2 in range(m1) if i2 != i}
+                        los = {j2: y[i, j2] - costs.l[j, j2] for j2 in range(m2) if j2 != j}
+                        assert up[i, j] == pytest.approx(min(ups.values(), default=np.inf))
+                        assert lo[i, j] == pytest.approx(max(los.values(), default=-np.inf))
+                        # first index attaining the extremum; one mode stays put
+                        assert to_I[i, j] == (min(ups, key=ups.get) if ups else i)
+                        assert to_II[i, j] == (max(los, key=los.get) if los else j)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +361,7 @@ class TestProjection:
         # chase its tail forever, so the guard must trip with a diagnosis
         costs = CostTables(k=[[0.0, 1.0], [1.0, 0.0]], l=[[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ConvergenceError, match=r"\(1,1\)->"):
-            project_oblique(np.array([[4.0, 0.0], [0.0, 3.0]]), costs, max_sweeps=200)
+            project_oblique(np.array([[4.0, 0.0], [0.0, 3.0]]), costs)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DataError):

@@ -8,6 +8,8 @@ The report still records the nonincreasing flag so the direction is visible
 per instance.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,20 @@ class TestSizing:
             solve_penalized(standard_spec, tree, 10 ** 6)
 
     def test_double_penalty_contraction_violation(self, standard_spec):
+        # the upper penalty alone breaks the contraction: no n is usable
         tree = build_tree(2, 1, standard_spec.horizon)
-        with pytest.raises(SizingError):
+        with pytest.raises(SizingError, match="no n is usable.*refine the tree"):
             solve_double_penalized(standard_spec, tree, 4, 10 ** 6)
+
+    def test_double_penalty_names_the_largest_level_usable_at_m(self, standard_spec):
+        tree = build_tree(2, 1, standard_spec.horizon)
+        with pytest.raises(SizingError, match="largest usable n") as info:
+            solve_double_penalized(standard_spec, tree, 10 ** 6, 2)
+        n = int(re.search(r"largest usable n on this tree is (\d+)", str(info.value))[1])
+        assert n < max_penalty_level(tree, standard_spec)
+        solve_double_penalized(standard_spec, tree, n, 2)
+        with pytest.raises(SizingError, match="refine the tree"):
+            solve_double_penalized(standard_spec, tree, n + 1, 2)
 
 
 class TestSinglePenalty:

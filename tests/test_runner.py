@@ -194,6 +194,19 @@ class TestCli:
         assert cli_main(["solve", str(path)]) == 2
         assert "zero alternating cost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,number,token", [
+        ("k", '"k": [[0.0, 1.0', '"k": [[0.0, NaN'),
+        ("c", '"c": [[2.0', '"c": [[NaN'),
+        ("alpha", '"alpha": [[0.3', '"alpha": [[NaN'),
+    ])
+    def test_non_finite_token_exits_two_naming_the_field(self, tmp_path, capsys,
+                                                         field, number, token):
+        # Python's json module reads the NaN token as a float
+        path = small_scenario(tmp_path)
+        path.write_text(path.read_text().replace(number, token, 1))
+        assert cli_main(["solve", str(path)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     def test_missing_scenario_exits_two(self, tmp_path):
         assert cli_main(["solve", str(tmp_path / "absent.json")]) == 2
 
