@@ -28,6 +28,8 @@ drivers deliberately run close to it).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, SizingError
@@ -67,12 +69,18 @@ def check_contraction(dt: float, lipschitz: float, what: str = "driver"):
 def picard_solve(E, update, picard_tol=DEFAULT_PICARD_TOL, max_iter=DEFAULT_MAX_ITER):
     """Iterate ``y <- E + update(y)`` to its fixed point.
 
-    Returns (y, iterations).  `update` already includes the dt factor.
+    Returns (y, iterations).  `update` already includes the dt factor.  An
+    iterate holding a NaN or an infinity makes the update non-finite, and
+    raises ConvergenceError at once.
     """
     y = E.copy()
     for it in range(1, max_iter + 1):
         y_new = E + update(y)
         delta = float(np.abs(y_new - y).max()) if y.size else 0.0
+        if not math.isfinite(delta):
+            raise ConvergenceError(
+                f"Picard iterate {it} holds a non-finite value (update {delta:g})"
+            )
         y = y_new
         if delta <= picard_tol:
             return y, it
@@ -89,7 +97,8 @@ def backward(tree, terminal, lipschitz, step):
     next-level values: E is (n_t, m1, m2), z is (n_t, d, m1, m2), w the
     level's (n_t, d) W-states and time its time point.  It returns a tuple
     whose first entry is level t's values; each further entry is kept per
-    level.  `lipschitz` is the step's contraction constant, checked once.
+    level.  `lipschitz` is the step's contraction constant, checked once.  A
+    ConvergenceError from a step is raised again with the level named.
 
     Returns ``(Y, *kept)``: Y[0..N] with `terminal` at N, then one list of
     N per-level entries (index 0 = root level) per further tuple entry.  A
@@ -101,8 +110,11 @@ def backward(tree, terminal, lipschitz, step):
     kept = [None] * N
     Y[N] = terminal
     for t in range(N - 1, -1, -1):
-        Y[t], *kept[t] = step(t, tree.expect_next(t, Y[t + 1]), tree.z_next(t, Y[t + 1]),
-                              tree.level_w(t), tree.time(t))
+        try:
+            Y[t], *kept[t] = step(t, tree.expect_next(t, Y[t + 1]), tree.z_next(t, Y[t + 1]),
+                                  tree.level_w(t), tree.time(t))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"tree level {t}: {exc}") from exc
     return (Y, *map(list, zip(*kept)))
 
 

@@ -17,10 +17,11 @@ class DataError(SwitchGameError):
     """Input data violates a structural requirement (shapes, domain membership)."""
 
 
-class ScenarioError(SwitchGameError):
+class ScenarioError(DataError):
     """A scenario document is malformed or fails validation.
 
-    Carries the full list of diagnostics, not just the first one.
+    Carries the full list of diagnostics, not just the first one, each
+    naming the field it concerns.
     """
 
     def __init__(self, messages):

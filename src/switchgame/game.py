@@ -25,14 +25,27 @@ rounds that stays within the cap, and replays the one round the cap can cut
 partway.  Settled pairs and switch counts are those of the round-by-round
 read-out.  Costs agree with it to rounding, and bit for bit whenever each
 player switches at most twice in a step, which covers every cascade of the
-extracted saddle strategies on the bundled scenarios.  `verify_saddle`
-checks the terminal once and evaluates every catalog strategy from the same
-leaf values.
+extracted saddle strategies on the bundled scenarios.
+
+`verify_saddle` certifies the saddle point by backward induction.  With the
+opponent's table fixed, a player's best reply is a one-player switching
+problem: `_best_reply` solves it exactly, once for Player II against a* (a
+max) and once for Player I against b* (a min).  Each level takes the
+implicit step at every pair, then runs the same-instant read-out as a
+dynamic programme in which the replying player may choose by the whole
+read-out state (pair, switches used, whose turn, whether anyone moved this
+round).  Every feedback table is one such choice, so the best-reply value
+bounds every catalog strategy's value, provided the implicit step is
+monotone in the continuation values (see `_certificate_margin`).  When both
+best replies stay within the tolerance the catalog is not evaluated; when
+either fails, or the step is not monotone, the seeded catalog runs as
+before and names the violating strategies.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,12 +363,23 @@ def greedy_strategy(sol: RbsdeSolution, player: str) -> FeedbackStrategy:
 
 @dataclass
 class SaddleReport:
-    """Outcome of the saddle verification sweep."""
+    """Outcome of the saddle verification.
+
+    `certified` is True when the best replies settled every catalog
+    strategy without evaluating it.  The best-reply slacks are the largest
+    max_b U(a*, b) - Y(root) (Player II) and Y(root) - min_a U(a, b*)
+    (Player I) over start pairs; they and the margin are None when the step
+    is not monotone and no certificate was attempted.
+    """
 
     value_gap: dict            # start pair -> |U(a*, b*) - Y(root)|
     violations: list           # (kind, strategy_id, start, slack, strategy)
     catalog_size_I: int
     catalog_size_II: int
+    certified: bool = False
+    reply_slack_I: float | None = None
+    reply_slack_II: float | None = None
+    certificate_margin: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -379,53 +403,195 @@ def _catalog(sol, player, catalog_size, rng):
         yield f"random_{s}", FeedbackStrategy.random(player, tree, m1, m2, rng)
 
 
+def _catalog_size(spec, player, catalog_size):
+    """Number of strategies `_catalog` yields: stay, the constants, greedy, the draws."""
+    return 2 + (spec.m1 if player == "I" else spec.m2) + len(range(catalog_size))
+
+
+def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> SwitchedValue:
+    """Value of the best reply to the opponent's fixed table, from leaf values `xi`.
+
+    Player II replies to a Player-I table and maximizes; Player I replies to
+    a Player-II table and minimizes.  Each level works in two steps.
+
+    * Step values.  One Picard solve over the whole (n, m1, m2) field gives
+      W, the implicit-step value at every pair the read-out can settle on.
+    * Same-instant programme.  The read-out of `_resolve_modes` (Player I
+      reads first, the opponent's moves are forced, switching stops at
+      4*m1*m2 switches) becomes a programme over the states (pair, switches
+      used s, whose turn, whether anyone moved this round):
+
+        I(p, s)     = the I move into II1(p', s + 1), charged k, or II0(p, s)
+        II0(p, s)   = the II move into I(p', s + 1), less l, or W(p)
+        II1(p, s)   = the II move into I(p', s + 1), less l, or I(p, s)
+
+      with every state worth W(p) at s = 4*m1*m2, and the value I(p, 0).
+      The opponent's turns follow its table; the replier's take the best
+      option.  The recursion in s does not depend on s, so it stops as soon
+      as one pass reproduces the previous one exactly.
+
+    The replier may choose by the whole state, so the value is at least (or
+    at most) every feedback table's value, not only equal to the best one:
+    against an arbitrary opponent it can sit strictly above the best table
+    by exploiting a cycle.
+    """
+    m1, m2 = spec.m1, spec.m2
+    costs, gen = spec.costs, spec.generator
+    cap = 4 * m1 * m2
+    i_grid = np.arange(m1)[:, None]
+    j_grid = np.arange(m2)[None, :]
+
+    def step(t, E, Z, w, time):
+        W, _ = bsde.picard_solve(
+            E, lambda y: tree.dt * np.asarray(gen(time, w, y, Z), dtype=float)
+        )
+        act = opponent.actions[t]
+        n_idx = np.arange(act.shape[0])[:, None, None]
+        if opponent.player == "I":
+            stays = act == i_grid
+            charge = costs.k[i_grid, act]
+
+            def turn_I(stay, move):
+                return np.where(stays, stay, charge + move[n_idx, act, j_grid])
+
+            def turn_II(stay, move):
+                return np.maximum(stay, lower_candidates(move, costs).max(axis=-1))
+        else:
+            stays = act == j_grid
+            charge = costs.l[j_grid, act]
+
+            def turn_I(stay, move):
+                return np.minimum(stay, upper_candidates(move, costs).min(axis=-2))
+
+            def turn_II(stay, move):
+                return np.where(stays, stay, move[n_idx, i_grid, act] - charge)
+
+        # states with s = cap are worth W; descend in s
+        I_next = II1_next = W
+        for _ in range(cap):
+            II0 = turn_II(W, I_next)
+            I_s = turn_I(II0, II1_next)
+            II1 = turn_II(I_s, I_next)
+            if np.array_equal(I_s, I_next) and np.array_equal(II1, II1_next):
+                break
+            I_next, II1_next = I_s, II1
+        return (I_s,)
+
+    return SwitchedValue(tree=tree, U=bsde.backward(tree, xi, gen.lipschitz, step)[0])
+
+
+def _certificate_margin(spec: GameSpec, tree, xi):
+    """How far a computed catalog value may pass the computed best-reply value
+    although the exact values are ordered; None when they need not be.
+
+    Monotonicity.  The comparison needs the implicit step to be nondecreasing
+    in the next level's values.  The `zero` and `mode_constant` steps are
+    E + dt*c.  For `saturated_affine`, the branches' increments are
+    +/-sqrt(dt) per component with weight 2**-d, so E + dt*b.sat(z) weights
+    a child c by 2**-d * (1 + sqrt(dt) * sum_p b_p theta_p sign_p(c)) with
+    every theta_p in [0, 1] (the clamp's slope).  All weights are
+    nonnegative exactly when sqrt(dt) * ||b||_1 <= 1; the y-term a*sat(y)
+    keeps the solution nondecreasing in its right-hand side since
+    dt*|a| < 1 (the contraction condition).  Without that, None.
+
+    Margin.  The exact step then moves by at most 1/(1 - q), q = dt*|a|,
+    per unit change of its input, and the read-out programme by at most
+    one.  Each level adds to either side's computed value
+      * rounding: at most R = cap + 2**(d+1) + d + 8 roundings, each within
+        u = 2**-53 of a magnitude S = max|xi| + T*sup|psi| +
+        N*cap*max(k, l), the largest value or running cost sum any
+        read-out reaches (cap = 4*m1*m2);
+      * for `saturated_affine`, the Picard stopping error: iteration stops
+        once an update moves no entry by more than the Picard tolerance
+        tau, which leaves the iterate within q/(1 - q) * tau of the fixed
+        point.  The other two families' update ignores y, so their second
+        iterate repeats the first exactly.
+    Summed over the levels with the growth factor, and over both sides:
+
+        margin = 2 * sum_{t<N} (1 - q)**-t * (R*u*S + [q/(1 - q) * tau]),
+
+    floored at 1e-12.
+    """
+    gen = spec.generator
+    affine = gen.family == "saturated_affine"
+    if affine and math.sqrt(tree.dt) * float(np.abs(gen.b).sum()) > 1.0:
+        return None
+    cap = 4 * spec.m1 * spec.m2
+    q = tree.dt * abs(gen.a)
+    rounds = cap + 2 ** (tree.d + 1) + tree.d + 8
+    scale = (float(np.abs(xi).max()) + tree.T * gen.sup_bound
+             + tree.N * cap * float(max(spec.costs.k.max(), spec.costs.l.max())))
+    per_level = rounds * (np.finfo(float).eps / 2) * scale
+    if affine:
+        per_level += q / (1.0 - q) * bsde.DEFAULT_PICARD_TOL
+    growth = sum((1.0 - q) ** -t for t in range(tree.N))
+    return max(1e-12, float(2.0 * growth * per_level))
+
+
 def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 200,
                   seed: int = 0, tol: float = 1e-8) -> SaddleReport:
-    """Check the saddle inequalities against a strategy catalog.
+    """Check the saddle inequalities: certify them by best replies, or name
+    the catalog strategies that break them.
 
     Asserts, per start mode pair: |U(a*, b*) - Y(root)| <= tol; for every
     catalog Player-II strategy b, U(a*, b) <= Y(root) + tol; for every catalog
     Player-I strategy a, U(a, b*) >= Y(root) - tol.  The catalog always
     contains the stay, all constant-mode, and the greedy strategies plus
-    seeded random ones.  Violations carry the serialized strategy for replay.
-    The terminal is checked once for all evaluations, and catalog strategies
-    are drawn one at a time: only violating ones are kept.
+    seeded random ones.
+
+    When the implicit step is monotone, both players' best replies are
+    solved first.  If Player II's best reply stays below Y(root) + tol and
+    Player I's above Y(root) - tol, each with `_certificate_margin` to
+    spare, no catalog strategy can violate, and the catalog is neither drawn
+    nor evaluated.  Otherwise the catalog is evaluated from the checked
+    terminal, drawn one strategy at a time, and each violation carries the
+    serialized strategy for replay.
     """
     spec.require_valid()
     xi = spec.check_terminal(tree.leaf_w)
     a_star, b_star = extract_saddle(sol, spec)
     root_Y = sol.root
     value = _switched_backward(spec, tree, xi, a_star, b_star)
-    gaps = {}
-    violations = []
+    report = SaddleReport(
+        value_gap={}, violations=[],
+        catalog_size_I=_catalog_size(spec, "I", catalog_size),
+        catalog_size_II=_catalog_size(spec, "II", catalog_size),
+        certificate_margin=_certificate_margin(spec, tree, xi),
+    )
+    violations = report.violations
     for i in range(spec.m1):
         for j in range(spec.m2):
             gap = abs(value.root((i, j)) - root_Y[i, j])
-            gaps[(i, j)] = gap
+            report.value_gap[(i, j)] = gap
             if gap > tol:
                 violations.append(("value", "saddle_pair", (i, j), gap, None))
+    if report.certificate_margin is not None:
+        reply_II = _best_reply(spec, tree, xi, a_star).root()
+        reply_I = _best_reply(spec, tree, xi, b_star).root()
+        report.reply_slack_II = float((reply_II - root_Y).max())
+        report.reply_slack_I = float((root_Y - reply_I).max())
+        report.certified = (max(report.reply_slack_I, report.reply_slack_II)
+                            <= tol - report.certificate_margin)
+        if report.certified:
+            return report
 
     # all Player-II draws come first, then the Player-I draws, from one rng
     rng = np.random.default_rng(seed)
-    size_II = size_I = 0
-    for size_II, (name, b) in enumerate(_catalog(sol, "II", catalog_size, rng), 1):
+    for name, b in _catalog(sol, "II", catalog_size, rng):
         u = _switched_backward(spec, tree, xi, a_star, b)
         for i in range(spec.m1):
             for j in range(spec.m2):
                 slack = u.root((i, j)) - root_Y[i, j]
                 if slack > tol:
                     violations.append(("upper", name, (i, j), slack, b))
-    for size_I, (name, a) in enumerate(_catalog(sol, "I", catalog_size, rng), 1):
+    for name, a in _catalog(sol, "I", catalog_size, rng):
         u = _switched_backward(spec, tree, xi, a, b_star)
         for i in range(spec.m1):
             for j in range(spec.m2):
                 slack = root_Y[i, j] - u.root((i, j))
                 if slack > tol:
                     violations.append(("lower", name, (i, j), slack, a))
-    return SaddleReport(
-        value_gap=gaps, violations=violations,
-        catalog_size_I=size_I, catalog_size_II=size_II,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ class _Tree:
     def __init__(self, N: int, d: int, T: float, node_cap: int):
         if N < 1 or d < 1:
             raise DataError("need N >= 1 and d >= 1")
-        if T <= 0:
-            raise DataError("horizon must be positive")
+        if not (0 < T < math.inf):
+            raise DataError(f"horizon must be a positive finite number; got {T!r}")
         self.N = N
         self.d = d
         self.T = float(T)

@@ -528,8 +528,8 @@ class GameSpec:
     d: int = 1
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise DataError("horizon must be positive")
+        if not (0 < self.horizon < math.inf):
+            raise DataError(f"horizon must be a positive finite number; got {self.horizon!r}")
         if self.d < 1:
             raise DataError("Brownian dimension must be at least 1")
         for other in (self.generator, self.terminal):

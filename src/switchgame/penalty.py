@@ -58,9 +58,29 @@ def max_penalty_level(tree, spec: GameSpec) -> int:
 
 
 def _largest_level(tree, spec, lip):
-    """Largest n with dt * (lip + rate of the level-n lower penalty) < 1; 0 if none."""
-    n = 0
-    while tree.dt * (lip + penalty_rate(n + 1, spec.m2)) < 1.0:
+    """Largest n with dt * (lip + rate of the level-n lower penalty) < 1; 0 if none.
+
+    The rate is r*n with r = penalty_rate(1, m2), so n < (1/dt - lip) / r.
+    The quotient's floor is only a first guess: the answer is decided by the
+    float expression itself, stepped down while it fails at n and up while
+    it holds at n + 1.  With one Player-II mode r is 0 and the lower penalty
+    vanishes, so either no level contracts or every level does (SizingError).
+    """
+    def contracts(n):
+        return tree.dt * (lip + penalty_rate(n, spec.m2)) < 1.0
+
+    r = penalty_rate(1, spec.m2)
+    if r == 0.0:
+        if not contracts(1):
+            return 0
+        raise SizingError(
+            "Player II has a single mode, so the lower penalty vanishes and every "
+            "penalty level contracts; there is no largest level"
+        )
+    n = max(int((1.0 / tree.dt - lip) // r), 0)
+    while n > 0 and not contracts(n):
+        n -= 1
+    while contracts(n + 1):
         n += 1
     return n
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -196,8 +197,9 @@ def parse_scenario(path) -> Scenario:
         errs.append("d: expected a positive integer")
         d = 1
     horizon = doc.get("horizon")
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        errs.append("horizon: expected a positive number")
+    # json reads the NaN and Infinity tokens as floats, and NaN <= 0 is False
+    if not isinstance(horizon, (int, float)) or not (0 < horizon < math.inf):
+        errs.append("horizon: expected a positive finite number")
         horizon = 1.0
 
     # generator
@@ -363,6 +365,8 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
 
     for task in plan:
         entry = {"name": task.name, "params": task.params, "status": "ok"}
+        # a task may add manifest-only fields to its own entry
+        state["entry"] = entry
         t0 = time.perf_counter()
         try:
             task_failures = _TASK_RUNNERS[task.name](
@@ -517,6 +521,10 @@ def _run_saddle(scenario, task, state, out, tol, seed, hook):
     report = verify_saddle(spec, tree, sol,
                            catalog_size=task.params.get("catalog_size", 200),
                            seed=task_seed, tol=tol["saddle"])
+    state["entry"].update(certified=report.certified,
+                          best_reply_slack_I=report.reply_slack_I,
+                          best_reply_slack_II=report.reply_slack_II,
+                          certificate_margin=report.certificate_margin)
     rows = [["value_gap", "", f"{i + 1},{j + 1}", _fmt(g)]
             for (i, j), g in sorted(report.value_gap.items())]
     failures = []

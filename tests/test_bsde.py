@@ -98,6 +98,31 @@ class TestStep:
         with pytest.raises(ConvergenceError, match="did not converge"):
             picard_solve(E, lambda y: y + 1.0, max_iter=50)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_iterate_stops_at_once(self, bad):
+        calls = []
+
+        def update(y):
+            calls.append(1)
+            return np.where(np.arange(y.size) == 1, bad, 0.0)
+
+        with pytest.raises(ConvergenceError, match="iterate 1 holds a non-finite value"):
+            picard_solve(np.zeros(3), update)
+        assert len(calls) == 1
+
+    def test_non_finite_driver_names_the_tree_level(self):
+        # NaN only at level 1 (time 1/3): levels 2 and 1 are reached, 0 is not
+        tree = build_tree(3, 1, 1.0)
+        times = []
+
+        def fn(t, w, y, z):
+            times.append(t)
+            return np.full_like(y, np.nan) if abs(t - 1 / 3) < 1e-12 else np.zeros_like(y)
+
+        with pytest.raises(ConvergenceError, match=r"tree level 1: .*non-finite"):
+            solve_system(tree, DriverFn(fn, 0.0), np.zeros((8, 2, 2)))
+        assert times.count(times[-1]) == 1 and min(times) > 0.3
+
 
 class TestSolveSystem:
     def test_constant_terminal_is_a_martingale(self):

@@ -1,6 +1,7 @@
 """Strategies, the switched system, saddle extraction/verification, and the
 strategy-enumeration oracles."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from switchgame.errors import DataError, SizingError
 from switchgame.game import (
     FeedbackStrategy,
     SwitchedValue,
+    _best_reply,
     _catalog,
+    _certificate_margin,
     _resolve_modes,
     brute_force_value,
     enumerate_feedback_strategies,
@@ -27,7 +30,7 @@ from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from switchgame.reflected import RbsdeSolution, solve_rbsde
 from switchgame.runner import parse_scenario
 
-from conftest import make_standard, standard_costs
+from conftest import make_standard, n2_fixture_set, random_admissible_spec, standard_costs
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
 
@@ -447,6 +450,245 @@ class TestResolutionDifferential:
             assert bool(new.violations) == (shift > 0.0)
             assert (new.catalog_size_I, new.catalog_size_II) == (34, 34)
             assert (old.catalog_size_I, old.catalog_size_II) == (34, 34)
+
+
+def exhaustive_reply(spec, tree, opponent):
+    """Best root values over every feedback table of the replying player:
+    the max over Player-II tables against a Player-I table, the min over
+    Player-I tables against a Player-II table."""
+    if opponent.player == "I":
+        return np.max([eval_switched(spec, tree, opponent, b).root()
+                       for b in enumerate_feedback_strategies(tree, "II", spec.m1, spec.m2)],
+                      axis=0)
+    return np.min([eval_switched(spec, tree, a, opponent).root()
+                   for a in enumerate_feedback_strategies(tree, "I", spec.m1, spec.m2)],
+                  axis=0)
+
+
+def catalog_sweep(spec, tree, sol, catalog_size, seed, tol):
+    """The seeded catalog sweep on its own, through `eval_switched`: value
+    gaps, violation records and catalog sizes, as `verify_saddle` reports
+    them when it does not certify."""
+    a_star, b_star = extract_saddle(sol, spec)
+    Y = sol.root
+    u = eval_switched(spec, tree, a_star, b_star).root()
+    gaps = {(i, j): abs(u[i, j] - Y[i, j]) for i in range(spec.m1) for j in range(spec.m2)}
+    violations = [("value", "saddle_pair", p, g, None) for p, g in gaps.items() if g > tol]
+    rng = np.random.default_rng(seed)
+    sizes = {}
+    for player, kind in (("II", "upper"), ("I", "lower")):
+        catalog = list(_catalog(sol, player, catalog_size, rng))
+        sizes[player] = len(catalog)
+        for name, s in catalog:
+            pair = (a_star, s) if player == "II" else (s, b_star)
+            u = eval_switched(spec, tree, *pair).root()
+            slack = u - Y if player == "II" else Y - u
+            violations += [(kind, name, (i, j), slack[i, j], s)
+                           for i in range(spec.m1) for j in range(spec.m2)
+                           if slack[i, j] > tol]
+    return gaps, violations, sizes
+
+
+def random_family_spec(rng, m1, m2, tree, family):
+    """A random admissible instance on `tree` with a driver of `family`; a
+    saturated-affine driver keeps sqrt(dt) * ||b||_1 <= 1 and dt*|a| < 1."""
+    spec = random_admissible_spec(rng, m1, m2, tree)
+    if family == "zero":
+        gen = GeneratorSpec("zero", m1, m2, d=tree.d)
+    elif family == "mode_constant":
+        gen = spec.generator
+    else:
+        b = rng.uniform(-1.0, 1.0, tree.d)
+        b *= rng.uniform(0.2, 1.0) / (math.sqrt(tree.dt) * np.abs(b).sum())
+        gen = GeneratorSpec("saturated_affine", m1, m2, d=tree.d,
+                            a=rng.uniform(-0.9, 0.9) / tree.dt, b=b,
+                            M=rng.uniform(0.3, 2.0), c=rng.uniform(-2.0, 2.0, (m1, m2)))
+    return GameSpec(spec.costs, gen, spec.terminal, horizon=tree.T, d=tree.d)
+
+
+def perturbed(strategy, rng, share, hi):
+    """A copy of `strategy` with about `share` of its entries redrawn."""
+    acts = []
+    for x in strategy.actions:
+        flip = rng.random(x.shape) < share
+        acts.append(np.where(flip, rng.integers(0, hi, x.shape), x))
+    return FeedbackStrategy(strategy.player, acts)
+
+
+class TestBestReplyCertificate:
+    """`_best_reply` against exhaustive enumeration and the catalog, and the
+    certified `verify_saddle` path against the catalog sweep."""
+
+    @staticmethod
+    def _reply(spec, tree, opponent):
+        return _best_reply(spec, tree, spec.check_terminal(tree.leaf_w), opponent).root()
+
+    def test_bounds_every_feedback_table_against_random_opponents(self, rng):
+        # N <= 2: the state-dependent reply is at least the exhaustive best
+        # table for Player II (at most, for Player I), and exploits a cycle
+        # of the opponent's table strictly somewhere
+        strict = 0
+        cases = [(spec, 1, 6) for _, spec in n2_fixture_set()]
+        for grid in ((2, 1), (1, 2)):
+            cases.append((random_family_spec(rng, *grid, build_tree(2, 1, 0.5),
+                                             "mode_constant"), 2, 3))
+        cases.append((make_standard(), 2, 1))
+        for spec, N, trials in cases:
+            tree = build_tree(N, 1, spec.horizon)
+            for _ in range(trials):
+                for player, sign in (("I", 1.0), ("II", -1.0)):
+                    if N == 2 and spec.m1 * spec.m2 == 4 and player == "II":
+                        continue  # one 4096-table sweep per player is enough
+                    opp = FeedbackStrategy.random(player, tree, spec.m1, spec.m2, rng)
+                    gap = sign * (self._reply(spec, tree, opp)
+                                  - exhaustive_reply(spec, tree, opp))
+                    assert gap.min() >= -1e-12
+                    strict += int(gap.max() > 1e-9)
+        assert strict > 0
+
+    def test_equals_the_exhaustive_value_against_the_saddle_strategies(self):
+        spec = make_standard()
+        tree = build_tree(2, 1, spec.horizon)
+        sol = solve_rbsde(spec, tree)
+        for opponent in extract_saddle(sol, spec):
+            reply = self._reply(spec, tree, opponent)
+            np.testing.assert_allclose(reply, exhaustive_reply(spec, tree, opponent),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(reply, sol.root, rtol=0, atol=1e-12)
+
+    def test_dominates_the_catalog_on_random_instances(self, rng):
+        families = ("zero", "mode_constant", "saturated_affine")
+        for trial in range(18):
+            m1, m2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            tree = build_tree(int(rng.integers(1, 5)), 1, 0.5)
+            spec = random_family_spec(rng, m1, m2, tree, families[trial % 3])
+            xi = spec.check_terminal(tree.leaf_w)
+            margin = _certificate_margin(spec, tree, xi)
+            assert margin is not None and margin >= 1e-12
+            sol = solve_rbsde(spec, tree)
+            a_star, b_star = extract_saddle(sol, spec)
+            opponents = [a_star, b_star, FeedbackStrategy.random("I", tree, m1, m2, rng),
+                         FeedbackStrategy.random("II", tree, m1, m2, rng)]
+            for opp in opponents:
+                reply = self._reply(spec, tree, opp)
+                player = "II" if opp.player == "I" else "I"
+                for _, s in _catalog(sol, player, 8, rng):
+                    if player == "II":
+                        assert np.all(eval_switched(spec, tree, opp, s).root()
+                                      <= reply + margin)
+                    else:
+                        assert np.all(eval_switched(spec, tree, s, opp).root()
+                                      >= reply - margin)
+
+    def test_flags_every_violation_the_catalog_finds(self, rng):
+        # against perturbed, non-saddle strategies: wherever a catalog reply
+        # beats the value by more than tol, the best reply does too
+        tol = 1e-8
+        found = 0
+        scenario = parse_scenario(SCENARIOS / "bind_3x3.json")
+        instances = [(make_standard(), build_tree(4, 1, 0.24)),
+                     (scenario.spec, build_tree(5, 1, scenario.spec.horizon))]
+        for spec, tree in instances:
+            sol = solve_rbsde(spec, tree)
+            xi = spec.check_terminal(tree.leaf_w)
+            margin = _certificate_margin(spec, tree, xi)
+            for opp, hi in zip(extract_saddle(sol, spec), (spec.m1, spec.m2)):
+                for _ in range(3):
+                    bad = perturbed(opp, rng, 0.3, hi)
+                    reply = self._reply(spec, tree, bad)
+                    player = "II" if bad.player == "I" else "I"
+                    flagged = (reply - sol.root if player == "II" else sol.root - reply)
+                    for _, s in _catalog(sol, player, 10, rng):
+                        pair = (bad, s) if player == "II" else (s, bad)
+                        u = eval_switched(spec, tree, *pair).root()
+                        slack = u - sol.root if player == "II" else sol.root - u
+                        hit = slack > tol
+                        found += int(hit.sum())
+                        assert np.all(flagged[hit] > tol)
+                        assert np.all(flagged >= slack - margin)
+        assert found > 0
+
+    def test_certified_run_draws_and_evaluates_no_catalog(self, monkeypatch, standard_spec):
+        tree = build_tree(8, 1, standard_spec.horizon)
+        sol = solve_rbsde(standard_spec, tree)
+        passes = []
+        switched = game._switched_backward
+
+        def counted(*args):
+            passes.append(1)
+            return switched(*args)
+
+        def no_catalog(*args):
+            raise AssertionError("the catalog was drawn")
+
+        monkeypatch.setattr(game, "_switched_backward", counted)
+        monkeypatch.setattr(game, "_catalog", no_catalog)
+        report = verify_saddle(standard_spec, tree, sol, catalog_size=200, seed=0)
+        assert report.ok and report.certified
+        assert len(passes) == 1          # the (a*, b*) value rows only
+        assert report.reply_slack_I <= 1e-8 - report.certificate_margin
+        assert report.reply_slack_II <= 1e-8 - report.certificate_margin
+        assert (report.catalog_size_I, report.catalog_size_II) == (204, 204)
+
+    def test_uncertified_run_reports_what_the_catalog_sweep_finds(self, standard_spec):
+        tree = build_tree(4, 1, standard_spec.horizon)
+        sol = solve_rbsde(standard_spec, tree)
+        sol.Y[0] = sol.Y[0] + 0.25
+        report = verify_saddle(standard_spec, tree, sol, catalog_size=12, seed=5)
+        # Y(root) raised: Player I's best reply now lies 0.25 below it
+        assert not report.certified and report.reply_slack_I > 1e-8
+        gaps, violations, sizes = catalog_sweep(standard_spec, tree, sol, 12, 5, 1e-8)
+        assert violations and report.value_gap == gaps
+        assert [v[:3] for v in report.violations] == [v[:3] for v in violations]
+        assert [v[3] for v in report.violations] == [v[3] for v in violations]
+        assert (report.catalog_size_I, report.catalog_size_II) == (sizes["I"], sizes["II"])
+
+    def test_non_monotone_step_falls_back_to_the_catalog(self, monkeypatch):
+        # sqrt(dt) * |b| = sqrt(0.25) * 3 = 1.5 > 1, while dt * |b| = 0.75 < 1
+        # still contracts: the comparison principle fails, so no certificate,
+        # and the report is the catalog sweep's
+        spec = GameSpec(standard_costs(),
+                        GeneratorSpec("saturated_affine", 2, 2, a=0.5, b=[3.0], M=1.0,
+                                      c=[[0.4, -0.4], [-0.4, 0.4]]),
+                        TerminalSpec("affine", 2, 2, alpha=[[0.1, 0.3], [-0.2, 0.2]],
+                                     beta=[[0.5, 0.5], [0.4, 0.4]]),
+                        horizon=0.5)
+        tree = build_tree(2, 1, spec.horizon)
+        assert _certificate_margin(spec, tree, spec.check_terminal(tree.leaf_w)) is None
+        sol = solve_rbsde(spec, tree)
+
+        def no_reply(*args):
+            raise AssertionError("a best reply was solved")
+
+        monkeypatch.setattr(game, "_best_reply", no_reply)
+        for shift in (0.0, 0.25):
+            sol.Y[0] = sol.Y[0] + shift
+            report = verify_saddle(spec, tree, sol, catalog_size=10, seed=3)
+            assert not report.certified
+            assert report.reply_slack_I is report.reply_slack_II is None
+            gaps, violations, sizes = catalog_sweep(spec, tree, sol, 10, 3, 1e-8)
+            assert report.value_gap == gaps
+            assert [v[:4] for v in report.violations] == [v[:4] for v in violations]
+            assert (report.catalog_size_I, report.catalog_size_II) == (sizes["I"], sizes["II"])
+            # without the comparison principle the extracted pair is no saddle
+            # point here: the catalog finds a Player-I deviation even unshifted
+            assert any(v[0] == "lower" for v in violations)
+
+    def test_monotonicity_condition_boundary(self):
+        tree = build_tree(4, 2, 1.0)          # sqrt(dt) = 1/2
+        costs = standard_costs()
+        term = TerminalSpec("constant", 2, 2, alpha=[[0.1, 0.2], [0.0, 0.1]])
+        xi = term.evaluate(tree.leaf_w)
+        margins = []
+        for b in ([1.5, 0.5], [1.5, 0.5 + 1e-9]):   # ||b||_1 = 2 on the boundary
+            gen = GeneratorSpec("saturated_affine", 2, 2, d=2, a=0.5, b=b)
+            margins.append(_certificate_margin(
+                GameSpec(costs, gen, term, horizon=1.0, d=2), tree, xi))
+        assert margins[0] is not None and margins[0] >= 1e-12
+        assert margins[1] is None
+        for family in ("zero", "mode_constant"):
+            spec = GameSpec(costs, GeneratorSpec(family, 2, 2, d=2), term, horizon=1.0, d=2)
+            assert _certificate_margin(spec, tree, xi) >= 1e-12
 
 
 class TestRepresentation:

@@ -42,6 +42,12 @@ class TestConstruction:
         with pytest.raises(DataError):
             build_tree(2, 1, -1.0)
 
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("recombining", [False, True])
+    def test_horizon_must_be_positive_and_finite(self, T, recombining):
+        with pytest.raises(DataError, match="horizon"):
+            build_tree(2, 1, T, recombining=recombining)
+
     def test_recombining_level_sizes(self):
         tree = build_tree(20, 1, 1.0, recombining=True)
         assert tree.level_size(20) == 21

@@ -454,3 +454,13 @@ class TestTerminalSpec:
                 terminal=TerminalSpec("constant", 2, 2, alpha=np.zeros((2, 2))),
                 horizon=1.0,
             )
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(DataError, match="horizon"):
+            GameSpec(
+                costs=standard_costs(),
+                generator=GeneratorSpec("zero", 2, 2),
+                terminal=TerminalSpec("constant", 2, 2, alpha=np.zeros((2, 2))),
+                horizon=horizon,
+            )

@@ -9,14 +9,16 @@ per instance.
 """
 
 import re
+import signal
 
 import numpy as np
 import pytest
 
 from switchgame import build_tree
 from switchgame.errors import SizingError
-from switchgame.model import GameSpec, GeneratorSpec, TerminalSpec
+from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from switchgame.penalty import (
+    _largest_level,
     lower_penalty_intensity,
     max_penalty_level,
     penalization_report,
@@ -70,6 +72,54 @@ class TestSizing:
         C = standard_spec.generator.lipschitz
         assert tree.dt * (C + penalty_rate(n_max, 2)) < 1.0
         assert tree.dt * (C + penalty_rate(n_max + 1, 2)) >= 1.0
+
+    def test_closed_form_matches_the_linear_search(self):
+        # the search this closed form replaced, for m2 >= 2 where it ends
+        def linear(tree, m2, lip):
+            n = 0
+            while tree.dt * (lip + penalty_rate(n + 1, m2)) < 1.0:
+                n += 1
+            return n
+
+        class Spec:
+            def __init__(self, m2):
+                self.m2 = m2
+
+        trees = [build_tree(N, 1, T) for N in (1, 2, 3, 4, 7, 8, 12, 16)
+                 for T in (0.24, 0.5, 1.0, 3.0)]
+        trees += [build_tree(N, 1, 0.24, recombining=True) for N in (100, 200, 400)]
+        lips = (0.0, 0.1, 0.3, 0.55, 0.7, 1.0, 1.5, 2.0, 4.0, 1 / 3, 25.0, 1e3)
+        boundary = 0
+        for tree in trees:
+            for m2 in (2, 3, 4):
+                for lip in lips:
+                    n = _largest_level(tree, Spec(m2), lip)
+                    assert n == linear(tree, m2, lip)
+                    boundary += tree.dt * (lip + penalty_rate(n + 1, m2)) == 1.0
+        assert boundary > 0   # some cases sit exactly on the float boundary
+
+    def test_single_player_II_mode_raises_instead_of_looping(self):
+        # penalty_rate(n, 1) is 0: the lower penalty vanishes and every level
+        # contracts, so there is no largest one.  The alarm bounds a hang.
+        spec = GameSpec(CostTables(k=[[0.0, 1.0], [1.0, 0.0]], l=[[0.0]]),
+                        GeneratorSpec("zero", 2, 1),
+                        TerminalSpec("constant", 2, 1, alpha=[[0.1], [0.0]]),
+                        horizon=1.0)
+        tree = build_tree(4, 1, 1.0)
+
+        def expire(signum, frame):
+            raise TimeoutError("max_penalty_level did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            with pytest.raises(SizingError, match="lower penalty vanishes"):
+                max_penalty_level(tree, spec)
+            # a driver that breaks the contraction alone leaves no usable level
+            assert _largest_level(tree, spec, 4.0) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_contraction_violation_reports_usable_level(self, standard_spec):
         tree = build_tree(2, 1, standard_spec.horizon)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from switchgame.cli import main as cli_main
-from switchgame.errors import ScenarioError
+from switchgame.errors import DataError, ScenarioError
 from switchgame.runner import parse_scenario, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,6 +137,19 @@ class TestPipeline:
         assert (out1 / "solve_direct.csv").read_bytes() == \
             (out2 / "solve_direct.csv").read_bytes()
 
+    def test_saddle_certificate_is_recorded_in_the_manifest_only(self, tmp_path):
+        scenario = parse_scenario(small_scenario(tmp_path))
+        result = run(scenario, out_dir=tmp_path / "cert", seed=0)
+        entry = next(t for t in result.manifest["tasks"] if t["name"] == "saddle")
+        assert entry["certified"] is True
+        assert entry["best_reply_slack_I"] <= 1e-8 - entry["certificate_margin"]
+        assert entry["best_reply_slack_II"] <= 1e-8 - entry["certificate_margin"]
+        saved = json.loads((tmp_path / "cert" / "manifest.json").read_text())
+        assert saved["tasks"] == result.manifest["tasks"]
+        assert "certif" not in (tmp_path / "cert" / "saddle.csv").read_text()
+        others = [t for t in result.manifest["tasks"] if t["name"] != "saddle"]
+        assert not any("certified" in t for t in others)
+
     def test_corrupted_solution_trips_the_saddle_check(self, tmp_path):
         scenario = parse_scenario(small_scenario(tmp_path))
 
@@ -148,6 +161,8 @@ class TestPipeline:
         assert result.exit_code == 1
         assert any("saddle" in f for f in result.failures)
         assert (tmp_path / "bad" / "saddle_violations.csv").exists()
+        entry = next(t for t in result.manifest["tasks"] if t["name"] == "saddle")
+        assert entry["certified"] is False
 
     def test_task_dependency_chain_message(self, tmp_path):
         scenario = parse_scenario(small_scenario(tmp_path))
@@ -206,6 +221,17 @@ class TestCli:
         path.write_text(path.read_text().replace(number, token, 1))
         assert cli_main(["solve", str(path)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_horizon_is_a_data_error_naming_the_field(self, tmp_path, capsys,
+                                                                 token):
+        # NaN <= 0 is False, so a sign test alone would let NaN through
+        path = small_scenario(tmp_path)
+        path.write_text(path.read_text().replace('"horizon": 0.24', f'"horizon": {token}'))
+        with pytest.raises(DataError, match="horizon: expected a positive finite number"):
+            parse_scenario(path)
+        assert cli_main(["solve", str(path)]) == 2
+        assert "horizon" in capsys.readouterr().err
 
     def test_missing_scenario_exits_two(self, tmp_path):
         assert cli_main(["solve", str(tmp_path / "absent.json")]) == 2
