@@ -2,7 +2,7 @@
 
 The value admits a representation as the minimum over Player-I strategies of
 a lower-reflected system (Player II's constraints enforced by projection,
-Player I's choices fixed by the strategy).  On a 2-step tree all four
+Player I's choices fixed by the strategy).  On a 2-step tree all six
 j-independent decision slots can be enumerated outright, giving an oracle
 that never touches the direct reflected solver.
 """
@@ -13,7 +13,7 @@ from switchgame import build_tree, solve_rbsde
 from switchgame.game import (
     FeedbackStrategy,
     brute_force_value,
-    enumerate_player_I_strategies,
+    enumerate_feedback_strategies,
     solve_lower_reflected,
 )
 from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
@@ -29,7 +29,8 @@ spec = GameSpec(
 tree = build_tree(N=2, d=1, T=spec.horizon)
 
 direct = solve_rbsde(spec, tree).root
-count = sum(1 for _ in enumerate_player_I_strategies(tree, 2, 2))
+# j-independent Player-I tables: one mode per (node, i), as if Player II had one mode
+count = sum(1 for _ in enumerate_feedback_strategies(tree, "I", 2, 1))
 print(f"enumerating {count} Player-I feedback strategies on the 2-step tree")
 
 best = brute_force_value(spec, tree)

@@ -6,19 +6,19 @@ contraction condition, and for t = N-1, ..., 0 conditions the level-(t+1)
 values on level t,
 
     E   = E[Y_next]                  (per node)
-    z_p = E[Y_next * dW_p] / dt
+    z_p = E[Y_next * dW_p] / dt,
 
-before handing them to the solver's per-level step.  A step gathers at
-settled modes if its solver switches, solves the implicit equation
-
-    y = E + driver(t, w, y, z) * dt
-
-by Picard iteration started from the plain expectation, and post-processes:
-the oblique projection (`reflected`), a penalty in the driver plus the
-upper-only projection (`penalty`), switch costs (`game.eval_switched`), or
-the lower-only projection (`game.solve_lower_reflected`).  This is the
-discretely obliquely reflected scheme of Chassagneux, Elie & Kharroubi
-(AAP 2012): an implicit step followed by a projection.
+solves the implicit equation ``y = E + driver(t, w, y, z) * dt`` on the
+whole (node, mode pair) field by Picard iteration started from E, and hands
+(y, z) to the solver's post-step: the identity (`solve_system`), the oblique
+projection (`reflected`), the upper-only projection behind a penalty driver
+(`penalty`), a gather at the settled pairs plus switch costs
+(`game.eval_switched`), the best-reply read-out (`game.verify_saddle`), or a
+gather plus the lower-only projection (`game.solve_lower_reflected`).  The
+drivers act entrywise on (node, pair), so a gather after the solve gives the
+fixed point of a solve at the gathered pairs.  This is the discretely
+obliquely reflected scheme of Chassagneux, Elie & Kharroubi (AAP 2012): an
+implicit step followed by a projection.
 
 The contraction condition ``dt * C < 1`` (C the driver's Lipschitz constant)
 makes the fixed point unique; the iteration cap is generous because the
@@ -42,7 +42,8 @@ class DriverFn:
     """A driver with a declared Lipschitz constant.
 
     `fn(t, w, y, z)` is evaluated on whole levels: w is (n, d), y is
-    (n, m1, m2), z is (n, d, m1, m2); the result has y's shape.
+    (n, m1, m2), z is (n, d, m1, m2); the result has y's shape.  A
+    `GeneratorSpec` has the same call and attribute, so it is a driver too.
     """
 
     def __init__(self, fn, lipschitz: float):
@@ -52,16 +53,12 @@ class DriverFn:
     def __call__(self, t, w, y, z):
         return self.fn(t, w, y, z)
 
-    @classmethod
-    def from_generator(cls, generator):
-        return cls(generator, generator.lipschitz)
 
-
-def check_contraction(dt: float, lipschitz: float, what: str = "driver"):
+def check_contraction(dt: float, lipschitz: float):
     if dt * lipschitz >= 1.0:
         n_min = int(np.ceil(dt * lipschitz)) + 1
         raise SizingError(
-            f"time step dt={dt:g} is too coarse for the {what} Lipschitz constant "
+            f"time step dt={dt:g} is too coarse for the driver Lipschitz constant "
             f"{lipschitz:g} (need dt*C < 1); refine the tree by a factor of at least {n_min}"
         )
 
@@ -90,29 +87,34 @@ def picard_solve(E, update, picard_tol=DEFAULT_PICARD_TOL, max_iter=DEFAULT_MAX_
     )
 
 
-def backward(tree, terminal, lipschitz, step):
+def backward(tree, terminal, driver, post, picard_tol=DEFAULT_PICARD_TOL):
     """Run the backward induction from the leaf values `terminal` to the root.
 
-    ``step(t, E, z, w, time)`` computes level t from its conditioned
-    next-level values: E is (n_t, m1, m2), z is (n_t, d, m1, m2), w the
-    level's (n_t, d) W-states and time its time point.  It returns a tuple
-    whose first entry is level t's values; each further entry is kept per
-    level.  `lipschitz` is the step's contraction constant, checked once.  A
-    ConvergenceError from a step is raised again with the level named.
+    Each level t solves ``y = E + dt * driver(time, w, y, z)`` on the whole
+    (n_t, m1, m2) field, with E and z (n_t, d, m1, m2) conditioned from level
+    t + 1, then calls ``post(t, y, z)``.  `post` returns a tuple whose first
+    entry is level t's values; each further entry is kept per level.  The
+    driver's `lipschitz` is checked once against the contraction condition.
+    A ConvergenceError at a level is raised again with the level named.
 
     Returns ``(Y, *kept)``: Y[0..N] with `terminal` at N, then one list of
     N per-level entries (index 0 = root level) per further tuple entry.  A
-    step that returns a one-tuple keeps nothing beyond the values.
+    post-step that returns a one-tuple keeps nothing beyond the values.
     """
-    check_contraction(tree.dt, lipschitz)
-    N = tree.N
+    check_contraction(tree.dt, driver.lipschitz)
+    N, dt = tree.N, tree.dt
     Y = [None] * (N + 1)
     kept = [None] * N
     Y[N] = terminal
     for t in range(N - 1, -1, -1):
+        E, z = tree.expect_next(t, Y[t + 1]), tree.z_next(t, Y[t + 1])
+        w, time = tree.level_w(t), tree.time(t)
         try:
-            Y[t], *kept[t] = step(t, tree.expect_next(t, Y[t + 1]), tree.z_next(t, Y[t + 1]),
-                                  tree.level_w(t), tree.time(t))
+            y, _ = picard_solve(
+                E, lambda y: dt * np.asarray(driver(time, w, y, z), dtype=float),
+                picard_tol=picard_tol,
+            )
+            Y[t], *kept[t] = post(t, y, z)
         except ConvergenceError as exc:
             raise ConvergenceError(f"tree level {t}: {exc}") from exc
     return (Y, *map(list, zip(*kept)))
@@ -130,11 +132,5 @@ def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL):
     Y : list of per-level value arrays, index 0 (root) to N (leaves).
     Z : list of per-level martingale coefficient arrays, index 0 to N-1.
     """
-    def step(t, E, z, w, time):
-        y, _ = picard_solve(
-            E, lambda y: tree.dt * np.asarray(driver(time, w, y, z), dtype=float),
-            picard_tol=picard_tol,
-        )
-        return y, z
-
-    return backward(tree, np.asarray(terminal_values, dtype=float), driver.lipschitz, step)
+    return backward(tree, np.asarray(terminal_values, dtype=float), driver,
+                    lambda t, y, z: (y, z), picard_tol=picard_tol)

@@ -45,7 +45,6 @@ before and names the violating strategies.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,10 +229,9 @@ def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy,
     """Backward evaluation of the switched BSDE for every start mode pair.
 
     At each (node, i, j) the mode pair settles by the alternating read-out
-    (Player I first, repeated until neither table moves), the implicit step
-    runs with the driver at the settled pair over that pair's continuation
-    values, then Player I's accumulated cost is added and Player II's
-    subtracted.
+    (Player I first, repeated until neither table moves), the value is the
+    implicit step's value at the settled pair, then Player I's accumulated
+    cost is added and Player II's subtracted.
     """
     if a.player != "I" or b.player != "II":
         raise DataError("eval_switched expects (Player-I strategy, Player-II strategy)")
@@ -244,27 +242,13 @@ def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy,
 
 def _switched_backward(spec, tree, xi, a, b):
     """The backward pass of `eval_switched` from checked leaf values `xi`."""
-    m1, m2 = spec.m1, spec.m2
-    gen = spec.generator
-    k, l = spec.costs.k, spec.costs.l
-
-    def step(t, E, Z, w, time):
-        n_idx = np.arange(E.shape[0])[:, None, None]
+    def post(t, W, z):
         i_fin, j_fin, costA, costB = _resolve_modes(
-            a.actions[t], b.actions[t], m1, m2, k, l
-        )
-        Eg = E[n_idx, i_fin, j_fin]                  # continuation at settled modes
-        Zg = np.moveaxis(Z, 1, -1)[n_idx, i_fin, j_fin]   # (n, m1, m2, d)
-        y, _ = bsde.picard_solve(
-            Eg,
-            lambda y: tree.dt * np.asarray(
-                gen.at_modes(time, w, y, Zg, i_fin, j_fin), dtype=float
-            ),
-        )
-        return (y + costA - costB,)
+            a.actions[t], b.actions[t], spec.m1, spec.m2, spec.costs.k, spec.costs.l)
+        n_idx = np.arange(W.shape[0])[:, None, None]
+        return (W[n_idx, i_fin, j_fin] + costA - costB,)
 
-    U = bsde.backward(tree, xi, gen.lipschitz, step)[0]
-    return SwitchedValue(tree=tree, U=U)
+    return SwitchedValue(tree=tree, U=bsde.backward(tree, xi, spec.generator, post)[0])
 
 
 def simulate_path(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy,
@@ -412,10 +396,10 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
     """Value of the best reply to the opponent's fixed table, from leaf values `xi`.
 
     Player II replies to a Player-I table and maximizes; Player I replies to
-    a Player-II table and minimizes.  Each level works in two steps.
+    a Player-II table and minimizes.  At each level the kernel's implicit
+    step gives W, the step value at every pair the read-out can settle on;
+    the post-step runs the same-instant programme on it.
 
-    * Step values.  One Picard solve over the whole (n, m1, m2) field gives
-      W, the implicit-step value at every pair the read-out can settle on.
     * Same-instant programme.  The read-out of `_resolve_modes` (Player I
       reads first, the opponent's moves are forced, switching stops at
       4*m1*m2 switches) becomes a programme over the states (pair, switches
@@ -436,15 +420,12 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
     by exploiting a cycle.
     """
     m1, m2 = spec.m1, spec.m2
-    costs, gen = spec.costs, spec.generator
+    costs = spec.costs
     cap = 4 * m1 * m2
     i_grid = np.arange(m1)[:, None]
     j_grid = np.arange(m2)[None, :]
 
-    def step(t, E, Z, w, time):
-        W, _ = bsde.picard_solve(
-            E, lambda y: tree.dt * np.asarray(gen(time, w, y, Z), dtype=float)
-        )
+    def post(t, W, z):
         act = opponent.actions[t]
         n_idx = np.arange(act.shape[0])[:, None, None]
         if opponent.player == "I":
@@ -477,7 +458,7 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
             I_next, II1_next = I_s, II1
         return (I_s,)
 
-    return SwitchedValue(tree=tree, U=bsde.backward(tree, xi, gen.lipschitz, step)[0])
+    return SwitchedValue(tree=tree, U=bsde.backward(tree, xi, spec.generator, post)[0])
 
 
 def _certificate_margin(spec: GameSpec, tree, xi):
@@ -492,7 +473,8 @@ def _certificate_margin(spec: GameSpec, tree, xi):
     every theta_p in [0, 1] (the clamp's slope).  All weights are
     nonnegative exactly when sqrt(dt) * ||b||_1 <= 1; the y-term a*sat(y)
     keeps the solution nondecreasing in its right-hand side since
-    dt*|a| < 1 (the contraction condition).  Without that, None.
+    dt*|a| < 1 (the contraction condition).  Without that
+    (`GeneratorSpec.comparison_holds`), None.
 
     Margin.  The exact step then moves by at most 1/(1 - q), q = dt*|a|,
     per unit change of its input, and the read-out programme by at most
@@ -513,9 +495,9 @@ def _certificate_margin(spec: GameSpec, tree, xi):
     floored at 1e-12.
     """
     gen = spec.generator
-    affine = gen.family == "saturated_affine"
-    if affine and math.sqrt(tree.dt) * float(np.abs(gen.b).sum()) > 1.0:
+    if not gen.comparison_holds(tree.dt):
         return None
+    affine = gen.family == "saturated_affine"
     cap = 4 * spec.m1 * spec.m2
     q = tree.dt * abs(gen.a)
     rounds = cap + 2 ** (tree.d + 1) + tree.d + 8
@@ -602,8 +584,8 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     """Solve the Player-II-reflected system under a fixed Player-I strategy.
 
     The strategy must not read the opponent coordinate (its action table is
-    constant across j).  Each step: continuation at the strategy's mode
-    choice, driver at that mode, Player-I switch cost, then the lower (l)
+    constant across j).  Each step: the implicit step's value at the
+    strategy's mode choice, plus the Player-I switch cost, then the lower (l)
     barriers are enforced by upward projection with the system's own minimal
     push.
 
@@ -614,56 +596,27 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     _check_actions(spec, tree, a)
     if not a.j_uniform():
         raise DataError("the representation route needs a j-independent strategy")
-    gen = spec.generator
-    k = spec.costs.k
     i_grid = np.arange(spec.m1)[:, None]
     j_grid = np.arange(spec.m2)[None, None, :]
 
-    def step(t, E, Z, w, time):
+    def post(t, W, z):
         ia = a.actions[t]                           # (n, m1, m2), j-uniform
-        jb = np.broadcast_to(j_grid, ia.shape)
-        n_idx = np.arange(E.shape[0])[:, None, None]
-        Eg = E[n_idx, ia, jb]
-        Zg = np.moveaxis(Z, 1, -1)[n_idx, ia, jb]
-        y, _ = bsde.picard_solve(
-            Eg,
-            lambda y: tree.dt * np.asarray(
-                gen.at_modes(time, w, y, Zg, ia, jb), dtype=float
-            ),
-        )
-        y = y + k[i_grid, ia]
+        n_idx = np.arange(W.shape[0])[:, None, None]
+        y = W[n_idx, ia, j_grid] + spec.costs.k[i_grid, ia]
         y, _, _ = project_oblique_batch(y, spec.costs, lower_only=True)
         return (y,)
 
-    return bsde.backward(tree, spec.check_terminal(tree.leaf_w), gen.lipschitz, step)[0]
-
-
-def _interior_sizes(tree):
-    return [tree.level_size(t) for t in range(tree.N)]
-
-
-def enumerate_player_I_strategies(tree, m1, m2):
-    """All j-independent Player-I feedback strategies on the tree.
-
-    One mode choice per (interior node, current i); the count is
-    m1 ** (num_interior_nodes * m1), so callers must respect the brute-force
-    caps.
-    """
-    sizes = _interior_sizes(tree)
-    slots = sum(sizes) * m1
-    for combo in itertools.product(range(m1), repeat=slots):
-        acts = []
-        pos = 0
-        for t, n_t in enumerate(sizes):
-            block = np.array(combo[pos:pos + n_t * m1], dtype=int).reshape(n_t, m1)
-            pos += n_t * m1
-            acts.append(np.repeat(block[:, :, None], m2, axis=2))
-        yield FeedbackStrategy("I", acts)
+    return bsde.backward(tree, spec.check_terminal(tree.leaf_w), spec.generator, post)[0]
 
 
 def enumerate_feedback_strategies(tree, player, m1, m2):
-    """All feedback strategies (node, i, j) -> mode for one player."""
-    sizes = _interior_sizes(tree)
+    """All feedback strategies (node, i, j) -> mode for one player.
+
+    One mode choice per (interior node, i, j); the count is
+    (m1 or m2) ** (num_interior_nodes * m1 * m2), so callers must respect
+    the brute-force caps.
+    """
+    sizes = [tree.level_size(t) for t in range(tree.N)]
     hi = m1 if player == "I" else m2
     slots = sum(sizes) * m1 * m2
     for combo in itertools.product(range(hi), repeat=slots):
@@ -692,7 +645,9 @@ def brute_force_value(spec: GameSpec, tree, start=None,
         )
     spec.require_valid()
     best = None
-    for a in enumerate_player_I_strategies(tree, spec.m1, spec.m2):
+    # the j-independent Player-I strategies: one table per (node, i), repeated over j
+    for table in enumerate_feedback_strategies(tree, "I", spec.m1, 1):
+        a = FeedbackStrategy("I", [np.repeat(x, spec.m2, axis=2) for x in table.actions])
         root = solve_lower_reflected(spec, tree, a)[0][0]
         best = root.copy() if best is None else np.minimum(best, root)
     if start is None:

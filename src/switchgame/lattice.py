@@ -72,21 +72,11 @@ class _Tree:
     def time(self, t: int) -> float:
         return t * self.dt
 
-    def stats(self) -> dict:
-        return {
-            "kind": self._kind,
-            "steps": self.N,
-            "dimension": self.d,
-            "dt": self.dt,
-            "nodes": self.num_nodes,
-        }
-
 
 class PathTree(_Tree):
     """Non-recombining binary-per-component tree over N steps in dimension d."""
 
     recombining = False
-    _kind = "path_tree"
     _noun = "tree"
     _unit = "nodes"
 
@@ -142,7 +132,6 @@ class RecombiningTree(_Tree):
     """
 
     recombining = True
-    _kind = "recombining"
     _noun = "lattice"
     _unit = "states"
 

@@ -423,6 +423,12 @@ class GeneratorSpec:
             np.abs(self.c).max()
         )
 
+    def comparison_holds(self, dt: float) -> bool:
+        """sqrt(dt) * ||b||_1 <= 1: the implicit step is then nondecreasing in
+        the next level's values (`game._certificate_margin`); b = 0 unless
+        the family is `saturated_affine`."""
+        return math.sqrt(dt) * float(np.abs(self.b).sum()) <= 1.0
+
     def __call__(self, t, w, y, z):
         """Evaluate on a full mode field.
 

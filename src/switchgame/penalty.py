@@ -138,19 +138,15 @@ def solve_penalized(spec: GameSpec, tree, n: int,
     l = spec.costs.l
     lip = _require_penalty_contraction(tree, spec, n, 0)
 
-    def step(t, E, z, w, time):
-        y, _ = bsde.picard_solve(
-            E,
-            lambda y: tree.dt * (
-                np.asarray(gen(time, w, y, z), dtype=float)
-                + lower_penalty_intensity(y, l, n)
-            ),
-            picard_tol=picard_tol,
-        )
+    def driver(t, w, y, z):
+        return np.asarray(gen(t, w, y, z), dtype=float) + lower_penalty_intensity(y, l, n)
+
+    def post(t, y, z):
         y, dk, _ = project_oblique_batch(y, spec.costs, upper_only=True)
         return y, z, dk
 
-    Y, Z, dK = bsde.backward(tree, spec.check_terminal(tree.leaf_w), lip, step)
+    Y, Z, dK = bsde.backward(tree, spec.check_terminal(tree.leaf_w), bsde.DriverFn(driver, lip),
+                             post, picard_tol=picard_tol)
     beta = [lower_penalty_intensity(y, l, n) for y in Y]
     sol = PenalizedSolution(tree=tree, spec=spec, n=n, Y=Y, Z=Z, dK=dK, beta=beta)
     if not tree.recombining:

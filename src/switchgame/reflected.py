@@ -77,17 +77,13 @@ def solve_rbsde(spec: GameSpec, tree, picard_tol=bsde.DEFAULT_PICARD_TOL,
     spec.require_valid()
     if tree.recombining and not spec.terminal.markovian:
         raise DataError("the recombining fast path requires a Markovian terminal")
-    gen = spec.generator
 
-    def step(t, E, z, w, time):
-        y, _ = bsde.picard_solve(
-            E, lambda y: tree.dt * np.asarray(gen(time, w, y, z), dtype=float),
-            picard_tol=picard_tol,
-        )
+    def post(t, y, z):
         y, dK, dL = project_oblique_batch(y, spec.costs, tol=proj_tol)
         return y, z, dK, dL
 
-    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree.leaf_w), gen.lipschitz, step)
+    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree.leaf_w), spec.generator,
+                                 post, picard_tol=picard_tol)
     sol = RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
     if not tree.recombining:
         sol.K = _accumulate(tree, dK)

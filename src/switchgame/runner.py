@@ -432,10 +432,32 @@ def _run_validate(scenario, task, state, out, tol, seed, hook):
                      f"dt={state['tree'].dt!r} lipschitz={spec.generator.lipschitz!r}"])
         if not ok:
             failures.append("time step too coarse for the driver's Lipschitz constant")
+    if "tree" in state and spec.generator.family == "saturated_affine":
+        failure, detail = _comparison(spec.generator, state["tree"])
+        rows.append(["comparison", "fail" if failure else "ok", detail])
+        if failure:
+            failures.append(failure)
     if not report.ok:
         failures.extend(report.violations)
     _write_table(out / "validate.csv", ["check", "status", "detail"], rows)
     return failures
+
+
+def _comparison(gen, tree):
+    """(failure message or None, report detail) of the comparison condition on
+    the tree; the message names the smallest N that meets it over the horizon."""
+    b1 = float(np.abs(gen.b).sum())
+    detail = f"dt={tree.dt!r} b_l1={b1!r}"
+    if gen.comparison_holds(tree.dt):
+        return None, detail
+    n = max(1, math.ceil(tree.T * b1 ** 2))    # sqrt(T/n) * b1 <= 1, up to rounding
+    while not gen.comparison_holds(tree.T / n):
+        n += 1
+    while n > 1 and gen.comparison_holds(tree.T / (n - 1)):
+        n -= 1
+    return (f"comparison condition sqrt(dt)*||b||_1 <= 1 fails at N={tree.N}, so the "
+            f"implicit step is not monotone in the next level's values; refine the "
+            f"tree to N >= {n}"), detail
 
 
 def _get_tree(scenario, state):

@@ -21,25 +21,27 @@ def zero_driver():
 
 
 def last_step(tree, nxt, driver):
-    """Level N-1 of the kernel from leaf values `nxt` under a plain implicit
-    step: (y, z, Picard iterations)."""
-    def step(t, E, z, w, time):
-        y, iters = picard_solve(E, lambda y: tree.dt * driver(time, w, y, z))
-        return y, z, iters
-
-    Y, Z, iters = backward(tree, nxt, driver.lipschitz, step)
+    """Level N-1 of the kernel from leaf values `nxt` with the identity
+    post-step: (y, z)."""
+    Y, Z = backward(tree, nxt, driver, lambda t, y, z: (y, z))
     t = tree.N - 1
-    return Y[t], Z[t], iters[t]
+    return Y[t], Z[t]
 
 
 class TestStep:
     def test_zero_driver_reduces_to_expectation(self, rng):
         tree = build_tree(2, 1, 1.0)
         nxt = rng.normal(size=(4, 2, 2))
-        y, z, iters = last_step(tree, nxt, zero_driver())
-        np.testing.assert_allclose(y, tree.expect_next(1, nxt), atol=1e-15)
+        driver = zero_driver()
+        y, z = last_step(tree, nxt, driver)
+        E = tree.expect_next(1, nxt)
+        np.testing.assert_allclose(y, E, atol=1e-15)
         np.testing.assert_allclose(z, tree.z_next(1, nxt), atol=1e-15)
+        # the same level's Picard solve, called directly, stops at once
+        direct, iters = picard_solve(
+            E, lambda y: tree.dt * driver(tree.time(1), tree.level_w(1), y, z))
         assert iters <= 2
+        np.testing.assert_array_equal(direct, y)
 
     def test_constant_driver(self, rng):
         # dt = 0.5, psi = c  ->  y = E[next] + 0.5 c
@@ -47,7 +49,7 @@ class TestStep:
         c = 1.3
         driver = DriverFn(lambda t, w, y, z: np.full_like(y, c), 0.0)
         nxt = rng.normal(size=(4, 1, 1))
-        y, _, _ = last_step(tree, nxt, driver)
+        y, _ = last_step(tree, nxt, driver)
         np.testing.assert_allclose(y, tree.expect_next(1, nxt) + 0.5 * c, atol=1e-14)
 
     def test_linear_driver_has_closed_form(self, rng):
@@ -55,10 +57,9 @@ class TestStep:
         # y = E / 1.5
         tree = build_tree(2, 1, 1.0)
         gen = GeneratorSpec("saturated_affine", 1, 1, a=-1.0, M=1e9)
-        driver = DriverFn.from_generator(gen)
-        assert driver.lipschitz == 1.0
+        assert gen.lipschitz == 1.0
         nxt = rng.normal(size=(4, 1, 1))
-        y, _, _ = last_step(tree, nxt, driver)
+        y, _ = last_step(tree, nxt, gen)
         np.testing.assert_allclose(y, tree.expect_next(1, nxt) / 1.5, atol=1e-11)
 
     def test_single_node_values(self, rng):
@@ -74,19 +75,26 @@ class TestStep:
     def test_kernel_keeps_only_what_the_step_returns(self, rng):
         tree = build_tree(3, 1, 1.0)
         xi = rng.normal(size=(8, 2, 2))
-        seen = []
+        seen, driven = [], []
 
-        def step(t, E, z, w, time):
-            seen.append((t, time, w.shape, E.shape, z.shape))
-            return (E,)
+        def fn(t, w, y, z):
+            driven.append((t, w.shape, y.shape, z.shape))
+            return np.zeros_like(y)
 
-        out = backward(tree, xi, 0.0, step)
+        def post(t, y, z):
+            seen.append((t, y.shape, z.shape))
+            return (y,)
+
+        out = backward(tree, xi, DriverFn(fn, 0.0), post)
         assert len(out) == 1 and len(out[0]) == 4 and out[0][3] is xi
-        assert seen == [(t, t / 3, (2 ** t, 1), (2 ** t, 2, 2), (2 ** t, 1, 2, 2))
-                        for t in (2, 1, 0)]
+        # the driver sees each level's time and W-states; post sees (t, y, z)
+        # for t = N-1..0
+        assert list(dict.fromkeys(driven)) == [
+            (t / 3, (2 ** t, 1), (2 ** t, 2, 2), (2 ** t, 1, 2, 2)) for t in (2, 1, 0)]
+        assert seen == [(t, (2 ** t, 2, 2), (2 ** t, 1, 2, 2)) for t in (2, 1, 0)]
         np.testing.assert_allclose(out[0][0][0], xi.mean(axis=0), atol=1e-15)
         with pytest.raises(SizingError, match="refine the tree"):
-            backward(tree, xi, 3.0, step)
+            backward(tree, xi, DriverFn(fn, 3.0), post)
 
     def test_contraction_guard(self):
         with pytest.raises(SizingError, match="refine the tree"):
@@ -149,19 +157,18 @@ class TestSolveSystem:
         c = np.array([[2.0, -2.0], [-2.0, 2.0]])
         gen = GeneratorSpec("mode_constant", 2, 2, c=c)
         xi = np.zeros((tree.level_size(N), 2, 2))
-        Y, _ = solve_system(tree, DriverFn.from_generator(gen), xi)
+        Y, _ = solve_system(tree, gen, xi)
         np.testing.assert_allclose(Y[0][0], c * T, atol=1e-12)
 
     def test_residuals_at_every_node(self, rng):
         tree = build_tree(4, 1, 1.0)
         gen = GeneratorSpec("saturated_affine", 2, 2, a=0.8, b=[0.5], M=2.0,
                             c=[[0.3, -0.3], [0.1, 0.0]])
-        driver = DriverFn.from_generator(gen)
         xi = rng.uniform(-1, 1, (tree.level_size(4), 2, 2))
-        Y, Z = solve_system(tree, driver, xi)
+        Y, Z = solve_system(tree, gen, xi)
         for t in range(4):
             E = tree.expect_next(t, Y[t + 1])
-            res = Y[t] - E - tree.dt * driver(tree.time(t), tree.level_w(t), Y[t], Z[t])
+            res = Y[t] - E - tree.dt * gen(tree.time(t), tree.level_w(t), Y[t], Z[t])
             assert np.abs(res).max() <= 2e-12
 
     def test_comparison_principle(self, rng):
@@ -169,7 +176,7 @@ class TestSolveSystem:
         # implies Y_A >= Y_B
         tree = build_tree(5, 1, 1.0)
         base = GeneratorSpec("saturated_affine", 1, 1, a=-0.5, b=[0.2], M=3.0)
-        drv_b = DriverFn.from_generator(base)
+        drv_b = base
         drv_a = DriverFn(lambda t, w, y, z: base(t, w, y, z) + 0.4, base.lipschitz)
         xi_b = rng.uniform(-1, 1, (tree.level_size(5), 1, 1))
         xi_a = xi_b + rng.uniform(0, 0.5, xi_b.shape)
@@ -182,7 +189,7 @@ class TestSolveSystem:
         tree = build_tree(5, 1, 1.5)
         gen = GeneratorSpec("mode_constant", 2, 2, c=[[1.0, -2.0], [0.5, 2.0]])
         xi = rng.uniform(-3, 3, (tree.level_size(5), 2, 2))
-        Y, _ = solve_system(tree, DriverFn.from_generator(gen), xi)
+        Y, _ = solve_system(tree, gen, xi)
         bound = np.abs(xi).max() + gen.sup_bound * tree.T + 1e-9
         for t in range(6):
             assert np.abs(Y[t]).max() <= bound

@@ -18,7 +18,6 @@ from switchgame.game import (
     _resolve_modes,
     brute_force_value,
     enumerate_feedback_strategies,
-    enumerate_player_I_strategies,
     eval_switched,
     extract_saddle,
     greedy_strategy,
@@ -26,7 +25,14 @@ from switchgame.game import (
     solve_lower_reflected,
     verify_saddle,
 )
-from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
+from switchgame.bsde import picard_solve
+from switchgame.model import (
+    CostTables,
+    GameSpec,
+    GeneratorSpec,
+    TerminalSpec,
+    project_oblique_batch,
+)
 from switchgame.reflected import RbsdeSolution, solve_rbsde
 from switchgame.runner import parse_scenario
 
@@ -452,6 +458,89 @@ class TestResolutionDifferential:
             assert (old.catalog_size_I, old.catalog_size_II) == (34, 34)
 
 
+def gathered_backward(spec, tree, settle, finish):
+    """The switched step as solved before the kernel solved whole fields:
+    at each level, E and a `moveaxis` copy of Z are gathered at the settled
+    pair (I, J) = settle(t), Picard runs on them with `gen.at_modes`, and
+    finish(t, y, I) turns the solve into the level's values."""
+    gen = spec.generator
+    Y = [None] * tree.N + [spec.check_terminal(tree.leaf_w)]
+    for t in range(tree.N - 1, -1, -1):
+        E, Z = tree.expect_next(t, Y[t + 1]), tree.z_next(t, Y[t + 1])
+        I, J = settle(t)
+        n_idx = np.arange(E.shape[0])[:, None, None]
+        Zg = np.moveaxis(Z, 1, -1)[n_idx, I, J]
+        time, w = tree.time(t), tree.level_w(t)
+        y, _ = picard_solve(
+            E[n_idx, I, J],
+            lambda y: tree.dt * np.asarray(gen.at_modes(time, w, y, Zg, I, J), dtype=float),
+        )
+        Y[t] = finish(t, y, I)
+    return Y
+
+
+def gathered_switched(spec, tree, a, b):
+    """`eval_switched(...).U` by the gathered path."""
+    k, l = spec.costs.k, spec.costs.l
+    settled = {t: _resolve_modes(a.actions[t], b.actions[t], spec.m1, spec.m2, k, l)
+               for t in range(tree.N)}
+    return gathered_backward(
+        spec, tree, lambda t: settled[t][:2],
+        lambda t, y, I: y + settled[t][2] - settled[t][3])
+
+
+def gathered_lower_reflected(spec, tree, a):
+    """`solve_lower_reflected` by the gathered path."""
+    i_grid = np.arange(spec.m1)[:, None]
+    J = np.arange(spec.m2)[None, None, :]
+
+    def finish(t, y, I):
+        return project_oblique_batch(y + spec.costs.k[i_grid, I], spec.costs,
+                                     lower_only=True)[0]
+
+    return gathered_backward(
+        spec, tree, lambda t: (a.actions[t], np.broadcast_to(J, a.actions[t].shape)), finish)
+
+
+class TestKernelDifferential:
+    """The kernel solves the implicit step on the whole (node, pair) field and
+    the switched solvers gather its solution at the settled pairs; gathering
+    first and solving at the settled pairs, as before, reaches the same fixed
+    point, with the same float operations when the driver ignores y and z.
+
+    A saturated-affine driver depends on y, so the two Picard solves stop at
+    different iterates, each within q/(1 - q) * tau of the fixed point
+    (q = dt*|a|, tau the Picard tolerance).  Its `a` is scaled to q < 1/4
+    here, which keeps that below tau/3 per level and the gap within 1e-12;
+    near the contraction boundary the gap grows with q/(1 - q)."""
+
+    @pytest.mark.parametrize("family,d", [("zero", 1), ("mode_constant", 1),
+                                          ("saturated_affine", 1), ("saturated_affine", 2)])
+    def test_solve_then_gather_equals_gather_then_solve(self, rng, family, d):
+        for m1, m2, N in [(2, 2, 4), (3, 2, 3), (2, 3, 3), (3, 3, 2), (2, 1, 4)]:
+            tree = build_tree(N, d, 0.3)
+            spec = random_family_spec(rng, m1, m2, tree, family)
+            if family == "saturated_affine":
+                g = spec.generator
+                gen = GeneratorSpec(family, m1, m2, d=d, a=g.a / 4, b=g.b, M=g.M, c=g.c)
+                spec = GameSpec(spec.costs, gen, spec.terminal, horizon=tree.T, d=d)
+            for _ in range(3):
+                a = FeedbackStrategy.random("I", tree, m1, m2, rng)
+                b = FeedbackStrategy.random("II", tree, m1, m2, rng)
+                a_uniform = FeedbackStrategy("I", [
+                    np.repeat(rng.integers(0, m1, (tree.level_size(t), m1, 1)), m2, axis=2)
+                    for t in range(N)])
+                pairs = [(eval_switched(spec, tree, a, b).U, gathered_switched(spec, tree, a, b)),
+                         (solve_lower_reflected(spec, tree, a_uniform),
+                          gathered_lower_reflected(spec, tree, a_uniform))]
+                for new, old in pairs:
+                    for t in range(N + 1):
+                        if family == "saturated_affine":
+                            np.testing.assert_allclose(new[t], old[t], rtol=0, atol=1e-12)
+                        else:
+                            np.testing.assert_array_equal(new[t], old[t])
+
+
 def exhaustive_reply(spec, tree, opponent):
     """Best root values over every feedback table of the replying player:
     the max over Player-II tables against a Player-I table, the min over
@@ -761,5 +850,5 @@ class TestRepresentation:
 
     def test_enumeration_counts(self, standard_spec):
         tree = build_tree(1, 1, standard_spec.horizon)
-        assert sum(1 for _ in enumerate_player_I_strategies(tree, 2, 2)) == 2 ** 2
+        assert sum(1 for _ in enumerate_feedback_strategies(tree, "I", 2, 1)) == 2 ** 2
         assert sum(1 for _ in enumerate_feedback_strategies(tree, "II", 2, 2)) == 2 ** 4

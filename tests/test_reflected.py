@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from switchgame import build_tree
-from switchgame.bsde import DriverFn, backward, picard_solve, solve_system
+from switchgame.bsde import DriverFn, backward, solve_system
 from switchgame.errors import DataError
 from switchgame.game import brute_force_value
 from switchgame.model import (
@@ -151,15 +151,13 @@ class TestOneSidedReduction:
         # 2x1 systems, one per Player-II mode
         spec = make_standard()
         tree = build_tree(4, 1, spec.horizon)
-        driver = DriverFn.from_generator(spec.generator)
 
-        def step(t, E, z, w, time):
-            y, _ = picard_solve(E, lambda y: tree.dt * driver(time, w, y, z))
+        def post(t, y, z):
             y, _, _ = project_oblique_batch(y, spec.costs, upper_only=True)
             return (y,)
 
         upper_only = backward(tree, spec.check_terminal(tree.leaf_w),
-                              driver.lipschitz, step)[0]
+                              spec.generator, post)[0]
 
         costs_col = CostTables(k=spec.costs.k, l=[[0.0]])
         for j in range(2):

@@ -164,6 +164,30 @@ class TestPipeline:
         entry = next(t for t in result.manifest["tasks"] if t["name"] == "saddle")
         assert entry["certified"] is False
 
+    @pytest.mark.parametrize("b,N,status", [(3.0, 2, "fail"), (2.8, 2, "ok"), (3.0, 3, "ok")])
+    def test_comparison_condition_is_validated(self, tmp_path, b, N, status):
+        # sqrt(dt)*||b||_1 is 1.06 at b=3, N=2: the step is not monotone and the
+        # strategy-enumeration value misses the direct one by 0.026; N=3 is the
+        # smallest tree that meets the condition (brute force there is slow)
+        path = small_scenario(
+            tmp_path,
+            costs={"k": [[0.0, 1.0], [1.3, 0.0]], "l": [[0.0]]},
+            generator={"family": "saturated_affine", "a": 3.0, "b": [b], "M": 1.0,
+                       "c": [[0.78], [-1.15]]},
+            terminal={"family": "constant", "alpha": [[0.0], [0.0]]},
+            horizon=0.25, tree={"N": N, "recombining": False},
+            tasks=["validate", "solve_direct", "brute_force"] if N == 2 else ["validate"],
+        )
+        result = run(parse_scenario(path))
+        rows = (result.out_dir / "validate.csv").read_text().splitlines()
+        assert rows[-1].startswith(f"comparison,{status},")
+        validate = [m for m in result.failures if m.startswith("validate:")]
+        if status == "fail":
+            assert result.exit_code == 1
+            assert len(validate) == 1 and "refine the tree to N >= 3" in validate[0]
+        else:
+            assert result.exit_code == 0 and not validate
+
     def test_task_dependency_chain_message(self, tmp_path):
         scenario = parse_scenario(small_scenario(tmp_path))
         result = run(scenario, out_dir=tmp_path / "dep", tasks=["saddle"])
