@@ -56,6 +56,7 @@ from .reflected import RbsdeSolution
 
 BRUTE_FORCE_MAX_STEPS = 3
 BRUTE_FORCE_MAX_MODES = 4
+_MAX_STRATEGIES = 2 ** 14      # Player I's tables at those caps with 2x2 modes and d = 1
 
 
 @dataclass
@@ -643,6 +644,10 @@ def brute_force_value(spec: GameSpec, tree, start=None,
             f"brute force capped at N <= {max_steps} and m1*m2 <= {max_modes}; "
             f"got N={tree.N}, m1*m2={spec.m1 * spec.m2}"
         )
+    count = spec.m1 ** (spec.m1 * sum(tree.level_size(t) for t in range(tree.N)))
+    if count > _MAX_STRATEGIES:
+        raise SizingError(f"brute force capped at {_MAX_STRATEGIES} Player-I strategies; "
+                          f"got {count}")
     spec.require_valid()
     best = None
     # the j-independent Player-I strategies: one table per (node, i), repeated over j

@@ -18,6 +18,8 @@ from .errors import SizingError
 from .model import GameSpec, project_oblique_batch
 from .reflected import RbsdeSolution, _accumulate
 
+_MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
+
 
 def _lower_penalty_terms(y, l):
     """(n, m1, m2, m2) array of (y[i,j] - y[i,j'] + l(j,j'))^- over j'."""
@@ -220,14 +222,13 @@ class ConvergenceReport:
 
 
 def penalization_report(spec: GameSpec, tree, n_list,
-                        direct: RbsdeSolution | None = None,
-                        monotone_slack: float = 1e-10) -> ConvergenceReport:
+                        direct: RbsdeSolution | None = None) -> ConvergenceReport:
     """Solve the penalized system along n_list and report the convergence
     diagnostics: componentwise monotonicity in n, the penalty-intensity bound
     against 2 * sup|psi|, and sup-norm gaps to the direct solution.
 
     ``monotone_ok`` tests that the values are nonincreasing in n (largest
-    increase ``monotone_worst`` at most ``monotone_slack``).  The penalty is
+    increase ``monotone_worst`` at most ``_MONOTONE_SLACK``).  The penalty is
     nonnegative and grows with n, so by comparison the values are in fact
     nondecreasing: ``monotone_ok`` is False with a positive ``monotone_worst``
     wherever lower barriers bind.
@@ -246,7 +247,7 @@ def penalization_report(spec: GameSpec, tree, n_list,
             mono_ok, worst = True, 0.0
         else:
             worst = max(float((y - p).max()) for y, p in zip(sol.Y, prev))
-            mono_ok = worst <= monotone_slack
+            mono_ok = worst <= _MONOTONE_SLACK
         gap = None
         if direct is not None:
             gap = max(

@@ -17,10 +17,12 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,20 +49,85 @@ DEFAULT_TOLERANCES = {
     "match": 1e-9,
 }
 
-# task name -> (allowed parameter keys, required parameter keys)
-_TASK_PARAMS = {
-    "validate": (set(), set()),
-    "solve_direct": (set(), set()),
-    "penalize": ({"n_list"}, {"n_list"}),
-    "double_penalize": ({"n", "m_list"}, {"n", "m_list"}),
-    "saddle": ({"catalog_size", "seed"}, set()),
-    "brute_force": ({"max_steps", "max_modes"}, set()),
-    "export": (set(), set()),
-}
+_REQUIRED = object()    # the default of a field that must be present
 
-_TOP_KEYS = {
-    "schema", "name", "costs", "generator", "terminal", "horizon", "d",
-    "tree", "tasks", "out_dir", "tolerances",
+
+class _Kind(NamedTuple):
+    """A kind of field value: its predicate, and the message that follows the
+    field's location when a value is not of the kind (``{!r}`` shows the value)."""
+
+    test: Callable
+    text: str
+
+
+def _is_number(v):
+    # json reads true and false as bools, which Python counts as ints, and
+    # reads an integer literal of any length as an int
+    return isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+def _is_array(v):
+    """A number, or a rectangular nest of lists of numbers.  Non-finite entries
+    pass: the specs reject them, naming the entry."""
+    def nested(x):
+        return _is_number(x) or (isinstance(x, list) and all(map(nested, x)))
+    try:    # rejects ragged lists and nesting deeper than NumPy's 64 dimensions
+        np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return nested(v)
+
+
+_ANY = _Kind(lambda v: True, "")
+_NUMBER = _Kind(_is_number, "expected a number")
+_ARRAY = _Kind(_is_array, "expected a number or an array of numbers")
+_MATRIX = _Kind(_is_array, "not a numeric matrix")
+_POSITIVE_INT = _Kind(lambda v: _is_number(v) and isinstance(v, int) and v >= 1,
+                      "expected a positive integer")
+_NON_NEGATIVE_INT = _Kind(lambda v: _is_number(v) and isinstance(v, int) and v >= 0,
+                          "expected a non-negative integer")
+_POSITIVE_INTS = _Kind(
+    lambda v: isinstance(v, list) and v != [] and all(map(_POSITIVE_INT.test, v)),
+    "expected a non-empty list of positive integers")
+# NaN fails every comparison, so the upper bound is what rejects it
+_POSITIVE_FINITE = _Kind(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
+                         "expected a positive finite number")
+# NaN and Infinity are not numbers either, so a tolerance's message needs no "finite"
+_TOLERANCE = _POSITIVE_FINITE._replace(text="expected a positive number")
+_BOOLEAN = _Kind(lambda v: isinstance(v, bool), "expected a boolean")
+_NAME = _Kind(lambda v: isinstance(v, str) and v != "", "expected a non-empty string")
+_OBJECT = _Kind(lambda v: isinstance(v, dict), "expected an object")
+_FAMILY = _Kind(lambda v: isinstance(v, dict) and "family" in v,
+                "expected an object with a 'family' field")
+
+# section ("" is the top level) -> field -> (kind, default); a rejected value
+# stands as its default, or as None when the field is required
+_FIELDS = {
+    "": {
+        "schema": (_Kind(lambda v: _is_number(v) and v == SCHEMA_VERSION,
+                         f"expected {SCHEMA_VERSION}, got {{!r}}"), _REQUIRED),
+        "name": (_NAME, _REQUIRED),
+        "costs": (_Kind(lambda v: isinstance(v, dict) and set(v) == {"k", "l"},
+                        "expected an object with exactly the fields 'k' and 'l'"), _REQUIRED),
+        "d": (_POSITIVE_INT, 1),
+        "horizon": (_POSITIVE_FINITE, _REQUIRED),
+        "generator": (_FAMILY, _REQUIRED),
+        "terminal": (_FAMILY, _REQUIRED),
+        "tree": (_OBJECT, _REQUIRED),
+        "tasks": (_Kind(lambda v: isinstance(v, list) and v != [], "expected a non-empty list"),
+                  _REQUIRED),
+        "out_dir": (_NAME, "reports"),
+        "tolerances": (_OBJECT, {}),
+    },
+    "costs": {"k": (_MATRIX, _REQUIRED), "l": (_MATRIX, _REQUIRED)},
+    "generator": {"family": (_ANY, _REQUIRED), "c": (_ARRAY, None), "a": (_NUMBER, None),
+                  "b": (_ARRAY, None), "M": (_NUMBER, None)},
+    "terminal": {"family": (_ANY, _REQUIRED), "alpha": (_ARRAY, None),
+                 "beta": (_ARRAY, None), "table": (_ARRAY, None)},
+    "tree": {"N": (_POSITIVE_INT, _REQUIRED), "recombining": (_BOOLEAN, False),
+             "node_cap": (_POSITIVE_INT, DEFAULT_NODE_CAP)},
+    "tolerances": {key: (_TOLERANCE, val) for key, val in DEFAULT_TOLERANCES.items()},
 }
 
 
@@ -91,58 +158,85 @@ class Scenario:
                           recombining=self.recombining, node_cap=self.node_cap)
 
 
-def _matrix(raw, where, errs, square_size=None):
+def _fields(raw, rules, where, errs, unknown="{where}: unknown field(s) {names}"):
+    """The values of the object `raw` under `rules`, or None when `raw` is None
+    (the object itself was rejected).
+
+    Each unknown field, missing required field and value of the wrong kind is
+    reported in `errs` at its location.
+    """
+    if raw is None:
+        return None
+    names = sorted(set(raw) - set(rules))
+    if names:
+        errs.append(unknown.format(where=where, names=names))
+    values = {}
+    for key, (kind, default) in rules.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED or (key in raw and not kind.test(value)):
+            errs.append(f"{where}{'.' if where else ''}{key}: " + kind.text.format(raw.get(key)))
+            value = None if default is _REQUIRED else default
+        values[key] = value
+    return values
+
+
+def _costs(raw, errs):
+    """The cost tables, or None once the reason is in `errs`."""
+    tables = _fields(raw, _FIELDS["costs"], "costs", errs)
+    if tables is None:
+        return None
+    tables = {key: np.asarray(v, dtype=float) for key, v in tables.items() if v is not None}
+    flat = [f"costs.{key}: expected a 2-D matrix, got {a.ndim} dimensions"
+            for key, a in tables.items() if a.ndim != 2]
+    errs.extend(flat)
+    if len(tables) < 2 or flat:
+        return None
+    if any(a.shape[0] != a.shape[1] for a in tables.values()):
+        errs.append("costs: k and l must be square")
+        return None
     try:
-        a = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        errs.append(f"{where}: not a numeric matrix")
-        return None
-    if a.ndim != 2:
-        errs.append(f"{where}: expected a 2-D matrix, got {a.ndim} dimensions")
-        return None
-    if square_size is not None and a.shape != (square_size, square_size):
-        errs.append(f"{where}: expected shape {(square_size, square_size)}, got {a.shape}")
-        return None
-    return a
+        return CostTables(**tables)
+    except SwitchGameError as exc:
+        errs.append(f"costs: {exc}")
 
 
-def _parse_tasks(raw, errs):
-    if not isinstance(raw, list) or not raw:
-        errs.append("tasks: expected a non-empty list")
-        return []
-    plans = []
-    for idx, entry in enumerate(raw):
-        where = f"tasks[{idx}]"
-        if isinstance(entry, str):
-            name, params = entry, {}
-        elif isinstance(entry, dict):
-            name = entry.get("task")
-            params = {k: v for k, v in entry.items() if k != "task"}
-        else:
-            errs.append(f"{where}: expected a task name or object")
-            continue
-        if name not in _TASK_PARAMS:
-            errs.append(f"{where}: unknown task {name!r} "
-                        f"(known: {', '.join(sorted(_TASK_PARAMS))})")
-            continue
-        allowed, required = _TASK_PARAMS[name]
-        unknown = set(params) - allowed
-        if unknown:
-            errs.append(f"{where}: unknown parameter(s) {sorted(unknown)} for task {name!r}")
-        missing = required - set(params)
-        if missing:
-            errs.append(f"{where}: task {name!r} requires parameter(s) {sorted(missing)}")
-        if unknown or missing:
-            continue
-        for key in ("n_list", "m_list"):
-            if key in params and not (
-                isinstance(params[key], list)
-                and params[key]
-                and all(isinstance(v, int) and v >= 1 for v in params[key])
-            ):
-                errs.append(f"{where}.{key}: expected a non-empty list of positive integers")
-        plans.append(TaskPlan(name, params))
-    return plans
+def _family(cls, where, raw, costs, errs, **extra):
+    """The generator or terminal spec of a section, or None once the reason is
+    in `errs` (or the cost tables that fix its mode grid were rejected)."""
+    before = len(errs)
+    if _fields(raw, _FIELDS[where], where, errs) is None or costs is None or len(errs) > before:
+        return None
+    try:
+        return cls(raw["family"], costs.m1, costs.m2, **extra,
+                   **{k: v for k, v in raw.items() if k != "family"})
+    except SwitchGameError as exc:
+        errs.append(f"{where}: {exc}")
+
+
+def _task(entry, where, errs):
+    """The plan of one task-list entry; its problems go to `errs`.  Parameters
+    are kept as written, since the manifest records them."""
+    if isinstance(entry, str):
+        entry = {"task": entry}
+    if not isinstance(entry, dict):
+        errs.append(f"{where}: expected a task name or object")
+        return None
+    name = entry.get("task")
+    if not (isinstance(name, str) and name in _TASKS):
+        errs.append(f"{where}: unknown task {name!r} (known: {', '.join(sorted(_TASKS))})")
+        return None
+    params = {k: v for k, v in entry.items() if k != "task"}
+    rules = _TASKS[name][1]
+    missing = sorted(k for k, (_, default) in rules.items()
+                     if default is _REQUIRED and k not in params)
+    unknown = sorted(set(params) - set(rules))
+    if unknown:
+        errs.append(f"{where}: unknown parameter(s) {unknown} for task {name!r}")
+    if missing:
+        errs.append(f"{where}: task {name!r} requires parameter(s) {missing}")
+    if not (unknown or missing):
+        _fields(params, rules, where, errs)
+    return TaskPlan(name, params)
 
 
 def parse_scenario(path) -> Scenario:
@@ -161,143 +255,35 @@ def parse_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}:{exc.lineno}:{exc.colno}: malformed JSON ({exc.msg})"])
+    except (ValueError, RecursionError) as exc:     # integer literals or nesting too long
+        raise ScenarioError([f"{path}: JSON beyond the parser's limits ({exc})"])
     if not isinstance(doc, dict):
         raise ScenarioError([f"{path}: top level must be an object"])
 
     errs = []
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        errs.append(f"unknown top-level field(s): {sorted(unknown)}")
-    if doc.get("schema") != SCHEMA_VERSION:
-        errs.append(f"schema: expected {SCHEMA_VERSION}, got {doc.get('schema')!r}")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        errs.append("name: expected a non-empty string")
-        name = path.stem
-
-    # costs
-    costs = None
-    raw_costs = doc.get("costs")
-    if not isinstance(raw_costs, dict) or set(raw_costs) != {"k", "l"}:
-        errs.append("costs: expected an object with exactly the fields 'k' and 'l'")
-    else:
-        k = _matrix(raw_costs["k"], "costs.k", errs)
-        l = _matrix(raw_costs["l"], "costs.l", errs)
-        if k is not None and l is not None:
-            if k.shape[0] != k.shape[1] or l.shape[0] != l.shape[1]:
-                errs.append("costs: k and l must be square")
-            else:
-                try:
-                    costs = CostTables(k, l)
-                except SwitchGameError as exc:
-                    errs.append(f"costs: {exc}")
-
-    d = doc.get("d", 1)
-    if not isinstance(d, int) or d < 1:
-        errs.append("d: expected a positive integer")
-        d = 1
-    horizon = doc.get("horizon")
-    # json reads the NaN and Infinity tokens as floats, and NaN <= 0 is False
-    if not isinstance(horizon, (int, float)) or not (0 < horizon < math.inf):
-        errs.append("horizon: expected a positive finite number")
-        horizon = 1.0
-
-    # generator
-    generator = None
-    raw_gen = doc.get("generator")
-    if not isinstance(raw_gen, dict) or "family" not in raw_gen:
-        errs.append("generator: expected an object with a 'family' field")
-    elif costs is not None:
-        kwargs = {k: v for k, v in raw_gen.items() if k != "family"}
-        bad = set(kwargs) - {"c", "a", "b", "M"}
-        if bad:
-            errs.append(f"generator: unknown field(s) {sorted(bad)}")
-        else:
-            try:
-                generator = GeneratorSpec(raw_gen["family"], costs.m1, costs.m2,
-                                          d=d, **kwargs)
-            except SwitchGameError as exc:
-                errs.append(f"generator: {exc}")
-
-    # terminal
-    terminal = None
-    raw_term = doc.get("terminal")
-    if not isinstance(raw_term, dict) or "family" not in raw_term:
-        errs.append("terminal: expected an object with a 'family' field")
-    elif costs is not None:
-        kwargs = {k: v for k, v in raw_term.items() if k != "family"}
-        bad = set(kwargs) - {"alpha", "beta", "table"}
-        if bad:
-            errs.append(f"terminal: unknown field(s) {sorted(bad)}")
-        else:
-            try:
-                terminal = TerminalSpec(raw_term["family"], costs.m1, costs.m2, **kwargs)
-            except SwitchGameError as exc:
-                errs.append(f"terminal: {exc}")
-
-    # tree
-    tree_N, recombining, node_cap = None, False, DEFAULT_NODE_CAP
-    raw_tree = doc.get("tree")
-    if not isinstance(raw_tree, dict):
-        errs.append("tree: expected an object")
-    else:
-        bad = set(raw_tree) - {"N", "recombining", "node_cap"}
-        if bad:
-            errs.append(f"tree: unknown field(s) {sorted(bad)}")
-        tree_N = raw_tree.get("N")
-        if not isinstance(tree_N, int) or tree_N < 1:
-            errs.append("tree.N: expected a positive integer")
-            tree_N = None
-        recombining = raw_tree.get("recombining", False)
-        if not isinstance(recombining, bool):
-            errs.append("tree.recombining: expected a boolean")
-            recombining = False
-        node_cap = raw_tree.get("node_cap", DEFAULT_NODE_CAP)
-        if not isinstance(node_cap, int) or node_cap < 1:
-            errs.append("tree.node_cap: expected a positive integer")
-            node_cap = DEFAULT_NODE_CAP
-
-    tasks = _parse_tasks(doc.get("tasks"), errs)
-
-    out_dir = doc.get("out_dir", "reports")
-    if not isinstance(out_dir, str) or not out_dir:
-        errs.append("out_dir: expected a non-empty string")
-        out_dir = "reports"
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    raw_tol = doc.get("tolerances", {})
-    if not isinstance(raw_tol, dict):
-        errs.append("tolerances: expected an object")
-    else:
-        bad = set(raw_tol) - set(DEFAULT_TOLERANCES)
-        if bad:
-            errs.append(f"tolerances: unknown field(s) {sorted(bad)} "
-                        f"(known: {sorted(DEFAULT_TOLERANCES)})")
-        for key, val in raw_tol.items():
-            if key in DEFAULT_TOLERANCES:
-                if not isinstance(val, (int, float)) or val <= 0:
-                    errs.append(f"tolerances.{key}: expected a positive number")
-                else:
-                    tolerances[key] = float(val)
-
-    # game-structure validation (only when the pieces assembled)
+    top = _fields(doc, _FIELDS[""], "", errs, unknown="unknown top-level field(s): {names}")
+    costs = _costs(top["costs"], errs)
+    generator = _family(GeneratorSpec, "generator", top["generator"], costs, errs, d=top["d"])
+    terminal = _family(TerminalSpec, "terminal", top["terminal"], costs, errs)
+    tree = _fields(top["tree"], _FIELDS["tree"], "tree", errs)
+    tasks = [_task(entry, f"tasks[{idx}]", errs) for idx, entry in enumerate(top["tasks"] or [])]
+    tolerances = _fields(top["tolerances"], _FIELDS["tolerances"], "tolerances", errs,
+                         unknown="{where}: unknown field(s) {names} "
+                                 f"(known: {sorted(DEFAULT_TOLERANCES)})")
     spec = None
-    if costs is not None and generator is not None and terminal is not None:
-        try:
-            spec = GameSpec(costs, generator, terminal, horizon=float(horizon), d=d)
-        except SwitchGameError as exc:
-            errs.append(f"spec: {exc}")
-    if spec is not None:
-        report = spec.validate()
-        errs.extend(f"spec: {v}" for v in report.violations)
-
+    if generator is not None and terminal is not None:
+        # a rejected horizon stands as 1.0, so the cost structure is still checked
+        spec = GameSpec(costs, generator, terminal, horizon=float(top["horizon"] or 1.0),
+                        d=top["d"])
+        errs.extend(f"spec: {v}" for v in spec.validate().violations)
     if errs:
         raise ScenarioError([f"{path}: {e}" for e in errs])
 
-    sha = hashlib.sha256(text.encode()).hexdigest()
-    return Scenario(name=name, spec=spec, tree_N=tree_N, recombining=recombining,
-                    node_cap=node_cap, tasks=tasks, out_dir=out_dir,
-                    tolerances=tolerances, source_sha256=sha)
+    return Scenario(name=top["name"], spec=spec, tree_N=tree["N"],
+                    recombining=tree["recombining"], node_cap=tree["node_cap"], tasks=tasks,
+                    out_dir=top["out_dir"],
+                    tolerances={key: float(v) for key, v in tolerances.items()},
+                    source_sha256=hashlib.sha256(text.encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -337,27 +323,29 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
     ----------
     out_dir, seed, tasks, tolerance : overrides for the scenario's own run
         plan; `tasks` is a list of task names run with default parameters,
-        `tolerance` replaces the saddle and match tolerances.
+        `tolerance` (a positive finite number, else ScenarioError) replaces
+        the saddle and match tolerances.
     solution_hook : callable applied to the direct solution right after
         solve_direct (test hook for fault injection); leave None.
     """
-    out = Path(out_dir or scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tol = dict(scenario.tolerances)
     if tolerance is not None:
+        if not _TOLERANCE.test(tolerance):
+            raise ScenarioError([f"--tolerance: {_TOLERANCE.text}"])
         tol["saddle"] = tol["match"] = float(tolerance)
 
     plan = scenario.tasks
     if tasks is not None:
         plan = []
         for name in tasks:
-            if name not in _TASK_PARAMS:
+            if name not in _TASKS:
                 raise ScenarioError([f"unknown task {name!r} in task override"])
             # reuse the scenario's parameters for the task when it has them
             params = next((t.params for t in scenario.tasks if t.name == name), {})
             plan.append(TaskPlan(name, params))
 
-    spec = scenario.spec
+    out = Path(out_dir or scenario.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     state = {}
     failures = []
     config_errors = []
@@ -369,7 +357,7 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
         state["entry"] = entry
         t0 = time.perf_counter()
         try:
-            task_failures = _TASK_RUNNERS[task.name](
+            task_failures = _TASKS[task.name][0](
                 scenario, task, state, out, tol, seed, solution_hook
             )
             if task_failures:
@@ -377,11 +365,9 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
                 entry["status"] = "invariant_failure"
                 entry["failures"] = task_failures
         except SwitchGameError as exc:
-            msg = f"{task.name}: {exc}"
-            config_errors.append(msg)
+            config_errors.append(f"{task.name}: {exc}")
             entry["status"] = "error"
             entry["error"] = str(exc)
-            state.setdefault("aborted", []).append(task.name)
         entry["wall_time_s"] = time.perf_counter() - t0
         task_entries.append(entry)
 
@@ -599,12 +585,17 @@ def _run_export(scenario, task, state, out, tol, seed, hook):
     return []
 
 
-_TASK_RUNNERS = {
-    "validate": _run_validate,
-    "solve_direct": _run_solve_direct,
-    "penalize": _run_penalize,
-    "double_penalize": _run_double_penalize,
-    "saddle": _run_saddle,
-    "brute_force": _run_brute_force,
-    "export": _run_export,
+# task name -> (runner, parameter rules); an optional parameter's default is
+# the runner's own
+_TASKS = {
+    "validate": (_run_validate, {}),
+    "solve_direct": (_run_solve_direct, {}),
+    "penalize": (_run_penalize, {"n_list": (_POSITIVE_INTS, _REQUIRED)}),
+    "double_penalize": (_run_double_penalize, {"n": (_POSITIVE_INT, _REQUIRED),
+                                               "m_list": (_POSITIVE_INTS, _REQUIRED)}),
+    "saddle": (_run_saddle, {"catalog_size": (_NON_NEGATIVE_INT, None),
+                             "seed": (_NON_NEGATIVE_INT, None)}),
+    "brute_force": (_run_brute_force, {"max_steps": (_POSITIVE_INT, None),
+                                       "max_modes": (_POSITIVE_INT, None)}),
+    "export": (_run_export, {}),
 }

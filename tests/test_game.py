@@ -848,6 +848,18 @@ class TestRepresentation:
         with pytest.raises(SizingError, match="capped"):
             brute_force_value(standard_spec, tree)
 
+    def test_strategy_count_is_capped(self):
+        # 3x1 is within m1*m2 <= 4, but Player I has 3**9 tables at N = 2 and
+        # 3**21 at N = 3, where the enumeration never ends
+        k = [[0.0, 1.0, 1.1], [1.2, 0.0, 0.9], [1.0, 1.3, 0.0]]
+        spec = GameSpec(CostTables(k, [[0.0]]), GeneratorSpec("zero", 3, 1),
+                        TerminalSpec("constant", 3, 1, alpha=[[0.0]] * 3), horizon=1.0)
+        assert brute_force_value(spec, build_tree(1, 1, 1.0)).shape == (3, 1)
+        for N in (2, 3):
+            count = 3 ** (3 * (2 ** N - 1))
+            with pytest.raises(SizingError, match=f"16384 Player-I strategies; got {count}"):
+                brute_force_value(spec, build_tree(N, 1, 1.0))
+
     def test_enumeration_counts(self, standard_spec):
         tree = build_tree(1, 1, standard_spec.horizon)
         assert sum(1 for _ in enumerate_feedback_strategies(tree, "I", 2, 1)) == 2 ** 2

@@ -1,11 +1,14 @@
 """Scenario parsing, the task pipeline, report determinism, and CLI exit codes."""
 
+import functools
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from switchgame import cli, runner
 from switchgame.cli import main as cli_main
 from switchgame.errors import DataError, ScenarioError
 from switchgame.runner import parse_scenario, run
@@ -44,6 +47,124 @@ def small_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+# every task, with every parameter, for documents that fail at parse time
+EVERY_TASK = [
+    "validate",
+    "solve_direct",
+    {"task": "penalize", "n_list": [1, 2]},
+    {"task": "saddle", "catalog_size": 10, "seed": 5},
+    "export",
+    {"task": "double_penalize", "n": 2, "m_list": [1, 2]},
+    {"task": "brute_force", "max_steps": 2, "max_modes": 4},
+]
+DELETE = object()
+KNOWN_TASKS = "brute_force, double_penalize, export, penalize, saddle, solve_direct, validate"
+
+# (place in the document, value written there, the one message parsing gives)
+# Messages the parser already gave at d08c104, recorded there:
+PINNED = [
+    (("surprise",), True, "unknown top-level field(s): ['surprise']"),
+    (("schema",), 2, "schema: expected 1, got 2"),
+    (("name",), "", "name: expected a non-empty string"),
+    (("costs", "l"), DELETE, "costs: expected an object with exactly the fields 'k' and 'l'"),
+    (("costs", "k"), "abc", "costs.k: not a numeric matrix"),
+    (("costs", "l"), [0.0, 0.8], "costs.l: expected a 2-D matrix, got 1 dimensions"),
+    (("costs", "k"), [[0.0, 1.0]], "costs: k and l must be square"),
+    (("costs", "k"), [[0.0, math.inf], [1.0, 0.0]],
+     "costs: k must be finite; found inf at index (0, 1)"),
+    (("d",), 0, "d: expected a positive integer"),
+    (("horizon",), -2.0, "horizon: expected a positive finite number"),
+    (("generator", "family"), DELETE, "generator: expected an object with a 'family' field"),
+    (("generator", "z"), 1.0, "generator: unknown field(s) ['z']"),
+    (("generator", "family"), "warp", "generator: unknown generator family 'warp'"),
+    (("terminal",), "affine", "terminal: expected an object with a 'family' field"),
+    (("terminal", "gamma"), 1.0, "terminal: unknown field(s) ['gamma']"),
+    (("terminal", "alpha"), [[0.3]], "terminal: alpha must have shape (2, 2)"),
+    (("tree",), [], "tree: expected an object"),
+    (("tree", "depth"), 3, "tree: unknown field(s) ['depth']"),
+    (("tree", "N"), 0, "tree.N: expected a positive integer"),
+    (("tree", "recombining"), "yes", "tree.recombining: expected a boolean"),
+    (("tree", "node_cap"), 0, "tree.node_cap: expected a positive integer"),
+    (("tasks",), [], "tasks: expected a non-empty list"),
+    (("tasks", 1), 5, "tasks[1]: expected a task name or object"),
+    (("tasks", 1), "warp", f"tasks[1]: unknown task 'warp' (known: {KNOWN_TASKS})"),
+    (("tasks", 2, "extra"), 1, "tasks[2]: unknown parameter(s) ['extra'] for task 'penalize'"),
+    (("tasks", 2, "n_list"), DELETE, "tasks[2]: task 'penalize' requires parameter(s) ['n_list']"),
+    (("tasks", 2, "n_list"), [0], "tasks[2].n_list: expected a non-empty list of positive "
+                                   "integers"),
+    (("tasks", 5, "m_list"), [], "tasks[5].m_list: expected a non-empty list of positive "
+                                 "integers"),
+    (("out_dir",), "", "out_dir: expected a non-empty string"),
+    (("tolerances",), [], "tolerances: expected an object"),
+    (("tolerances", "loose"), 1.0, "tolerances: unknown field(s) ['loose'] "
+                                    "(known: ['match', 'picard', 'projection', 'saddle'])"),
+    (("tolerances", "saddle"), -1.0, "tolerances.saddle: expected a positive number"),
+    (("costs", "k"), [[0.0, 0.0], [1.0, 0.0]], "spec: k has a nonpositive off-diagonal entry"),
+]
+# Inputs d08c104 accepted, or let escape as a TypeError or ValueError traceback:
+NEWLY_REJECTED = [
+    (("tolerances", "saddle"), math.nan, "tolerances.saddle: expected a positive number"),
+    (("tolerances", "picard"), math.nan, "tolerances.picard: expected a positive number"),
+    (("tolerances", "match"), math.inf, "tolerances.match: expected a positive number"),
+    (("d",), True, "d: expected a positive integer"),
+    (("tasks", 3, "catalog_size"), "abc",
+     "tasks[3].catalog_size: expected a non-negative integer"),
+    (("tasks", 3, "catalog_size"), -3, "tasks[3].catalog_size: expected a non-negative integer"),
+    (("tasks", 3, "seed"), "x", "tasks[3].seed: expected a non-negative integer"),
+    (("tasks", 6, "max_steps"), "a", "tasks[6].max_steps: expected a positive integer"),
+    (("tasks", 6, "max_modes"), 0, "tasks[6].max_modes: expected a positive integer"),
+    (("tasks", 5, "n"), "x", "tasks[5].n: expected a positive integer"),
+    (("tasks", 5, "n"), 0, "tasks[5].n: expected a positive integer"),
+    (("tasks", 2, "n_list"), [True],
+     "tasks[2].n_list: expected a non-empty list of positive integers"),
+    (("tasks", 2, "task"), ["penalize"],
+     f"tasks[2]: unknown task ['penalize'] (known: {KNOWN_TASKS})"),
+    (("tree", "N"), True, "tree.N: expected a positive integer"),
+    (("tree", "node_cap"), True, "tree.node_cap: expected a positive integer"),
+    (("horizon",), True, "horizon: expected a positive finite number"),
+    (("schema",), True, "schema: expected 1, got True"),
+    (("generator", "c"), "abc", "generator.c: expected a number or an array of numbers"),
+    (("generator", "c"), [[2.0, -2.0], [-2.0]],
+     "generator.c: expected a number or an array of numbers"),
+    (("terminal", "beta"), [[1.0, True], [0.9, 0.9]],
+     "terminal.beta: expected a number or an array of numbers"),
+]
+
+
+def malformed(tmp_path, where, value):
+    """The small scenario with every task and tolerance, `value` written (or
+    DELETE'd) at `where`."""
+    path = small_scenario(tmp_path, tasks=EVERY_TASK, tolerances=runner.DEFAULT_TOLERANCES)
+    doc = json.loads(path.read_text())
+    *parents, last = where
+    target = functools.reduce(lambda node, key: node[key], parents, doc)
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestFieldRules:
+    def test_parameters_are_kept_as_written(self, tmp_path):
+        scenario = parse_scenario(small_scenario(tmp_path, tasks=EVERY_TASK,
+                                                 tolerances=runner.DEFAULT_TOLERANCES))
+        assert [t.params for t in scenario.tasks] == [
+            {k: v for k, v in t.items() if k != "task"} if isinstance(t, dict) else {}
+            for t in EVERY_TASK]
+
+    @pytest.mark.parametrize("where,value,message", PINNED + NEWLY_REJECTED,
+                             ids=[f"{'.'.join(map(str, w))}={v!r}" if v is not DELETE
+                                  else f"{'.'.join(map(str, w))}-deleted"
+                                  for w, v, _ in PINNED + NEWLY_REJECTED])
+    def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, where, value, message):
+        path = malformed(tmp_path, where, value)
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"{path}: {message}"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestParsing:
@@ -86,6 +207,15 @@ class TestParsing:
         path = tmp_path / "broken.json"
         path.write_text('{"schema": 1,\n  "name": }\n')
         with pytest.raises(ScenarioError, match=r":2:\d+: malformed JSON"):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize("token", ["1" + "0" * 5000, "[" * 100000 + "]" * 100000])
+    def test_json_past_the_parser_limits_is_a_scenario_error(self, tmp_path, token):
+        # json.loads raises a plain ValueError for an integer literal over
+        # 4,300 digits and RecursionError for deep nesting
+        path = small_scenario(tmp_path)
+        path.write_text(path.read_text().replace('"horizon": 0.24', f'"horizon": {token}'))
+        with pytest.raises(ScenarioError, match="JSON beyond the parser's limits"):
             parse_scenario(path)
 
     def test_missing_file(self, tmp_path):
@@ -187,6 +317,22 @@ class TestPipeline:
             assert len(validate) == 1 and "refine the tree to N >= 3" in validate[0]
         else:
             assert result.exit_code == 0 and not validate
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_tolerance_override_is_validated(self, tmp_path, capsys, monkeypatch, value):
+        # with --tolerance nan every saddle comparison was False, so this
+        # corrupted solution passed with exit 0
+        def corrupt(sol):
+            sol.Y[0] = sol.Y[0] + 0.3
+
+        monkeypatch.setattr(cli, "run", functools.partial(runner.run, solution_hook=corrupt))
+        path = small_scenario(tmp_path)
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "default")]) == 1
+        capsys.readouterr()
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "bad"),
+                         f"--tolerance={value}"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["--tolerance: expected a positive number"]
+        assert not (tmp_path / "bad").exists()
 
     def test_task_dependency_chain_message(self, tmp_path):
         scenario = parse_scenario(small_scenario(tmp_path))
