@@ -109,11 +109,9 @@ class FeedbackStrategy:
     def serialize_rows(self):
         """Flat (level, node, i, j, action) records for counterexample replay."""
         for t, a in enumerate(self.actions):
-            n_t, m1, m2 = a.shape
-            for n in range(n_t):
-                for i in range(m1):
-                    for j in range(m2):
-                        yield [t, n, i + 1, j + 1, int(a[n, i, j]) + 1]
+            n, i, j = np.indices(a.shape).reshape(3, -1)
+            yield from np.stack([np.full_like(n, t), n, i + 1, j + 1,
+                                 np.ravel(a) + 1], axis=1).tolist()
 
 
 @dataclass
@@ -511,6 +509,13 @@ def _certificate_margin(spec: GameSpec, tree, xi):
     return max(1e-12, float(2.0 * growth * per_level))
 
 
+def _add_violations(violations, kind, name, slack, tol, strategy):
+    """Append a violation per start pair whose (m1, m2) slack exceeds tol, in
+    row-major order; start pairs are tuples of Python ints."""
+    for i, j in zip(*np.nonzero(slack > tol)):
+        violations.append((kind, name, (int(i), int(j)), slack[i, j], strategy))
+
+
 def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 200,
                   seed: int = 0, tol: float = 1e-8) -> SaddleReport:
     """Check the saddle inequalities: certify them by best replies, or name
@@ -534,20 +539,14 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
     xi = spec.check_terminal(tree.leaf_w)
     a_star, b_star = extract_saddle(sol, spec)
     root_Y = sol.root
-    value = _switched_backward(spec, tree, xi, a_star, b_star)
+    gaps = np.abs(_switched_backward(spec, tree, xi, a_star, b_star).root() - root_Y)
     report = SaddleReport(
-        value_gap={}, violations=[],
+        value_gap=dict(np.ndenumerate(gaps)), violations=[],
         catalog_size_I=_catalog_size(spec, "I", catalog_size),
         catalog_size_II=_catalog_size(spec, "II", catalog_size),
         certificate_margin=_certificate_margin(spec, tree, xi),
     )
-    violations = report.violations
-    for i in range(spec.m1):
-        for j in range(spec.m2):
-            gap = abs(value.root((i, j)) - root_Y[i, j])
-            report.value_gap[(i, j)] = gap
-            if gap > tol:
-                violations.append(("value", "saddle_pair", (i, j), gap, None))
+    _add_violations(report.violations, "value", "saddle_pair", gaps, tol, None)
     if report.certificate_margin is not None:
         reply_II = _best_reply(spec, tree, xi, a_star).root()
         reply_I = _best_reply(spec, tree, xi, b_star).root()
@@ -562,18 +561,10 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
     rng = np.random.default_rng(seed)
     for name, b in _catalog(sol, "II", catalog_size, rng):
         u = _switched_backward(spec, tree, xi, a_star, b)
-        for i in range(spec.m1):
-            for j in range(spec.m2):
-                slack = u.root((i, j)) - root_Y[i, j]
-                if slack > tol:
-                    violations.append(("upper", name, (i, j), slack, b))
+        _add_violations(report.violations, "upper", name, u.root() - root_Y, tol, b)
     for name, a in _catalog(sol, "I", catalog_size, rng):
         u = _switched_backward(spec, tree, xi, a, b_star)
-        for i in range(spec.m1):
-            for j in range(spec.m2):
-                slack = root_Y[i, j] - u.root((i, j))
-                if slack > tol:
-                    violations.append(("lower", name, (i, j), slack, a))
+        _add_violations(report.violations, "lower", name, root_Y - u.root(), tol, a)
     return report
 
 

@@ -57,12 +57,14 @@ class _Tree:
         self.T = float(T)
         self.dt = float(T) / N
         self.branching = 1 << d
-        self.num_nodes = sum(self.level_size(t) for t in range(N + 1))
-        if self.num_nodes > node_cap:
-            raise SizingError(
-                f"{self._noun} with N={N}, d={d} has {self.num_nodes} {self._unit}, "
-                f"exceeding the cap {node_cap}"
-            )
+        # the count stops at the first level that passes the cap, so a huge
+        # N is refused without summing (or printing) its exact size
+        self.num_nodes = 0
+        for t in range(N + 1):
+            self.num_nodes += self.level_size(t)
+            if self.num_nodes > node_cap:
+                raise SizingError(f"{self._noun} with N={N}, d={d} passes the cap of "
+                                  f"{node_cap} {self._unit} by level {t}")
         self.signs = _branch_signs(d)
 
     @property

@@ -2,9 +2,9 @@
 reflection, plus the doubly penalized plain system and convergence reporting.
 
 At penalty level n the driver gains ``n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-``
-(the j'=j term vanishes identically because l(j,j) = 0), each step is followed
-by the upper-only projection, and the implied lower push is the left-endpoint
-time integral of the penalty intensity beta.
+(the j'=j term vanishes identically because l(j,j) = 0) and each step is
+followed by the upper-only projection.  The solution keeps the penalty
+intensity beta at every node; beta * dt is the implied lower push increment.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import bsde
 from .errors import SizingError
 from .model import GameSpec, project_oblique_batch
-from .reflected import RbsdeSolution, _accumulate
+from .reflected import RbsdeSolution
 
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
 
@@ -108,8 +108,8 @@ def _require_penalty_contraction(tree, spec, n, m):
 class PenalizedSolution:
     """Solution of the level-n penalized system.
 
-    beta[t] is the penalty intensity at the solved values; L is its
-    left-endpoint cumulative time integral along paths (path trees only).
+    dK[t] holds the upper push increments of level t (t < N); beta[t] is the
+    penalty intensity at the solved values of level t.
     """
 
     tree: object
@@ -119,8 +119,6 @@ class PenalizedSolution:
     Z: list
     dK: list
     beta: list
-    K: list | None = None
-    L: list | None = None
 
     @property
     def root(self) -> np.ndarray:
@@ -150,11 +148,7 @@ def solve_penalized(spec: GameSpec, tree, n: int,
     Y, Z, dK = bsde.backward(tree, spec.check_terminal(tree.leaf_w), bsde.DriverFn(driver, lip),
                              post, picard_tol=picard_tol)
     beta = [lower_penalty_intensity(y, l, n) for y in Y]
-    sol = PenalizedSolution(tree=tree, spec=spec, n=n, Y=Y, Z=Z, dK=dK, beta=beta)
-    if not tree.recombining:
-        sol.K = _accumulate(tree, dK)
-        sol.L = _accumulate(tree, [b * tree.dt for b in beta[:-1]])
-    return sol
+    return PenalizedSolution(tree=tree, spec=spec, n=n, Y=Y, Z=Z, dK=dK, beta=beta)
 
 
 @dataclass

@@ -9,7 +9,9 @@ does not load on the Brownian increments).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +38,9 @@ class RbsdeSolution:
                       the increment computed at a node accrues over [t, t+dt),
                       so cumulative K at a node sums the increments of its
                       strict ancestors and K(root) = 0.
-    K[t], L[t]      : cumulative pushes per node (path trees only; on the
-                      recombining lattice a state does not determine the path,
-                      so the cumulants are left as None).
+    K[t], L[t]      : cumulative pushes per node, summed from dK and dL on
+                      first read (path trees only; on the recombining lattice
+                      a state does not determine the path, so they are None).
     """
 
     tree: object
@@ -47,17 +49,26 @@ class RbsdeSolution:
     Z: list
     dK: list
     dL: list
-    K: list | None = None
-    L: list | None = None
 
     @property
     def root(self) -> np.ndarray:
         """(m1, m2) matrix of root values."""
         return self.Y[0][0]
 
+    @cached_property
+    def K(self) -> list | None:
+        return _accumulate(self.tree, self.dK)
+
+    @cached_property
+    def L(self) -> list | None:
+        return _accumulate(self.tree, self.dL)
+
 
 def _accumulate(tree, increments):
-    """Root-to-node cumulative sums of per-level push increments (path tree)."""
+    """Root-to-node cumulative sums of per-level push increments on a path
+    tree; None on a recombining lattice."""
+    if tree.recombining:
+        return None
     out = [np.zeros((1,) + increments[0].shape[1:])]
     for t in range(tree.N):
         nxt = np.repeat(out[t] + increments[t], tree.branching, axis=0)
@@ -84,11 +95,7 @@ def solve_rbsde(spec: GameSpec, tree, picard_tol=bsde.DEFAULT_PICARD_TOL,
 
     Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree.leaf_w), spec.generator,
                                  post, picard_tol=picard_tol)
-    sol = RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
-    if not tree.recombining:
-        sol.K = _accumulate(tree, dK)
-        sol.L = _accumulate(tree, dL)
-    return sol
+    return RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
 
 
 def check_minimality(sol: RbsdeSolution, spec: GameSpec | None = None,
@@ -126,37 +133,36 @@ def domain_report(sol: RbsdeSolution, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def _text(a):
+    """Lazy ``repr`` text of the entries of `a`, in C order."""
+    return map(repr, map(float, a.flat))
+
+
 def export_rows(sol: RbsdeSolution):
     """Yield one flat record per (node, mode pair) for tabular export.
 
     Columns: level, node, i, j, W components, Y, Z components, dK, dL,
     cumulative K, cumulative L.  Z/dK/dL are empty strings on leaf rows;
-    cumulants are empty when the tree is recombining.
+    cumulants are empty when the tree is recombining.  Each level's columns
+    are lazy text over its whole arrays, zipped in (node, i, j) order.
     """
     tree = sol.tree
-    d = tree.d
+    blank = itertools.repeat("")    # an endless column of empty cells
     for t in range(tree.N + 1):
-        w = tree.level_w(t)
         y = sol.Y[t]
         n_t, m1, m2 = y.shape
-        for n in range(n_t):
-            for i in range(m1):
-                for j in range(m2):
-                    row = [t, n, i + 1, j + 1]
-                    row += [repr(float(v)) for v in w[n]]
-                    row.append(repr(float(y[n, i, j])))
-                    if t < tree.N:
-                        row += [repr(float(sol.Z[t][n, p, i, j])) for p in range(d)]
-                        row.append(repr(float(sol.dK[t][n, i, j])))
-                        row.append(repr(float(sol.dL[t][n, i, j])))
-                    else:
-                        row += [""] * (d + 2)
-                    if sol.K is not None:
-                        row.append(repr(float(sol.K[t][n, i, j])))
-                        row.append(repr(float(sol.L[t][n, i, j])))
-                    else:
-                        row += ["", ""]
-                    yield row
+        w = tree.level_w(t)
+        cols = [_text(np.broadcast_to(w[:, p, None, None], y.shape)) for p in range(tree.d)]
+        cols.append(_text(y))
+        if t < tree.N:
+            cols += [_text(sol.Z[t][:, p]) for p in range(tree.d)]
+            cols += [_text(sol.dK[t]), _text(sol.dL[t])]
+        else:
+            cols += [blank] * (tree.d + 2)
+        cols += [blank] * 2 if sol.K is None else [_text(sol.K[t]), _text(sol.L[t])]
+        keys = itertools.product(range(n_t), range(1, m1 + 1), range(1, m2 + 1))
+        for key, *cells in zip(keys, *cols):
+            yield [t, *key, *cells]
 
 
 def export_header(d: int):

@@ -263,9 +263,15 @@ def parse_scenario(path) -> Scenario:
     errs = []
     top = _fields(doc, _FIELDS[""], "", errs, unknown="unknown top-level field(s): {names}")
     costs = _costs(top["costs"], errs)
+    tree = _fields(top["tree"], _FIELDS["tree"], "tree", errs)
+    node_cap = tree["node_cap"] if tree else DEFAULT_NODE_CAP
+    # one step has 2**d children; bit lengths compare without computing 2**d
+    if top["d"] >= (node_cap - 1).bit_length():
+        errs.append(f"d: {top['d']} Brownian components need 2**d + 1 nodes for one "
+                    f"step, more than the node cap {node_cap}")
+        top["d"] = 1
     generator = _family(GeneratorSpec, "generator", top["generator"], costs, errs, d=top["d"])
     terminal = _family(TerminalSpec, "terminal", top["terminal"], costs, errs)
-    tree = _fields(top["tree"], _FIELDS["tree"], "tree", errs)
     tasks = [_task(entry, f"tasks[{idx}]", errs) for idx, entry in enumerate(top["tasks"] or [])]
     tolerances = _fields(top["tolerances"], _FIELDS["tolerances"], "tolerances", errs,
                          unknown="{where}: unknown field(s) {names} "

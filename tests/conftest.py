@@ -1,4 +1,8 @@
-"""Shared fixtures: the standard 2x2 instance, trees, and random-instance helpers."""
+"""Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
+a wall-time budget and an array that refuses per-entry reads."""
+
+import contextlib
+import signal
 
 import numpy as np
 import pytest
@@ -24,6 +28,32 @@ STANDARD_C = [[2.0, -2.0], [-2.0, 2.0]]
 STANDARD_ALPHA = [[0.3, 0.9], [-0.4, 0.4]]
 STANDARD_BETA = [[1.0, 1.0], [0.9, 0.9]]
 STANDARD_T = 0.24
+
+
+@contextlib.contextmanager
+def time_budget(seconds: int):
+    """Raise TimeoutError inside the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past its {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class NoEntryReads(np.ndarray):
+    """An array that fails any read by integer index alone (one node, or one
+    entry); whole-array operations, slices and iteration of `.flat` pass."""
+
+    def __getitem__(self, key):
+        keys = key if isinstance(key, tuple) else (key,)
+        if all(isinstance(k, (int, np.integer)) for k in keys):
+            raise AssertionError(f"per-entry read {key!r}")
+        return super().__getitem__(key)
 
 
 def standard_costs() -> CostTables:

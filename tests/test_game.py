@@ -36,7 +36,13 @@ from switchgame.model import (
 from switchgame.reflected import RbsdeSolution, solve_rbsde
 from switchgame.runner import parse_scenario
 
-from conftest import make_standard, n2_fixture_set, random_admissible_spec, standard_costs
+from conftest import (
+    NoEntryReads,
+    make_standard,
+    n2_fixture_set,
+    random_admissible_spec,
+    standard_costs,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
 
@@ -392,6 +398,16 @@ class TestSaddle:
         rows = list(b.serialize_rows())
         assert len(rows) == (1 + 2) * 4
         assert rows[0] == [0, 0, 1, 1, 1]
+
+    def test_strategy_serialization_reads_whole_tables(self, standard_spec, rng):
+        tree = build_tree(3, 1, standard_spec.horizon)
+        a = FeedbackStrategy.random("I", tree, 2, 2, rng)
+        guarded = FeedbackStrategy("I", [x.view(NoEntryReads) for x in a.actions])
+        rows = list(guarded.serialize_rows())
+        assert rows == [[t, n, i + 1, j + 1, int(x[n, i, j]) + 1]
+                        for t, x in enumerate(a.actions) for n in range(x.shape[0])
+                        for i in range(2) for j in range(2)]
+        assert {type(v) for r in rows for v in r} == {int}
 
     def test_catalog_keeps_the_draw_order(self, standard_spec):
         # the catalog is drawn lazily; exhausting Player II's before starting

@@ -8,7 +8,7 @@ from switchgame.errors import DataError, SizingError
 from switchgame.game import FeedbackStrategy, simulate_path
 from switchgame.lattice import PathTree, RecombiningTree, build_tree
 
-from conftest import make_standard
+from conftest import make_standard, time_budget
 
 
 class TestConstruction:
@@ -41,6 +41,21 @@ class TestConstruction:
             build_tree(0, 1, 1.0)
         with pytest.raises(DataError):
             build_tree(2, 1, -1.0)
+
+    def test_node_cap_is_exact(self):
+        assert build_tree(3, 1, 1.0, node_cap=15).num_nodes == 15
+        with pytest.raises(SizingError, match="N=3, d=1 passes the cap of 14 nodes by level 3"):
+            build_tree(3, 1, 1.0, node_cap=14)
+
+    def test_huge_N_is_refused_at_the_first_level_past_the_cap(self):
+        # summing every level size first was quadratic in N, and printing a
+        # count past 4,300 digits raised a ValueError instead
+        with time_budget(5):
+            with pytest.raises(SizingError, match=r"tree with N=100000, d=1 .* 4194304 nodes"):
+                build_tree(100_000, 1, 1.0)
+            with pytest.raises(SizingError,
+                               match=r"lattice with N=100000000, d=1 .* 4194304 states"):
+                build_tree(10 ** 8, 1, 1.0, recombining=True)
 
     @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
     @pytest.mark.parametrize("recombining", [False, True])

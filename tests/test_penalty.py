@@ -9,12 +9,11 @@ per instance.
 """
 
 import re
-import signal
 
 import numpy as np
 import pytest
 
-from switchgame import build_tree
+from switchgame import build_tree, penalty
 from switchgame.errors import SizingError
 from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from switchgame.penalty import (
@@ -29,7 +28,7 @@ from switchgame.penalty import (
 )
 from switchgame.reflected import solve_rbsde
 
-from conftest import make_standard, standard_costs
+from conftest import make_standard, standard_costs, time_budget
 
 N_LIST = [1, 2, 4, 8, 16, 32]
 
@@ -106,20 +105,11 @@ class TestSizing:
                         TerminalSpec("constant", 2, 1, alpha=[[0.1], [0.0]]),
                         horizon=1.0)
         tree = build_tree(4, 1, 1.0)
-
-        def expire(signum, frame):
-            raise TimeoutError("max_penalty_level did not return within 5 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(5)
-        try:
+        with time_budget(5):
             with pytest.raises(SizingError, match="lower penalty vanishes"):
                 max_penalty_level(tree, spec)
             # a driver that breaks the contraction alone leaves no usable level
             assert _largest_level(tree, spec, 4.0) == 0
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def test_contraction_violation_reports_usable_level(self, standard_spec):
         tree = build_tree(2, 1, standard_spec.horizon)
@@ -206,6 +196,13 @@ class TestSinglePenalty:
             if on.any():
                 gap = np.abs(sol.Y[t] - upper_barrier(sol.Y[t], spec.costs))
                 assert gap[on].max() < 1e-8
+
+    def test_solution_keeps_no_cumulants(self, standard_spec):
+        # the push cumulants had no reader; a penalized solution keeps the
+        # increments and intensities only
+        sol = solve_penalized(standard_spec, build_tree(3, 1, standard_spec.horizon), 2)
+        assert not hasattr(sol, "K") and not hasattr(sol, "L")
+        assert not hasattr(penalty, "_accumulate")
 
     def test_gap_shrinks_along_the_sweep(self, standard_run):
         _, _, _, report = standard_run

@@ -4,7 +4,7 @@ cross-solver agreement, and the one-sided reduction."""
 import numpy as np
 import pytest
 
-from switchgame import build_tree
+from switchgame import build_tree, reflected
 from switchgame.bsde import DriverFn, backward, solve_system
 from switchgame.errors import DataError
 from switchgame.game import brute_force_value
@@ -17,6 +17,7 @@ from switchgame.model import (
     project_oblique_batch,
 )
 from switchgame.reflected import (
+    RbsdeSolution,
     check_minimality,
     domain_report,
     export_header,
@@ -24,7 +25,15 @@ from switchgame.reflected import (
     solve_rbsde,
 )
 
-from conftest import make_standard, random_admissible_spec, standard_costs
+from conftest import (
+    STANDARD_ALPHA,
+    STANDARD_BETA,
+    STANDARD_C,
+    NoEntryReads,
+    make_standard,
+    random_admissible_spec,
+    standard_costs,
+)
 
 
 class TestTrivialInstances:
@@ -211,3 +220,71 @@ class TestErrorsAndExport:
         leaf_rows = [r for r in rows if r[0] == 2]
         zcol = header.index("Z1")
         assert all(r[zcol] == "" for r in leaf_rows)
+
+
+def standard_in_dimension(d):
+    """The standard 2x2 instance with d Brownian components (W1 drives the terminal)."""
+    return GameSpec(standard_costs(), GeneratorSpec("mode_constant", 2, 2, d=d, c=STANDARD_C),
+                    TerminalSpec("affine", 2, 2, alpha=STANDARD_ALPHA, beta=STANDARD_BETA),
+                    horizon=0.24, d=d)
+
+
+class TestExportAndCumulants:
+    @pytest.mark.parametrize("recombining", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_field_reads_back_exactly(self, d, recombining):
+        spec = standard_in_dimension(d)
+        tree = build_tree(3, d, spec.horizon, recombining=recombining)
+        sol = solve_rbsde(spec, tree)
+        header = export_header(d)
+        col = {name: header.index(name) for name in header}
+        rows = list(export_rows(sol))
+        assert len(rows) == tree.num_nodes * 4
+        assert [tuple(r[:4]) for r in rows] == [
+            (t, n, i, j) for t in range(tree.N + 1) for n in range(tree.level_size(t))
+            for i in (1, 2) for j in (1, 2)]
+        for row in rows:
+            t, n, i, j = row[:4]
+            fields = {"Y": sol.Y[t][n, i - 1, j - 1]}
+            fields.update({f"W{p + 1}": tree.level_w(t)[n, p] for p in range(d)})
+            leaf = t == tree.N
+            if not leaf:
+                fields.update({f"Z{p + 1}": sol.Z[t][n, p, i - 1, j - 1] for p in range(d)})
+                fields.update(dK=sol.dK[t][n, i - 1, j - 1], dL=sol.dL[t][n, i - 1, j - 1])
+            if not recombining:
+                fields.update(K=sol.K[t][n, i - 1, j - 1], L=sol.L[t][n, i - 1, j - 1])
+            for name, value in fields.items():
+                assert float(row[col[name]]) == value, (name, row)
+            blank = [f"Z{p + 1}" for p in range(d)] + ["dK", "dL"] if leaf else []
+            blank += ["K", "L"] if recombining else []
+            assert [row[col[name]] for name in blank] == [""] * len(blank)
+        assert any(float(r[col["dL"]]) > 0.0 for r in rows if r[0] < tree.N)
+
+    def test_cumulants_are_summed_on_first_read(self, standard_spec, monkeypatch):
+        calls = []
+        original = reflected._accumulate
+        monkeypatch.setattr(reflected, "_accumulate",
+                            lambda tree, inc: calls.append(1) or original(tree, inc))
+        tree = build_tree(4, 1, standard_spec.horizon)
+        sol = solve_rbsde(standard_spec, tree)
+        assert calls == []
+        for name, increments in (("K", sol.dK), ("L", sol.dL)):
+            # a node's cumulant sums the increments of its strict ancestors
+            expected = [sum(increments[s][np.arange(tree.level_size(t)) // 2 ** (t - s)]
+                            for s in range(t)) + np.zeros((tree.level_size(t), 2, 2))
+                        for t in range(tree.N + 1)]
+            for got, want in zip(getattr(sol, name), expected):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert len(calls) == 2
+        sol.K, sol.L
+        assert len(calls) == 2
+        assert sum(float(a.max()) for a in sol.dL) > 0.0
+
+    def test_export_reads_whole_arrays_only(self, standard_spec):
+        tree = build_tree(3, 1, standard_spec.horizon)
+        sol = solve_rbsde(standard_spec, tree)
+        guarded = RbsdeSolution(
+            tree=tree, spec=standard_spec,
+            **{name: [a.view(NoEntryReads) for a in getattr(sol, name)]
+               for name in ("Y", "Z", "dK", "dL")})
+        assert list(export_rows(guarded)) == list(export_rows(sol))

@@ -1,17 +1,23 @@
 """Scenario parsing, the task pipeline, report determinism, and CLI exit codes."""
 
+import csv
 import functools
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from switchgame import cli, runner
 from switchgame.cli import main as cli_main
 from switchgame.errors import DataError, ScenarioError
+from switchgame.penalty import solve_double_penalized, solve_penalized
 from switchgame.runner import parse_scenario, run
+
+from conftest import time_budget
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ROOT / "src" / "switchgame" / "scenarios"
@@ -130,6 +136,11 @@ NEWLY_REJECTED = [
      "generator.c: expected a number or an array of numbers"),
     (("terminal", "beta"), [[1.0, True], [0.9, 0.9]],
      "terminal.beta: expected a number or an array of numbers"),
+    # one step has 2**d children, so no tree within the node cap exists
+    (("d",), 10 ** 30, f"d: {10 ** 30} Brownian components need 2**d + 1 nodes for one "
+                       "step, more than the node cap 4194304"),
+    (("d",), 23, "d: 23 Brownian components need 2**d + 1 nodes for one step, more than "
+                 "the node cap 4194304"),
 ]
 
 
@@ -334,6 +345,55 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == ["--tolerance: expected a positive number"]
         assert not (tmp_path / "bad").exists()
 
+    def test_lowered_root_trips_the_upper_inequality_on_the_catalog(self, tmp_path):
+        def lower(sol):
+            sol.Y[0] = sol.Y[0] - 0.3
+
+        result = run(parse_scenario(small_scenario(tmp_path)), out_dir=tmp_path / "low",
+                     seed=0, tasks=["solve_direct", "saddle"], solution_hook=lower)
+        assert result.exit_code == 1
+        with open(tmp_path / "low" / "saddle.csv", newline="") as fh:
+            upper = [r for r in csv.reader(fh) if r[0] == "upper"]
+        catalog = {"stay", "constant_1", "constant_2", "greedy"} | {
+            f"random_{s}" for s in range(10)}
+        names = {r[1] for r in upper}
+        assert names and names <= catalog
+        upper_failures = [f for f in result.failures if f.startswith("saddle: upper")]
+        assert len(upper_failures) == len(upper)
+        assert all(re.search(r"\(strategy \w+, start \(\d, \d\)\)$", f) for f in upper_failures)
+        # each upper violation is followed by its strategy's replay table,
+        # one row per interior (node, i, j) of the N=4 tree
+        with open(tmp_path / "low" / "saddle_violations.csv", newline="") as fh:
+            replay = [r for r in csv.reader(fh) if r[0] == "upper"]
+        assert {r[1] for r in replay} == names
+        for name in names:
+            count = sum(r[1] == name for r in upper)
+            assert sum(r[1] == name for r in replay) == count * 15 * 4
+
+    def test_tolerance_override_sets_saddle_and_match_only(self, tmp_path):
+        path = small_scenario(tmp_path)
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "tol"),
+                         "--tolerance", "1e-6"]) == 0
+        manifest = json.loads((tmp_path / "tol" / "manifest.json").read_text())
+        assert manifest["tolerances"] == {**runner.DEFAULT_TOLERANCES,
+                                          "saddle": 1e-6, "match": 1e-6}
+
+    def test_double_penalize_report_matches_the_solvers(self, tmp_path):
+        scenario = parse_scenario(small_scenario(
+            tmp_path, tasks=[{"task": "double_penalize", "n": 4, "m_list": [1, 2, 4]}]))
+        assert run(scenario, out_dir=tmp_path / "dp").exit_code == 0
+        lines = (tmp_path / "dp" / "double_penalize.csv").read_text().splitlines()
+        assert lines[0] == "m,Y_root_11,Y_root_12,Y_root_21,Y_root_22,gap_to_single"
+        tree = scenario.build_tree()
+        single = solve_penalized(scenario.spec, tree, 4)
+        expected = []
+        for m in (1, 2, 4):
+            sol = solve_double_penalized(scenario.spec, tree, 4, m)
+            gap = max(float(np.abs(y - ys).max()) for y, ys in zip(sol.Y, single.Y))
+            expected.append(",".join([str(m), *(repr(float(v)) for v in sol.root.ravel()),
+                                      repr(gap)]))
+        assert lines[1:] == expected
+
     def test_task_dependency_chain_message(self, tmp_path):
         scenario = parse_scenario(small_scenario(tmp_path))
         result = run(scenario, out_dir=tmp_path / "dep", tasks=["saddle"])
@@ -402,6 +462,14 @@ class TestCli:
             parse_scenario(path)
         assert cli_main(["solve", str(path)]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_huge_tree_exits_two_naming_its_size(self, tmp_path, capsys):
+        # at N=15000 the exact node count has more than 4,300 digits, and
+        # formatting it escaped as a ValueError traceback
+        path = small_scenario(tmp_path, tree={"N": 15000})
+        with time_budget(10):
+            assert cli_main(["solve", str(path), "--out", str(tmp_path / "huge")]) == 2
+        assert "tree with N=15000, d=1 passes the cap of 4194304 nodes" in capsys.readouterr().err
 
     def test_missing_scenario_exits_two(self, tmp_path):
         assert cli_main(["solve", str(tmp_path / "absent.json")]) == 2
