@@ -11,10 +11,11 @@ values on level t,
 solves the implicit equation ``y = E + driver(t, w, y, z) * dt`` on the
 whole (node, mode pair) field by Picard iteration started from E, and hands
 (y, z) to the solver's post-step: the identity (`solve_system`), the oblique
-projection (`reflected`), the upper-only projection behind a penalty driver
-(`penalty`), a gather at the settled pairs plus switch costs
-(`game.eval_switched`), the best-reply read-out (`game.verify_saddle`), or a
-gather plus the lower-only projection (`game.solve_lower_reflected`).  The
+projection (`reflected`), the exact upper clamp ``min(y, upper_barrier(y))``
+behind a penalty driver (`penalty`), a gather at the settled pairs plus
+switch costs (`game.eval_switched`), the best-reply read-out
+(`game.verify_saddle`), or a gather plus the exact lower clamp
+``max(y, lower_barrier(y))`` (`game.solve_lower_reflected`).  The
 drivers act entrywise on (node, pair), so a gather after the solve gives the
 fixed point of a solve at the gathered pairs.  This is the discretely
 obliquely reflected scheme of Chassagneux, Elie & Kharroubi (AAP 2012): an

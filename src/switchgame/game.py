@@ -51,7 +51,8 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError
-from .model import GameSpec, lower_candidates, project_oblique_batch, upper_candidates
+from .model import (GameSpec, lower_barrier, lower_candidates, upper_barrier,
+                    upper_candidates)
 from .reflected import RbsdeSolution
 
 BRUTE_FORCE_MAX_STEPS = 3
@@ -435,13 +436,13 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
                 return np.where(stays, stay, charge + move[n_idx, act, j_grid])
 
             def turn_II(stay, move):
-                return np.maximum(stay, lower_candidates(move, costs).max(axis=-1))
+                return np.maximum(stay, lower_barrier(move, costs))
         else:
             stays = act == j_grid
             charge = costs.l[j_grid, act]
 
             def turn_I(stay, move):
-                return np.minimum(stay, upper_candidates(move, costs).min(axis=-2))
+                return np.minimum(stay, upper_barrier(move, costs))
 
             def turn_II(stay, move):
                 return np.where(stays, stay, move[n_idx, i_grid, act] - charge)
@@ -578,13 +579,15 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     The strategy must not read the opponent coordinate (its action table is
     constant across j).  Each step: the implicit step's value at the
     strategy's mode choice, plus the Player-I switch cost, then the lower (l)
-    barriers are enforced by upward projection with the system's own minimal
-    push.
+    barriers are enforced by the minimal upward push, one clamp
+    ``max(y, lower_barrier(y))``; it is exact under the strict triangle
+    inequality, which `spec.require_valid()` checks.
 
     Returns the list of per-level (n_t, m1, m2) value fields.
     """
     if a.player != "I":
         raise DataError("expected a Player-I strategy")
+    spec.require_valid()
     _check_actions(spec, tree, a)
     if not a.j_uniform():
         raise DataError("the representation route needs a j-independent strategy")
@@ -595,8 +598,7 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
         ia = a.actions[t]                           # (n, m1, m2), j-uniform
         n_idx = np.arange(W.shape[0])[:, None, None]
         y = W[n_idx, ia, j_grid] + spec.costs.k[i_grid, ia]
-        y, _, _ = project_oblique_batch(y, spec.costs, lower_only=True)
-        return (y,)
+        return (np.maximum(y, lower_barrier(y, spec.costs)),)
 
     return bsde.backward(tree, spec.check_terminal(tree.leaf_w), spec.generator, post)[0]
 

@@ -263,15 +263,8 @@ def in_Qbar(y, costs: CostTables, tol: float = 1e-9) -> bool:
     return not _outside_region(y, costs, tol).any()
 
 
-def project_oblique_batch(
-    y,
-    costs: CostTables,
-    tol: float = DEFAULT_PROJECTION_TOL,
-    order: str = "min_first",
-    upper_only: bool = False,
-    lower_only: bool = False,
-):
-    """Project a batch of mode matrices onto the constraint region.
+def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_TOL):
+    """Project a batch of mode matrices onto the two-sided constraint region.
 
     Gauss-Seidel sweeps over coordinates in row-major order; at each coordinate
     visit the value is reset to its pre-projection value and clamped down by
@@ -283,14 +276,15 @@ def project_oblique_batch(
     that caused it moves away, so the pushes are minimal.  The batch axis is
     vectorized; the coordinate sweep is sequential and deterministic.
 
+    A one-sided reflection needs no sweep: under the strict triangle
+    inequality one clamp, ``min(y, upper_barrier(y))`` or
+    ``max(y, lower_barrier(y))``, is its fixed point (the penalized and the
+    lower-reflected solvers use it).  On a single column or row this routine
+    is that one-sided sweep, since a single mode's barrier is infinite.
+
     Parameters
     ----------
     y : (n, m1, m2) or (m1, m2) array_like
-    order : "min_first" clamps by the upper barrier before the lower one at
-        each coordinate visit; "max_first" does the opposite.  Under the
-        no-zero-cost-loop condition both orders reach the same fixed point.
-    upper_only, lower_only : restrict to one family of constraints (used by the
-        penalized solver and by the switched-system solver respectively).
 
     Returns
     -------
@@ -303,22 +297,14 @@ def project_oblique_batch(
     m1, m2 = costs.m1, costs.m2
     if base.shape[-2:] != (m1, m2):
         raise DataError(f"value shape {base.shape[-2:]} does not match mode grid {(m1, m2)}")
-    if order not in ("min_first", "max_first"):
-        raise ValueError(f"unknown sweep order {order!r}")
 
-    do_upper = not lower_only and m1 > 1
-    do_lower = not upper_only and m2 > 1
-    if do_upper and do_lower:
+    rounds = 1      # a one-sided grid settles within m1*m2 sweeps
+    if m1 > 1 and m2 > 1:
         c = min_loop_cost(costs)
         span = float(base.max() - base.min()) if base.size else 0.0
-        if c > 0.0:
-            sweep_cap = m1 * m2 * math.ceil(span / c + 1.0) + 64
-        else:
-            # a zero-cost loop: diagnosed below when the sweeps do not settle
-            sweep_cap = m1 * m2 * 64 + 64
-    else:
-        # one-sided projections settle in at most m1*m2 sweeps
-        sweep_cap = m1 * m2 + 2
+        # a zero-cost loop is diagnosed below when the sweeps do not settle
+        rounds = math.ceil(span / c + 1.0) if c > 0.0 else 64
+    sweep_cap = m1 * m2 * rounds + 64
 
     # The sweep runs on an (m1, m2, n) copy, so a barrier reduces across
     # whole batch rows, not over a short axis once per batch entry.  The
@@ -326,20 +312,12 @@ def project_oblique_batch(
     # (upper) or -inf (lower) and never wins.
     work = np.moveaxis(base, 0, -1).copy()
     k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
-    upper_first = do_upper and order == "min_first"
-    upper_last = do_upper and order == "max_first"
     for _ in range(sweep_cap):
         prev = work.copy()
         for i in range(m1):
             for j in range(m2):
-                val = base[:, i, j]
-                if upper_first:
-                    val = np.minimum(val, (work[:, j] + k_off[i]).min(axis=0))
-                if do_lower:
-                    val = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
-                if upper_last:
-                    val = np.minimum(val, (work[:, j] + k_off[i]).min(axis=0))
-                work[i, j] = val
+                val = np.minimum(base[:, i, j], (work[:, j] + k_off[i]).min(axis=0))
+                work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
         if np.abs(work - prev).max() <= tol:
             break
     else:
@@ -360,9 +338,9 @@ def project_oblique_batch(
     return out, dK, dL
 
 
-def project_oblique(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_TOL, **kw):
+def project_oblique(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_TOL):
     """Single-matrix convenience wrapper around :func:`project_oblique_batch`."""
-    return project_oblique_batch(y, costs, tol=tol, **kw)
+    return project_oblique_batch(y, costs, tol=tol)
 
 
 # ---------------------------------------------------------------------------

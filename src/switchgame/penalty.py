@@ -3,8 +3,10 @@ reflection, plus the doubly penalized plain system and convergence reporting.
 
 At penalty level n the driver gains ``n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-``
 (the j'=j term vanishes identically because l(j,j) = 0) and each step is
-followed by the upper-only projection.  The solution keeps the penalty
-intensity beta at every node; beta * dt is the implied lower push increment.
+followed by the exact upper clamp ``min(y, upper_barrier(y))``, the minimal
+downward push under the strict triangle inequality.  The solution keeps the
+penalty intensity beta at every node; beta * dt is the implied lower push
+increment.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import bsde
 from .errors import SizingError
-from .model import GameSpec, project_oblique_batch
+from .model import GameSpec, upper_barrier
 from .reflected import RbsdeSolution
 
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
@@ -131,7 +133,9 @@ def solve_penalized(spec: GameSpec, tree, n: int,
 
     Each step solves the implicit BSDE with the penalty-augmented driver by a
     joint Picard loop over all mode pairs (the penalty couples the j
-    coordinates), then clamps by the upper (k) constraints only, recording dK.
+    coordinates), then clamps by the upper (k) constraints only,
+    ``min(y, upper_barrier(y))``, recording dK.  Under the strict triangle
+    inequality (`spec.require_valid()`) that one clamp is the minimal push.
     """
     spec.require_valid()
     gen = spec.generator
@@ -142,8 +146,8 @@ def solve_penalized(spec: GameSpec, tree, n: int,
         return np.asarray(gen(t, w, y, z), dtype=float) + lower_penalty_intensity(y, l, n)
 
     def post(t, y, z):
-        y, dk, _ = project_oblique_batch(y, spec.costs, upper_only=True)
-        return y, z, dk
+        out = np.minimum(y, upper_barrier(y, spec.costs))
+        return out, z, y - out
 
     Y, Z, dK = bsde.backward(tree, spec.check_terminal(tree.leaf_w), bsde.DriverFn(driver, lip),
                              post, picard_tol=picard_tol)

@@ -410,13 +410,14 @@ def _run_validate(scenario, task, state, out, tol, seed, hook):
     report = spec.validate()
     rows.append(["cost_structure", "ok" if report.ok else "fail",
                  " | ".join(report.violations)])
+    check = "tree"      # a refused tree gets its own row, which only ever fails
     try:
-        tree = scenario.build_tree()
-        state.setdefault("tree", tree)
+        tree = _get_tree(scenario, state)
+        check = "terminal_domain"
         spec.check_terminal(tree.leaf_w)
-        rows.append(["terminal_domain", "ok", ""])
+        rows.append([check, "ok", ""])
     except SwitchGameError as exc:
-        rows.append(["terminal_domain", "fail", str(exc)])
+        rows.append([check, "fail", str(exc)])
         failures.append(str(exc))
     if "tree" in state:
         ok = state["tree"].dt * spec.generator.lipschitz < 1.0
@@ -542,19 +543,20 @@ def _run_saddle(scenario, task, state, out, tol, seed, hook):
     rows = [["value_gap", "", f"{i + 1},{j + 1}", _fmt(g)]
             for (i, j), g in sorted(report.value_gap.items())]
     failures = []
-    dump_rows = []
     for kind, strat_id, start, slack, strategy in report.violations:
         rows.append([kind, strat_id, f"{start[0] + 1},{start[1] + 1}", _fmt(slack)])
         failures.append(f"{kind} inequality violated by {slack!r} "
                         f"(strategy {strat_id}, start {start})")
-        if strategy is not None:
-            for rec in strategy.serialize_rows():
-                dump_rows.append([kind, strat_id] + rec)
     _write_table(out / "saddle.csv", ["kind", "strategy", "start", "value"], rows)
-    if dump_rows:
+    # each violation's replay table, streamed: one violating table can hold
+    # millions of rows, and it repeats once per violating start pair
+    if any(strategy is not None for *_, strategy in report.violations):
         _write_table(out / "saddle_violations.csv",
                      ["kind", "strategy", "level", "node", "i", "j", "action"],
-                     dump_rows)
+                     ([kind, strat_id] + rec
+                      for kind, strat_id, _, _, strategy in report.violations
+                      if strategy is not None
+                      for rec in strategy.serialize_rows()))
     return failures
 
 

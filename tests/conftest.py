@@ -15,6 +15,7 @@ from switchgame.model import (
     TerminalSpec,
     check_loop_costs,
     project_oblique,
+    project_oblique_batch,
     validate_cost_matrices,
 )
 
@@ -54,6 +55,31 @@ class NoEntryReads(np.ndarray):
         if all(isinstance(k, (int, np.integer)) for k in keys):
             raise AssertionError(f"per-entry read {key!r}")
         return super().__getitem__(key)
+
+
+def swapped_projection(y, costs: CostTables):
+    """`project_oblique(y, costs)[0]` reached through the player-swapped dual:
+    -y.T with the two cost tables exchanged has the same region, so the
+    projection is the same, but each coordinate visit clamps by the lower
+    barrier first and the sweep runs column-major."""
+    dual = project_oblique(-np.asarray(y, dtype=float).T, CostTables(k=costs.l, l=costs.k))[0]
+    return -dual.T
+
+
+def upper_sweep(y, costs: CostTables):
+    """Upper-only projection of a batch `y` by the sweep, column by column:
+    on one column (`l = [[0.0]]`) the two-sided projection has no lower
+    barrier, so it is the one-sided sweep."""
+    column = CostTables(k=costs.k, l=[[0.0]])
+    return np.concatenate([project_oblique_batch(y[..., [j]], column)[0]
+                           for j in range(costs.m2)], axis=-1)
+
+
+def lower_sweep(y, costs: CostTables):
+    """Lower-only projection of a batch `y` by the sweep, row by row."""
+    row = CostTables(k=[[0.0]], l=costs.l)
+    return np.concatenate([project_oblique_batch(y[..., [i], :], row)[0]
+                           for i in range(costs.m1)], axis=-2)
 
 
 def standard_costs() -> CostTables:

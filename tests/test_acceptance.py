@@ -39,7 +39,13 @@ from switchgame.penalty import penalization_report
 from switchgame.reflected import check_minimality, domain_report
 from switchgame.runner import parse_scenario, run
 
-from conftest import make_standard, n2_fixture_set, random_admissible_spec, standard_costs
+from conftest import (
+    make_standard,
+    n2_fixture_set,
+    random_admissible_spec,
+    standard_costs,
+    swapped_projection,
+)
 from test_model import admissible_costs, closed_walk_loops
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
@@ -230,8 +236,8 @@ def test_criterion_11_projection_order_independence():
         m1, m2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         costs = admissible_costs(rng, m1, m2)
         y = rng.uniform(-5.0, 5.0, (m1, m2))
-        ya, _, _ = project_oblique(y, costs, order="min_first")
-        yb, _, _ = project_oblique(y, costs, order="max_first")
+        ya, _, _ = project_oblique(y, costs)
+        yb = swapped_projection(y, costs)
         gap = float(np.abs(ya - yb).max())
         if gap > worst:
             worst, offender = gap, (y.tolist(), costs.k.tolist(), costs.l.tolist())

@@ -31,13 +31,13 @@ from switchgame.model import (
     GameSpec,
     GeneratorSpec,
     TerminalSpec,
-    project_oblique_batch,
 )
 from switchgame.reflected import RbsdeSolution, solve_rbsde
 from switchgame.runner import parse_scenario
 
 from conftest import (
     NoEntryReads,
+    lower_sweep,
     make_standard,
     n2_fixture_set,
     random_admissible_spec,
@@ -511,8 +511,7 @@ def gathered_lower_reflected(spec, tree, a):
     J = np.arange(spec.m2)[None, None, :]
 
     def finish(t, y, I):
-        return project_oblique_batch(y + spec.costs.k[i_grid, I], spec.costs,
-                                     lower_only=True)[0]
+        return lower_sweep(y + spec.costs.k[i_grid, I], spec.costs)
 
     return gathered_backward(
         spec, tree, lambda t: (a.actions[t], np.broadcast_to(J, a.actions[t].shape)), finish)

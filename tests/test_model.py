@@ -34,8 +34,11 @@ from conftest import (
     STANDARD_C,
     STANDARD_K,
     STANDARD_L,
+    lower_sweep,
     make_3x3,
     standard_costs,
+    swapped_projection,
+    upper_sweep,
 )
 
 
@@ -333,8 +336,8 @@ class TestProjection:
             m1, m2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             costs = admissible_costs(rng, m1, m2)
             y = rng.uniform(-5, 5, (m1, m2))
-            ya, _, _ = project_oblique(y, costs, order="min_first")
-            yb, _, _ = project_oblique(y, costs, order="max_first")
+            ya, _, _ = project_oblique(y, costs)
+            yb = swapped_projection(y, costs)
             assert np.abs(ya - yb).max() <= 1e-9, (y, costs.k, costs.l)
 
     def test_complementarity_pins_pushed_coordinates_to_barriers(self, rng):
@@ -377,8 +380,26 @@ class TestProjection:
         y2, dK, dL = project_oblique(y, costs)
         assert in_Qbar(y2, costs, tol=2e-12)
         assert np.max(dK * dL) == 0.0
-        ya, _, _ = project_oblique(y, costs, order="max_first")
-        assert np.abs(y2 - ya).max() <= 1e-9
+        assert np.abs(y2 - swapped_projection(y, costs)).max() <= 1e-9
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_property_one_sided_clamps_equal_the_sweep(self, seed):
+        # under the strict triangle inequality one clamp from the original
+        # values is the one-sided sweep's fixed point, bit for bit; costs in
+        # [1, 2) always satisfy it, so 4-mode tables need no rejection loop
+        r = np.random.default_rng(seed)
+        m1, m2 = (int(m) for m in r.integers(1, 5, 2))
+        k, l = r.uniform(1.0, 2.0, (m1, m1)), r.uniform(1.0, 2.0, (m2, m2))
+        np.fill_diagonal(k, 0.0)
+        np.fill_diagonal(l, 0.0)
+        costs = CostTables(k=k, l=l)
+        assert validate_cost_matrices(costs).ok
+        y = r.uniform(-5, 5, (int(r.integers(1, 9)), m1, m2))
+        np.testing.assert_array_equal(np.minimum(y, upper_barrier(y, costs)),
+                                      upper_sweep(y, costs))
+        np.testing.assert_array_equal(np.maximum(y, lower_barrier(y, costs)),
+                                      lower_sweep(y, costs))
 
 
 # ---------------------------------------------------------------------------

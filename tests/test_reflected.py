@@ -15,6 +15,7 @@ from switchgame.model import (
     TerminalSpec,
     in_Qbar,
     project_oblique_batch,
+    upper_barrier,
 )
 from switchgame.reflected import (
     RbsdeSolution,
@@ -157,13 +158,13 @@ class TestStructure:
 class TestOneSidedReduction:
     def test_upper_only_equals_independent_columns(self, rng):
         # with the lower clamps disabled the 2x2 system decouples into two
-        # 2x1 systems, one per Player-II mode
+        # 2x1 systems, one per Player-II mode; the upper clamp of the
+        # penalized solver against the sweep of the direct solver on 2x1
         spec = make_standard()
         tree = build_tree(4, 1, spec.horizon)
 
         def post(t, y, z):
-            y, _, _ = project_oblique_batch(y, spec.costs, upper_only=True)
-            return (y,)
+            return (np.minimum(y, upper_barrier(y, spec.costs)),)
 
         upper_only = backward(tree, spec.check_terminal(tree.leaf_w),
                               spec.generator, post)[0]

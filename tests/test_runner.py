@@ -424,6 +424,25 @@ class TestGolden:
                    for p in out.glob("*.csv")}
         assert digests == expected
 
+    def test_violation_reports_match_their_pinned_digests(self, tmp_path):
+        # standard_2x2 with Y(root) lowered by 0.3 fails the upper inequality
+        # on the catalog, so both saddle reports carry violation rows
+        def lower(sol):
+            sol.Y[0] = sol.Y[0] - 0.3
+
+        out = tmp_path / "low"
+        result = run(parse_scenario(BUNDLED / "standard_2x2.json"), out_dir=out, seed=0,
+                     tasks=["solve_direct", "saddle"], solution_hook=lower)
+        assert result.exit_code == 1
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("saddle.csv", "saddle_violations.csv")}
+        assert digests == {
+            "saddle.csv":
+                "b60aec486c8f268e3b68303dc38145161a986afad76e5c0bc2d1edaabcd356ba",
+            "saddle_violations.csv":
+                "5631bb8f2d3b0f9a674e2d6a89a1bdc0c38a48b0e292234b96b5d23dd4e60219",
+        }
+
 
 class TestCli:
     def test_solve_exit_zero(self, tmp_path, capsys):
@@ -470,6 +489,20 @@ class TestCli:
         with time_budget(10):
             assert cli_main(["solve", str(path), "--out", str(tmp_path / "huge")]) == 2
         assert "tree with N=15000, d=1 passes the cap of 4194304 nodes" in capsys.readouterr().err
+
+    def test_refused_tree_gets_its_own_validate_row(self, tmp_path):
+        # the refusal names the tree, not the terminal, and no check that
+        # needs the tree follows it
+        path = small_scenario(tmp_path, tree={"N": 15000}, tasks=["validate"])
+        with time_budget(10):
+            result = run(parse_scenario(path), out_dir=tmp_path / "huge")
+        assert result.exit_code == 1
+        with open(tmp_path / "huge" / "validate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[:2] for r in rows] == [["check", "status"], ["cost_structure", "ok"],
+                                         ["tree", "fail"]]
+        assert rows[2][2].startswith("tree with N=15000, d=1 passes the cap of 4194304 nodes")
+        assert result.failures == [f"validate: {rows[2][2]}"]
 
     def test_missing_scenario_exits_two(self, tmp_path):
         assert cli_main(["solve", str(tmp_path / "absent.json")]) == 2
