@@ -51,8 +51,7 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError
-from .model import (GameSpec, lower_barrier, lower_candidates, upper_barrier,
-                    upper_candidates)
+from .model import GameSpec, lower_barrier, upper_barrier
 from .reflected import RbsdeSolution
 
 BRUTE_FORCE_MAX_STEPS = 3
@@ -79,28 +78,19 @@ class FeedbackStrategy:
     @classmethod
     def stay(cls, player, tree, m1, m2):
         grid = np.arange(m1)[:, None] if player == "I" else np.arange(m2)[None, :]
-        acts = [
-            np.broadcast_to(grid, (tree.level_size(t), m1, m2)).copy().astype(int)
-            for t in range(tree.N)
-        ]
-        return cls(player, acts)
+        return cls(player, [np.broadcast_to(grid, (tree.level_size(t), m1, m2)).astype(int)
+                            for t in range(tree.N)])
 
     @classmethod
     def constant(cls, player, tree, m1, m2, mode):
-        acts = [
-            np.full((tree.level_size(t), m1, m2), mode, dtype=int)
-            for t in range(tree.N)
-        ]
-        return cls(player, acts)
+        return cls(player, [np.full((tree.level_size(t), m1, m2), mode, dtype=int)
+                            for t in range(tree.N)])
 
     @classmethod
     def random(cls, player, tree, m1, m2, rng):
         hi = m1 if player == "I" else m2
-        acts = [
-            rng.integers(0, hi, size=(tree.level_size(t), m1, m2))
-            for t in range(tree.N)
-        ]
-        return cls(player, acts)
+        return cls(player, [rng.integers(0, hi, size=(tree.level_size(t), m1, m2))
+                            for t in range(tree.N)])
 
     def j_uniform(self) -> bool:
         """True when the action never depends on the opponent coordinate."""
@@ -298,21 +288,20 @@ def _barrier_actions(y, costs, player, fire):
     """One player's action table on level values y, and the mask where it fires.
 
     The barrier (Player I: upper, Player II: lower) and the switch target
-    (its argmin/argmax, smallest index on ties) come from one candidate
-    tensor.  The table holds the target where `fire(barrier)` holds and stay
-    elsewhere.  A player with a single mode has no target but its own mode,
-    so its table is all stays whatever fires.
+    (the first mode attaining it, as argmin/argmax would pick) come from
+    the same running reduction over the player's modes.  The table holds
+    the target where `fire(barrier)` holds and stay elsewhere.  A player
+    with a single mode has no target but its own mode, so its table is all
+    stays whatever fires.
     """
     if player == "I":
-        cand = upper_candidates(y, costs)
-        barrier, target = cand.min(axis=-2), cand.argmin(axis=-2)
+        barrier, target = upper_barrier(y, costs, targets=True)
         stay = np.arange(costs.m1)[:, None]
     else:
-        cand = lower_candidates(y, costs)
-        barrier, target = cand.max(axis=-1), cand.argmax(axis=-1)
+        barrier, target = lower_barrier(y, costs, targets=True)
         stay = np.arange(costs.m2)
     fired = fire(barrier)
-    return np.where(fired, target, stay).astype(int), fired
+    return np.where(fired, target, stay), fired
 
 
 def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None,

@@ -24,7 +24,7 @@ from .errors import ConvergenceError, DataError, SizingError
 
 DEFAULT_LOOP_TOL = 1e-12
 DEFAULT_PROJECTION_TOL = 1e-12
-DEFAULT_LOOP_CAP = 16
+DEFAULT_LOOP_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class CostTables:
     def __init__(self, k, l):
         for name, raw in (("k", k), ("l", l)):
             table = np.array(raw, dtype=float)
-            if table.ndim != 2 or table.shape[0] != table.shape[1]:
-                raise DataError(f"{name} must be a square matrix")
+            if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size:
+                raise DataError(f"{name} must be a non-empty square matrix")
             _require_finite(name, table)
             off = np.where(np.eye(len(table), dtype=bool), np.inf, table)
             for attr, arr in ((name, table), (name + "_off", off)):
@@ -142,12 +142,7 @@ def _canonical_loop(loop):
 
     `loop` is a tuple of pairs without the repeated endpoint.
     """
-    n = len(loop)
-    candidates = []
-    for seq in (loop, loop[::-1]):
-        for r in range(n):
-            candidates.append(seq[r:] + seq[:r])
-    return min(candidates)
+    return min(seq[r:] + seq[:r] for seq in (loop, loop[::-1]) for r in range(len(loop)))
 
 
 def enumerate_primary_loops(m1: int, m2: int, cap: int = DEFAULT_LOOP_CAP):
@@ -173,12 +168,8 @@ def _primary_loops(m1, m2, cap):
 
     def neighbors(p):
         i, j = p
-        for i2 in range(m1):
-            if i2 != i:
-                yield (i2, j)
-        for j2 in range(m2):
-            if j2 != j:
-                yield (i, j2)
+        yield from ((i2, j) for i2 in range(m1) if i2 != i)
+        yield from ((i, j2) for j2 in range(m2) if j2 != j)
 
     def extend(path, on_path):
         head = path[0]
@@ -232,24 +223,40 @@ def min_loop_cost(costs: CostTables) -> float:
 # The constraint domain and its oblique projection
 # ---------------------------------------------------------------------------
 
-def upper_candidates(y, costs: CostTables):
-    """c[..., i, i', j] = y[..., i', j] + k[i, i'] (+inf at i' = i); y's last axes are (i, j)."""
-    return np.asarray(y, dtype=float)[..., None, :, :] + costs.k_off[:, :, None]
+def _running_extreme(pairs, op, keep, wins, targets):
+    """Fold the fields op(*pair) into the first with `keep`, in place; with
+    `targets`, also the first index attaining the result (a strict `wins`)."""
+    out = op(*next(pairs))
+    if not targets:     # no name keeps a term alive: peak memory stays two fields
+        for pair in pairs:
+            keep(out, op(*pair), out=out)
+        return out
+    target = np.zeros(out.shape, dtype=int)
+    for mode, pair in enumerate(pairs, 1):
+        term = op(*pair)
+        target[wins(term, out)] = mode
+        keep(out, term, out=out)
+    return out, target
 
 
-def lower_candidates(y, costs: CostTables):
-    """c[..., i, j, j'] = y[..., i, j'] - l[j, j'] (-inf at j' = j)."""
-    return np.asarray(y, dtype=float)[..., :, None, :] - costs.l_off
+def upper_barrier(y, costs: CostTables, targets: bool = False):
+    """min over i' != i of y[..., i', j] + k[i, i'] per (i, j); +inf for a single mode.
+
+    A running np.minimum over i' that builds no (..., m1, m1, m2) tensor; exact,
+    and a NaN propagates.  With `targets`, also the smallest i' attaining it.
+    """
+    y = np.asarray(y, dtype=float)
+    pairs = ((y[..., a:a + 1, :], costs.k_off[:, a:a + 1]) for a in range(costs.m1))
+    return _running_extreme(pairs, np.add, np.minimum, np.less, targets)
 
 
-def upper_barrier(y, costs: CostTables):
-    """min over i' != i of y[..., i', j] + k[i, i'] per (i, j); +inf for a single mode."""
-    return upper_candidates(y, costs).min(axis=-2)
+def lower_barrier(y, costs: CostTables, targets: bool = False):
+    """max over j' != j of y[..., i, j'] - l[j, j'] per (i, j); -inf for a single mode.
 
-
-def lower_barrier(y, costs: CostTables):
-    """max over j' != j of y[..., i, j'] - l[j, j'] per (i, j); -inf for a single mode."""
-    return lower_candidates(y, costs).max(axis=-1)
+    The mirror of :func:`upper_barrier`, over j' with np.maximum."""
+    y = np.asarray(y, dtype=float)
+    pairs = ((y[..., b:b + 1], costs.l_off[:, b]) for b in range(costs.m2))
+    return _running_extreme(pairs, np.subtract, np.maximum, np.greater, targets)
 
 
 def _outside_region(y, costs: CostTables, tol: float):
@@ -306,17 +313,18 @@ def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_
         rounds = math.ceil(span / c + 1.0) if c > 0.0 else 64
     sweep_cap = m1 * m2 * rounds + 64
 
-    # The sweep runs on an (m1, m2, n) copy, so a barrier reduces across
-    # whole batch rows, not over a short axis once per batch entry.  The
+    # The sweep runs on (m1, m2, n) copies, so a barrier reduces across whole
+    # batch rows and a pre-projection value is one contiguous row.  The
     # masked rows make it one reduction: a coordinate's own entry reads +inf
     # (upper) or -inf (lower) and never wins.
-    work = np.moveaxis(base, 0, -1).copy()
+    orig = np.ascontiguousarray(np.moveaxis(base, 0, -1))
+    work = orig.copy()
     k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
     for _ in range(sweep_cap):
         prev = work.copy()
         for i in range(m1):
             for j in range(m2):
-                val = np.minimum(base[:, i, j], (work[:, j] + k_off[i]).min(axis=0))
+                val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
                 work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
         if np.abs(work - prev).max() <= tol:
             break

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bsde
-from .errors import ScenarioError, SwitchGameError
+from .errors import ScenarioError, SizingError, SwitchGameError
 from .game import brute_force_value, verify_saddle
 from .lattice import DEFAULT_NODE_CAP, build_tree
 from .model import DEFAULT_PROJECTION_TOL, CostTables, GameSpec, GeneratorSpec, TerminalSpec
@@ -281,7 +281,10 @@ def parse_scenario(path) -> Scenario:
         # a rejected horizon stands as 1.0, so the cost structure is still checked
         spec = GameSpec(costs, generator, terminal, horizon=float(top["horizon"] or 1.0),
                         d=top["d"])
-        errs.extend(f"spec: {v}" for v in spec.validate().violations)
+        try:
+            errs.extend(f"spec: {v}" for v in spec.validate().violations)
+        except SizingError as exc:     # a grid past the loop enumeration cap
+            errs.append(f"spec: {exc}")
     if errs:
         raise ScenarioError([f"{path}: {e}" for e in errs])
 

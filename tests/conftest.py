@@ -1,5 +1,6 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
-a wall-time budget and an array that refuses per-entry reads."""
+a wall-time budget, an array that refuses per-entry reads, and the
+candidate-tensor barrier oracle."""
 
 import contextlib
 import signal
@@ -80,6 +81,18 @@ def lower_sweep(y, costs: CostTables):
     row = CostTables(k=[[0.0]], l=costs.l)
     return np.concatenate([project_oblique_batch(y[..., [i], :], row)[0]
                            for i in range(costs.m1)], axis=-2)
+
+
+def tensor_barriers(y, costs: CostTables):
+    """Barriers and switch targets reduced from whole candidate tensors, an
+    oracle for the package's running reductions: c[..., i, i', j] =
+    y[..., i', j] + k[i, i'] reduced over i' and c[..., i, j, j'] =
+    y[..., i, j'] - l[j, j'] reduced over j'.  Returns (upper barrier, its
+    argmin i', lower barrier, its argmax j')."""
+    y = np.asarray(y, dtype=float)
+    up = y[..., None, :, :] + costs.k_off[:, :, None]
+    lo = y[..., :, None, :] - costs.l_off
+    return up.min(axis=-2), up.argmin(axis=-2), lo.max(axis=-1), lo.argmax(axis=-1)
 
 
 def standard_costs() -> CostTables:

@@ -2,6 +2,7 @@
 projection, checked against independent brute-force oracles."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchgame import build_tree, model, solve_rbsde
-from switchgame.errors import ConvergenceError, DataError
+from switchgame.errors import ConvergenceError, DataError, SizingError
 from switchgame.game import _barrier_actions
 from switchgame.model import (
     CostTables,
@@ -38,6 +39,8 @@ from conftest import (
     make_3x3,
     standard_costs,
     swapped_projection,
+    tensor_barriers,
+    time_budget,
     upper_sweep,
 )
 
@@ -115,6 +118,13 @@ class TestCostValidation:
     def test_smallest_admissible_table(self):
         costs = CostTables(k=[[0.0, 1.0], [1.0, 0.0]], l=[[0.0]])
         assert validate_cost_matrices(costs).ok
+
+    @pytest.mark.parametrize("k,l", [(np.zeros((0, 0)), [[0.0]]), ([[0.0]], np.zeros((0, 0)))])
+    def test_empty_table_is_rejected(self, k, l):
+        # a player without modes has no barrier: the reduction over its
+        # modes would start from nothing
+        with pytest.raises(DataError, match="must be a non-empty square matrix"):
+            CostTables(k=k, l=l)
 
     def test_triangle_equality_fails(self):
         # k(1,2) + k(2,3) = k(1,3) violates the *strict* triangle condition
@@ -227,6 +237,22 @@ class TestLoops:
         costs = CostTables(k=[[0.0, 0.3], [2.0, 0.0]], l=[[0.0]])
         assert check_loop_costs(costs).ok
 
+    @pytest.mark.parametrize("m1,m2", [(4, 4), (2, 7)])
+    def test_grids_past_the_cap_are_refused_before_enumerating(self, m1, m2):
+        # 12 pairs is the cap: 3x4 enumerates in seconds, while 4x4 and 2x7
+        # would not finish in minutes, so they must be refused at once
+        costs = CostTables(k=1.0 - np.eye(m1), l=0.8 * (1.0 - np.eye(m2)))
+        spec = GameSpec(costs, GeneratorSpec("zero", m1, m2),
+                        TerminalSpec("constant", m1, m2, alpha=np.zeros((m1, m2))),
+                        horizon=1.0)
+        timed_out = False
+        try:
+            with time_budget(5), pytest.raises(SizingError, match="enumeration cap of 12 pairs"):
+                spec.validate()
+        except TimeoutError:    # fail outside the deep enumeration traceback
+            timed_out = True
+        assert not timed_out, f"validating a {m1}x{m2} grid ran past 5 s"
+
 
 # ---------------------------------------------------------------------------
 # domain membership
@@ -272,6 +298,64 @@ class TestDomain:
                         # first index attaining the extremum; one mode stays put
                         assert to_I[i, j] == (min(ups, key=ups.get) if ups else i)
                         assert to_II[i, j] == (max(los, key=los.get) if los else j)
+
+    def test_barriers_equal_the_tensor_form_bitwise(self, rng):
+        # the running reductions against the candidate-tensor oracle on 1-5
+        # modes per player, batches of 0-7 rows and a bare matrix; quarter
+        # grids make sums exact, so candidates tie often, and the last
+        # variant scatters +inf, -inf and NaN entries
+        tol = 1e-9
+
+        def fire_rules(y, up):
+            # extract_saddle's (Player II defers where Player I fires) and
+            # greedy_strategy's
+            yield (lambda bar: y >= bar - tol), (lambda bar: (y <= bar + tol) & ~(y >= up - tol))
+            yield (lambda bar: bar < y), (lambda bar: bar > y)
+
+        for m1, m2 in itertools.product(range(1, 6), repeat=2):
+            k = rng.integers(1, 8, (m1, m1)) / 4.0
+            l = rng.integers(1, 8, (m2, m2)) / 4.0
+            np.fill_diagonal(k, 0.0)
+            np.fill_diagonal(l, 0.0)
+            tables = (CostTables(k=k, l=l),
+                      CostTables(k=1.0 - np.eye(m1), l=0.8 * (1.0 - np.eye(m2))))
+            for costs, rows in itertools.product(tables, (None, *range(8))):
+                shape = (m1, m2) if rows is None else (rows, m1, m2)
+                flat = np.zeros(shape)
+                quarters = rng.integers(-8, 9, shape) / 4.0
+                special = quarters.copy()
+                hit = rng.random(shape) < 0.2
+                special[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
+                # -inf + inf on a diagonal is NaN, as in the tensor form
+                with np.errstate(invalid="ignore"):
+                    for y in (flat, quarters, special):
+                        up, to_I, lo, to_II = tensor_barriers(y, costs)
+                        np.testing.assert_array_equal(upper_barrier(y, costs), up)
+                        np.testing.assert_array_equal(lower_barrier(y, costs), lo)
+                        stay_I, stay_II = np.arange(m1)[:, None], np.arange(m2)
+                        for fire_I, fire_II in fire_rules(y, up):
+                            for player, fire, bar, to, stay in (
+                                    ("I", fire_I, up, to_I, stay_I),
+                                    ("II", fire_II, lo, to_II, stay_II)):
+                                table, fired = _barrier_actions(y, costs, player, fire)
+                                np.testing.assert_array_equal(fired, fire(bar))
+                                np.testing.assert_array_equal(
+                                    table, np.where(fire(bar), to, stay))
+
+    def test_barriers_build_no_candidate_tensor(self):
+        # a (..., m, m, m') candidate tensor alone holds three fields on a
+        # 3x3 grid; the running reduction peaks near two
+        costs = make_3x3().costs
+        y = np.random.default_rng(0).uniform(-2.0, 2.0, (4096, 3, 3))
+        for barrier in (upper_barrier, lower_barrier):
+            barrier(y, costs)
+            tracemalloc.start()
+            try:
+                barrier(y, costs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * y.nbytes, (barrier.__name__, peak / y.nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,20 @@ class TestCli:
         assert cli_main(["solve", str(path)]) == 2
         assert "zero alternating cost" in capsys.readouterr().err
 
+    def test_grid_past_the_loop_cap_exits_two_naming_it(self, tmp_path, capsys):
+        # the loop enumeration's SizingError escaped as a traceback
+        m2 = 7
+        path = small_scenario(
+            tmp_path,
+            costs={"k": [[0.0, 1.0], [1.0, 0.0]], "l": (0.8 * (1.0 - np.eye(m2))).tolist()},
+            generator={"family": "zero"},
+            terminal={"family": "constant", "alpha": np.zeros((2, m2)).tolist()},
+        )
+        with time_budget(5):
+            assert cli_main(["solve", str(path)]) == 2
+        assert "spec: mode grid 2x7 exceeds the loop enumeration cap of 12 pairs" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("field,number,token", [
         ("k", '"k": [[0.0, 1.0', '"k": [[0.0, NaN'),
         ("c", '"c": [[2.0', '"c": [[NaN'),
