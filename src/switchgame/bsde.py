@@ -56,8 +56,9 @@ class DriverFn:
 
 
 def check_contraction(dt: float, lipschitz: float):
+    """SizingError unless dt*C < 1, naming the smallest factor f with dt*C/f < 1."""
     if dt * lipschitz >= 1.0:
-        n_min = int(np.ceil(dt * lipschitz)) + 1
+        n_min = math.floor(dt * lipschitz) + 1
         raise SizingError(
             f"time step dt={dt:g} is too coarse for the driver Lipschitz constant "
             f"{lipschitz:g} (need dt*C < 1); refine the tree by a factor of at least {n_min}"

@@ -227,7 +227,7 @@ def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy,
         raise DataError("eval_switched expects (Player-I strategy, Player-II strategy)")
     _check_actions(spec, tree, a)
     _check_actions(spec, tree, b)
-    return _switched_backward(spec, tree, spec.check_terminal(tree.leaf_w), a, b)
+    return _switched_backward(spec, tree, spec.check_terminal(tree), a, b)
 
 
 def _switched_backward(spec, tree, xi, a, b):
@@ -526,7 +526,7 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
     serialized strategy for replay.
     """
     spec.require_valid()
-    xi = spec.check_terminal(tree.leaf_w)
+    xi = spec.check_terminal(tree)
     a_star, b_star = extract_saddle(sol, spec)
     root_Y = sol.root
     gaps = np.abs(_switched_backward(spec, tree, xi, a_star, b_star).root() - root_Y)
@@ -589,7 +589,7 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
         y = W[n_idx, ia, j_grid] + spec.costs.k[i_grid, ia]
         return (np.maximum(y, lower_barrier(y, spec.costs)),)
 
-    return bsde.backward(tree, spec.check_terminal(tree.leaf_w), spec.generator, post)[0]
+    return bsde.backward(tree, spec.check_terminal(tree), spec.generator, post)[0]
 
 
 def enumerate_feedback_strategies(tree, player, m1, m2):

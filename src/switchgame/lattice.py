@@ -1,6 +1,11 @@
 """Discrete Brownian filtrations on which every expectation is an exact finite sum.
 
-Two carriers share one interface:
+Both carriers are the scaled random walk: per-component increments are
+``+/- sqrt(dt)`` with probability ``2**-d`` per joint sign pattern, so
+``E[dW] = 0`` and ``E[dW_p dW_q] = dt * delta_pq`` hold exactly at every
+node.  `_Tree` owns the conditioning on the next level; a carrier states
+only its level sizes, its W-states (built once) and where a node's 2**d
+children sit:
 
 * :class:`PathTree` -- a non-recombining tree.  Level t holds ``(2**d)**t``
   nodes; node q at level t has children ``q * 2**d + c`` at level t+1, one per
@@ -11,10 +16,6 @@ Two carriers share one interface:
 * :class:`RecombiningTree` -- the Markovian fast path.  Level t holds
   ``(t+1)**d`` walk states; valid only when driver and terminal depend on the
   current W-state alone.
-
-Per-component increments are ``+/- sqrt(dt)`` with probability ``2**-d`` per
-joint sign pattern, so ``E[dW] = 0`` and ``E[dW_p dW_q] = dt * delta_pq``
-hold exactly at every node.
 
 Values on a level are arrays with the node axis first: ``(n_t, m1, m2)`` for a
 mode field, ``(n_t, d, m1, m2)`` for its martingale coefficients.
@@ -41,10 +42,12 @@ def _branch_signs(d: int) -> np.ndarray:
 
 
 class _Tree:
-    """Constructor checks, time grid and leaf states shared by both carriers.
+    """Constructor checks, time grid and the conditioning shared by both carriers.
 
-    A subclass defines `level_size` (used here to count its nodes) and the
-    noun and unit its node-cap message uses.
+    A subclass defines `level_size` (used here to count its nodes), the noun
+    and unit of its node-cap message, the per-level W-states `_w`, and
+    `_children(t, v)`: the 2**d blocks of a (rows, entries) level-(t+1) array
+    holding each node's child in branch c, node axes first, in branch order.
     """
 
     def __init__(self, N: int, d: int, T: float, node_cap: int):
@@ -66,17 +69,54 @@ class _Tree:
                 raise SizingError(f"{self._noun} with N={N}, d={d} passes the cap of "
                                   f"{node_cap} {self._unit} by level {t}")
         self.signs = _branch_signs(d)
+        # (B, d) weights of z_next: increment / (B * dt)
+        self._z_weights = self.signs * math.sqrt(self.dt) / (self.branching * self.dt)
+
+    def level_w(self, t: int) -> np.ndarray:
+        """(n_t, d) W-states of level t."""
+        return self._w[t]
 
     @property
     def leaf_w(self) -> np.ndarray:
-        return self.level_w(self.N)
+        return self._w[self.N]
 
     def time(self, t: int) -> float:
         return t * self.dt
 
+    def _next_level(self, t: int, values) -> np.ndarray:
+        """Level-(t+1) `values` as a (rows, entries per node) array."""
+        if not 0 <= t < self.N:
+            raise DataError(f"level {t} has no next level; levels 0..{self.N - 1} do")
+        v = np.asarray(values, dtype=float)
+        rows = self.level_size(t + 1)
+        if v.shape[:1] != (rows,):
+            raise DataError(f"expected {rows} level-{t + 1} values, got shape {v.shape}")
+        return v.reshape(rows, math.prod(v.shape[1:]))
+
+    def expect_next(self, t: int, values: np.ndarray) -> np.ndarray:
+        """Conditional expectation of level-(t+1) values, per level-t node."""
+        blocks = self._children(t, self._next_level(t, values))
+        out = np.zeros(blocks[0].shape)
+        for block in blocks:
+            out += block
+        out /= self.branching
+        return out.reshape((self.level_size(t),) + np.shape(values)[1:])
+
+    def z_next(self, t: int, values: np.ndarray) -> np.ndarray:
+        """Martingale coefficients E[value * dW_p | node] / dt, all components.
+
+        Returns ``(n_t, d) + tail`` for input ``(n_{t+1},) + tail``.
+        """
+        blocks = self._children(t, self._next_level(t, values))
+        out = np.zeros(blocks[0].shape[:-1] + (self.d,) + blocks[0].shape[-1:])
+        for block, weights in zip(blocks, self._z_weights):
+            out += block[..., None, :] * weights[:, None]
+        return out.reshape((self.level_size(t), self.d) + np.shape(values)[1:])
+
 
 class PathTree(_Tree):
-    """Non-recombining binary-per-component tree over N steps in dimension d."""
+    """Non-recombining binary-per-component tree over N steps in dimension d;
+    node q's children are rows ``q * B .. q * B + B - 1`` of the next level."""
 
     recombining = False
     _noun = "tree"
@@ -94,35 +134,13 @@ class PathTree(_Tree):
     def level_size(self, t: int) -> int:
         return self.branching ** t
 
-    def level_w(self, t: int) -> np.ndarray:
-        """(n_t, d) W-states of level t."""
-        return self._w[t]
+    def _children(self, t: int, v: np.ndarray) -> list:
+        grouped = v.reshape(self.level_size(t), self.branching, v.shape[1])
+        return [grouped[:, c] for c in range(self.branching)]
 
-    def expect_next(self, t: int, values: np.ndarray) -> np.ndarray:
-        """Conditional expectation of level-(t+1) values, per level-t node."""
-        if t >= self.N:
-            raise DataError("no level beyond the leaves")
-        n = self.level_size(t)
-        v = np.asarray(values, dtype=float)
-        if v.shape[0] != n * self.branching:
-            raise DataError(
-                f"expected {n * self.branching} next-level values, got {v.shape[0]}"
-            )
-        return v.reshape((n, self.branching) + v.shape[1:]).mean(axis=1)
-
-    def z_next(self, t: int, values: np.ndarray) -> np.ndarray:
-        """Martingale coefficients E[value * dW_p | node] / dt, all components.
-
-        Returns ``(n_t, d) + tail`` for input ``(n_{t+1},) + tail``.
-        """
-        if t >= self.N:
-            raise DataError("no level beyond the leaves")
-        n = self.level_size(t)
-        v = np.asarray(values, dtype=float)
-        grouped = v.reshape((n, self.branching) + v.shape[1:])
-        # weights (B, d): increment / (B * dt)
-        wgt = self._increments / (self.branching * self.dt)
-        return np.einsum("nb...,bp->np...", grouped, wgt)
+    # bound in the class body because the benchmark's span tracer times each
+    # carrier's conditioning as found in the carrier's own namespace
+    expect_next, z_next = _Tree.expect_next, _Tree.z_next
 
 
 class RecombiningTree(_Tree):
@@ -130,7 +148,8 @@ class RecombiningTree(_Tree):
 
     State u (a multi-index, one entry per component) at level t maps to
     ``W_p = (2 u_p - t) * sqrt(dt)``.  Only valid for Markovian data: node
-    identity is the walk state, not the path.
+    identity is the walk state, not the path.  A state's children are its
+    shifts on the next level's grid.
     """
 
     recombining = True
@@ -139,60 +158,31 @@ class RecombiningTree(_Tree):
 
     def __init__(self, N: int, d: int, T: float, node_cap: int = DEFAULT_NODE_CAP):
         super().__init__(N, d, T, node_cap)
-        self._sqdt = math.sqrt(self.dt)
+        sqdt = math.sqrt(self.dt)
+        self._w = [(2.0 * np.indices((t + 1,) * d).reshape(d, -1).T - t) * sqdt
+                   for t in range(N + 1)]
 
     def level_size(self, t: int) -> int:
         return (t + 1) ** self.d
 
-    def _grid(self, t: int):
-        return (t + 1,) * self.d
+    def _children(self, t: int, v: np.ndarray) -> list:
+        """On the (t+2)**d grid of level t+1, state u's child in branch c is
+        u shifted up by one in every component whose bit is set in c."""
+        grid = v.reshape((t + 2,) * self.d + v.shape[1:])
+        return [grid[tuple(slice(1, t + 2) if (c >> p) & 1 else slice(0, t + 1)
+                           for p in range(self.d))]
+                for c in range(self.branching)]
 
-    def level_w(self, t: int) -> np.ndarray:
-        axes = np.indices(self._grid(t)).reshape(self.d, -1).T  # (n_t, d)
-        return (2.0 * axes - t) * self._sqdt
-
-    def expect_next(self, t: int, values: np.ndarray) -> np.ndarray:
-        if t >= self.N:
-            raise DataError("no level beyond the leaves")
-        v = np.asarray(values, dtype=float)
-        tail = v.shape[1:]
-        grid = v.reshape(self._grid(t + 1) + tail)
-        acc = None
-        for c in range(self.branching):
-            sl = tuple(
-                slice(1, t + 2) if (c >> p) & 1 else slice(0, t + 1)
-                for p in range(self.d)
-            )
-            piece = grid[sl]
-            acc = piece.copy() if acc is None else acc + piece
-        out = acc / self.branching
-        return out.reshape((self.level_size(t),) + tail)
-
-    def z_next(self, t: int, values: np.ndarray) -> np.ndarray:
-        if t >= self.N:
-            raise DataError("no level beyond the leaves")
-        v = np.asarray(values, dtype=float)
-        tail = v.shape[1:]
-        grid = v.reshape(self._grid(t + 1) + tail)
-        out = np.zeros((self.level_size(t), self.d) + tail)
-        for c in range(self.branching):
-            sl = tuple(
-                slice(1, t + 2) if (c >> p) & 1 else slice(0, t + 1)
-                for p in range(self.d)
-            )
-            piece = grid[sl].reshape((self.level_size(t),) + tail)
-            for p in range(self.d):
-                sign = 1.0 if (c >> p) & 1 else -1.0
-                out[:, p] += piece * (sign * self._sqdt / (self.branching * self.dt))
-        return out
+    # see PathTree
+    expect_next, z_next = _Tree.expect_next, _Tree.z_next
 
 
 def build_tree(N: int, d: int, T: float, recombining: bool = False,
                node_cap: int = DEFAULT_NODE_CAP):
     """Build the requested filtration carrier.
 
-    The recombining form is an opt-in fast path; callers must only request it
-    for Markovian data (the solvers check this).
+    The recombining form is an opt-in fast path for Markovian data; every
+    solver refuses a non-Markovian terminal on it.
     """
     cls = RecombiningTree if recombining else PathTree
     return cls(N, d, T, node_cap=node_cap)

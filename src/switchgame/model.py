@@ -545,9 +545,13 @@ class GameSpec:
         if not report.ok:
             raise DataError("invalid game specification: " + "; ".join(report.violations))
 
-    def check_terminal(self, leaf_w, tol: float = 1e-9):
-        """Hard error when any leaf's terminal matrix leaves the constraint region."""
-        xi = self.terminal.evaluate(leaf_w)
+    def check_terminal(self, tree, tol: float = 1e-9):
+        """Leaf values of the terminal on `tree`, where every solver starts.  Hard
+        error for a non-Markovian terminal on a recombining lattice (a state does
+        not determine the path) and for a leaf value outside the region."""
+        if tree.recombining and not self.terminal.markovian:
+            raise DataError("the recombining fast path requires a Markovian terminal")
+        xi = self.terminal.evaluate(tree.leaf_w)
         bad = _outside_region(xi, self.costs, tol)
         if bad.any():
             n, i, j = np.argwhere(bad)[0]

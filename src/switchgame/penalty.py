@@ -4,14 +4,15 @@ reflection, plus the doubly penalized plain system and convergence reporting.
 At penalty level n the driver gains ``n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-``
 (the j'=j term vanishes identically because l(j,j) = 0) and each step is
 followed by the exact upper clamp ``min(y, upper_barrier(y))``, the minimal
-downward push under the strict triangle inequality.  The solution keeps the
-penalty intensity beta at every node; beta * dt is the implied lower push
-increment.
+downward push under the strict triangle inequality.  The solution gives the
+penalty intensity beta at every node on first read; beta * dt is the implied
+lower push increment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,20 +112,22 @@ class PenalizedSolution:
     """Solution of the level-n penalized system.
 
     dK[t] holds the upper push increments of level t (t < N); beta[t] is the
-    penalty intensity at the solved values of level t.
+    penalty intensity at the solved values of level t, computed on first read.
     """
 
     tree: object
     spec: GameSpec
     n: int
     Y: list
-    Z: list
     dK: list
-    beta: list
 
     @property
     def root(self) -> np.ndarray:
         return self.Y[0][0]
+
+    @cached_property
+    def beta(self) -> list:
+        return [lower_penalty_intensity(y, self.spec.costs.l, self.n) for y in self.Y]
 
 
 def solve_penalized(spec: GameSpec, tree, n: int,
@@ -147,36 +150,42 @@ def solve_penalized(spec: GameSpec, tree, n: int,
 
     def post(t, y, z):
         out = np.minimum(y, upper_barrier(y, spec.costs))
-        return out, z, y - out
+        return out, y - out
 
-    Y, Z, dK = bsde.backward(tree, spec.check_terminal(tree.leaf_w), bsde.DriverFn(driver, lip),
-                             post, picard_tol=picard_tol)
-    beta = [lower_penalty_intensity(y, l, n) for y in Y]
-    return PenalizedSolution(tree=tree, spec=spec, n=n, Y=Y, Z=Z, dK=dK, beta=beta)
+    Y, dK = bsde.backward(tree, spec.check_terminal(tree), bsde.DriverFn(driver, lip),
+                          post, picard_tol=picard_tol)
+    return PenalizedSolution(tree=tree, spec=spec, n=n, Y=Y, dK=dK)
 
 
 @dataclass
 class DoublePenalizedSolution:
-    """Plain solve with both penalty terms (levels n down, m up)."""
+    """Plain solve with both penalty terms (levels n down, m up); the
+    intensities alpha and beta at the solved values are computed on first
+    read."""
 
     tree: object
     spec: GameSpec
     n: int
     m: int
     Y: list
-    Z: list
-    alpha: list
-    beta: list
 
     @property
     def root(self) -> np.ndarray:
         return self.Y[0][0]
 
+    @cached_property
+    def alpha(self) -> list:
+        return [upper_penalty_intensity(y, self.spec.costs.k, self.m) for y in self.Y]
+
+    @cached_property
+    def beta(self) -> list:
+        return [lower_penalty_intensity(y, self.spec.costs.l, self.n) for y in self.Y]
+
 
 def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
                            picard_tol=bsde.DEFAULT_PICARD_TOL) -> DoublePenalizedSolution:
     """Unreflected solve with the lower penalty at level n and the upper
-    penalty at level m; returns the solved fields plus both intensities."""
+    penalty at level m."""
     spec.require_valid()
     gen = spec.generator
     k, l = spec.costs.k, spec.costs.l
@@ -187,14 +196,9 @@ def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
                 + lower_penalty_intensity(y, l, n)
                 - upper_penalty_intensity(y, k, m))
 
-    Y, Z = bsde.solve_system(
-        tree, bsde.DriverFn(driver, lip), spec.check_terminal(tree.leaf_w),
-        picard_tol=picard_tol,
-    )
-    alpha = [upper_penalty_intensity(y, k, m) for y in Y]
-    beta = [lower_penalty_intensity(y, l, n) for y in Y]
-    return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=Y, Z=Z,
-                                   alpha=alpha, beta=beta)
+    Y = bsde.backward(tree, spec.check_terminal(tree), bsde.DriverFn(driver, lip),
+                      lambda t, y, z: (y,), picard_tol=picard_tol)[0]
+    return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=Y)
 
 
 @dataclass

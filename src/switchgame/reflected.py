@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from . import bsde
-from .errors import DataError
 from .model import (
     DEFAULT_PROJECTION_TOL,
     GameSpec,
@@ -86,14 +85,12 @@ def solve_rbsde(spec: GameSpec, tree, picard_tol=bsde.DEFAULT_PICARD_TOL,
     raw generator, then the oblique projection.
     """
     spec.require_valid()
-    if tree.recombining and not spec.terminal.markovian:
-        raise DataError("the recombining fast path requires a Markovian terminal")
 
     def post(t, y, z):
         y, dK, dL = project_oblique_batch(y, spec.costs, tol=proj_tol)
         return y, z, dK, dL
 
-    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree.leaf_w), spec.generator,
+    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree), spec.generator,
                                  post, picard_tol=picard_tol)
     return RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
 

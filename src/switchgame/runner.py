@@ -417,7 +417,7 @@ def _run_validate(scenario, task, state, out, tol, seed, hook):
     try:
         tree = _get_tree(scenario, state)
         check = "terminal_domain"
-        spec.check_terminal(tree.leaf_w)
+        spec.check_terminal(tree)
         rows.append([check, "ok", ""])
     except SwitchGameError as exc:
         rows.append([check, "fail", str(exc)])

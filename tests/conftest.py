@@ -1,8 +1,9 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
-a wall-time budget, an array that refuses per-entry reads, and the
-candidate-tensor barrier oracle."""
+a wall-time budget, an array that refuses per-entry reads, the
+candidate-tensor barrier oracle and the per-carrier conditioning oracle."""
 
 import contextlib
+import math
 import signal
 
 import numpy as np
@@ -32,19 +33,36 @@ STANDARD_BETA = [[1.0, 1.0], [0.9, 0.9]]
 STANDARD_T = 0.24
 
 
+class _Expired(BaseException):
+    """Raised by `time_budget`'s alarm inside the block; a BaseException so
+    that no `except Exception` in the block swallows it."""
+
+
 @contextlib.contextmanager
 def time_budget(seconds: int):
-    """Raise TimeoutError inside the block once `seconds` of wall time pass."""
+    """Fail with TimeoutError once `seconds` of wall time pass in the block.
+
+    The alarm interrupts the block; the TimeoutError is raised here after
+    the block has unwound, with the interrupted frames dropped, so its
+    traceback holds no frame of the block.  (pytest crashed rendering one
+    raised from deep inside a recursion.)
+    """
     def expire(signum, frame):
-        raise TimeoutError(f"ran past its {seconds} s budget")
+        raise _Expired
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
+    expired = False
     try:
         yield
+    except _Expired as exc:
+        exc.__traceback__ = None
+        expired = True
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise TimeoutError(f"ran past its {seconds} s budget") from None
 
 
 class NoEntryReads(np.ndarray):
@@ -93,6 +111,31 @@ def tensor_barriers(y, costs: CostTables):
     up = y[..., None, :, :] + costs.k_off[:, :, None]
     lo = y[..., :, None, :] - costs.l_off
     return up.min(axis=-2), up.argmin(axis=-2), lo.max(axis=-1), lo.argmax(axis=-1)
+
+
+def carrier_conditioning(tree, t, values):
+    """(E, z) of level-(t+1) `values` as each carrier computed them on its
+    own, an oracle for the shared `expect_next`/`z_next`: a mean over the
+    grouped children and an einsum on the path tree; on the lattice, a sum
+    of shifted grid slices started from a copy of the first, and a
+    zero-initialised accumulation per slice and component."""
+    v = np.asarray(values, dtype=float)
+    B, d, dt, tail = tree.branching, tree.d, tree.dt, v.shape[1:]
+    n = tree.level_size(t)
+    if not tree.recombining:
+        grouped = v.reshape((n, B) + tail)
+        wgt = tree.signs * math.sqrt(dt) / (B * dt)
+        return grouped.mean(axis=1), np.einsum("nb...,bp->np...", grouped, wgt)
+    grid = v.reshape((t + 2,) * d + tail)
+    acc, z = None, np.zeros((n, d) + tail)
+    for c in range(B):
+        piece = grid[tuple(slice(1, t + 2) if (c >> p) & 1 else slice(0, t + 1)
+                           for p in range(d))]
+        acc = piece.copy() if acc is None else acc + piece
+        for p in range(d):
+            sign = 1.0 if (c >> p) & 1 else -1.0
+            z[:, p] += piece.reshape((n,) + tail) * (sign * math.sqrt(dt) / (B * dt))
+    return (acc / B).reshape((n,) + tail), z
 
 
 def standard_costs() -> CostTables:

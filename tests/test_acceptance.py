@@ -125,7 +125,7 @@ def test_criterion_03_penalty_intensity_bound(standard_sweep):
 def test_criterion_04_a_priori_bounds(standard_sweep):
     spec, tree, _, report = standard_sweep
     from switchgame.penalty import solve_penalized
-    xi_max = float(np.abs(spec.check_terminal(tree.leaf_w)).max())
+    xi_max = float(np.abs(spec.check_terminal(tree)).max())
     hi = xi_max + 3.0 * spec.generator.sup_bound * spec.horizon + 1e-9
     lo = -xi_max - spec.generator.sup_bound * spec.horizon - 1e-9
     ok = True

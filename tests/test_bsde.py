@@ -101,6 +101,14 @@ class TestStep:
             check_contraction(0.5, 2.0)
         check_contraction(0.5, 1.9)  # strict inequality is enough
 
+    @pytest.mark.parametrize("dt,lip,factor", [(0.5, 3.0, 2), (0.5, 2.0, 2), (1.0, 2.5, 3),
+                                               (0.25, 16.0, 5)])
+    def test_contraction_guard_names_the_smallest_refinement(self, dt, lip, factor):
+        # dt*C / factor < 1 holds, and it fails one factor lower
+        assert dt * lip / factor < 1.0 <= dt * lip / (factor - 1)
+        with pytest.raises(SizingError, match=f"by a factor of at least {factor}$"):
+            check_contraction(dt, lip)
+
     def test_picard_divergence_is_reported(self):
         E = np.zeros(1)
         with pytest.raises(ConvergenceError, match="did not converge"):

@@ -216,7 +216,7 @@ class TestEvalSwitched:
         a = FeedbackStrategy.stay("I", tree, 2, 2)
         b = FeedbackStrategy.stay("II", tree, 2, 2)
         val = eval_switched(spec, tree, a, b)
-        xi = spec.check_terminal(tree.leaf_w)
+        xi = spec.check_terminal(tree)
         np.testing.assert_allclose(val.root(), xi.mean(axis=0), atol=1e-12)
 
     def test_single_switch_adds_one_cost(self):
@@ -225,7 +225,7 @@ class TestEvalSwitched:
         a = FeedbackStrategy.constant("I", tree, 2, 2, 1)  # always hold mode 2
         b = FeedbackStrategy.stay("II", tree, 2, 2)
         val = eval_switched(spec, tree, a, b)
-        xi = spec.check_terminal(tree.leaf_w)
+        xi = spec.check_terminal(tree)
         for j in range(2):
             assert val.root((0, j)) == pytest.approx(xi.mean(axis=0)[1, j] + 1.0)
             assert val.root((1, j)) == pytest.approx(xi.mean(axis=0)[1, j])
@@ -236,7 +236,7 @@ class TestEvalSwitched:
         a = FeedbackStrategy.stay("I", tree, 2, 2)
         b = FeedbackStrategy.constant("II", tree, 2, 2, 0)
         val = eval_switched(spec, tree, a, b)
-        xi = spec.check_terminal(tree.leaf_w)
+        xi = spec.check_terminal(tree)
         assert val.root((0, 1)) == pytest.approx(xi.mean(axis=0)[0, 0] - 0.8)
 
     def test_forward_backward_equivalence(self, rng, standard_spec):
@@ -244,7 +244,7 @@ class TestEvalSwitched:
         # paths of terminal value + sum of driver contributions + cost delta
         tree = build_tree(3, 1, standard_spec.horizon)
         c = standard_spec.generator.c
-        xi = standard_spec.check_terminal(tree.leaf_w)
+        xi = standard_spec.check_terminal(tree)
         for _ in range(5):
             a = FeedbackStrategy.random("I", tree, 2, 2, rng)
             b = FeedbackStrategy.random("II", tree, 2, 2, rng)
@@ -480,7 +480,7 @@ def gathered_backward(spec, tree, settle, finish):
     pair (I, J) = settle(t), Picard runs on them with `gen.at_modes`, and
     finish(t, y, I) turns the solve into the level's values."""
     gen = spec.generator
-    Y = [None] * tree.N + [spec.check_terminal(tree.leaf_w)]
+    Y = [None] * tree.N + [spec.check_terminal(tree)]
     for t in range(tree.N - 1, -1, -1):
         E, Z = tree.expect_next(t, Y[t + 1]), tree.z_next(t, Y[t + 1])
         I, J = settle(t)
@@ -625,7 +625,7 @@ class TestBestReplyCertificate:
 
     @staticmethod
     def _reply(spec, tree, opponent):
-        return _best_reply(spec, tree, spec.check_terminal(tree.leaf_w), opponent).root()
+        return _best_reply(spec, tree, spec.check_terminal(tree), opponent).root()
 
     def test_bounds_every_feedback_table_against_random_opponents(self, rng):
         # N <= 2: the state-dependent reply is at least the exhaustive best
@@ -666,7 +666,7 @@ class TestBestReplyCertificate:
             m1, m2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             tree = build_tree(int(rng.integers(1, 5)), 1, 0.5)
             spec = random_family_spec(rng, m1, m2, tree, families[trial % 3])
-            xi = spec.check_terminal(tree.leaf_w)
+            xi = spec.check_terminal(tree)
             margin = _certificate_margin(spec, tree, xi)
             assert margin is not None and margin >= 1e-12
             sol = solve_rbsde(spec, tree)
@@ -694,7 +694,7 @@ class TestBestReplyCertificate:
                      (scenario.spec, build_tree(5, 1, scenario.spec.horizon))]
         for spec, tree in instances:
             sol = solve_rbsde(spec, tree)
-            xi = spec.check_terminal(tree.leaf_w)
+            xi = spec.check_terminal(tree)
             margin = _certificate_margin(spec, tree, xi)
             for opp, hi in zip(extract_saddle(sol, spec), (spec.m1, spec.m2)):
                 for _ in range(3):
@@ -758,7 +758,7 @@ class TestBestReplyCertificate:
                                      beta=[[0.5, 0.5], [0.4, 0.4]]),
                         horizon=0.5)
         tree = build_tree(2, 1, spec.horizon)
-        assert _certificate_margin(spec, tree, spec.check_terminal(tree.leaf_w)) is None
+        assert _certificate_margin(spec, tree, spec.check_terminal(tree)) is None
         sol = solve_rbsde(spec, tree)
 
         def no_reply(*args):
@@ -837,7 +837,7 @@ class TestRepresentation:
             horizon=0.5,
         )
         tree = build_tree(1, 1, 0.5)
-        xi = spec.check_terminal(tree.leaf_w)
+        xi = spec.check_terminal(tree)
         E = xi.mean(axis=0)
         by_hand = np.empty((2, 1))
         for i in range(2):

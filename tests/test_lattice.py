@@ -1,14 +1,16 @@
 """Exactness of the discrete filtration: moments, tower property, martingale
 coefficients, and path/recombining agreement on Markovian data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from switchgame.errors import DataError, SizingError
 from switchgame.game import FeedbackStrategy, simulate_path
-from switchgame.lattice import PathTree, RecombiningTree, build_tree
+from switchgame.lattice import PathTree, RecombiningTree, _Tree, build_tree
 
-from conftest import make_standard, time_budget
+from conftest import carrier_conditioning, make_standard, time_budget
 
 
 class TestConstruction:
@@ -133,6 +135,90 @@ class TestExactMoments:
             tree.expect_next(0, np.zeros(3))
         with pytest.raises(DataError):
             tree.expect_next(2, np.zeros(4))
+
+    @pytest.mark.parametrize("recombining", [False, True])
+    @pytest.mark.parametrize("method", ["expect_next", "z_next"])
+    def test_every_conditioning_refuses_a_level_of_the_wrong_size(self, recombining, method):
+        tree = build_tree(3, 2, 1.0, recombining=recombining)
+        condition = getattr(tree, method)
+        rows = tree.level_size(2)
+        for t, values in [(1, np.zeros(rows - 1)), (1, np.zeros((rows + 1, 2, 2))),
+                          (1, np.float64(0.0)), (3, np.zeros(rows)), (-1, np.zeros(rows))]:
+            with pytest.raises(DataError):
+                condition(t, values)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestSharedConditioning:
+    """`expect_next` and `z_next` are one routine on both carriers; each
+    carrier only says where a node's children sit."""
+
+    @pytest.mark.parametrize("recombining", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_each_carriers_own_routine_bitwise(self, recombining, d, rng):
+        # two corners differ, each within its bound: on the lattice a node
+        # whose children are all -0.0 gets +0.0 (the sum starts from +0.0,
+        # as the path tree's always did); on the path tree with one entry
+        # per node and 8 or more children, the sum runs in branch order where
+        # NumPy summed pairwise, so it moves by rounding only
+        N = {1: 5, 2: 3, 3: 2, 4: 2}[d]
+        tree = build_tree(N, d, 0.7, recombining=recombining)
+        B = tree.branching
+        for t in range(N):
+            for tail in [(), (1, 1), (1, 3), (2, 2), (3, 3)]:
+                v = rng.uniform(-1e3, 1e3, (tree.level_size(t + 1),) + tail)
+                v[rng.random(v.shape) < 0.5] = -0.0
+                v[: B + 1] = -0.0       # a node, or a lattice state, with -0.0 children only
+                E, z = tree.expect_next(t, v), tree.z_next(t, v)
+                E_ref, z_ref = carrier_conditioning(tree, t, v)
+                assert E.shape == E_ref.shape and z.shape == z_ref.shape
+                np.testing.assert_array_equal(_bits(z), _bits(z_ref))
+                moved = _bits(E) != _bits(E_ref)
+                if recombining:
+                    # every moved entry is a -0.0 turned +0.0
+                    negative_zero = _bits(np.float64(-0.0))
+                    assert np.all(_bits(E_ref)[moved] == negative_zero)
+                    assert not E[moved].any() and not np.signbit(E[moved]).any()
+                    assert moved.any() or d > 1
+                elif d < 3 or tail not in [(), (1, 1)]:
+                    assert not moved.any()
+                else:
+                    # two summation orders of B terms differ by at most
+                    # 2 (B - 1) eps sum|x|; the mean divides that by B
+                    children = np.abs(v).reshape((-1, B) + tail).sum(axis=1)
+                    assert np.all(np.abs(E - E_ref) <= 2 * np.finfo(float).eps * children)
+
+    def test_all_negative_zero_children_give_positive_zero_on_both_carriers(self):
+        for recombining in (False, True):
+            tree = build_tree(2, 2, 1.0, recombining=recombining)
+            E = tree.expect_next(1, np.full((tree.level_size(2), 2, 2), -0.0))
+            np.testing.assert_array_equal(_bits(E), _bits(np.zeros(E.shape)))
+
+    @pytest.mark.parametrize("recombining", [False, True])
+    def test_expect_next_holds_its_result_and_at_most_one_child_block(self, recombining, rng):
+        N = 60 if recombining else 6
+        tree = build_tree(N, 2, 1.0, recombining=recombining)
+        v = rng.normal(size=(tree.level_size(N), 3, 3))
+        result_bytes = tree.level_size(N - 1) * 9 * 8      # a child block is as large
+        tree.expect_next(N - 1, v)                           # warm up
+        tracemalloc.start()
+        try:
+            E = tree.expect_next(N - 1, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert E.nbytes == result_bytes
+        assert peak <= 2 * result_bytes
+
+    def test_carriers_bind_the_shared_routine(self):
+        # each carrier names the routine in its own namespace, where the
+        # benchmark's tracer finds it, and neither has a body of its own
+        for cls in (PathTree, RecombiningTree):
+            assert cls.__dict__["expect_next"] is _Tree.expect_next
+            assert cls.__dict__["z_next"] is _Tree.z_next
 
 
 class TestRecombining:

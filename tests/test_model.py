@@ -2,6 +2,7 @@
 projection, checked against independent brute-force oracles."""
 
 import itertools
+import traceback
 import tracemalloc
 from collections import Counter
 
@@ -245,13 +246,27 @@ class TestLoops:
         spec = GameSpec(costs, GeneratorSpec("zero", m1, m2),
                         TerminalSpec("constant", m1, m2, alpha=np.zeros((m1, m2))),
                         horizon=1.0)
-        timed_out = False
-        try:
-            with time_budget(5), pytest.raises(SizingError, match="enumeration cap of 12 pairs"):
-                spec.validate()
-        except TimeoutError:    # fail outside the deep enumeration traceback
-            timed_out = True
-        assert not timed_out, f"validating a {m1}x{m2} grid ran past 5 s"
+        with time_budget(5), pytest.raises(SizingError, match="enumeration cap of 12 pairs"):
+            spec.validate()
+
+
+def test_time_budget_error_carries_no_frame_of_the_block():
+    # the error of a budget that expires deep in a recursion must not point
+    # into it: pytest could not render such a traceback
+    def descend(depth):
+        if depth:
+            return descend(depth - 1)
+        while True:
+            pass
+
+    with pytest.raises(TimeoutError, match="1 s budget") as info:
+        with time_budget(1):
+            descend(200)
+    frames, exc = [], info.value
+    while exc is not None:
+        frames += [f.f_code.co_name for f, _ in traceback.walk_tb(exc.__traceback__)]
+        exc = exc.__cause__ or exc.__context__
+    assert frames and "descend" not in frames
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +564,7 @@ class TestTerminalSpec:
             horizon=1.0,
         )
         with pytest.raises(DataError, match=r"leaf 0.*\(1,1\)"):
-            spec.check_terminal(np.zeros((1, 1)))
+            spec.check_terminal(build_tree(1, 1, 1.0))
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(DataError):

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from switchgame import build_tree, penalty
+from switchgame import bsde, build_tree, penalty
 from switchgame.errors import SizingError
 from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from switchgame.penalty import (
@@ -179,7 +179,7 @@ class TestSinglePenalty:
 
     def test_a_priori_bounds(self, standard_run):
         spec, tree, _, _ = standard_run
-        xi = spec.check_terminal(tree.leaf_w)
+        xi = spec.check_terminal(tree)
         hi = np.abs(xi).max() + 3.0 * spec.generator.sup_bound * spec.horizon + 1e-9
         lo = -np.abs(xi).max() - spec.generator.sup_bound * spec.horizon - 1e-9
         for n in (1, 8, 32):
@@ -203,6 +203,44 @@ class TestSinglePenalty:
         sol = solve_penalized(standard_spec, build_tree(3, 1, standard_spec.horizon), 2)
         assert not hasattr(sol, "K") and not hasattr(sol, "L")
         assert not hasattr(penalty, "_accumulate")
+
+    def test_intensity_is_computed_on_first_read_only(self, standard_spec, monkeypatch):
+        # the backward pass calls the intensity inside the driver only; beta
+        # is filled on its first read, with the values the solve used to
+        # compute eagerly, and cached
+        calls = []
+        intensity = penalty.lower_penalty_intensity
+        monkeypatch.setattr(penalty, "lower_penalty_intensity",
+                            lambda *args: calls.append(1) or intensity(*args))
+        at_return = []      # intensity calls made when the backward pass returned
+        backward = bsde.backward
+
+        def counted_backward(*args, **kwargs):
+            out = backward(*args, **kwargs)
+            at_return.append(len(calls))
+            return out
+
+        monkeypatch.setattr(bsde, "backward", counted_backward)
+        tree = build_tree(8, 1, standard_spec.horizon)
+        sol = solve_penalized(standard_spec, tree, 8)
+        assert len(calls) == at_return[0] > 0
+        assert not hasattr(sol, "Z")
+        eager = [intensity(y, standard_spec.costs.l, 8) for y in sol.Y]
+        beta = sol.beta
+        assert len(calls) == at_return[0] + tree.N + 1
+        for b, e in zip(beta, eager):
+            np.testing.assert_array_equal(b.view(np.uint64), e.view(np.uint64))
+        assert sol.beta is beta and len(calls) == at_return[0] + tree.N + 1
+
+    def test_double_penalty_intensities_are_computed_on_first_read(self, standard_spec):
+        tree = build_tree(6, 1, standard_spec.horizon)
+        sol = solve_double_penalized(standard_spec, tree, 4, 4)
+        assert not hasattr(sol, "Z") and not {"alpha", "beta"} & vars(sol).keys()
+        costs = standard_spec.costs
+        for got, want in [(sol.alpha, [upper_penalty_intensity(y, costs.k, 4) for y in sol.Y]),
+                          (sol.beta, [lower_penalty_intensity(y, costs.l, 4) for y in sol.Y])]:
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
     def test_gap_shrinks_along_the_sweep(self, standard_run):
         _, _, _, report = standard_run

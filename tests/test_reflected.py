@@ -7,7 +7,12 @@ import pytest
 from switchgame import build_tree, reflected
 from switchgame.bsde import DriverFn, backward, solve_system
 from switchgame.errors import DataError
-from switchgame.game import brute_force_value
+from switchgame.game import (
+    FeedbackStrategy,
+    brute_force_value,
+    eval_switched,
+    solve_lower_reflected,
+)
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -17,6 +22,7 @@ from switchgame.model import (
     project_oblique_batch,
     upper_barrier,
 )
+from switchgame.penalty import solve_double_penalized, solve_penalized
 from switchgame.reflected import (
     RbsdeSolution,
     check_minimality,
@@ -166,7 +172,7 @@ class TestOneSidedReduction:
         def post(t, y, z):
             return (np.minimum(y, upper_barrier(y, spec.costs)),)
 
-        upper_only = backward(tree, spec.check_terminal(tree.leaf_w),
+        upper_only = backward(tree, spec.check_terminal(tree),
                               spec.generator, post)[0]
 
         costs_col = CostTables(k=spec.costs.k, l=[[0.0]])
@@ -209,6 +215,29 @@ class TestErrorsAndExport:
         )
         with pytest.raises(DataError, match="Markovian"):
             solve_rbsde(spec, tree)
+
+    @pytest.mark.parametrize("solver", ["solve_penalized", "solve_double_penalized",
+                                        "eval_switched", "solve_lower_reflected"])
+    def test_every_solver_refuses_a_non_markovian_terminal_on_a_lattice(self, solver):
+        # a 5-row leaf table fits the N=4 lattice's 5 states in shape, but a
+        # state does not determine the path the table is indexed by
+        tree = build_tree(4, 1, 1.0, recombining=True)
+        spec = GameSpec(
+            costs=standard_costs(),
+            generator=GeneratorSpec("zero", 2, 2),
+            terminal=TerminalSpec("leaf_table", 2, 2, table=np.zeros((5, 2, 2))),
+            horizon=1.0,
+        )
+        a = FeedbackStrategy.stay("I", tree, 2, 2)
+        run = {
+            "solve_penalized": lambda: solve_penalized(spec, tree, 1),
+            "solve_double_penalized": lambda: solve_double_penalized(spec, tree, 1, 1),
+            "eval_switched": lambda: eval_switched(spec, tree, a,
+                                                   FeedbackStrategy.stay("II", tree, 2, 2)),
+            "solve_lower_reflected": lambda: solve_lower_reflected(spec, tree, a),
+        }[solver]
+        with pytest.raises(DataError, match="Markovian"):
+            run()
 
     def test_export_schema(self, standard_spec):
         tree = build_tree(2, 1, standard_spec.horizon)

@@ -535,6 +535,18 @@ class TestCli:
         report = (tmp_path / "dom" / "validate.csv").read_text()
         assert "terminal_domain,fail" in report
 
+    def test_non_markovian_terminal_on_a_lattice_fails_validation(self, tmp_path):
+        path = small_scenario(
+            tmp_path,
+            terminal={"family": "leaf_table", "table": [[[0.0, 0.0], [0.0, 0.0]]] * 5},
+            tree={"N": 4, "recombining": True},
+            tasks=["validate"],
+        )
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "lat")]) == 1
+        report = (tmp_path / "lat" / "validate.csv").read_text()
+        assert ("terminal_domain,fail,the recombining fast path requires a Markovian terminal"
+                in report)
+
     def test_task_subset_override(self, tmp_path):
         path = small_scenario(tmp_path)
         assert cli_main(["solve", str(path), "--out", str(tmp_path / "sub"),
