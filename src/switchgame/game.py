@@ -45,6 +45,7 @@ before and names the violating strategies.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,7 @@ from .reflected import RbsdeSolution
 BRUTE_FORCE_MAX_STEPS = 3
 BRUTE_FORCE_MAX_MODES = 4
 _MAX_STRATEGIES = 2 ** 14      # Player I's tables at those caps with 2x2 modes and d = 1
+_MAX_BRUTE_FORCE_WORK = 2 ** 18  # strategies x nodes x iterations; 2x2 at N = 3: 16384 x 7 x 2
 
 
 @dataclass
@@ -619,17 +621,25 @@ def brute_force_value(spec: GameSpec, tree, start=None,
 
     Returns the (m1, m2) matrix of root values (or the scalar for `start`).
     This is the independent oracle for the representation theorem; it never
-    calls the direct reflected solver.
+    calls the direct reflected solver.  Past any of its caps, SizingError at once.
     """
     if tree.N > max_steps or spec.m1 * spec.m2 > max_modes:
         raise SizingError(
             f"brute force capped at N <= {max_steps} and m1*m2 <= {max_modes}; "
             f"got N={tree.N}, m1*m2={spec.m1 * spec.m2}"
         )
-    count = spec.m1 ** (spec.m1 * sum(tree.level_size(t) for t in range(tree.N)))
+    interior = sum(tree.level_size(t) for t in range(tree.N))
+    count = spec.m1 ** (spec.m1 * interior)
     if count > _MAX_STRATEGIES:
         raise SizingError(f"brute force capped at {_MAX_STRATEGIES} Player-I strategies; "
                           f"got {count}")
+    bsde.check_contraction(tree.dt, spec.generator.lipschitz)
+    q = tree.dt * spec.generator.lipschitz  # the update shrinks by q per iteration, from ~1
+    iters = 1 + (math.ceil(math.log(bsde.DEFAULT_PICARD_TOL) / math.log(q)) if q > 0 else 1)
+    if count * interior * iters > _MAX_BRUTE_FORCE_WORK:
+        raise SizingError(f"brute force capped at {_MAX_BRUTE_FORCE_WORK} Picard node-iterations; "
+                          f"got {count} strategies x {interior} interior nodes x {iters} "
+                          f"estimated iterations at dt*C = {q:g}")
     spec.require_valid()
     best = None
     # the j-independent Player-I strategies: one table per (node, i), repeated over j

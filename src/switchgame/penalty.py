@@ -7,6 +7,8 @@ followed by the exact upper clamp ``min(y, upper_barrier(y))``, the minimal
 downward push under the strict triangle inequality.  The solution gives the
 penalty intensity beta at every node on first read; beta * dt is the implied
 lower push increment.
+
+A sweep solves all its levels in one backward pass; `solve_penalized` one.
 """
 
 from __future__ import annotations
@@ -24,26 +26,31 @@ from .reflected import RbsdeSolution
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
 
 
-def _lower_penalty_terms(y, l):
-    """(n, m1, m2, m2) array of (y[i,j] - y[i,j'] + l(j,j'))^- over j'."""
-    diff = y[..., :, :, None] - y[..., :, None, :] + l[None, None, :, :]
-    return np.maximum(-diff, 0.0)
-
-
-def _upper_penalty_terms(y, k):
-    """(n, m1, m1, m2) array of (y[i,j] - y[i',j] - k(i,i'))^+ over i'."""
-    diff = y[..., :, None, :] - y[..., None, :, :] - k[:, :, None]
-    return np.maximum(diff, 0.0)
+def _lower_terms(y, l):
+    """(j, slice j' of (y[i,j] - y[i,j'] + l(j,j'))^-) for each j' != j in order,
+    as (y[..., j'] - y[..., j] - l(j,j'))^+, the same float."""
+    m2 = l.shape[0]
+    return ((j, np.maximum(y[..., b] - y[..., j] - l[j, b], 0.0))
+            for j in range(m2) for b in range(m2) if b != j)
 
 
 def lower_penalty_intensity(y, l, n):
-    """beta = n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-."""
-    return n * _lower_penalty_terms(y, l).sum(axis=-1)
+    """beta = n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-, n one level or (S, 1, 1)
+    levels of stacked problems.  Summed as NumPy sums a last axis of m2 terms,
+    in j' order below eight and by its pairwise sum from eight, with no
+    (..., m2, m2) tensor."""
+    if y.shape[-1] >= 8:
+        return n * np.stack([np.maximum(y - y[..., j, None] - l[j], 0.0).sum(axis=-1)
+                             for j in range(l.shape[0])], axis=-1)
+    beta = np.zeros(y.shape)
+    for j, term in _lower_terms(y, l):
+        beta[..., j] += term
+    return n * beta
 
 
 def upper_penalty_intensity(y, k, m):
     """alpha = m * sum_i' (y[i,j] - y[i',j] - k(i,i'))^+."""
-    return m * _upper_penalty_terms(y, k).sum(axis=-2)
+    return m * np.maximum(y[..., :, None, :] - y[..., None, :, :] - k[:, :, None], 0.0).sum(-2)
 
 
 def penalty_rate(n: int, m: int) -> float:
@@ -58,7 +65,8 @@ def penalty_rate(n: int, m: int) -> float:
 
 
 def max_penalty_level(tree, spec: GameSpec) -> int:
-    """Largest integer n whose penalty keeps dt * (C + rate) < 1 on this tree."""
+    """Largest integer n whose penalty keeps dt * (C + rate) < 1 on this tree: a
+    contraction bound, not a promise that Picard converges there (rate ~ 1)."""
     return _largest_level(tree, spec, spec.generator.lipschitz)
 
 
@@ -108,18 +116,14 @@ def _require_penalty_contraction(tree, spec, n, m):
 
 
 @dataclass
-class PenalizedSolution:
-    """Solution of the level-n penalized system.
-
-    dK[t] holds the upper push increments of level t (t < N); beta[t] is the
-    penalty intensity at the solved values of level t, computed on first read.
-    """
+class _Penalized:
+    """Values Y of a penalized system at lower level n; the lower penalty
+    intensity beta at them is computed on first read."""
 
     tree: object
     spec: GameSpec
     n: int
     Y: list
-    dK: list
 
     @property
     def root(self) -> np.ndarray:
@@ -128,58 +132,59 @@ class PenalizedSolution:
     @cached_property
     def beta(self) -> list:
         return [lower_penalty_intensity(y, self.spec.costs.l, self.n) for y in self.Y]
+
+
+@dataclass
+class PenalizedSolution(_Penalized):
+    """Solution of the level-n penalized system; dK[t] holds the upper push
+    increments of level t (t < N)."""
+
+    dK: list
+
+
+def _sweep(spec: GameSpec, tree, n_list, post, picard_tol=bsde.DEFAULT_PICARD_TOL):
+    """One backward pass of the penalized system at every level of n_list, each checked
+    first, ascending, so a SizingError names the smallest failing n before any Picard
+    call.  Each step clamps y in place, then returns ``post(t, y, dK)``.  Returns the
+    stacked leaf values and the kernel's result."""
+    spec.require_valid()
+    lip = max(_require_penalty_contraction(tree, spec, n, 0) for n in sorted(n_list))
+    gen, l, ns = spec.generator, spec.costs.l, np.asarray(n_list, dtype=float)
+
+    def driver(live):
+        n = ns[live][:, None, None] if live.size > 1 else float(ns[live[0]])
+        return lambda t, w, y, z: gen(t, w, y, z) + lower_penalty_intensity(y, l, n)
+
+    def step(t, y, z):
+        clamped = np.minimum(y, upper_barrier(y, spec.costs))
+        dK, y[...] = y - clamped, clamped
+        return post(t, y, dK)
+
+    xi = np.repeat(spec.check_terminal(tree)[:, None], len(n_list), axis=1)
+    return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip), step, picard_tol,
+                             problems=[f"penalty level {n}" for n in n_list])
 
 
 def solve_penalized(spec: GameSpec, tree, n: int,
                     picard_tol=bsde.DEFAULT_PICARD_TOL) -> PenalizedSolution:
-    """Solve the penalized system at penalty level n.
-
-    Each step solves the implicit BSDE with the penalty-augmented driver by a
+    """Solve the penalized system at penalty level n, the one-level sweep: a
     joint Picard loop over all mode pairs (the penalty couples the j
-    coordinates), then clamps by the upper (k) constraints only,
-    ``min(y, upper_barrier(y))``, recording dK.  Under the strict triangle
-    inequality (`spec.require_valid()`) that one clamp is the minimal push.
-    """
-    spec.require_valid()
-    gen = spec.generator
-    l = spec.costs.l
-    lip = _require_penalty_contraction(tree, spec, n, 0)
-
-    def driver(t, w, y, z):
-        return np.asarray(gen(t, w, y, z), dtype=float) + lower_penalty_intensity(y, l, n)
-
-    def post(t, y, z):
-        out = np.minimum(y, upper_barrier(y, spec.costs))
-        return out, y - out
-
-    Y, dK = bsde.backward(tree, spec.check_terminal(tree), bsde.DriverFn(driver, lip),
-                          post, picard_tol=picard_tol)
-    return PenalizedSolution(tree=tree, spec=spec, n=n, Y=Y, dK=dK)
+    coordinates), then the upper clamp, recording dK.  Under the strict
+    triangle inequality (`spec.require_valid()`) it is the minimal push."""
+    _, (Y, dK) = _sweep(spec, tree, [n], lambda t, y, dK: (y, dK), picard_tol=picard_tol)
+    return PenalizedSolution(tree, spec, n, [y[:, 0] for y in Y], [k[:, 0] for k in dK])
 
 
 @dataclass
-class DoublePenalizedSolution:
-    """Plain solve with both penalty terms (levels n down, m up); the
-    intensities alpha and beta at the solved values are computed on first
-    read."""
+class DoublePenalizedSolution(_Penalized):
+    """Plain solve with both penalty terms (levels n down, m up); the upper
+    intensity alpha is computed on first read too."""
 
-    tree: object
-    spec: GameSpec
-    n: int
     m: int
-    Y: list
-
-    @property
-    def root(self) -> np.ndarray:
-        return self.Y[0][0]
 
     @cached_property
     def alpha(self) -> list:
         return [upper_penalty_intensity(y, self.spec.costs.k, self.m) for y in self.Y]
-
-    @cached_property
-    def beta(self) -> list:
-        return [lower_penalty_intensity(y, self.spec.costs.l, self.n) for y in self.Y]
 
 
 def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
@@ -187,8 +192,7 @@ def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
     """Unreflected solve with the lower penalty at level n and the upper
     penalty at level m."""
     spec.require_valid()
-    gen = spec.generator
-    k, l = spec.costs.k, spec.costs.l
+    gen, k, l = spec.generator, spec.costs.k, spec.costs.l
     lip = _require_penalty_contraction(tree, spec, n, m)
 
     def driver(t, w, y, z):
@@ -233,31 +237,30 @@ def penalization_report(spec: GameSpec, tree, n_list,
     increase ``monotone_worst`` at most ``_MONOTONE_SLACK``).  The penalty is
     nonnegative and grows with n, so by comparison the values are in fact
     nondecreasing: ``monotone_ok`` is False with a positive ``monotone_worst``
-    wherever lower barriers bind.
+    wherever lower barriers bind.  One pass solves every level; its post-step
+    folds each statistic, a maximum, over the tree levels and keeps the roots.
     """
     n_list = sorted(n_list)
-    bound = 2.0 * spec.generator.sup_bound
-    rows = []
-    prev = None
-    for n in n_list:
-        sol = solve_penalized(spec, tree, n)
-        stat = max(
-            float((n * _lower_penalty_terms(y, spec.costs.l)).max())
-            for y in sol.Y
-        )
-        if prev is None:
-            mono_ok, worst = True, 0.0
-        else:
-            worst = max(float((y - p).max()) for y, p in zip(sol.Y, prev))
-            mono_ok = worst <= _MONOTONE_SLACK
-        gap = None
+    if not n_list:
+        return ConvergenceReport(rows=[])
+    S, l, n = len(n_list), spec.costs.l, np.asarray(n_list, dtype=float)[:, None]
+    stat, worst, gap = np.zeros(S), np.zeros(S), np.zeros(S)
+    roots = np.empty((S, spec.m1, spec.m2))
+
+    def fold(t, y, dK=None):
+        for _, term in _lower_terms(y, l):
+            np.maximum(stat, bsde.problem_max(n * term), out=stat)
+        np.maximum(worst[1:], bsde.problem_max(y[:, 1:] - y[:, :-1]), out=worst[1:])
         if direct is not None:
-            gap = max(
-                float(np.abs(y - yd).max()) for y, yd in zip(sol.Y, direct.Y)
-            )
-        rows.append(ConvergenceRow(
-            n=n, root=sol.root.copy(), monotone_ok=mono_ok, monotone_worst=worst,
-            penalty_stat=stat, penalty_bound=bound, gap=gap,
-        ))
-        prev = sol.Y
-    return ConvergenceReport(rows=rows)
+            np.maximum(gap, bsde.problem_max(np.abs(y - direct.Y[t][:, None])), out=gap)
+        if t == 0:
+            roots[...] = y[0]
+        return ()
+
+    xi, _ = _sweep(spec, tree, n_list, fold)
+    fold(tree.N, xi)
+    bound = 2.0 * spec.generator.sup_bound
+    return ConvergenceReport(rows=[ConvergenceRow(
+        n=level, root=roots[s], monotone_ok=bool(worst[s] <= _MONOTONE_SLACK),
+        monotone_worst=float(worst[s]), penalty_stat=float(stat[s]), penalty_bound=bound,
+        gap=None if direct is None else float(gap[s])) for s, level in enumerate(n_list)])

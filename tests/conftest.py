@@ -1,6 +1,7 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
 a wall-time budget, an array that refuses per-entry reads, the
-candidate-tensor barrier oracle and the per-carrier conditioning oracle."""
+candidate-tensor barrier oracle, the per-carrier conditioning oracle and the
+level-by-level penalization oracle."""
 
 import contextlib
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from switchgame import build_tree
+from switchgame.bsde import DriverFn, backward
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -18,8 +20,10 @@ from switchgame.model import (
     check_loop_costs,
     project_oblique,
     project_oblique_batch,
+    upper_barrier,
     validate_cost_matrices,
 )
+from switchgame.penalty import ConvergenceRow, penalty_rate
 
 # The standard 2x2 instance used throughout: unit Player-I costs, 0.8
 # Player-II costs, an antisymmetric mode-constant driver, and an affine
@@ -136,6 +140,53 @@ def carrier_conditioning(tree, t, values):
             sign = 1.0 if (c >> p) & 1 else -1.0
             z[:, p] += piece.reshape((n,) + tail) * (sign * math.sqrt(dt) / (B * dt))
     return (acc / B).reshape((n,) + tail), z
+
+
+def tensor_lower_intensity(y, l, n):
+    """n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^- reduced with `.sum(-1)` from
+    the whole (..., m1, m2, m2) tensor of terms, as the penalty driver did
+    before it summed slice by slice."""
+    diff = y[..., :, :, None] - y[..., :, None, :] + np.asarray(l)[None, None, :, :]
+    return n * np.maximum(-diff, 0.0).sum(axis=-1)
+
+
+def sequential_penalized(spec, tree, n, counts=None):
+    """(Y, dK) of the level-n penalized system solved on its own, with the
+    tensor driver and the upper clamp, one kernel pass per level.  With
+    `counts`, each driver call adds one to ``counts[(level size, n)]``: the
+    Picard iterations per tree level."""
+    gen, l = spec.generator, spec.costs.l
+
+    def driver(t, w, y, z):
+        if counts is not None:
+            counts[(y.shape[0], n)] = counts.get((y.shape[0], n), 0) + 1
+        return np.asarray(gen(t, w, y, z), dtype=float) + tensor_lower_intensity(y, l, n)
+
+    def post(t, y, z):
+        out = np.minimum(y, upper_barrier(y, spec.costs))
+        return out, y - out
+
+    lip = gen.lipschitz + penalty_rate(n, spec.m2)
+    return backward(tree, spec.check_terminal(tree), DriverFn(driver, lip), post)
+
+
+def sequential_report(spec, tree, n_list, direct=None):
+    """The rows of `penalization_report` as they were computed one level at a
+    time from full solutions of `sequential_penalized`."""
+    rows, prev = [], None
+    l, bound = spec.costs.l, 2.0 * spec.generator.sup_bound
+    for n in sorted(n_list):
+        Y, _ = sequential_penalized(spec, tree, n)
+        diff = [y[..., :, :, None] - y[..., :, None, :] + l[None, None] for y in Y]
+        stat = max(float((n * np.maximum(-d, 0.0)).max()) for d in diff)
+        worst = 0.0 if prev is None else max(float((y - p).max()) for y, p in zip(Y, prev))
+        gap = None if direct is None else max(float(np.abs(y - yd).max())
+                                              for y, yd in zip(Y, direct.Y))
+        rows.append(ConvergenceRow(n=n, root=Y[0][0].copy(), monotone_ok=worst <= 1e-10,
+                                   monotone_worst=worst, penalty_stat=stat,
+                                   penalty_bound=bound, gap=gap))
+        prev = Y
+    return rows
 
 
 def standard_costs() -> CostTables:

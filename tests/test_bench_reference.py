@@ -1,10 +1,12 @@
-"""The benchmark's recorded direct-solve roots, reproduced bit for bit.
+"""The benchmark's recorded direct-solve roots, reproduced bit for bit, and
+one short pass of its refinement ladder with every check it makes.
 
 `bench/reference.json` holds the roots of `solve_rbsde` on the seeded
 instances of the `direct_path_3x3` workload.  Solving the N=12 ones here makes
 a barrier or projection change that moves a number fail in this suite,
-before the benchmark runs.  The benchmark's module is loaded from its file
-and only read from.
+before the benchmark runs; so does a penalization change that breaks the
+ladder's monotone or gap checks.  The benchmark's module is loaded from its
+file and only read from.
 """
 
 import importlib.util
@@ -34,3 +36,9 @@ def test_direct_path_roots_equal_the_recorded_reference(workloads, seed):
         [(N, _, _, tree, spec)] = workload.instance(q)
         np.testing.assert_array_equal(solve_rbsde(spec, tree).root,
                                       np.asarray(workload.roots[f"{q}.{N}"]))
+
+
+def test_a_short_refinement_ladder_passes_its_checks(workloads):
+    recorder = workloads.Recorder()
+    workloads.run_pass(workloads.RefineLattice2x2(0, None, ladder=(10, 20)), recorder)
+    assert recorder.attempted == 4 and recorder.failed == 0, recorder.failures

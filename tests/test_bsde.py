@@ -140,6 +140,78 @@ class TestStep:
         assert times.count(times[-1]) == 1 and min(times) > 0.3
 
 
+
+class TestStackedProblems:
+    """Several problems on one tree, stacked on axis 1 of every field."""
+
+    def test_each_problem_stops_where_it_would_alone(self, rng):
+        # y <- E + r * sin(y) contracts at rate r: the problems need
+        # different iteration counts and leave the working set one by one
+        E = rng.normal(size=(5, 3, 2, 2))
+        rates = np.array([0.0, 0.3, 0.9])
+        seen = []
+
+        def update(live):
+            seen.append(live.tolist())
+            return lambda y: rates[live][:, None, None] * np.sin(y)
+
+        y, total = picard_solve(E, update, problems=["a", "b", "c"])
+        iterations = []
+        for s in range(3):
+            alone, its = picard_solve(E[:, s], lambda v: rates[s] * np.sin(v))
+            np.testing.assert_array_equal(y[:, s].view(np.uint64), alone.view(np.uint64))
+            iterations.append(its)
+        assert total == sum(iterations) and len(set(iterations)) == 3
+        assert seen == [[0, 1, 2], [1, 2], [2]]
+
+    def test_a_failing_problem_is_named(self):
+        E = np.zeros((2, 2, 1, 1))
+
+        def update(live):
+            return lambda y: np.where(live[:, None, None] == 1, y + 1.0, 0.0)
+
+        with pytest.raises(ConvergenceError, match="^second: .*within 50 iterations"):
+            picard_solve(E, update, max_iter=50, problems=["first", "second"])
+        with pytest.raises(ConvergenceError, match="^second: Picard iterate 1 holds a non-finite"):
+            picard_solve(E, lambda live: lambda y: np.where(live[:, None, None] == 1, np.nan, y),
+                         problems=["first", "second"])
+
+    def test_stacked_pass_equals_separate_passes(self, rng):
+        # two driver levels on a 2-d lattice: the driver sees z with its
+        # Brownian axis just before the mode pair, as an unstacked driver does
+        tree = build_tree(4, 2, 0.5, recombining=True)
+        gen = GeneratorSpec("saturated_affine", 2, 2, d=2, a=0.6, b=[0.5, -0.3], M=0.7,
+                            c=[[0.3, -0.3], [0.1, 0.0]])
+        xi = rng.uniform(-1, 1, (tree.level_size(4), 2, 2))
+        shift = np.array([0.0, 0.25])
+
+        def driver(live):
+            return lambda t, w, y, z: gen(t, w, y, z) + shift[live][:, None, None]
+
+        stacked = backward(tree, np.stack([xi, xi], axis=1), DriverFn(driver, gen.lipschitz),
+                           lambda t, y, z: (y, z), problems=["low", "high"])
+        for s in range(2):
+            alone = solve_system(tree, DriverFn(lambda t, w, y, z: gen(t, w, y, z) + shift[s],
+                                                gen.lipschitz), xi)
+            for got, want in zip(stacked[0] + stacked[1], alone[0] + alone[1], strict=True):
+                np.testing.assert_array_equal(got[:, s].view(np.uint64), want.view(np.uint64))
+
+    def test_a_post_step_that_returns_nothing_keeps_nothing(self, rng):
+        # the values left in y, changed in place, condition the next level
+        tree = build_tree(3, 1, 1.0)
+        xi = rng.normal(size=(8, 2, 2))
+        roots = []
+
+        def post(t, y, z):
+            y += 1.0
+            if t == 0:
+                roots.append(y.copy())
+            return ()
+
+        assert backward(tree, xi, zero_driver(), post) == ()
+        Y, _ = backward(tree, xi, zero_driver(), lambda t, y, z: (y + 1.0, z))
+        np.testing.assert_array_equal(roots[0], Y[0])
+
 class TestSolveSystem:
     def test_constant_terminal_is_a_martingale(self):
         tree = build_tree(4, 1, 1.0)

@@ -42,6 +42,7 @@ from conftest import (
     n2_fixture_set,
     random_admissible_spec,
     standard_costs,
+    time_budget,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
@@ -874,6 +875,17 @@ class TestRepresentation:
             count = 3 ** (3 * (2 ** N - 1))
             with pytest.raises(SizingError, match=f"16384 Player-I strategies; got {count}"):
                 brute_force_value(spec, build_tree(N, 1, 1.0))
+
+    def test_picard_work_is_capped_before_enumerating(self):
+        # 2 x 1 with a = -3 at N = 3, dt = 1/6: 16,384 strategies pass the
+        # strategy cap, but dt*C = 0.5 costs 41 Picard iterations per node
+        # and the enumeration took 41-50 s
+        spec = GameSpec(CostTables([[0.0, 1.0], [1.0, 0.0]], [[0.0]]),
+                        GeneratorSpec("saturated_affine", 2, 1, a=-3.0, M=1.0),
+                        TerminalSpec("constant", 2, 1, alpha=[[0.0], [0.0]]), horizon=0.5)
+        with time_budget(5), pytest.raises(
+                SizingError, match=r"16384 strategies x 7 interior nodes x 41 estimated"):
+            brute_force_value(spec, build_tree(3, 1, 0.5))
 
     def test_enumeration_counts(self, standard_spec):
         tree = build_tree(1, 1, standard_spec.horizon)

@@ -9,13 +9,22 @@ per instance.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from switchgame import bsde, build_tree, penalty
-from switchgame.errors import SizingError
-from switchgame.model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
+from switchgame.errors import ConvergenceError, SizingError
+from switchgame.model import (
+    CostTables,
+    GameSpec,
+    GeneratorSpec,
+    TerminalSpec,
+    check_loop_costs,
+    project_oblique,
+    validate_cost_matrices,
+)
 from switchgame.penalty import (
     _largest_level,
     lower_penalty_intensity,
@@ -28,7 +37,18 @@ from switchgame.penalty import (
 )
 from switchgame.reflected import solve_rbsde
 
-from conftest import make_standard, standard_costs, time_budget
+from conftest import (
+    STANDARD_ALPHA,
+    STANDARD_K,
+    STANDARD_L,
+    STANDARD_T,
+    make_standard,
+    sequential_penalized,
+    sequential_report,
+    standard_costs,
+    tensor_lower_intensity,
+    time_budget,
+)
 
 N_LIST = [1, 2, 4, 8, 16, 32]
 
@@ -284,3 +304,155 @@ class TestDoublePenalty:
             maxima.append(max(float(a.max()) for a in sol.alpha))
         # recorded bound: the intensities do not blow up as m grows
         assert max(maxima) < 10.0 * max(maxima[0], 1.0)
+
+
+def refine_instance(seed=0):
+    """The refinement ladder's instance, drawn as its workload draws it:
+    standard costs and alpha, a uniform beta and a saturated-affine driver."""
+    rng = np.random.default_rng([seed, 2])
+    beta = np.full((2, 2), rng.uniform(0.8, 1.2))
+    c0 = rng.uniform(1.0, 2.0)
+    gen = GeneratorSpec("saturated_affine", 2, 2, a=rng.uniform(0.3, 0.7),
+                        b=[rng.uniform(0.1, 0.4)], M=1.0, c=[[c0, -c0], [-c0, c0]])
+    term = TerminalSpec("affine", 2, 2, alpha=STANDARD_ALPHA, beta=beta)
+    return GameSpec(CostTables(k=STANDARD_K, l=STANDARD_L), gen, term, horizon=STANDARD_T)
+
+
+def sweep_instance(rng, family, m1, m2, d, T):
+    """A random valid m1 x m2 instance with a Markovian terminal in the region
+    at every leaf (affine, uniform beta) and a `family` driver.  Off-diagonal
+    costs in [1, 1.5] meet every triangle inequality."""
+    while True:
+        k, l = rng.uniform(1.0, 1.5, (m1, m1)), rng.uniform(1.0, 1.5, (m2, m2))
+        np.fill_diagonal(k, 0.0)
+        np.fill_diagonal(l, 0.0)
+        costs = CostTables(k=k, l=l)
+        if validate_cost_matrices(costs).ok and check_loop_costs(costs).ok:
+            break
+    alpha = project_oblique(rng.uniform(-2.0, 2.0, (m1, m2)), costs)[0]
+    term = TerminalSpec("affine", m1, m2, alpha=alpha, beta=np.full((m1, m2), 0.6))
+    c = rng.uniform(-2.0, 2.0, (m1, m2))
+    gen = {"zero": lambda: GeneratorSpec("zero", m1, m2, d=d),
+           "mode_constant": lambda: GeneratorSpec("mode_constant", m1, m2, d=d, c=c),
+           "saturated_affine": lambda: GeneratorSpec(
+               "saturated_affine", m1, m2, d=d, c=c, a=-0.7, b=rng.uniform(-0.5, 0.5, d),
+               M=0.8)}[family]()
+    return GameSpec(costs, gen, term, horizon=T, d=d)
+
+
+def sweep_levels(tree, spec):
+    """Two or three distinct levels, the last with half the largest level
+    that contracts (a Picard rate of about 1/2)."""
+    top = 40 if spec.m2 == 1 else max_penalty_level(tree, spec)
+    return sorted({1, max(top // 8, 1), max(top // 2, 1)})
+
+
+# every mode grid with m1, m2 <= 3, and the widest Player-II grid whose loop
+# enumeration a test can afford: 1 x 8, past NumPy's eight-term pairwise sum
+GRIDS = [(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)] + [(1, 8)]
+FAMILIES = ("zero", "mode_constant", "saturated_affine")
+CARRIERS = [(False, 1, 5), (False, 2, 3), (True, 1, 24), (True, 2, 8)]  # (recombining, d, N)
+
+
+class TestSweep:
+    """One backward pass for every level of a sweep, against the level-by-level
+    oracle of `conftest`: bit for bit, the same Picard iterations per level,
+    a bounded memory peak, and failures that name the level."""
+
+    @pytest.mark.parametrize("recombining,d,N", CARRIERS)
+    @pytest.mark.parametrize("m1,m2", GRIDS)
+    def test_sweep_equals_separate_solves_bit_for_bit(self, recombining, d, N, m1, m2):
+        seed = GRIDS.index((m1, m2)) * len(CARRIERS) + CARRIERS.index((recombining, d, N))
+        rng = np.random.default_rng(seed)
+        family = FAMILIES[seed % 3]
+        tree = build_tree(N, d, 0.01 * N, recombining=recombining)
+        spec = sweep_instance(rng, family, m1, m2, d, tree.T)
+        levels = sweep_levels(tree, spec)
+        direct = solve_rbsde(spec, tree)
+        rows = penalization_report(spec, tree, levels, direct=direct).rows
+        want = sequential_report(spec, tree, levels, direct=direct)
+        assert len(rows) == len(want) >= 2
+        for got, row in zip(rows, want):
+            assert (got.n, got.monotone_ok, got.penalty_bound) == (row.n, row.monotone_ok,
+                                                                   row.penalty_bound)
+            np.testing.assert_array_equal(got.root.view(np.uint64), row.root.view(np.uint64))
+            for name in ("monotone_worst", "penalty_stat", "gap"):
+                assert repr(getattr(got, name)) == repr(getattr(row, name)), name
+        sol = solve_penalized(spec, tree, levels[-1])
+        Y, dK = sequential_penalized(spec, tree, levels[-1])
+        for got, want in zip(sol.Y + sol.dK, Y + dK, strict=True):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("m2", [1, 2, 3, 5, 7, 8, 9, 12])
+    def test_intensity_equals_the_tensor_sum(self, rng, m2):
+        # per problem n on a stack, and a scalar n; exact ties y_j' - y_j = l
+        l = rng.uniform(1.0, 1.5, (m2, m2))
+        np.fill_diagonal(l, 0.0)
+        y = rng.normal(size=(40, 3, 2, m2)) * 10.0 ** rng.integers(-3, 3, (40, 3, 2, m2))
+        y[::5, ..., 0] = y[::5, ..., -1] + l[-1, 0]
+        n = np.array([1.0, 7.0, 416.0])[:, None, None]
+        got = lower_penalty_intensity(y, l, n)
+        want = np.stack([tensor_lower_intensity(y[:, s], l, n[s]) for s in range(3)], axis=1)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(lower_penalty_intensity(y[:, 1], l, 7).view(np.uint64),
+                                      want[:, 1].view(np.uint64))
+
+    @pytest.mark.parametrize("recombining,N", [(False, 8), (True, 100)])
+    def test_each_level_takes_the_iterations_of_its_own_solve(self, monkeypatch,
+                                                              recombining, N):
+        spec = refine_instance()
+        tree = build_tree(N, 1, spec.horizon, recombining=recombining)
+        levels = [1, 8, 3 * max_penalty_level(tree, spec) // 4]
+        alone = {}
+        for n in levels:
+            sequential_penalized(spec, tree, n, counts=alone)
+        stacked = {}
+        intensity = penalty.lower_penalty_intensity
+
+        def counted(y, l, n):
+            for level in np.ravel(n):
+                stacked[(y.shape[0], int(level))] = stacked.get((y.shape[0], int(level)), 0) + 1
+            return intensity(y, l, n)
+
+        monkeypatch.setattr(penalty, "lower_penalty_intensity", counted)
+        penalization_report(spec, tree, levels)
+        assert stacked == alone
+        assert len({alone[(1, n)] for n in levels}) == len(levels)   # they differ
+
+    def test_sweep_keeps_less_than_two_full_solutions(self):
+        spec = refine_instance()
+        tree = build_tree(200, 1, spec.horizon, recombining=True)
+        levels = [2 ** e for e in range(9)]
+        direct = solve_rbsde(spec, tree)
+        full = sum(y.nbytes for y in solve_penalized(spec, tree, levels[-1]).Y)
+        tracemalloc.start()
+        try:
+            penalization_report(spec, tree, levels, direct=direct)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * full, (peak, full)
+
+    @pytest.mark.parametrize("levels,named", [([1, 2, 10 ** 6], 10 ** 6),
+                                              ([1, 10 ** 5, 10 ** 6], 10 ** 5)])
+    def test_sweep_refuses_a_failing_level_before_any_picard_call(self, monkeypatch,
+                                                                  standard_spec, levels, named):
+        calls = []
+        solve = bsde.picard_solve
+        monkeypatch.setattr(bsde, "picard_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        tree = build_tree(8, 1, standard_spec.horizon)
+        with pytest.raises(SizingError, match=f"penalty level {named};"):
+            penalization_report(standard_spec, tree, levels)
+        assert calls == []
+
+    def test_convergence_error_names_the_penalty_level(self):
+        # max_penalty_level is a contraction bound: at N=100 its level, 416,
+        # has rate 0.9992 and stops at the iteration cap on the first level
+        spec = refine_instance()
+        tree = build_tree(100, 1, spec.horizon, recombining=True)
+        assert max_penalty_level(tree, spec) == 416
+        with time_budget(20):
+            with pytest.raises(ConvergenceError,
+                               match=r"tree level 99: penalty level 416: .*did not converge"):
+                penalization_report(spec, tree, [1, 416])
