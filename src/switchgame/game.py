@@ -57,6 +57,7 @@ from .reflected import RbsdeSolution
 
 BRUTE_FORCE_MAX_STEPS = 3
 BRUTE_FORCE_MAX_MODES = 4
+TRIGGER_TOL = 1e-9     # how close to its barrier a value must sit to fire a switch
 _MAX_STRATEGIES = 2 ** 14      # Player I's tables at those caps with 2x2 modes and d = 1
 _MAX_BRUTE_FORCE_WORK = 2 ** 18  # strategies x nodes x iterations; 2x2 at N = 3: 16384 x 7 x 2
 
@@ -306,20 +307,19 @@ def _barrier_actions(y, costs, player, fire):
     return np.where(fired, target, stay), fired
 
 
-def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None,
-                   tol: float = 1e-9):
+def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None):
     """Candidate saddle strategies from the solved value field.
 
     Player I's trigger fires when the value sits on its upper barrier (within
-    tol); Player II's when it sits on its lower barrier.  When both fire at
-    once, Player I switches and Player II stays.  Switch targets are the
-    barrier argmin/argmax, smallest index on ties.
+    TRIGGER_TOL); Player II's when it sits on its lower barrier.  When both
+    fire at once, Player I switches and Player II stays.  Switch targets are
+    the barrier argmin/argmax, smallest index on ties.
     """
     costs = (spec or sol.spec).costs
     acts_I, acts_II = [], []
     for y in sol.Y[:sol.tree.N]:
-        a, fire_I = _barrier_actions(y, costs, "I", lambda up: y >= up - tol)
-        b, _ = _barrier_actions(y, costs, "II", lambda lo: (y <= lo + tol) & ~fire_I)
+        a, fire_I = _barrier_actions(y, costs, "I", lambda up: y >= up - TRIGGER_TOL)
+        b, _ = _barrier_actions(y, costs, "II", lambda lo: (y <= lo + TRIGGER_TOL) & ~fire_I)
         acts_I.append(a)
         acts_II.append(b)
     return (FeedbackStrategy("I", acts_I), FeedbackStrategy("II", acts_II))

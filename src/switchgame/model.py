@@ -22,9 +22,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, SizingError
 
-DEFAULT_LOOP_TOL = 1e-12
+LOOP_TOL = 1e-12       # |alternating cost| at most this counts as a zero-cost loop
+REGION_TOL = 1e-9      # how far past a barrier a value may sit and count as inside
 DEFAULT_PROJECTION_TOL = 1e-12
 DEFAULT_LOOP_CAP = 12
+MAX_PRIMARY_LOOPS = 2 ** 17     # 2x6 has 74,815 primary loops; 1x10 has 556,059
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,9 @@ class CostTables:
     reassigned, so what derives from them is computed once: `k_off`/`l_off`
     carry +inf on the diagonal (no barrier reads a player's own mode), and
     `loop_costs`/`min_loop_cost` are filled on first use, since loop
-    enumeration raises SizingError above DEFAULT_LOOP_CAP pairs.  Entries
-    must be finite, or alternating loop costs could be `inf - inf`.
+    enumeration raises SizingError above DEFAULT_LOOP_CAP pairs or
+    MAX_PRIMARY_LOOPS loops.  Entries must be finite, or alternating loop
+    costs could be `inf - inf`.
     """
 
     def __init__(self, k, l):
@@ -136,55 +139,49 @@ def validate_cost_matrices(costs: CostTables) -> ValidationReport:
 # Primary loops and the no-zero-cost-loop condition
 # ---------------------------------------------------------------------------
 
-def _canonical_loop(loop):
-    """Canonical form of a closed mode-pair walk: smallest rotation, forward or
-    reversed orientation, whichever is lexicographically smaller.
-
-    `loop` is a tuple of pairs without the repeated endpoint.
-    """
-    return min(seq[r:] + seq[:r] for seq in (loop, loop[::-1]) for r in range(len(loop)))
-
-
-def enumerate_primary_loops(m1: int, m2: int, cap: int = DEFAULT_LOOP_CAP):
-    """Enumerate all primary loops on the m1 x m2 mode grid.
+def enumerate_primary_loops(m1: int, m2: int):
+    """Enumerate all primary loops on the m1 x m2 mode grid, in sorted order.
 
     A loop is a closed walk of mode pairs in which each step changes exactly
     one player's mode; a primary loop visits no intermediate pair twice.
-    Loops are returned canonicalized (deduplicated up to rotation and
-    reversal) as tuples of 0-based (i, j) pairs without the repeated endpoint.
-    The enumeration runs once per (m1, m2, cap); each call returns a new list.
+    Each loop is one tuple of 0-based (i, j) pairs without the repeated
+    endpoint, in its canonical form: the lexicographically smallest of its
+    rotations and reversals.  The enumeration runs once per (m1, m2); each
+    call returns a new list.
     """
-    return list(_primary_loops(m1, m2, cap))
+    return list(_primary_loops(m1, m2))
 
 
 @functools.cache
-def _primary_loops(m1, m2, cap):
-    if m1 * m2 > cap:
+def _primary_loops(m1, m2):
+    # Each loop is walked once, from its smallest pair through larger ones,
+    # in the orientation whose second pair is not larger than its last:
+    # that walk is its canonical form.
+    if m1 * m2 > DEFAULT_LOOP_CAP:
         raise SizingError(
-            f"mode grid {m1}x{m2} exceeds the loop enumeration cap of {cap} pairs"
+            f"mode grid {m1}x{m2} exceeds the loop enumeration cap of {DEFAULT_LOOP_CAP} pairs"
         )
-    pairs = [(i, j) for i in range(m1) for j in range(m2)]
-    found = set()
+    neighbors = {(i, j): [(a, j) for a in range(m1) if a != i]
+                 + [(i, b) for b in range(m2) if b != j]
+                 for i in range(m1) for j in range(m2)}
+    found = []
 
-    def neighbors(p):
-        i, j = p
-        yield from ((i2, j) for i2 in range(m1) if i2 != i)
-        yield from ((i, j2) for j2 in range(m2) if j2 != j)
-
-    def extend(path, on_path):
-        head = path[0]
-        for q in neighbors(path[-1]):
-            if q == head and len(path) >= 2:
-                found.add(_canonical_loop(tuple(path)))
-            if q not in on_path and len(path) < m1 * m2:
-                on_path.add(q)
+    def extend(path):
+        tail = path[-1]
+        for q in neighbors[tail]:
+            if q == path[0] and path[1] <= tail:
+                found.append(tuple(path))
+                if len(found) > MAX_PRIMARY_LOOPS:
+                    raise SizingError(
+                        f"mode grid {m1}x{m2} has more than {MAX_PRIMARY_LOOPS} primary loops"
+                    )
+            elif q > path[0] and q not in path:
                 path.append(q)
-                extend(path, on_path)
+                extend(path)
                 path.pop()
-                on_path.remove(q)
 
-    for start in pairs:
-        extend([start], {start})
+    for start in neighbors:
+        extend([start])
     return tuple(sorted(found))
 
 
@@ -202,11 +199,11 @@ def _pretty_loop(loop):
     return "->".join(f"({i + 1},{j + 1})" for i, j in loop)
 
 
-def check_loop_costs(costs: CostTables, tol: float = DEFAULT_LOOP_TOL) -> ValidationReport:
-    """Report every primary loop whose alternating cost is zero within `tol`."""
+def check_loop_costs(costs: CostTables) -> ValidationReport:
+    """Report every primary loop whose alternating cost is zero within LOOP_TOL."""
     return ValidationReport(tuple(
         f"loop {_pretty_loop(loop)} has zero alternating cost ({cost:g})"
-        for loop, cost in costs.loop_costs if abs(cost) <= tol
+        for loop, cost in costs.loop_costs if abs(cost) <= LOOP_TOL
     ))
 
 
@@ -265,7 +262,7 @@ def _outside_region(y, costs: CostTables, tol: float):
     return ~((y <= upper_barrier(y, costs) + tol) & (y >= lower_barrier(y, costs) - tol))
 
 
-def in_Qbar(y, costs: CostTables, tol: float = 1e-9) -> bool:
+def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:
     """True when every coordinate of y satisfies both barrier constraints within tol."""
     return not _outside_region(y, costs, tol).any()
 
@@ -545,14 +542,14 @@ class GameSpec:
         if not report.ok:
             raise DataError("invalid game specification: " + "; ".join(report.violations))
 
-    def check_terminal(self, tree, tol: float = 1e-9):
+    def check_terminal(self, tree):
         """Leaf values of the terminal on `tree`, where every solver starts.  Hard
         error for a non-Markovian terminal on a recombining lattice (a state does
         not determine the path) and for a leaf value outside the region."""
         if tree.recombining and not self.terminal.markovian:
             raise DataError("the recombining fast path requires a Markovian terminal")
         xi = self.terminal.evaluate(tree.leaf_w)
-        bad = _outside_region(xi, self.costs, tol)
+        bad = _outside_region(xi, self.costs, REGION_TOL)
         if bad.any():
             n, i, j = np.argwhere(bad)[0]
             raise DataError(

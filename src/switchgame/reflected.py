@@ -18,6 +18,7 @@ import numpy as np
 from . import bsde
 from .model import (
     DEFAULT_PROJECTION_TOL,
+    REGION_TOL,
     GameSpec,
     ValidationReport,
     in_Qbar,
@@ -121,12 +122,12 @@ def check_minimality(sol: RbsdeSolution, spec: GameSpec | None = None,
     return ValidationReport(tuple(bad))
 
 
-def domain_report(sol: RbsdeSolution, tol: float = 1e-9) -> ValidationReport:
-    """Constraint-region membership of Y at every node."""
+def domain_report(sol: RbsdeSolution) -> ValidationReport:
+    """Constraint-region membership of Y at every node, within REGION_TOL."""
     bad = []
     for t, y in enumerate(sol.Y):
-        if not in_Qbar(y, sol.spec.costs, tol=tol):
-            bad.append(f"level {t}: a value violates the constraint region beyond {tol:g}")
+        if not in_Qbar(y, sol.spec.costs):
+            bad.append(f"level {t}: a value violates the constraint region beyond {REGION_TOL:g}")
     return ValidationReport(tuple(bad))
 
 

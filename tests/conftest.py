@@ -1,9 +1,10 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
 a wall-time budget, an array that refuses per-entry reads, the
-candidate-tensor barrier oracle, the per-carrier conditioning oracle and the
-level-by-level penalization oracle."""
+canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
+per-carrier conditioning oracle and the level-by-level penalization oracle."""
 
 import contextlib
+import itertools
 import math
 import signal
 
@@ -103,6 +104,37 @@ def lower_sweep(y, costs: CostTables):
     row = CostTables(k=[[0.0]], l=costs.l)
     return np.concatenate([project_oblique_batch(y[..., [i], :], row)[0]
                            for i in range(costs.m1)], axis=-2)
+
+
+def canonical_loop(loop):
+    """Smallest rotation of a closed walk, forward or reversed."""
+    return min(seq[r:] + seq[:r] for seq in (loop, loop[::-1]) for r in range(len(loop)))
+
+
+def canonicalizing_walk_loops(m1, m2):
+    """Primary-loop oracle: a depth-first walk from every pair finds each loop
+    of length L 2L times, and canonicalizing plus a set removes the repeats."""
+    found = set()
+
+    def neighbors(p):
+        i, j = p
+        yield from ((i2, j) for i2 in range(m1) if i2 != i)
+        yield from ((i, j2) for j2 in range(m2) if j2 != j)
+
+    def extend(path, on_path):
+        for q in neighbors(path[-1]):
+            if q == path[0] and len(path) >= 2:
+                found.add(canonical_loop(tuple(path)))
+            if q not in on_path:
+                on_path.add(q)
+                path.append(q)
+                extend(path, on_path)
+                path.pop()
+                on_path.remove(q)
+
+    for start in itertools.product(range(m1), range(m2)):
+        extend([start], {start})
+    return sorted(found)
 
 
 def tensor_barriers(y, costs: CostTables):

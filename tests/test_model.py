@@ -36,6 +36,8 @@ from conftest import (
     STANDARD_C,
     STANDARD_K,
     STANDARD_L,
+    canonical_loop,
+    canonicalizing_walk_loops,
     lower_sweep,
     make_3x3,
     standard_costs,
@@ -220,6 +222,34 @@ class TestLoops:
     def test_matches_closed_walk_oracle(self, m1, m2):
         assert enumerate_primary_loops(m1, m2) == closed_walk_loops(m1, m2)
 
+    @pytest.mark.parametrize("m1,m2", [(m1, m2) for m1 in range(1, 8) for m2 in range(1, 8)
+                                       if m1 * m2 <= 7] + [(2, 4), (4, 2), (3, 3), (2, 5), (5, 2)])
+    def test_matches_the_canonicalizing_walk(self, m1, m2):
+        # the same tuples in the same order as a walk from every pair that
+        # canonicalizes each find and removes the repeats
+        assert enumerate_primary_loops(m1, m2) == canonicalizing_walk_loops(m1, m2)
+
+    @pytest.mark.parametrize("m1,m2,count", [(3, 4, 13_975), (4, 3, 13_975), (2, 6, 74_815),
+                                             (6, 2, 74_815), (1, 9, 62_850), (9, 1, 62_850)])
+    def test_grids_at_the_cap_list_every_loop_once_in_canonical_form(self, m1, m2, count):
+        # the canonicalizing walk's counts on these grids: as many distinct
+        # canonical primary loops is the same set
+        loops = enumerate_primary_loops(m1, m2)
+        assert len(loops) == count
+        assert loops == sorted(set(loops))
+        for loop in loops:
+            assert len(set(loop)) == len(loop) >= 2
+            assert all(0 <= i < m1 and 0 <= j < m2 for i, j in loop)
+            assert all((p[0] == q[0]) != (p[1] == q[1])
+                       for p, q in zip(loop, loop[1:] + loop[:1]))
+            assert canonical_loop(loop) == loop
+
+    def test_cold_two_by_six_walk_finishes_in_seconds(self):
+        # the canonicalizing walk took over 30 s on this grid
+        model._primary_loops.cache_clear()
+        with time_budget(5):
+            assert len(enumerate_primary_loops(2, 6)) == 74_815
+
     def test_standard_four_loop_cost(self):
         costs = standard_costs()
         loops = enumerate_primary_loops(2, 2)
@@ -247,6 +277,18 @@ class TestLoops:
                         TerminalSpec("constant", m1, m2, alpha=np.zeros((m1, m2))),
                         horizon=1.0)
         with time_budget(5), pytest.raises(SizingError, match="enumeration cap of 12 pairs"):
+            spec.validate()
+
+    @pytest.mark.parametrize("m1,m2", [(1, 10), (1, 11), (1, 12), (12, 1)])
+    def test_line_grids_with_too_many_loops_are_refused(self, m1, m2):
+        # within the pair cap, but 1x10 alone has 556,059 primary loops, and
+        # validating 1x11 ran past 40 s before the walk stopped at a count
+        costs = CostTables(k=1.0 - np.eye(m1), l=0.8 * (1.0 - np.eye(m2)))
+        spec = GameSpec(costs, GeneratorSpec("zero", m1, m2),
+                        TerminalSpec("constant", m1, m2, alpha=np.zeros((m1, m2))),
+                        horizon=1.0)
+        with time_budget(5), pytest.raises(
+                SizingError, match=rf"^mode grid {m1}x{m2} has more than 131072 primary loops$"):
             spec.validate()
 
 

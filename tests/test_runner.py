@@ -472,6 +472,20 @@ class TestCli:
         assert "spec: mode grid 2x7 exceeds the loop enumeration cap of 12 pairs" in \
             capsys.readouterr().err
 
+    def test_line_grid_with_too_many_loops_exits_two_naming_it(self, tmp_path, capsys):
+        # 1x11 passes the pair cap, but its loop walk did not finish
+        m2 = 11
+        path = small_scenario(
+            tmp_path,
+            costs={"k": [[0.0]], "l": (0.8 * (1.0 - np.eye(m2))).tolist()},
+            generator={"family": "zero"},
+            terminal={"family": "constant", "alpha": np.zeros((1, m2)).tolist()},
+        )
+        with time_budget(5):
+            assert cli_main(["solve", str(path)]) == 2
+        assert "spec: mode grid 1x11 has more than 131072 primary loops" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("field,number,token", [
         ("k", '"k": [[0.0, 1.0', '"k": [[0.0, NaN'),
         ("c", '"c": [[2.0', '"c": [[NaN'),
