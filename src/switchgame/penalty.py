@@ -145,8 +145,8 @@ class PenalizedSolution(_Penalized):
 def _sweep(spec: GameSpec, tree, n_list, post, picard_tol=bsde.DEFAULT_PICARD_TOL):
     """One backward pass of the penalized system at every level of n_list, each checked
     first, ascending, so a SizingError names the smallest failing n before any Picard
-    call.  Each step clamps y in place, then returns ``post(t, y, dK)``.  Returns the
-    stacked leaf values and the kernel's result."""
+    call.  Each step returns ``post(t, y, bar)`` with the upper barrier `bar` of y;
+    the post-step clamps.  Returns the stacked leaf values and the kernel's result."""
     spec.require_valid()
     lip = max(_require_penalty_contraction(tree, spec, n, 0) for n in sorted(n_list))
     gen, l, ns = spec.generator, spec.costs.l, np.asarray(n_list, dtype=float)
@@ -155,14 +155,10 @@ def _sweep(spec: GameSpec, tree, n_list, post, picard_tol=bsde.DEFAULT_PICARD_TO
         n = ns[live][:, None, None] if live.size > 1 else float(ns[live[0]])
         return lambda t, w, y, z: gen(t, w, y, z) + lower_penalty_intensity(y, l, n)
 
-    def step(t, y, z):
-        clamped = np.minimum(y, upper_barrier(y, spec.costs))
-        dK, y[...] = y - clamped, clamped
-        return post(t, y, dK)
-
     xi = np.repeat(spec.check_terminal(tree)[:, None], len(n_list), axis=1)
-    return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip), step, picard_tol,
-                             problems=[f"penalty level {n}" for n in n_list])
+    return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip),
+                             lambda t, y, z: post(t, y, upper_barrier(y, spec.costs)),
+                             picard_tol, problems=[f"penalty level {n}" for n in n_list])
 
 
 def solve_penalized(spec: GameSpec, tree, n: int,
@@ -171,7 +167,11 @@ def solve_penalized(spec: GameSpec, tree, n: int,
     joint Picard loop over all mode pairs (the penalty couples the j
     coordinates), then the upper clamp, recording dK.  Under the strict
     triangle inequality (`spec.require_valid()`) it is the minimal push."""
-    _, (Y, dK) = _sweep(spec, tree, [n], lambda t, y, dK: (y, dK), picard_tol=picard_tol)
+    def clamp(t, y, bar):
+        clamped = np.minimum(y, bar)
+        return clamped, y - clamped
+
+    _, (Y, dK) = _sweep(spec, tree, [n], clamp, picard_tol=picard_tol)
     return PenalizedSolution(tree, spec, n, [y[:, 0] for y in Y], [k[:, 0] for k in dK])
 
 
@@ -247,7 +247,7 @@ def penalization_report(spec: GameSpec, tree, n_list,
     stat, worst, gap = np.zeros(S), np.zeros(S), np.zeros(S)
     roots = np.empty((S, spec.m1, spec.m2))
 
-    def fold(t, y, dK=None):
+    def fold(t, y):
         for _, term in _lower_terms(y, l):
             np.maximum(stat, bsde.problem_max(n * term), out=stat)
         np.maximum(worst[1:], bsde.problem_max(y[:, 1:] - y[:, :-1]), out=worst[1:])
@@ -257,7 +257,8 @@ def penalization_report(spec: GameSpec, tree, n_list,
             roots[...] = y[0]
         return ()
 
-    xi, _ = _sweep(spec, tree, n_list, fold)
+    # the clamp is in place: fold keeps nothing, so the kernel reads y on
+    xi, _ = _sweep(spec, tree, n_list, lambda t, y, bar: fold(t, np.minimum(y, bar, out=y)))
     fold(tree.N, xi)
     bound = 2.0 * spec.generator.sup_bound
     return ConvergenceReport(rows=[ConvergenceRow(

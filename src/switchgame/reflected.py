@@ -131,9 +131,46 @@ def domain_report(sol: RbsdeSolution) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+# Rows (node, mode pair) of `fields.csv` held as text at once: the export
+# formats a level in blocks of whole nodes, so its memory does not grow with
+# the level.
+_EXPORT_BLOCK_ROWS = 256
+
+
 def _text(a):
-    """Lazy ``repr`` text of the entries of `a`, in C order."""
-    return map(repr, map(float, a.flat))
+    """``repr`` text of the entries of `a` as floats, in C order."""
+    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
+
+
+def _export_blocks(sol: RbsdeSolution):
+    """The cells of the export rows, in blocks of at most `_EXPORT_BLOCK_ROWS`
+    rows (one node at least) of a level, read from whole-array slices.
+
+    Yields ``(t, nodes, w, cols)``: the level, the range of its nodes in the
+    block, the W text columns (one cell per node and component) and the row
+    text columns Y, Z1..Zd, dK, dL, K, L (one cell per node and mode pair, in
+    (node, i, j) order).  Z/dK/dL are blank on leaf rows and K/L on a
+    recombining lattice.  This is the one place the export formats a float.
+    """
+    tree, K, L = sol.tree, sol.K, sol.L
+    m1, m2 = sol.Y[0].shape[1:]
+    size = max(1, _EXPORT_BLOCK_ROWS // (m1 * m2))     # nodes per block
+    for t in range(tree.N + 1):
+        fields = [sol.Y[t]]
+        if t < tree.N:
+            fields += [sol.Z[t][:, p] for p in range(tree.d)] + [sol.dK[t], sol.dL[t]]
+        if K is not None:
+            fields += [K[t], L[t]]
+        w, n_t = tree.level_w(t), len(sol.Y[t])
+        for start in range(0, n_t, size):
+            block = slice(start, start + size)
+            cols = [_text(f[block]) for f in fields]
+            blank = [""] * len(cols[0])
+            if t == tree.N:
+                cols[1:1] = [blank] * (tree.d + 2)
+            if K is None:
+                cols += [blank] * 2
+            yield t, range(n_t)[block], [_text(w[block, p]) for p in range(tree.d)], cols
 
 
 def export_rows(sol: RbsdeSolution):
@@ -141,24 +178,13 @@ def export_rows(sol: RbsdeSolution):
 
     Columns: level, node, i, j, W components, Y, Z components, dK, dL,
     cumulative K, cumulative L.  Z/dK/dL are empty strings on leaf rows;
-    cumulants are empty when the tree is recombining.  Each level's columns
-    are lazy text over its whole arrays, zipped in (node, i, j) order.
+    cumulants are empty when the tree is recombining.  The cells are the
+    text of `_export_blocks`.
     """
-    tree = sol.tree
-    blank = itertools.repeat("")    # an endless column of empty cells
-    for t in range(tree.N + 1):
-        y = sol.Y[t]
-        n_t, m1, m2 = y.shape
-        w = tree.level_w(t)
-        cols = [_text(np.broadcast_to(w[:, p, None, None], y.shape)) for p in range(tree.d)]
-        cols.append(_text(y))
-        if t < tree.N:
-            cols += [_text(sol.Z[t][:, p]) for p in range(tree.d)]
-            cols += [_text(sol.dK[t]), _text(sol.dL[t])]
-        else:
-            cols += [blank] * (tree.d + 2)
-        cols += [blank] * 2 if sol.K is None else [_text(sol.K[t]), _text(sol.L[t])]
-        keys = itertools.product(range(n_t), range(1, m1 + 1), range(1, m2 + 1))
+    m1, m2 = sol.Y[0].shape[1:]
+    pairs = list(itertools.product(range(1, m1 + 1), range(1, m2 + 1)))
+    for t, nodes, w, cols in _export_blocks(sol):
+        keys = ((n, *pair, *wn) for n, *wn in zip(nodes, *w) for pair in pairs)
         for key, *cells in zip(keys, *cols):
             yield [t, *key, *cells]
 

@@ -33,10 +33,10 @@ from .lattice import DEFAULT_NODE_CAP, build_tree
 from .model import DEFAULT_PROJECTION_TOL, CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from .penalty import penalization_report, solve_double_penalized, solve_penalized
 from .reflected import (
+    _export_blocks,
     check_minimality,
     domain_report,
     export_header,
-    export_rows,
     solve_rbsde,
 )
 
@@ -316,6 +316,22 @@ def _write_table(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_fields(path, sol):
+    """Write `fields.csv` byte for byte as `_write_table` would from
+    `reflected.export_rows`: no cell needs quoting, and each row ends in
+    CR LF.  Each block of `reflected._export_blocks` is joined into lines and
+    written at once; a row's head (level, node, i, j, W) is built once, with
+    the W text of its node."""
+    m1, m2 = sol.Y[0].shape[1:]
+    pairs = [f"{i},{j}" for i in range(1, m1 + 1) for j in range(1, m2 + 1)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(export_header(sol.tree.d)) + "\r\n")
+        for t, nodes, w, cols in _export_blocks(sol):
+            heads = [f"{t},{n},{pair},{wn}"
+                     for n, wn in zip(nodes, map(",".join, zip(*w))) for pair in pairs]
+            fh.write("\r\n".join(map(",".join, zip(heads, *cols))) + "\r\n")
+
+
 def _fmt(x):
     return repr(float(x))
 
@@ -592,7 +608,7 @@ def _run_brute_force(scenario, task, state, out, tol, seed, hook):
 
 def _run_export(scenario, task, state, out, tol, seed, hook):
     sol = _require(state, "direct", "export", "solve_direct")
-    _write_table(out / "fields.csv", export_header(sol.tree.d), export_rows(sol))
+    _write_fields(out / "fields.csv", sol)
     return []
 
 

@@ -1,9 +1,11 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
 a wall-time budget, an array that refuses per-entry reads, the
 canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
-per-carrier conditioning oracle and the level-by-level penalization oracle."""
+per-carrier conditioning oracle, the level-by-level penalization oracle and
+the csv.writer export oracle."""
 
 import contextlib
+import csv
 import itertools
 import math
 import signal
@@ -25,6 +27,7 @@ from switchgame.model import (
     validate_cost_matrices,
 )
 from switchgame.penalty import ConvergenceRow, penalty_rate
+from switchgame.reflected import export_header
 
 # The standard 2x2 instance used throughout: unit Player-I costs, 0.8
 # Player-II costs, an antisymmetric mode-constant driver, and an affine
@@ -219,6 +222,42 @@ def sequential_report(spec, tree, n_list, direct=None):
                                    penalty_bound=bound, gap=gap))
         prev = Y
     return rows
+
+
+def levelwise_export_rows(sol):
+    """The rows of `reflected.export_rows` as it streamed them level by level:
+    lazy ``repr(float(x))`` text over whole level arrays, zipped with the
+    (node, i, j) keys, and endless blank columns."""
+    def text(a):
+        return map(repr, map(float, a.flat))
+
+    tree = sol.tree
+    blank = itertools.repeat("")
+    for t in range(tree.N + 1):
+        y = sol.Y[t]
+        n_t, m1, m2 = y.shape
+        w = tree.level_w(t)
+        cols = [text(np.broadcast_to(w[:, p, None, None], y.shape)) for p in range(tree.d)]
+        cols.append(text(y))
+        if t < tree.N:
+            cols += [text(sol.Z[t][:, p]) for p in range(tree.d)]
+            cols += [text(sol.dK[t]), text(sol.dL[t])]
+        else:
+            cols += [blank] * (tree.d + 2)
+        cols += [blank] * 2 if sol.K is None else [text(sol.K[t]), text(sol.L[t])]
+        keys = itertools.product(range(n_t), range(1, m1 + 1), range(1, m2 + 1))
+        for key, *cells in zip(keys, *cols):
+            yield [t, *key, *cells]
+
+
+def csv_writer_fields(sol, path) -> bytes:
+    """The bytes of `fields.csv` as csv.writer wrote them from
+    `levelwise_export_rows`, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(export_header(sol.tree.d))
+        writer.writerows(levelwise_export_rows(sol))
+    return path.read_bytes()
 
 
 def standard_costs() -> CostTables:

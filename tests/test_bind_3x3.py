@@ -38,9 +38,12 @@ def solved():
     return scenario.spec, tree, solve_rbsde(scenario.spec, tree)
 
 
-def test_reports_match_the_pinned_digests(tmp_path):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reports_match_the_pinned_digests(tmp_path, seed):
+    # the seed draws only the saddle catalog, which reaches the CSVs through
+    # violations alone, so the pinned digests hold for every seed
     out = tmp_path / "bind"
-    assert cli_main(["solve", str(SCENARIO), "--out", str(out), "--seed", "0"]) == 0
+    assert cli_main(["solve", str(SCENARIO), "--out", str(out), "--seed", str(seed)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == DIGESTS
 

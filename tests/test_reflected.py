@@ -1,6 +1,9 @@
 """The direct obliquely reflected solver: boundary behavior, push accounting,
 cross-solver agreement, and the one-sided reduction."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,16 +34,21 @@ from switchgame.reflected import (
     export_rows,
     solve_rbsde,
 )
+from switchgame.runner import _write_fields, parse_scenario
 
 from conftest import (
     STANDARD_ALPHA,
     STANDARD_BETA,
     STANDARD_C,
     NoEntryReads,
+    csv_writer_fields,
+    levelwise_export_rows,
     make_standard,
     random_admissible_spec,
     standard_costs,
 )
+
+BIND_3X3 = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios" / "bind_3x3.json"
 
 
 class TestTrivialInstances:
@@ -310,7 +318,7 @@ class TestExportAndCumulants:
         assert len(calls) == 2
         assert sum(float(a.max()) for a in sol.dL) > 0.0
 
-    def test_export_reads_whole_arrays_only(self, standard_spec):
+    def test_export_reads_whole_arrays_only(self, standard_spec, tmp_path):
         tree = build_tree(3, 1, standard_spec.horizon)
         sol = solve_rbsde(standard_spec, tree)
         guarded = RbsdeSolution(
@@ -318,3 +326,39 @@ class TestExportAndCumulants:
             **{name: [a.view(NoEntryReads) for a in getattr(sol, name)]
                for name in ("Y", "Z", "dK", "dL")})
         assert list(export_rows(guarded)) == list(export_rows(sol))
+        _write_fields(tmp_path / "guarded.csv", guarded)
+        _write_fields(tmp_path / "plain.csv", sol)
+        assert (tmp_path / "guarded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    # 12 rows are 3 nodes of a 2x2 grid, which divides no level past the root;
+    # 1 row is less than a node, so each block holds one node
+    @pytest.mark.parametrize("block_rows", [reflected._EXPORT_BLOCK_ROWS, 12, 1])
+    @pytest.mark.parametrize("recombining", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_writer_matches_csv_writer_byte_for_byte(self, d, recombining, block_rows,
+                                                     tmp_path, monkeypatch):
+        monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", block_rows)
+        spec = standard_in_dimension(d)
+        tree = build_tree(4, d, spec.horizon, recombining=recombining)
+        sol = solve_rbsde(spec, tree)
+        assert list(export_rows(sol)) == list(levelwise_export_rows(sol))
+        _write_fields(tmp_path / "fields.csv", sol)
+        assert ((tmp_path / "fields.csv").read_bytes()
+                == csv_writer_fields(sol, tmp_path / "oracle.csv"))
+
+    def test_writer_keeps_pushes_and_negative_zeros(self, tmp_path):
+        # bind_3x3 pushes both ways; its 28-node blocks divide no level past 16 nodes
+        scenario = parse_scenario(BIND_3X3)
+        tree = scenario.build_tree()
+        sol = solve_rbsde(scenario.spec, tree)
+        assert all(sum(int((a > 0.0).sum()) for a in pushes) > 0 for pushes in (sol.dK, sol.dL))
+        rng = np.random.default_rng(11)
+        fields = {name: [a.copy() for a in getattr(sol, name)] for name in ("Y", "Z", "dK", "dL")}
+        planted = RbsdeSolution(tree=tree, spec=scenario.spec, **fields)
+        for a in itertools.chain(*fields.values(), planted.K, planted.L):
+            a.flat[rng.choice(a.size, size=max(1, a.size // 50), replace=False)] = -0.0
+        assert list(export_rows(planted)) == list(levelwise_export_rows(planted))
+        _write_fields(tmp_path / "fields.csv", planted)
+        written = (tmp_path / "fields.csv").read_bytes()
+        assert b",-0.0," in written
+        assert written == csv_writer_fields(planted, tmp_path / "oracle.csv")

@@ -3,18 +3,23 @@
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import re
+import struct
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from switchgame import cli, runner
+from switchgame import cli, reflected, runner
 from switchgame.cli import main as cli_main
 from switchgame.errors import DataError, ScenarioError
 from switchgame.penalty import solve_double_penalized, solve_penalized
+from switchgame.reflected import solve_rbsde
 from switchgame.runner import parse_scenario, run
 
 from conftest import time_budget
@@ -414,12 +419,13 @@ class TestPipeline:
 
 
 class TestGolden:
+    @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name", ["standard_2x2", "perf_3x3"])
-    def test_bundled_reports_match_the_reference_digests(self, tmp_path, name):
+    def test_bundled_reports_match_the_reference_digests(self, tmp_path, name, seed):
         expected = json.loads(REFERENCE.read_text())["pipeline_bundled"][name]
         out = tmp_path / name
         assert cli_main(["solve", str(BUNDLED / f"{name}.json"), "--out", str(out),
-                         "--seed", "0"]) == 0
+                         "--seed", str(seed)]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.glob("*.csv")}
         assert digests == expected
@@ -442,6 +448,56 @@ class TestGolden:
             "saddle_violations.csv":
                 "5631bb8f2d3b0f9a674e2d6a89a1bdc0c38a48b0e292234b96b5d23dd4e60219",
         }
+
+
+def one_block_bound(d: int, rows: int) -> int:
+    """Bytes that `rows` rows of `fields.csv` can hold at once while their
+    block is written, with room for the file's buffers.
+
+    Per row: the cells of the text columns (Y, Z1..Zd, dK, dL, K, L; a float's
+    repr has at most 24 characters), one column's floats and array entries
+    while it is formatted, the (level, node, i, j, W) head and the joined line
+    (keys of at most 7 digits), and the block's text twice: joined, and then
+    copied once more (its closing line end, then its encoding)."""
+    ptr, cells = struct.calcsize("P"), 5 + d
+    line = 4 * 8 + (d + cells) * 25
+    per_row = (cells * (ptr + sys.getsizeof("x" * 24))
+               + ptr + sys.getsizeof(0.0) + 8
+               + 2 * (ptr + sys.getsizeof("x" * line))
+               + 2 * (line + 2))
+    return rows * per_row + 8 * io.DEFAULT_BUFFER_SIZE
+
+
+class TestFieldsExport:
+    """`fields.csv` is written one block of text at a time, so the export's
+    memory does not grow with the largest level."""
+
+    @pytest.fixture(scope="class")
+    def perf_3x3(self):
+        scenario = parse_scenario(BUNDLED / "perf_3x3.json")
+        sol = solve_rbsde(scenario.spec, scenario.build_tree())
+        sol.K, sol.L    # the cumulants are summed on first read, not by the writer
+        return sol
+
+    @staticmethod
+    def traced_peak(sol, path):
+        tracemalloc.start()
+        try:
+            runner._write_fields(path, sol)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_within_one_block_of_text(self, perf_3x3, tmp_path):
+        bound = one_block_bound(perf_3x3.tree.d, reflected._EXPORT_BLOCK_ROWS)
+        assert self.traced_peak(perf_3x3, tmp_path / "fields.csv") <= bound
+
+    def test_a_writer_of_whole_levels_passes_the_bound(self, perf_3x3, tmp_path, monkeypatch):
+        # the bound has teeth: one block per level holds the leaf level at once
+        bound = one_block_bound(perf_3x3.tree.d, reflected._EXPORT_BLOCK_ROWS)
+        tree, pairs = perf_3x3.tree, perf_3x3.root.size
+        monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", tree.level_size(tree.N) * pairs)
+        assert self.traced_peak(perf_3x3, tmp_path / "fields.csv") > bound
 
 
 class TestCli:
