@@ -256,10 +256,33 @@ def lower_barrier(y, costs: CostTables, targets: bool = False):
     return _running_extreme(pairs, np.subtract, np.maximum, np.greater, targets)
 
 
+# Mode matrices of a batch the region check copies mode-major at once: its
+# working set stays a few fields of this many rows, not copies of a 2^17-leaf
+# level.
+_REGION_ROWS = 4096
+
+
 def _outside_region(y, costs: CostTables, tol: float):
-    """Mask of the coordinates of y beyond a barrier by more than tol (NaN counts)."""
+    """Mask of the coordinates of y beyond a barrier by more than tol (NaN counts).
+
+    The terms of `upper_barrier` and `lower_barrier`, in their order, reduced
+    on contiguous mode-major (m1, m2, rows) copies of at most `_REGION_ROWS`
+    matrices of y, where each term is a whole run over the rows and not a
+    3-entry inner axis; the mask comes back in y's (..., m1, m2) layout."""
     y = np.asarray(y, dtype=float)
-    return ~((y <= upper_barrier(y, costs) + tol) & (y >= lower_barrier(y, costs) - tol))
+    rows = y.reshape(-1, costs.m1, costs.m2)
+    k = costs.k_off[:, :, None, None]
+    l = costs.l_off[:, :, None]
+    out = np.empty(rows.shape, dtype=bool)
+    for start in range(0, len(rows), _REGION_ROWS):
+        block = slice(start, start + _REGION_ROWS)
+        ym = np.moveaxis(rows[block], 0, -1).copy()
+        inside = ym <= _running_extreme(((ym[a:a + 1], k[:, a]) for a in range(costs.m1)),
+                                        np.add, np.minimum, np.less, False) + tol
+        inside &= ym >= _running_extreme(((ym[:, b:b + 1], l[:, b]) for b in range(costs.m2)),
+                                         np.subtract, np.maximum, np.greater, False) - tol
+        out[block] = np.moveaxis(~inside, -1, 0)
+    return out.reshape(y.shape)
 
 
 def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:

@@ -138,8 +138,20 @@ _EXPORT_BLOCK_ROWS = 256
 
 
 def _text(a):
-    """``repr`` text of the entries of `a` as floats, in C order."""
-    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
+    """``repr`` text of the entries of `a` as floats, in C order.
+
+    Each distinct bit pattern is formatted once and its text indexed: the
+    fields repeat heavily on a path tree.  Bits, not values, tell entries
+    apart, so -0.0 keeps its sign (NaNs of any payload all read ``nan``)."""
+    a = np.asarray(a, dtype=float).ravel()
+    if not a.size:
+        return []
+    bits = a.view(np.uint64)
+    if bits.min() == bits.max():    # zero pushes and cumulants: skip the sort
+        return [repr(float(a[0]))] * a.size
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def _export_blocks(sol: RbsdeSolution):

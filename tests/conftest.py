@@ -1,8 +1,9 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
 a wall-time budget, an array that refuses per-entry reads, the
 canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
-per-carrier conditioning oracle, the level-by-level penalization oracle and
-the csv.writer export oracle."""
+per-carrier conditioning oracle, the level-by-level penalization oracle,
+the csv.writer export oracle, the entry-by-entry text oracle and the
+field-layout region-check oracle."""
 
 import contextlib
 import csv
@@ -21,6 +22,7 @@ from switchgame.model import (
     GeneratorSpec,
     TerminalSpec,
     check_loop_costs,
+    lower_barrier,
     project_oblique,
     project_oblique_batch,
     upper_barrier,
@@ -140,6 +142,13 @@ def canonicalizing_walk_loops(m1, m2):
     return sorted(found)
 
 
+def fieldwise_outside_region(y, costs: CostTables, tol: float):
+    """The region check's mask as it was reduced in y's own (..., m1, m2)
+    layout, from the two barriers: an oracle for the mode-major copy."""
+    y = np.asarray(y, dtype=float)
+    return ~((y <= upper_barrier(y, costs) + tol) & (y >= lower_barrier(y, costs) - tol))
+
+
 def tensor_barriers(y, costs: CostTables):
     """Barriers and switch targets reduced from whole candidate tensors, an
     oracle for the package's running reductions: c[..., i, i', j] =
@@ -248,6 +257,12 @@ def levelwise_export_rows(sol):
         keys = itertools.product(range(n_t), range(1, m1 + 1), range(1, m2 + 1))
         for key, *cells in zip(keys, *cols):
             yield [t, *key, *cells]
+
+
+def repr_text(a):
+    """``repr`` of every entry of `a` as a float, in C order, one call per
+    entry: an oracle for the export's text once per distinct value."""
+    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
 
 
 def csv_writer_fields(sol, path) -> bytes:

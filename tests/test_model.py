@@ -38,6 +38,7 @@ from conftest import (
     STANDARD_L,
     canonical_loop,
     canonicalizing_walk_loops,
+    fieldwise_outside_region,
     lower_sweep,
     make_3x3,
     standard_costs,
@@ -398,6 +399,66 @@ class TestDomain:
                                 np.testing.assert_array_equal(fired, fire(bar))
                                 np.testing.assert_array_equal(
                                     table, np.where(fire(bar), to, stay))
+
+    # 3 rows divide none of the batches of 4-7 rows; 1 row copies one matrix at a time
+    @pytest.mark.parametrize("block_rows", [model._REGION_ROWS, 3, 1])
+    def test_mode_major_region_check_matches_the_fieldwise_one(self, rng, block_rows,
+                                                               monkeypatch):
+        # 1-4 modes per player (a 1 x m or m x 1 grid has an infinite
+        # barrier), a bare matrix, batches of 0-7 rows and a (2, 3) batch;
+        # quarter grids tie often, and the last variant scatters +inf, -inf
+        # and NaN entries
+        monkeypatch.setattr(model, "_REGION_ROWS", block_rows)
+        for m1, m2 in itertools.product(range(1, 5), repeat=2):
+            k = rng.integers(1, 8, (m1, m1)) / 4.0
+            l = rng.integers(1, 8, (m2, m2)) / 4.0
+            np.fill_diagonal(k, 0.0)
+            np.fill_diagonal(l, 0.0)
+            tables = (CostTables(k=k, l=l),
+                      CostTables(k=1.0 - np.eye(m1), l=0.8 * (1.0 - np.eye(m2))))
+            for costs, batch in itertools.product(tables, ((), *((n,) for n in range(8)),
+                                                           (2, 3))):
+                shape = (*batch, m1, m2)
+                quarters = rng.integers(-8, 9, shape) / 4.0
+                special = quarters.copy()
+                hit = rng.random(shape) < 0.2
+                special[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
+                with np.errstate(invalid="ignore"):
+                    for y, tol in itertools.product((np.zeros(shape), quarters, special),
+                                                    (0.0, 1e-9, 0.25)):
+                        got = model._outside_region(y, costs, tol)
+                        assert got.shape == shape
+                        np.testing.assert_array_equal(
+                            got, fieldwise_outside_region(y, costs, tol))
+
+    def test_terminal_check_names_the_first_offender(self, rng):
+        costs = make_3x3().costs
+        tree = build_tree(5, 1, 1.0)
+        table = rng.uniform(-2.0, 2.0, (tree.level_size(tree.N), 3, 3))
+        table = np.stack([project_oblique(leaf, costs)[0] for leaf in table])
+        table[[7, 7, 20], [2, 1, 0], [0, 2, 1]] += [5.0, -5.0, 5.0]
+        spec = GameSpec(costs=costs, generator=GeneratorSpec("zero", 3, 3),
+                        terminal=TerminalSpec("leaf_table", 3, 3, table=table),
+                        horizon=1.0, d=1)
+        n, i, j = np.argwhere(fieldwise_outside_region(table, costs, model.REGION_TOL))[0]
+        assert n == 7
+        with pytest.raises(DataError, match=rf"at leaf 7, mode pair \({i + 1},{j + 1}\) lies "):
+            spec.check_terminal(tree)
+
+    def test_region_check_holds_a_fraction_of_a_field(self):
+        # the barriers of a whole batch hold two fields at once, and a
+        # mode-major copy of it one more; blocks of rows hold the mask and
+        # three fields of one block
+        costs = make_3x3().costs
+        y = np.random.default_rng(0).uniform(-2.0, 2.0, (16 * model._REGION_ROWS, 3, 3))
+        in_Qbar(y, costs)
+        tracemalloc.start()
+        try:
+            in_Qbar(y, costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes / 2, peak / y.nbytes
 
     def test_barriers_build_no_candidate_tensor(self):
         # a (..., m, m, m') candidate tensor alone holds three fields on a

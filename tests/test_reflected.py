@@ -45,10 +45,19 @@ from conftest import (
     levelwise_export_rows,
     make_standard,
     random_admissible_spec,
+    repr_text,
     standard_costs,
 )
 
 BIND_3X3 = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios" / "bind_3x3.json"
+
+# Entries whose text a value-keyed memo would get wrong: both zeros, NaNs of
+# four payloads (signs and a signalling one), both infinities and subnormals.
+PLANTED = np.concatenate([
+    [-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507e-308],
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+              0x7FF0000000000001], dtype=np.uint64).view(float),
+])
 
 
 class TestTrivialInstances:
@@ -362,3 +371,60 @@ class TestExportAndCumulants:
         written = (tmp_path / "fields.csv").read_bytes()
         assert b",-0.0," in written
         assert written == csv_writer_fields(planted, tmp_path / "oracle.csv")
+
+
+def distinct_bits(a):
+    return np.unique(np.asarray(a, dtype=float).ravel().view(np.uint64)).size
+
+
+def block_of(rng, size, distinct):
+    """`size` entries taking exactly `distinct` bit patterns, each at least
+    once, drawn from the planted entries first and then from random floats."""
+    pool = np.concatenate([PLANTED, rng.normal(scale=10.0, size=distinct)])[:distinct]
+    index = np.concatenate([np.arange(distinct), rng.integers(0, distinct, size - distinct)])
+    return pool[rng.permutation(index)]
+
+
+class TestText:
+    """`reflected._text` formats each distinct bit pattern of a block once;
+    its text must be `repr` of every entry."""
+
+    @pytest.mark.parametrize("case", ["empty", "zero", "negative_zero", "nan", "ties",
+                                      "planted", "all_distinct"])
+    def test_named_blocks_match_repr(self, case):
+        rng = np.random.default_rng(3)
+        a = {
+            "empty": np.empty((0, 3, 3)),
+            "zero": np.zeros(252),
+            "negative_zero": np.full(252, -0.0),
+            "nan": np.full(9, PLANTED[-1]),
+            "ties": np.repeat([0.1, 0.2, 0.30000000000000004, 0.1 + 0.2], 63),
+            "planted": np.tile(PLANTED, 23),
+            "all_distinct": np.concatenate([PLANTED, rng.normal(size=241)]),
+        }[case]
+        assert reflected._text(a) == repr_text(a)
+
+    @pytest.mark.parametrize("size", [1, 2, 9, 28, 252, 256])
+    def test_random_blocks_match_repr(self, size):
+        # one bit pattern takes the shortcut, any more the memo, up to all distinct
+        rng = np.random.default_rng(size)
+        counts = {1, 2, size // 2, size // 2 + 1, size}
+        for distinct in sorted(d for d in counts if 1 <= d <= size):
+            for _ in range(5):
+                a = block_of(rng, size, distinct)
+                assert distinct_bits(a) == distinct
+                assert reflected._text(a) == repr_text(a), (size, distinct)
+
+    def test_a_repeating_block_formats_each_bit_pattern_once(self):
+        a = block_of(np.random.default_rng(7), 252, 20)
+        text = reflected._text(a)
+        assert text == repr_text(a)
+        assert len(set(map(id, text))) <= distinct_bits(a) == 20
+
+    def test_strided_field_slices_match_repr(self):
+        # the export formats Z[t][:, p] and W[:, p] block slices, which are not contiguous
+        rng = np.random.default_rng(9)
+        z = block_of(rng, 28 * 2 * 9, 40).reshape(28, 2, 3, 3)
+        for p in range(2):
+            assert reflected._text(z[:, p]) == repr_text(z[:, p])
+            assert reflected._text(z[::3, p, :, 1]) == repr_text(z[::3, p, :, 1])

@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchgame import cli, reflected, runner
+from switchgame import build_tree, cli, reflected, runner
 from switchgame.cli import main as cli_main
 from switchgame.errors import DataError, ScenarioError
 from switchgame.penalty import solve_double_penalized, solve_penalized
 from switchgame.reflected import solve_rbsde
 from switchgame.runner import parse_scenario, run
 
-from conftest import time_budget
+from conftest import random_admissible_spec, time_budget
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ROOT / "src" / "switchgame" / "scenarios"
@@ -491,6 +491,18 @@ class TestFieldsExport:
     def test_peak_is_within_one_block_of_text(self, perf_3x3, tmp_path):
         bound = one_block_bound(perf_3x3.tree.d, reflected._EXPORT_BLOCK_ROWS)
         assert self.traced_peak(perf_3x3, tmp_path / "fields.csv") <= bound
+
+    def test_peak_on_values_that_do_not_repeat_is_within_one_block_of_text(self, tmp_path):
+        # a random leaf table's Y and Z hardly repeat, so the memo holds a
+        # text per entry beside its keys and inverse index
+        tree = build_tree(12, 1, 1.0)
+        sol = solve_rbsde(random_admissible_spec(np.random.default_rng(5), 3, 3, tree), tree)
+        sol.K, sol.L
+        for fields in (sol.Y, sol.Z):
+            entries = np.concatenate([a.ravel() for a in fields])
+            assert np.unique(entries).size > 0.9 * entries.size
+        bound = one_block_bound(tree.d, reflected._EXPORT_BLOCK_ROWS)
+        assert self.traced_peak(sol, tmp_path / "fields.csv") <= bound
 
     def test_a_writer_of_whole_levels_passes_the_bound(self, perf_3x3, tmp_path, monkeypatch):
         # the bound has teeth: one block per level holds the leaf level at once
