@@ -262,26 +262,41 @@ def lower_barrier(y, costs: CostTables, targets: bool = False):
 _REGION_ROWS = 4096
 
 
-def _outside_region(y, costs: CostTables, tol: float):
-    """Mask of the coordinates of y beyond a barrier by more than tol (NaN counts).
+def _mode_major_blocks(y, costs: CostTables):
+    """(rows, copy) for at most `_REGION_ROWS` matrices of y at a time: a
+    contiguous mode-major (m1, m2, rows) copy of them, and the slice of y's
+    matrices it holds.  On the copy each barrier term is a whole run over the
+    rows, not a 3-entry inner axis."""
+    matrices = np.asarray(y, dtype=float).reshape(-1, costs.m1, costs.m2)
+    for start in range(0, len(matrices), _REGION_ROWS):
+        rows = slice(start, start + _REGION_ROWS)
+        yield rows, matrices[rows].transpose(1, 2, 0).copy()
 
-    The terms of `upper_barrier` and `lower_barrier`, in their order, reduced
-    on contiguous mode-major (m1, m2, rows) copies of at most `_REGION_ROWS`
-    matrices of y, where each term is a whole run over the rows and not a
-    3-entry inner axis; the mask comes back in y's (..., m1, m2) layout."""
-    y = np.asarray(y, dtype=float)
-    rows = y.reshape(-1, costs.m1, costs.m2)
+
+def _block_upper_barrier(ym, costs: CostTables):
+    """`upper_barrier` of a mode-major block: the same terms in the same order."""
     k = costs.k_off[:, :, None, None]
+    return _running_extreme(((ym[a:a + 1], k[:, a]) for a in range(costs.m1)),
+                            np.add, np.minimum, np.less, False)
+
+
+def _block_lower_barrier(ym, costs: CostTables):
+    """`lower_barrier` of a mode-major block: the same terms in the same order."""
     l = costs.l_off[:, :, None]
-    out = np.empty(rows.shape, dtype=bool)
-    for start in range(0, len(rows), _REGION_ROWS):
-        block = slice(start, start + _REGION_ROWS)
-        ym = np.moveaxis(rows[block], 0, -1).copy()
-        inside = ym <= _running_extreme(((ym[a:a + 1], k[:, a]) for a in range(costs.m1)),
-                                        np.add, np.minimum, np.less, False) + tol
-        inside &= ym >= _running_extreme(((ym[:, b:b + 1], l[:, b]) for b in range(costs.m2)),
-                                         np.subtract, np.maximum, np.greater, False) - tol
-        out[block] = np.moveaxis(~inside, -1, 0)
+    return _running_extreme(((ym[:, b:b + 1], l[:, b]) for b in range(costs.m2)),
+                            np.subtract, np.maximum, np.greater, False)
+
+
+def _outside_region(y, costs: CostTables, tol: float):
+    """Mask of the coordinates of y beyond a barrier by more than tol (NaN counts),
+    reduced on the blocks of `_mode_major_blocks`; the mask comes back in y's
+    (..., m1, m2) layout."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty((math.prod(y.shape[:-2]), costs.m1, costs.m2), dtype=bool)
+    for rows, ym in _mode_major_blocks(y, costs):
+        inside = ym <= _block_upper_barrier(ym, costs) + tol
+        inside &= ym >= _block_lower_barrier(ym, costs) - tol
+        out[rows] = (~inside).transpose(2, 0, 1)
     return out.reshape(y.shape)
 
 
@@ -440,13 +455,35 @@ class GeneratorSpec:
 
         y : (..., m1, m2); z : (..., d, m1, m2).  Returns (..., m1, m2).
         """
+        f = self.at_level(t, w, z)
+        return f(y) if callable(f) else np.broadcast_to(f, np.shape(y)).copy()
+
+    def at_level(self, t, w, z):
+        """The driver on one level with z fixed, in the kernel's level form.
+
+        `zero` and `mode_constant` give their (m1, m2) value table, which does
+        not depend on y or z (zeros for `zero`, whatever the sign of c's
+        zeros).  `saturated_affine` gives the function
+        ``y -> (a * sat_M(y) + c) + sum_p b[p] * sat_M(z[p])`` of a field shaped
+        like z without its Brownian axis, with the z term and c broadcast to
+        that field once, here.
+        """
         if self.family == "zero":
-            return np.zeros_like(np.asarray(y, dtype=float))
+            return np.zeros((self.m1, self.m2))
         if self.family == "mode_constant":
-            return np.broadcast_to(self.c, np.shape(y)).copy()
-        sat = np.clip(y, -self.M, self.M)
-        zsat = np.clip(z, -self.M, self.M)
-        return self.a * sat + self.c + np.einsum("p,...pij->...ij", self.b, zsat)
+            return self.c
+        a, M = self.a, self.M
+        zterm = np.einsum("p,...pij->...ij", self.b, np.clip(z, -M, M))
+        c = np.empty_like(zterm)
+        c[...] = self.c
+
+        def f(y):
+            out = np.clip(y, -M, M)
+            out *= a
+            out += c
+            out += zterm
+            return out
+        return f
 
     def at_modes(self, t, w, y, z, I, J):
         """Evaluate at explicit mode-index arrays.

@@ -28,24 +28,30 @@ _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's noninc
 
 def _lower_terms(y, l):
     """(j, slice j' of (y[i,j] - y[i,j'] + l(j,j'))^-) for each j' != j in order,
-    as (y[..., j'] - y[..., j] - l(j,j'))^+, the same float."""
+    as (y[..., j'] - y[..., j] - l(j,j'))^+, the same float; each term is a new
+    array, computed in place."""
     m2 = l.shape[0]
-    return ((j, np.maximum(y[..., b] - y[..., j] - l[j, b], 0.0))
-            for j in range(m2) for b in range(m2) if b != j)
+    for j in range(m2):
+        for b in range(m2):
+            if b != j:
+                term = np.subtract(y[..., b], y[..., j])
+                term -= l[j, b]
+                yield j, np.maximum(term, 0.0, out=term)
 
 
 def lower_penalty_intensity(y, l, n):
-    """beta = n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-, n one level or (S, 1, 1)
-    levels of stacked problems.  Summed as NumPy sums a last axis of m2 terms,
-    in j' order below eight and by its pairwise sum from eight, with no
-    (..., m2, m2) tensor."""
+    """beta = n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-, n one level or levels that
+    broadcast against y, such as the (S, 1, 1, 1) levels of problems stacked on
+    axis 0.  Summed as NumPy sums a last axis of m2 terms, in j' order below
+    eight and by its pairwise sum from eight, with no (..., m2, m2) tensor."""
     if y.shape[-1] >= 8:
         return n * np.stack([np.maximum(y - y[..., j, None] - l[j], 0.0).sum(axis=-1)
                              for j in range(l.shape[0])], axis=-1)
     beta = np.zeros(y.shape)
     for j, term in _lower_terms(y, l):
         beta[..., j] += term
-    return n * beta
+    beta *= n
+    return beta
 
 
 def upper_penalty_intensity(y, k, m):
@@ -142,20 +148,48 @@ class PenalizedSolution(_Penalized):
     dK: list
 
 
+class _PenaltyDriver:
+    """The generator plus the lower penalty at level n, minus the upper penalty
+    at level m (none for m = 0), in the kernel's level form.  n is one level or
+    the (S, 1, 1, 1) levels of problems stacked on axis 0."""
+
+    def __init__(self, spec, n, lipschitz, m=0):
+        self.gen, self.costs, self.n, self.m = spec.generator, spec.costs, n, m
+        self.lipschitz = lipschitz
+
+    def at_level(self, t, w, z):
+        g = self.gen.at_level(t, w, z)
+        if not callable(g):     # y-independent: broadcast to the field once
+            c = np.broadcast_to(g, z.shape[:-3] + z.shape[-2:]).copy()
+
+            def g(y):
+                return c
+        costs, n, m = self.costs, self.n, self.m
+
+        def f(y):
+            out = lower_penalty_intensity(y, costs.l, n)
+            out += g(y)
+            if m:
+                out -= upper_penalty_intensity(y, costs.k, m)
+            return out
+        return f
+
+
 def _sweep(spec: GameSpec, tree, n_list, post, picard_tol=bsde.DEFAULT_PICARD_TOL):
     """One backward pass of the penalized system at every level of n_list, each checked
     first, ascending, so a SizingError names the smallest failing n before any Picard
-    call.  Each step returns ``post(t, y, bar)`` with the upper barrier `bar` of y;
-    the post-step clamps.  Returns the stacked leaf values and the kernel's result."""
+    call.  The levels are stacked problem-first, (S, n_t, m1, m2).  Each step returns
+    ``post(t, y, bar)`` with the upper barrier `bar` of y; the post-step clamps.
+    Returns the stacked leaf values and the kernel's result."""
     spec.require_valid()
     lip = max(_require_penalty_contraction(tree, spec, n, 0) for n in sorted(n_list))
-    gen, l, ns = spec.generator, spec.costs.l, np.asarray(n_list, dtype=float)
+    ns = np.asarray(n_list, dtype=float)
 
     def driver(live):
-        n = ns[live][:, None, None] if live.size > 1 else float(ns[live[0]])
-        return lambda t, w, y, z: gen(t, w, y, z) + lower_penalty_intensity(y, l, n)
+        return _PenaltyDriver(spec, ns[live][:, None, None, None] if live.size > 1
+                              else float(ns[live[0]]), lip)
 
-    xi = np.repeat(spec.check_terminal(tree)[:, None], len(n_list), axis=1)
+    xi = np.repeat(spec.check_terminal(tree)[None], len(n_list), axis=0)
     return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip),
                              lambda t, y, z: post(t, y, upper_barrier(y, spec.costs)),
                              picard_tol, problems=[f"penalty level {n}" for n in n_list])
@@ -172,7 +206,7 @@ def solve_penalized(spec: GameSpec, tree, n: int,
         return clamped, y - clamped
 
     _, (Y, dK) = _sweep(spec, tree, [n], clamp, picard_tol=picard_tol)
-    return PenalizedSolution(tree, spec, n, [y[:, 0] for y in Y], [k[:, 0] for k in dK])
+    return PenalizedSolution(tree, spec, n, [y[0] for y in Y], [k[0] for k in dK])
 
 
 @dataclass
@@ -192,15 +226,8 @@ def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
     """Unreflected solve with the lower penalty at level n and the upper
     penalty at level m."""
     spec.require_valid()
-    gen, k, l = spec.generator, spec.costs.k, spec.costs.l
-    lip = _require_penalty_contraction(tree, spec, n, m)
-
-    def driver(t, w, y, z):
-        return (np.asarray(gen(t, w, y, z), dtype=float)
-                + lower_penalty_intensity(y, l, n)
-                - upper_penalty_intensity(y, k, m))
-
-    Y = bsde.backward(tree, spec.check_terminal(tree), bsde.DriverFn(driver, lip),
+    driver = _PenaltyDriver(spec, n, _require_penalty_contraction(tree, spec, n, m), m)
+    Y = bsde.backward(tree, spec.check_terminal(tree), driver,
                       lambda t, y, z: (y,), picard_tol=picard_tol)[0]
     return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=Y)
 
@@ -243,18 +270,18 @@ def penalization_report(spec: GameSpec, tree, n_list,
     n_list = sorted(n_list)
     if not n_list:
         return ConvergenceReport(rows=[])
-    S, l, n = len(n_list), spec.costs.l, np.asarray(n_list, dtype=float)[:, None]
+    S, l, n = len(n_list), spec.costs.l, np.asarray(n_list, dtype=float)[:, None, None]
     stat, worst, gap = np.zeros(S), np.zeros(S), np.zeros(S)
     roots = np.empty((S, spec.m1, spec.m2))
 
     def fold(t, y):
         for _, term in _lower_terms(y, l):
             np.maximum(stat, bsde.problem_max(n * term), out=stat)
-        np.maximum(worst[1:], bsde.problem_max(y[:, 1:] - y[:, :-1]), out=worst[1:])
+        np.maximum(worst[1:], bsde.problem_max(y[1:] - y[:-1]), out=worst[1:])
         if direct is not None:
-            np.maximum(gap, bsde.problem_max(np.abs(y - direct.Y[t][:, None])), out=gap)
+            np.maximum(gap, bsde.problem_max(np.abs(y - direct.Y[t])), out=gap)
         if t == 0:
-            roots[...] = y[0]
+            roots[...] = y[:, 0]
         return ()
 
     # the clamp is in place: fold keeps nothing, so the kernel reads y on

@@ -2,8 +2,9 @@
 a wall-time budget, an array that refuses per-entry reads, the
 canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
 per-carrier conditioning oracle, the level-by-level penalization oracle,
-the csv.writer export oracle, the entry-by-entry text oracle and the
-field-layout region-check oracle."""
+the csv.writer export oracle, the entry-by-entry text oracle, the
+field-layout region-check and minimality oracles and the per-iterate kernel
+oracle."""
 
 import contextlib
 import csv
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from switchgame import build_tree
-from switchgame.bsde import DriverFn, backward
+from switchgame.bsde import DriverFn, check_contraction
+from switchgame.errors import ConvergenceError
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -149,6 +151,28 @@ def fieldwise_outside_region(y, costs: CostTables, tol: float):
     return ~((y <= upper_barrier(y, costs) + tol) & (y >= lower_barrier(y, costs) - tol))
 
 
+def fieldwise_check_minimality(sol, spec=None, tol=1e-8, push_tol=1e-9):
+    """The violations of `reflected.check_minimality` as it reduced both
+    barriers and both gaps in each level's (nodes, m1, m2) layout: an oracle
+    for the mode-major blocks."""
+    spec = spec or sol.spec
+    bad = []
+    for t in range(sol.tree.N):
+        y = sol.Y[t]
+        up = upper_barrier(y, spec.costs)
+        lo = lower_barrier(y, spec.costs)
+        for push, bar, name in ((sol.dK[t], up, "upper"),
+                                (sol.dL[t], lo, "lower")):
+            gaps = np.abs(y - bar)
+            viol = (push > push_tol) & (gaps > tol)
+            for n, i, j in np.argwhere(viol):
+                bad.append(
+                    f"level {t} node {n} mode ({i + 1},{j + 1}): {name} push "
+                    f"{push[n, i, j]:g} off the barrier by {gaps[n, i, j]:g}"
+                )
+    return tuple(bad)
+
+
 def tensor_barriers(y, costs: CostTables):
     """Barriers and switch targets reduced from whole candidate tensors, an
     oracle for the package's running reductions: c[..., i, i', j] =
@@ -194,12 +218,102 @@ def tensor_lower_intensity(y, l, n):
     return n * np.maximum(-diff, 0.0).sum(axis=-1)
 
 
+def fieldwise_generator(gen):
+    """`GeneratorSpec.__call__` as it evaluated a whole field on every call,
+    z clipped and its einsum run again each time, as a driver."""
+    def fn(t, w, y, z):
+        if gen.family == "zero":
+            return np.zeros_like(np.asarray(y, dtype=float))
+        if gen.family == "mode_constant":
+            return np.broadcast_to(gen.c, np.shape(y)).copy()
+        sat = np.clip(y, -gen.M, gen.M)
+        zsat = np.clip(z, -gen.M, gen.M)
+        return gen.a * sat + gen.c + np.einsum("p,...pij->...ij", gen.b, zsat)
+    return DriverFn(fn, gen.lipschitz)
+
+
+def iterate_picard_solve(E, update, picard_tol=1e-12, max_iter=10000, problems=None):
+    """The Picard loop as it called the driver on every iterate: unstacked, or
+    with problems stacked on axis 1 (``update(live)`` gives their update).
+    An oracle for `bsde.picard_solve`, whose messages must stay these."""
+    y = E.copy()
+    if problems is None:
+        for it in range(1, max_iter + 1):
+            y_new = E + update(y)
+            delta = float(np.abs(y_new - y).max()) if y.size else 0.0
+            if not math.isfinite(delta):
+                raise ConvergenceError(
+                    f"Picard iterate {it} holds a non-finite value (update {delta:g})"
+                )
+            y = y_new
+            if delta <= picard_tol:
+                return y, it
+        raise ConvergenceError(
+            f"Picard iteration did not converge within {max_iter} iterations "
+            f"(last update {delta:g})"
+        )
+    out, live, total = y, np.arange(E.shape[1]), 0
+    step = update(live)
+    for it in range(1, max_iter + 1):
+        y_new = E + step(y)
+        a = np.abs(y_new - y)
+        delta = a.max(axis=0).reshape(a.shape[1], -1).max(axis=1).tolist()
+        for s, d in enumerate(delta):
+            if not math.isfinite(d):
+                raise ConvergenceError(f"{problems[live[s]]}: Picard iterate {it} holds a "
+                                       f"non-finite value (update {d:g})")
+        if min(delta) <= picard_tol:
+            done = np.array(delta) <= picard_tol
+            out[:, live[done]] = y_new[:, done]
+            total += it * int(done.sum())
+            live, E, y_new = live[~done], E[:, ~done], y_new[:, ~done]
+            if not live.size:
+                return out, total
+            step = update(live)
+        y = y_new
+    raise ConvergenceError(f"{problems[live[0]]}: Picard iteration did not converge within "
+                           f"{max_iter} iterations (last update {max(delta):g})")
+
+
+def iterate_backward(tree, terminal, driver, post, picard_tol=1e-12, problems=None):
+    """`bsde.backward` as it called ``driver(time, w, y, z)`` on every Picard
+    iterate, with stacked problems on axis 1 of every field and z (n_t, S, d,
+    m1, m2); ``driver(live)`` gives the driver function of the problems
+    `live`.  An oracle for the level form and the problem-first layout."""
+    check_contraction(tree.dt, driver.lipschitz)
+    N, dt = tree.N, tree.dt
+    kept = [None] * N
+    values = terminal
+    for t in range(N - 1, -1, -1):
+        E, z = tree.expect_next(t, values), tree.z_next(t, values)
+        values = None
+        w, time = tree.level_w(t), tree.time(t)
+        if problems is None:
+            def update(y):
+                return dt * np.asarray(driver(time, w, y, z), dtype=float)
+        else:
+            z = np.moveaxis(z, 1, 2)
+
+            def update(live):
+                zl, fn = z[:, live], driver(live)
+                return lambda y: dt * np.asarray(fn(time, w, y, zl), dtype=float)
+        try:
+            y, _ = iterate_picard_solve(E, update, picard_tol=picard_tol, problems=problems)
+            kept[t] = post(t, y, z)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"tree level {t}: {exc}") from exc
+        values = kept[t][0] if kept[t] else y
+        del y
+    kept = list(map(list, zip(*kept)))
+    return (kept[0] + [terminal], *kept[1:]) if kept else ()
+
+
 def sequential_penalized(spec, tree, n, counts=None):
     """(Y, dK) of the level-n penalized system solved on its own, with the
-    tensor driver and the upper clamp, one kernel pass per level.  With
-    `counts`, each driver call adds one to ``counts[(level size, n)]``: the
-    Picard iterations per tree level."""
-    gen, l = spec.generator, spec.costs.l
+    tensor driver and the upper clamp, by the per-iterate kernel
+    `iterate_backward`.  With `counts`, each driver call adds one to
+    ``counts[(level size, n)]``: the Picard iterations per tree level."""
+    gen, l = fieldwise_generator(spec.generator), spec.costs.l
 
     def driver(t, w, y, z):
         if counts is not None:
@@ -211,7 +325,7 @@ def sequential_penalized(spec, tree, n, counts=None):
         return out, y - out
 
     lip = gen.lipschitz + penalty_rate(n, spec.m2)
-    return backward(tree, spec.check_terminal(tree), DriverFn(driver, lip), post)
+    return iterate_backward(tree, spec.check_terminal(tree), DriverFn(driver, lip), post)
 
 
 def sequential_report(spec, tree, n_list, direct=None):

@@ -1,10 +1,11 @@
 """The implicit backward-induction kernel: fixed-point steps, closed-form
-checks, the contraction guard, residuals, comparison, and a priori bounds."""
+checks, the contraction guard, residuals, comparison, and a priori bounds;
+the level form and the problem-first layout against the per-iterate oracle."""
 
 import numpy as np
 import pytest
 
-from switchgame import build_tree
+from switchgame import bsde, build_tree, penalty
 from switchgame.bsde import (
     DriverFn,
     backward,
@@ -13,7 +14,17 @@ from switchgame.bsde import (
     solve_system,
 )
 from switchgame.errors import ConvergenceError, SizingError
-from switchgame.model import GeneratorSpec
+from switchgame.model import GameSpec, GeneratorSpec, TerminalSpec, project_oblique, upper_barrier
+from switchgame.penalty import lower_penalty_intensity, max_penalty_level
+
+from conftest import (
+    fieldwise_generator,
+    iterate_backward,
+    iterate_picard_solve,
+    make_3x3,
+    sequential_penalized,
+    standard_costs,
+)
 
 
 def zero_driver():
@@ -142,24 +153,24 @@ class TestStep:
 
 
 class TestStackedProblems:
-    """Several problems on one tree, stacked on axis 1 of every field."""
+    """Several problems on one tree, stacked problem-first on axis 0 of every field."""
 
     def test_each_problem_stops_where_it_would_alone(self, rng):
         # y <- E + r * sin(y) contracts at rate r: the problems need
         # different iteration counts and leave the working set one by one
-        E = rng.normal(size=(5, 3, 2, 2))
+        E = rng.normal(size=(3, 5, 2, 2))
         rates = np.array([0.0, 0.3, 0.9])
         seen = []
 
         def update(live):
             seen.append(live.tolist())
-            return lambda y: rates[live][:, None, None] * np.sin(y)
+            return lambda y: rates[live][:, None, None, None] * np.sin(y)
 
         y, total = picard_solve(E, update, problems=["a", "b", "c"])
         iterations = []
         for s in range(3):
-            alone, its = picard_solve(E[:, s], lambda v: rates[s] * np.sin(v))
-            np.testing.assert_array_equal(y[:, s].view(np.uint64), alone.view(np.uint64))
+            alone, its = picard_solve(E[s], lambda v: rates[s] * np.sin(v))
+            np.testing.assert_array_equal(y[s].view(np.uint64), alone.view(np.uint64))
             iterations.append(its)
         assert total == sum(iterations) and len(set(iterations)) == 3
         assert seen == [[0, 1, 2], [1, 2], [2]]
@@ -168,12 +179,13 @@ class TestStackedProblems:
         E = np.zeros((2, 2, 1, 1))
 
         def update(live):
-            return lambda y: np.where(live[:, None, None] == 1, y + 1.0, 0.0)
+            return lambda y: np.where(live[:, None, None, None] == 1, y + 1.0, 0.0)
 
         with pytest.raises(ConvergenceError, match="^second: .*within 50 iterations"):
             picard_solve(E, update, max_iter=50, problems=["first", "second"])
         with pytest.raises(ConvergenceError, match="^second: Picard iterate 1 holds a non-finite"):
-            picard_solve(E, lambda live: lambda y: np.where(live[:, None, None] == 1, np.nan, y),
+            picard_solve(E, lambda live: lambda y: np.where(live[:, None, None, None] == 1,
+                                                            np.nan, y),
                          problems=["first", "second"])
 
     def test_stacked_pass_equals_separate_passes(self, rng):
@@ -186,15 +198,17 @@ class TestStackedProblems:
         shift = np.array([0.0, 0.25])
 
         def driver(live):
-            return lambda t, w, y, z: gen(t, w, y, z) + shift[live][:, None, None]
+            return DriverFn(lambda t, w, y, z: gen(t, w, y, z)
+                            + shift[live][:, None, None, None], gen.lipschitz)
 
-        stacked = backward(tree, np.stack([xi, xi], axis=1), DriverFn(driver, gen.lipschitz),
+        stacked = backward(tree, np.stack([xi, xi]), DriverFn(driver, gen.lipschitz),
                            lambda t, y, z: (y, z), problems=["low", "high"])
         for s in range(2):
             alone = solve_system(tree, DriverFn(lambda t, w, y, z: gen(t, w, y, z) + shift[s],
                                                 gen.lipschitz), xi)
             for got, want in zip(stacked[0] + stacked[1], alone[0] + alone[1], strict=True):
-                np.testing.assert_array_equal(got[:, s].view(np.uint64), want.view(np.uint64))
+                assert got[s].flags.c_contiguous
+                np.testing.assert_array_equal(got[s].view(np.uint64), want.view(np.uint64))
 
     def test_a_post_step_that_returns_nothing_keeps_nothing(self, rng):
         # the values left in y, changed in place, condition the next level
@@ -273,3 +287,253 @@ class TestSolveSystem:
         bound = np.abs(xi).max() + gen.sup_bound * tree.T + 1e-9
         for t in range(6):
             assert np.abs(Y[t]).max() <= bound
+
+
+FAMILIES = ("zero", "mode_constant", "saturated_affine")
+CARRIERS = [(False, 1, 5), (False, 2, 3), (False, 3, 2),
+            (True, 1, 6), (True, 2, 4), (True, 3, 3)]   # (recombining, d, N)
+COSTS = {2: standard_costs, 3: lambda: make_3x3().costs}
+
+
+class PlantedTree:
+    """A tree whose conditioned E carries planted entries on every level: -0.0
+    at node 0, an exact tie ``y[i, 1] - y[i, 0] = l(0, 1)`` on node 1, and at
+    level `bad[0]` the value `bad[2]` in problem `bad[1]` of the last node.
+    Both kernels condition node-major fields, so both see the same E."""
+
+    def __init__(self, tree, l, bad=None):
+        self.tree, self.l, self.bad = tree, l, bad
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+    def expect_next(self, t, values):
+        E = self.tree.expect_next(t, values)
+        rows = E.reshape((E.shape[0], -1) + E.shape[-2:])    # (n_t, problems, m1, m2)
+        rows[0, :, 0, 0] = -0.0
+        if len(rows) > 1:
+            rows[1, :, :, 0], rows[1, :, :, 1] = 0.0, self.l[0, 1]
+        if self.bad is not None and self.bad[0] == t:
+            rows[-1, self.bad[1], -1, -1] = self.bad[2]
+        return E
+
+
+def planted_case(family, m, carrier, bad=None):
+    """(spec, planted tree, penalty levels) of a random m x m instance whose
+    affine terminal (uniform beta) lies in the region at every leaf."""
+    recombining, d, N = carrier
+    rng = np.random.default_rng([FAMILIES.index(family), m, *map(int, carrier)])
+    costs = COSTS[m]()
+    alpha = project_oblique(rng.uniform(-1.0, 1.0, (m, m)), costs)[0]
+    term = TerminalSpec("affine", m, m, alpha=alpha, beta=np.full((m, m), 0.6))
+    c = rng.uniform(-2.0, 2.0, (m, m))
+    c[0, 0] = -0.0
+    gen = {"zero": lambda: GeneratorSpec("zero", m, m, d=d),
+           "mode_constant": lambda: GeneratorSpec("mode_constant", m, m, d=d, c=c),
+           "saturated_affine": lambda: GeneratorSpec(
+               "saturated_affine", m, m, d=d, c=c, a=-0.7, b=rng.uniform(-0.5, 0.5, d),
+               M=0.8)}[family]()
+    tree = build_tree(N, d, 0.05 * N, recombining=recombining)
+    spec = GameSpec(costs, gen, term, horizon=tree.T, d=d)
+    top = max_penalty_level(tree, spec)
+    return spec, PlantedTree(tree, costs.l, bad), sorted({1, max(top // 8, 1), max(top // 2, 2)})
+
+
+def oracle_sweep(spec, tree, levels):
+    """The penalized sweep as it ran on the per-iterate kernel, levels stacked on
+    axis 1: (Y, dK) with that axis."""
+    gen, l, ns = fieldwise_generator(spec.generator), spec.costs.l, np.asarray(levels, float)
+
+    def driver(live):
+        n = ns[live][:, None, None] if live.size > 1 else float(ns[live[0]])
+        return lambda t, w, y, z: gen(t, w, y, z) + lower_penalty_intensity(y, l, n)
+
+    def post(t, y, z):
+        out = np.minimum(y, upper_barrier(y, spec.costs))
+        return out, y - out
+
+    xi = np.repeat(spec.check_terminal(tree.tree)[:, None], len(levels), axis=1)
+    lip = max(penalty._require_penalty_contraction(tree.tree, spec, n, 0) for n in levels)
+    return iterate_backward(tree, xi, DriverFn(driver, lip), post,
+                            problems=[f"penalty level {n}" for n in levels])
+
+
+def new_sweep(spec, tree, levels):
+    def clamp(t, y, bar):
+        out = np.minimum(y, bar)
+        return out, y - out
+
+    return penalty._sweep(spec, tree, levels, clamp)[1]
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def outcome(fn):
+    """fn()'s result, or the text of the ConvergenceError it raised."""
+    try:
+        return fn()
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+class TestLevelForm:
+    """The level form on problem-first fields against the per-iterate kernel
+    on axis-1 fields (`conftest.iterate_backward`): bit for bit, with -0.0,
+    ties at l and non-finite values planted in E, and the same messages."""
+
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_single_problem_matches_the_oracle(self, family, m, carrier):
+        spec, tree, _ = planted_case(family, m, carrier)
+        xi = spec.check_terminal(tree.tree)
+        got = solve_system(tree, spec.generator, xi)
+        want = iterate_backward(tree, xi, fieldwise_generator(spec.generator),
+                                lambda t, y, z: (y, z))
+        for g, w in zip(got[0] + got[1], want[0] + want[1], strict=True):
+            assert_bitwise(g, w)
+
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stacked_problems_match_the_oracle(self, family, m, carrier):
+        spec, tree, levels = planted_case(family, m, carrier)
+        (Y, dK), (Yo, dKo) = new_sweep(spec, tree, levels), oracle_sweep(spec, tree, levels)
+        for got, want in zip(Y + dK, Yo + dKo, strict=True):
+            for s in range(len(levels)):
+                assert_bitwise(got[s], want[:, s])
+        # one penalty level alone, and one generator for several terminals
+        sol = penalty.solve_penalized(spec, tree, levels[-1])
+        Y1, dK1 = sequential_penalized(spec, tree, levels[-1])
+        for got, want in zip(sol.Y + sol.dK, Y1 + dK1, strict=True):
+            assert_bitwise(got, want)
+        gen = spec.generator
+        xi = spec.check_terminal(tree.tree)
+        xis = np.stack([xi, xi + 0.5, -xi])
+        got = backward(tree, xis, DriverFn(lambda live: gen, gen.lipschitz),
+                       lambda t, y, z: (y, z), problems=["a", "b", "c"])
+        want = iterate_backward(tree, np.moveaxis(xis, 0, 1),
+                                DriverFn(lambda live: fieldwise_generator(gen), gen.lipschitz),
+                                lambda t, y, z: (y, z), problems=["a", "b", "c"])
+        for g, w in zip(got[0] + got[1], want[0] + want[1], strict=True):
+            for s in range(3):
+                assert_bitwise(g[s], w[:, s])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_non_finite_values_raise_the_same_error(self, family, bad):
+        for carrier in [(False, 2, 3), (True, 1, 6)]:
+            t = carrier[2] - 2      # the second level solved
+            spec, tree, levels = planted_case(family, 3, carrier, bad=(t, 0, bad))
+            xi = spec.check_terminal(tree.tree)
+            got = outcome(lambda: solve_system(tree, spec.generator, xi))
+            want = outcome(lambda: iterate_backward(
+                tree, xi, fieldwise_generator(spec.generator), lambda t, y, z: (y, z)))
+            assert got == want == (f"tree level {t}: Picard iterate 1 holds a "
+                                   f"non-finite value (update nan)")
+            tree.bad = (t, 1, bad)      # in the second problem of the sweep
+            got = outcome(lambda: new_sweep(spec, tree, levels))
+            want = outcome(lambda: oracle_sweep(spec, tree, levels))
+            assert got == want == (f"tree level {t}: penalty level {levels[1]}: "
+                                   f"Picard iterate 1 holds a non-finite value (update nan)")
+
+
+    def test_non_convergence_is_reported_as_before(self):
+        # y <- E + y + 1 never settles: the cap's message, alone and stacked
+        def grow(live):
+            return lambda y: np.where(live[:, None, None, None] == 1, y + 1.0, 0.0)
+
+        def grow_axis1(live):
+            return lambda y: np.where(live[:, None, None] == 1, y + 1.0, 0.0)
+
+        got = outcome(lambda: picard_solve(np.zeros((2, 3, 1, 1)), grow, max_iter=50,
+                                           problems=["first", "second"]))
+        want = outcome(lambda: iterate_picard_solve(np.zeros((3, 2, 1, 1)), grow_axis1,
+                                                    max_iter=50, problems=["first", "second"]))
+        assert got == want == ("second: Picard iteration did not converge within 50 "
+                               "iterations (last update 1)")
+        got = outcome(lambda: picard_solve(np.zeros(3), lambda y: y + 1.0, max_iter=50))
+        want = outcome(lambda: iterate_picard_solve(np.zeros(3), lambda y: y + 1.0, max_iter=50))
+        assert got == want == ("Picard iteration did not converge within 50 iterations "
+                               "(last update 1)")
+
+
+class CountingGenerator(GeneratorSpec):
+    """A generator that counts its level forms (each builds the z term) per
+    (level size, live problems), and the calls of each form."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built, self.calls = {}, {}
+
+    def at_level(self, t, w, z):
+        key = (z.shape[-4], z.shape[0] if z.ndim == 5 else 1)
+        self.built[key] = self.built.get(key, 0) + 1
+        f = super().at_level(t, w, z)
+        if not callable(f):
+            return f
+
+        def counted(y):
+            self.calls[key] = self.calls.get(key, 0) + 1
+            return f(y)
+        return counted
+
+
+class TestOncePerLevel:
+    def test_z_term_is_built_once_per_level_and_live_set(self):
+        # the refine ladder's driver on a sweep whose levels leave the working
+        # set at different iterations: one build per live set, not per iterate
+        gen = CountingGenerator("saturated_affine", 2, 2, a=0.5, b=[0.3], M=1.0,
+                                c=[[1.5, -1.5], [-1.5, 1.5]])
+        spec = GameSpec(standard_costs(), gen,
+                        TerminalSpec("affine", 2, 2, alpha=[[0.3, 0.9], [-0.4, 0.4]],
+                                     beta=np.ones((2, 2))), horizon=0.24)
+        tree = build_tree(40, 1, spec.horizon, recombining=True)
+        levels = [1, 8, 3 * max_penalty_level(tree, spec) // 4]
+        alone = {}
+        for n in levels:
+            sequential_penalized(spec, tree, n, counts=alone)
+        penalty.penalization_report(spec, tree, levels)
+        for t in range(tree.N):
+            size = tree.level_size(t)
+            its = sorted({alone[(size, n)] for n in levels})
+            # live sets: all three levels, then those left after each exit
+            live = [len(levels)] + [sum(alone[(size, n)] > i for n in levels) for i in its[:-1]]
+            assert {key: v for key, v in gen.built.items() if key[0] == size} == {
+                (size, k): 1 for k in live}
+            assert sum(v for key, v in gen.calls.items() if key[0] == size) == its[-1]
+            assert its[-1] > len(live)
+        gen.built.clear()
+        xi = spec.check_terminal(tree)
+        solve_system(tree, gen, xi)
+        assert gen.built == {(tree.level_size(t), 1): 1 for t in range(tree.N)}
+
+    @pytest.mark.parametrize("family", ["zero", "mode_constant"])
+    def test_y_independent_driver_takes_one_step_per_level(self, monkeypatch, family):
+        steps = []
+        solve = bsde.picard_solve
+
+        def counted(*args, **kwargs):
+            y, its = solve(*args, **kwargs)
+            steps.append(its)
+            return y, its
+
+        monkeypatch.setattr(bsde, "picard_solve", counted)
+        gen = CountingGenerator(family, 2, 2, c=None if family == "zero" else
+                                [[2.0, -2.0], [-2.0, 2.0]])
+        tree = build_tree(6, 1, 0.24)
+        xi = np.random.default_rng(5).normal(size=(tree.level_size(6), 2, 2))
+        Y, _ = solve_system(tree, gen, xi)
+        backward(tree, np.stack([xi, -xi]), DriverFn(lambda live: gen, 0.0),
+                 lambda t, y, z: (y,), problems=["a", "b"])
+        assert steps == [1] * tree.N + [2] * tree.N     # one step per problem and level
+        sizes = [tree.level_size(t) for t in range(tree.N)]
+        assert gen.calls == {} and gen.built == {(n, s): 1 for n in sizes for s in (1, 2)}
+        # the step is E + dt * c, the value the per-iterate loop settled on
+        for t in range(tree.N):
+            E = tree.expect_next(t, Y[t + 1])
+            assert_bitwise(Y[t], E + tree.dt * np.broadcast_to(gen.c, E.shape))

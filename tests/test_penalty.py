@@ -411,8 +411,10 @@ class TestSweep:
         intensity = penalty.lower_penalty_intensity
 
         def counted(y, l, n):
+            # y is (S, n_t, m1, m2): problems on axis 0, one level of n each
+            assert y.ndim == 4 and np.size(n) in (1, y.shape[0])
             for level in np.ravel(n):
-                stacked[(y.shape[0], int(level))] = stacked.get((y.shape[0], int(level)), 0) + 1
+                stacked[(y.shape[1], int(level))] = stacked.get((y.shape[1], int(level)), 0) + 1
             return intensity(y, l, n)
 
         monkeypatch.setattr(penalty, "lower_penalty_intensity", counted)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchgame import build_tree, reflected
+from switchgame import build_tree, model, reflected
 from switchgame.bsde import DriverFn, backward, solve_system
 from switchgame.errors import DataError
 from switchgame.game import (
@@ -42,6 +42,7 @@ from conftest import (
     STANDARD_C,
     NoEntryReads,
     csv_writer_fields,
+    fieldwise_check_minimality,
     levelwise_export_rows,
     make_standard,
     random_admissible_spec,
@@ -176,6 +177,41 @@ class TestStructure:
             roots[N] = sol.root
         # recorded diagnostic: the two refinements stay close on this instance
         assert np.abs(roots[4] - roots[8]).max() < 0.2
+
+
+class TestMinimalityCheck:
+    # 3 rows divide no level of the N=5 tree past level 1; 1 row copies one
+    # matrix at a time
+    @pytest.mark.parametrize("block_rows", [model._REGION_ROWS, 3, 1])
+    def test_mode_major_check_matches_the_fieldwise_one(self, rng, block_rows, monkeypatch):
+        # pushes planted off their barriers on every level, at exactly
+        # push_tol (no violation), as -0.0, NaN and +inf, next to values
+        # that are NaN, +-inf, -0.0 or tie with a barrier
+        monkeypatch.setattr(model, "_REGION_ROWS", block_rows)
+        for m1, m2 in [(2, 2), (3, 3), (2, 3)]:
+            tree = build_tree(5, 1, 1.0)
+            spec = random_admissible_spec(rng, m1, m2, tree)
+            sol = solve_rbsde(spec, tree)
+            assert check_minimality(sol).violations == fieldwise_check_minimality(sol)
+            Y = [y.copy() for y in sol.Y]
+            dK, dL = [k.copy() for k in sol.dK], [x.copy() for x in sol.dL]
+            for t in range(tree.N):
+                shape = Y[t].shape
+                hit = rng.random(shape) < 0.3
+                dK[t][hit] = rng.choice([1e-9, 0.5, -0.0, np.nan, np.inf], hit.sum())
+                hit = rng.random(shape) < 0.3
+                dL[t][hit] = rng.choice([1e-9, 0.25, -0.0, np.nan, 2.0], hit.sum())
+                hit = rng.random(shape) < 0.2
+                Y[t][hit] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.75], hit.sum())
+                with np.errstate(invalid="ignore"):
+                    Y[t][0, 0, 0] = upper_barrier(Y[t], spec.costs)[0, 0, 0]
+            planted = RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=sol.Z, dK=dK, dL=dL)
+            with np.errstate(invalid="ignore"):
+                got = check_minimality(planted).violations
+                want = fieldwise_check_minimality(planted)
+                assert got == want and len(got) > 2 * tree.N
+                assert (check_minimality(planted, tol=0.3, push_tol=0.3).violations
+                        == fieldwise_check_minimality(planted, tol=0.3, push_tol=0.3))
 
 
 class TestOneSidedReduction:
