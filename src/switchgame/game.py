@@ -18,15 +18,6 @@ tables are cut off by a switch-count cap and only pay for the detour.  The
 BSDE step then runs under the settled pair, and the switch costs are
 charged.
 
-The read-out is not replayed round by round.  One round (I reads, then II
-reads) is a map on each node's m1*m2 pairs; `_resolve_modes` composes it
-with itself by powers of two, lets each entry take the longest run of
-rounds that stays within the cap, and replays the one round the cap can cut
-partway.  Settled pairs and switch counts are those of the round-by-round
-read-out.  Costs agree with it to rounding, and bit for bit whenever each
-player switches at most twice in a step, which covers every cascade of the
-extracted saddle strategies on the bundled scenarios.
-
 `verify_saddle` certifies the saddle point by backward induction.  With the
 opponent's table fixed, a player's best reply is a one-player switching
 problem: `_best_reply` solves it exactly, once for Player II against a* (a
@@ -118,83 +109,54 @@ class SwitchedValue:
     def root(self, start=None):
         if start is None:
             return self.U[0][0]
-        i, j = start
-        return float(self.U[0][0, i, j])
+        return float(self.U[0][0][_check_indices("start", start, self.U[0].shape[1:])])
+
+
+def _check_indices(name, values, highs):
+    """`values` as a tuple, once it holds one integer per bound in `highs`, each
+    in 0..bound-1; NumPy would wrap a negative index instead of rejecting it."""
+    if np.ndim(values) != 1 or len(values) != len(highs) or not all(
+            isinstance(v, (int, np.integer)) and 0 <= v < h for v, h in zip(values, highs)):
+        ranges = ", ".join(f"0..{h - 1}" for h in dict.fromkeys(highs))
+        raise DataError(f"{name} must hold {len(highs)} integers in {ranges}; got {values!r}")
+    return tuple(values)
+
+
+def _switch_cap(m1, m2):
+    """Switches after which the within-step read-out stops both players."""
+    return 4 * m1 * m2
 
 
 def _resolve_modes(A, B, m1, m2, k, l):
     """Settle one step's mode pair from both action tables.
 
-    Alternating read-out with Player I first: each player in turn reads its
-    table at the current pair and switches if the read differs, repeated
-    until neither player moves.  Switching stops for both players once
-    4*m1*m2 switches have been made (only adversarially cyclic tables hit
-    the cap; every switch costs, so cyclists only hurt themselves).  Returns
-    the settled (i, j) tables and each player's accumulated switch cost, all
-    shaped like A.
-
-    The read-out is resolved in closed form.  One round (I reads, then II
-    reads) maps each (node, pair) entry to its next pair, with the round's
-    switch count and each player's cost, masked by whether that player
-    moved.  Composing the round map with itself gives jump tables for 1, 2,
-    4, ... rounds, enough to cover cap + 1 rounds; descending from the
-    largest jump, an entry takes each jump that keeps its switch total
-    within the cap.  Rounds taken this way are exactly the rounds of the
-    read-out, since no switch in them meets the cap.  One more round with
-    the cap checks then replays the round the cap can cut partway (I
-    switches, II is blocked).  Settled pairs and switch counts equal the
-    round-by-round read-out's exactly; costs are sums of the same terms in
-    another grouping, so they agree to rounding, and bit for bit when each
-    player switches at most twice (every other term added is an exact zero).
+    The read-out runs round by round over every (node, i, j) entry: Player I
+    reads its table at the current pair and switches if the read differs,
+    then Player II, each switch charged its cost, until a round in which no
+    entry moves.  An entry stops switching once it has made `_switch_cap`
+    switches (only adversarially cyclic tables reach it).  Returns the
+    settled (i, j) tables and each player's switch cost, all shaped like A.
     """
-    n_t = A.shape[0]
-    M = int(m1 * m2)
-    T = n_t * M
-    cap = 4 * M
-    A, B = A.reshape(-1), B.reshape(-1)
-    # cost tables with the diagonal zeroed: a player who does not move reads
-    # its own diagonal entry, so the charge is masked by "moved" exactly
-    kz = np.where(np.eye(m1, dtype=bool), 0.0, k).reshape(-1)
-    lz = np.where(np.eye(m2, dtype=bool), 0.0, l).reshape(-1)
-    pair = np.arange(M)
-    base = np.repeat(np.arange(n_t) * M, M)          # flat node offset
-    i0 = np.tile(pair // m2, n_t)
-    j0 = np.tile(pair % m2, n_t)
-
-    def one_round(i, j, switches):
-        """One capped round from modes (i, j) at the flat entries' nodes."""
-        ni = A[base + i * m2 + j]
-        ni = i + ((ni != i) & (switches < cap)) * (ni - i)
-        switches = switches + (ni != i)
-        nj = B[base + ni * m2 + j]
-        nj = j + ((nj != j) & (switches < cap)) * (nj - j)
-        return ni, nj, switches + (nj != j), kz[i * m1 + ni], lz[j * m2 + nj]
-
-    # Jump tables (next flat entry, switches, Player-I cost, Player-II cost)
-    # for 1, 2, 4, ... rounds.  Entry T is an absorbing no-op that a skipped
-    # jump reads, so skipping adds an exact zero.
-    i1, j1, s1, cA1, cB1 = one_round(i0, j0, 0)
-    jumps = [(np.append(base + i1 * m2 + j1, T), np.append(s1, 0),
-              np.append(cA1, 0.0), np.append(cB1, 0.0))]
-    for _ in range(cap.bit_length() - 1):
-        nxt, s, cA, cB = jumps[-1]
-        jumps.append((nxt[nxt], s + s[nxt], cA + cA[nxt], cB + cB[nxt]))
-
-    pos = np.arange(T)
-    switches = np.zeros(T, dtype=int)
-    costA = np.zeros(T)
-    costB = np.zeros(T)
-    for nxt, s, cA, cB in reversed(jumps):
-        take = switches + s[pos] <= cap
-        q = pos + ~take * (T - pos)
-        switches = switches + s[q]
-        costA = costA + cA[q]
-        costB = costB + cB[q]
-        pos = pos + take * (nxt[q] - pos)
-    ci, cj, _, cA, cB = one_round(i0[pos], j0[pos], switches)
-    shape = (n_t, m1, m2)
-    return (ci.reshape(shape), cj.reshape(shape),
-            (costA + cA).reshape(shape), (costB + cB).reshape(shape))
+    cap = _switch_cap(m1, m2)
+    _, i0, j0 = np.indices(A.shape)
+    costA, costB = np.zeros(A.shape), np.zeros(A.shape)
+    # each player's read as a move of the flat entry position, and what the
+    # move charges (a stay is free); an entry at the cap neither moves nor pays
+    reads = ((np.ravel((A - i0) * m2), np.ravel(np.where(A == i0, 0.0, k[i0, A])), costA),
+             (np.ravel(B - j0), np.ravel(np.where(B == j0, 0.0, l[j0, B])), costB))
+    pos, switches = np.arange(A.size).reshape(A.shape), np.zeros(A.shape, dtype=int)
+    moved = True
+    while moved:
+        moved = False
+        for jump, charge, cost in reads:
+            open_ = switches < cap
+            step = jump[pos] * open_
+            cost += charge[pos] * open_
+            switches += step != 0
+            pos += step
+            moved = moved or step.any()
+    pair = pos % (m1 * m2)
+    return pair // m2, pair % m2, costA, costB
 
 
 def _check_actions(spec: GameSpec, tree, strategy: FeedbackStrategy):
@@ -256,11 +218,12 @@ def simulate_path(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
         raise DataError("forward simulation requires a path tree")
     _check_actions(spec, tree, a)
     _check_actions(spec, tree, b)
-    i, j = start
+    i, j = _check_indices("start", start, (spec.m1, spec.m2))
+    _check_indices("branches", branches, (tree.branching,) * tree.N)
     node = 0
     nodes, modes, A, B = [0], [(i, j)], [0.0], [0.0]
     cumA = cumB = 0.0
-    cap = 4 * spec.m1 * spec.m2
+    cap = _switch_cap(spec.m1, spec.m2)
     for t, c in enumerate(branches):
         moved, switches = True, 0
         while moved and switches < cap:
@@ -268,13 +231,11 @@ def simulate_path(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
             ni = int(a.actions[t][node, i, j])
             if ni != i:
                 cumA += spec.costs.k[i, ni]
-                i, moved = ni, True
-                switches += 1
+                i, moved, switches = ni, True, switches + 1
             nj = int(b.actions[t][node, i, j])
             if nj != j and switches < cap:
                 cumB += spec.costs.l[j, nj]
-                j, moved = nj, True
-                switches += 1
+                j, moved, switches = nj, True, switches + 1
         node = node * tree.branching + int(c)
         nodes.append(node)
         modes.append((i, j))
@@ -393,14 +354,14 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
 
     * Same-instant programme.  The read-out of `_resolve_modes` (Player I
       reads first, the opponent's moves are forced, switching stops at
-      4*m1*m2 switches) becomes a programme over the states (pair, switches
+      `_switch_cap` switches) becomes a programme over the states (pair, switches
       used s, whose turn, whether anyone moved this round):
 
         I(p, s)     = the I move into II1(p', s + 1), charged k, or II0(p, s)
         II0(p, s)   = the II move into I(p', s + 1), less l, or W(p)
         II1(p, s)   = the II move into I(p', s + 1), less l, or I(p, s)
 
-      with every state worth W(p) at s = 4*m1*m2, and the value I(p, 0).
+      with every state worth W(p) at s = cap, and the value I(p, 0).
       The opponent's turns follow its table; the replier's take the best
       option.  The recursion in s does not depend on s, so it stops as soon
       as one pass reproduces the previous one exactly.
@@ -412,7 +373,7 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
     """
     m1, m2 = spec.m1, spec.m2
     costs = spec.costs
-    cap = 4 * m1 * m2
+    cap = _switch_cap(m1, m2)
     i_grid = np.arange(m1)[:, None]
     j_grid = np.arange(m2)[None, :]
 
@@ -473,12 +434,12 @@ def _certificate_margin(spec: GameSpec, tree, xi):
       * rounding: at most R = cap + 2**(d+1) + d + 8 roundings, each within
         u = 2**-53 of a magnitude S = max|xi| + T*sup|psi| +
         N*cap*max(k, l), the largest value or running cost sum any
-        read-out reaches (cap = 4*m1*m2);
+        read-out reaches (cap = `_switch_cap`, 4*m1*m2);
       * for `saturated_affine`, the Picard stopping error: iteration stops
         once an update moves no entry by more than the Picard tolerance
         tau, which leaves the iterate within q/(1 - q) * tau of the fixed
-        point.  The other two families' update ignores y, so their second
-        iterate repeats the first exactly.
+        point.  The other two families do not iterate: their driver
+        ignores y, and the kernel takes the one step E + dt*c.
     Summed over the levels with the growth factor, and over both sides:
 
         margin = 2 * sum_{t<N} (1 - q)**-t * (R*u*S + [q/(1 - q) * tau]),
@@ -489,7 +450,7 @@ def _certificate_margin(spec: GameSpec, tree, xi):
     if not gen.comparison_holds(tree.dt):
         return None
     affine = gen.family == "saturated_affine"
-    cap = 4 * spec.m1 * spec.m2
+    cap = _switch_cap(spec.m1, spec.m2)
     q = tree.dt * abs(gen.a)
     rounds = cap + 2 ** (tree.d + 1) + tree.d + 8
     scale = (float(np.abs(xi).max()) + tree.T * gen.sup_bound
@@ -623,6 +584,8 @@ def brute_force_value(spec: GameSpec, tree, start=None,
     This is the independent oracle for the representation theorem; it never
     calls the direct reflected solver.  Past any of its caps, SizingError at once.
     """
+    if start is not None:
+        start = _check_indices("start", start, (spec.m1, spec.m2))
     if tree.N > max_steps or spec.m1 * spec.m2 > max_modes:
         raise SizingError(
             f"brute force capped at N <= {max_steps} and m1*m2 <= {max_modes}; "
@@ -635,7 +598,8 @@ def brute_force_value(spec: GameSpec, tree, start=None,
                           f"got {count}")
     bsde.check_contraction(tree.dt, spec.generator.lipschitz)
     q = tree.dt * spec.generator.lipschitz  # the update shrinks by q per iteration, from ~1
-    iters = 1 + (math.ceil(math.log(bsde.DEFAULT_PICARD_TOL) / math.log(q)) if q > 0 else 1)
+    iters = (1 + (math.ceil(math.log(bsde.DEFAULT_PICARD_TOL) / math.log(q)) if q > 0 else 1)
+             if spec.generator.family == "saturated_affine" else 1)  # y-independent: one step
     if count * interior * iters > _MAX_BRUTE_FORCE_WORK:
         raise SizingError(f"brute force capped at {_MAX_BRUTE_FORCE_WORK} Picard node-iterations; "
                           f"got {count} strategies x {interior} interior nodes x {iters} "
@@ -647,6 +611,4 @@ def brute_force_value(spec: GameSpec, tree, start=None,
         a = FeedbackStrategy("I", [np.repeat(x, spec.m2, axis=2) for x in table.actions])
         root = solve_lower_reflected(spec, tree, a)[0][0]
         best = root.copy() if best is None else np.minimum(best, root)
-    if start is None:
-        return best
-    return float(best[start[0], start[1]])
+    return best if start is None else float(best[start])

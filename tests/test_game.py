@@ -79,9 +79,9 @@ def resolve_oracle(a_tbl, b_tbl, node, i, j, k, l, cap):
 
 
 def resolve_modes_loop(A, B, m1, m2, k, l):
-    """Round-by-round vectorized mode settlement, the oracle for the closed
-    form in `game._resolve_modes` (same signature and results): alternate the
-    two read-outs over every (node, i, j), Player I first, for at most
+    """Round-by-round vectorized mode settlement, the oracle for
+    `game._resolve_modes` (same signature and results): alternate the two
+    read-outs over every (node, i, j), Player I first, for at most
     4*m1*m2 + 1 rounds, stopping switches at 4*m1*m2 per entry.
     """
     cap = 4 * m1 * m2
@@ -158,8 +158,8 @@ class TestModeResolution:
 
 
 class TestClosedFormResolution:
-    """`_resolve_modes` (power-of-two jumps of the round map) against the
-    round-by-round loop oracle."""
+    """`_resolve_modes` (flat-position reads, masked at the cap) against the
+    round-by-round loop oracle, bit for bit."""
 
     @staticmethod
     def _tables(rng, n_t, m1, m2, derange):
@@ -189,8 +189,8 @@ class TestClosedFormResolution:
                     oi, oj, oA, oB = resolve_modes_loop(A, B, m1, m2, k, l)
                     np.testing.assert_array_equal(ci, oi)
                     np.testing.assert_array_equal(cj, oj)
-                    np.testing.assert_allclose(cA, oA, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(cB, oB, rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(cA, oA)
+                    np.testing.assert_array_equal(cB, oB)
                     # unit costs turn the charges into per-player switch counts
                     ones_k, ones_l = np.ones((m1, m1)), np.ones((m2, m2))
                     _, _, nA, nB = _resolve_modes(A, B, m1, m2, ones_k, ones_l)
@@ -338,6 +338,30 @@ class TestEvalSwitched:
                 with pytest.raises(DataError, match="modes 1..2"):
                     call()
 
+    def test_outside_start_pairs_and_branches_are_rejected(self, standard_spec):
+        # NumPy would wrap -1 to the last mode or node instead of failing, and
+        # read past the range into a bare IndexError
+        tree = build_tree(3, 1, standard_spec.horizon)
+        a = FeedbackStrategy.stay("I", tree, 2, 2)
+        b = FeedbackStrategy.stay("II", tree, 2, 2)
+        val = eval_switched(standard_spec, tree, a, b)
+        for start in [(-1, 0), (0, -1), (2, 0), (0, 2), (0,), (0, 1, 0), (0.0, 1), 1]:
+            with pytest.raises(DataError, match="start must hold 2 integers in 0..1"):
+                simulate_path(standard_spec, tree, a, b, start, [0, 1, 0])
+            with pytest.raises(DataError, match="start must hold 2 integers"):
+                val.root(start)
+            with pytest.raises(DataError, match="start must hold 2 integers"):
+                brute_force_value(standard_spec, build_tree(1, 1, standard_spec.horizon),
+                                  start=start)
+        for branches in ([-1, -1, -1], [0, 2, 0], [0, 1], [0, 1, 0, 1], [0, 0.5, 1]):
+            with pytest.raises(DataError, match="branches must hold 3 integers in 0..1"):
+                simulate_path(standard_spec, tree, a, b, (0, 1), branches)
+        # the checks admit what every caller passes: NumPy integers and arrays
+        nodes, modes, _, _ = simulate_path(standard_spec, tree, a, b, np.array([1, 0]),
+                                           np.array([1, 1, 0]))
+        assert nodes == [0, 1, 3, 6] and modes[-1] == (1, 0)
+        assert val.root((np.int64(1), 0)) == val.root()[1, 0]
+
 
 class TestSaddle:
     def test_interior_solution_yields_stay_strategies(self):
@@ -429,8 +453,8 @@ class TestSaddle:
 
 
 class TestResolutionDifferential:
-    """Switched evaluation and saddle verification with the closed-form mode
-    resolution against the same code with the loop oracle patched in."""
+    """Switched evaluation and saddle verification with `_resolve_modes`
+    against the same code with the loop oracle patched in."""
 
     @staticmethod
     def _instances():
@@ -445,16 +469,16 @@ class TestResolutionDifferential:
             pairs = [(FeedbackStrategy.random("I", tree, spec.m1, spec.m2, rng),
                       FeedbackStrategy.random("II", tree, spec.m1, spec.m2, rng))
                      for _ in range(20)]
-            closed = [eval_switched(spec, tree, a, b).root()
-                      for a, b in [(a_star, b_star)] + pairs]
+            resolved = [eval_switched(spec, tree, a, b).root()
+                        for a, b in [(a_star, b_star)] + pairs]
             with monkeypatch.context() as patch:
                 patch.setattr(game, "_resolve_modes", resolve_modes_loop)
                 looped = [eval_switched(spec, tree, a, b).root()
                           for a, b in [(a_star, b_star)] + pairs]
-            # the saddle pair's cascades are short enough to add up bit for bit
-            np.testing.assert_array_equal(closed[0], looped[0])
-            for new, old in zip(closed[1:], looped[1:]):
-                np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+            # the saddle pair and the cyclic random pairs alike add up bit for bit
+            np.testing.assert_array_equal(resolved[0], looped[0])
+            for new, old in zip(resolved[1:], looped[1:]):
+                np.testing.assert_array_equal(new, old)
 
     def test_verify_saddle_outcome_matches_the_loop(self, monkeypatch, standard_spec):
         tree = build_tree(8, 1, standard_spec.horizon)
@@ -468,8 +492,8 @@ class TestResolutionDifferential:
                 old = verify_saddle(standard_spec, tree, sol, catalog_size=30, seed=7)
             assert new.value_gap == old.value_gap
             assert [v[:3] for v in new.violations] == [v[:3] for v in old.violations]
-            np.testing.assert_allclose([v[3] for v in new.violations],
-                                       [v[3] for v in old.violations], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal([v[3] for v in new.violations],
+                                          [v[3] for v in old.violations])
             assert bool(new.violations) == (shift > 0.0)
             assert (new.catalog_size_I, new.catalog_size_II) == (34, 34)
             assert (old.catalog_size_I, old.catalog_size_II) == (34, 34)
@@ -886,6 +910,20 @@ class TestRepresentation:
         with time_budget(5), pytest.raises(
                 SizingError, match=r"16384 strategies x 7 interior nodes x 41 estimated"):
             brute_force_value(spec, build_tree(3, 1, 0.5))
+
+    def test_picard_work_estimate_takes_one_step_without_y(self, monkeypatch):
+        # zero and mode_constant drivers take one kernel step per level; a
+        # saturated_affine driver with a = b = 0 still iterates twice
+        monkeypatch.setattr(game, "_MAX_BRUTE_FORCE_WORK", 1)
+        tree = build_tree(1, 1, 1.0)
+        terminal = TerminalSpec("constant", 2, 1, alpha=[[0.0], [0.0]])
+        costs = CostTables([[0.0, 1.0], [1.0, 0.0]], [[0.0]])
+        for gen, iters in ((GeneratorSpec("zero", 2, 1), 1),
+                           (GeneratorSpec("mode_constant", 2, 1, c=[[1.0], [-1.0]]), 1),
+                           (GeneratorSpec("saturated_affine", 2, 1, M=1.0), 2)):
+            with pytest.raises(SizingError,
+                               match=rf"4 strategies x 1 interior nodes x {iters} estimated"):
+                brute_force_value(GameSpec(costs, gen, terminal, horizon=1.0), tree)
 
     def test_enumeration_counts(self, standard_spec):
         tree = build_tree(1, 1, standard_spec.horizon)

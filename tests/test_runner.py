@@ -430,6 +430,16 @@ class TestGolden:
                    for p in out.glob("*.csv")}
         assert digests == expected
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["standard_2x2", "perf_3x3"])
+    def test_bundled_saddle_is_certified(self, tmp_path, name, seed):
+        # without the certificate every pass would run the catalog sweep
+        result = run(parse_scenario(BUNDLED / f"{name}.json"), out_dir=tmp_path / name,
+                     seed=seed, tasks=["solve_direct", "saddle"])
+        entry = next(t for t in result.manifest["tasks"] if t["name"] == "saddle")
+        assert result.exit_code == 0
+        assert entry["certified"] is True
+
     def test_violation_reports_match_their_pinned_digests(self, tmp_path):
         # standard_2x2 with Y(root) lowered by 0.3 fails the upper inequality
         # on the catalog, so both saddle reports carry violation rows
