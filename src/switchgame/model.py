@@ -305,6 +305,44 @@ def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:
     return not _outside_region(y, costs, tol).any()
 
 
+def _outside_matrices(base, costs: CostTables):
+    """Indices of the matrices of an (n, m1, m2) batch with an entry not
+    strictly inside both its barriers (a tie counts), tested on the
+    blocks of `_mode_major_blocks`."""
+    outside = np.empty(len(base), dtype=bool)
+    for rows, ym in _mode_major_blocks(base, costs):
+        inside = ym < _block_upper_barrier(ym, costs)
+        inside &= ym > _block_lower_barrier(ym, costs)
+        outside[rows] = ~inside.all(axis=(0, 1))
+    return np.flatnonzero(outside)
+
+
+def _sweep(orig, costs: CostTables, tol: float, sweep_cap: int):
+    """Gauss-Seidel sweeps of `project_oblique_batch` on a mode-major (m1, m2,
+    rows) copy `orig`, until no coordinate moves more than tol.
+
+    On the copy a barrier reduces across whole batch rows and a
+    pre-projection value is one contiguous row.  The masked rows make it one
+    reduction: a coordinate's own entry reads +inf (upper) or -inf (lower)
+    and never wins.
+    """
+    work, prev = orig.copy(), np.empty_like(orig)
+    k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
+    for _ in range(sweep_cap):
+        np.copyto(prev, work)
+        for i in range(costs.m1):
+            for j in range(costs.m2):
+                val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
+                work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
+        if np.abs(np.subtract(work, prev, out=prev), out=prev).max() <= tol:
+            return work
+    detail = ""
+    if costs.loop_costs:
+        worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
+        detail = f"; nearest-to-zero loop cost is {cost:g} on {_pretty_loop(worst)}"
+    raise ConvergenceError(f"oblique projection did not settle in {sweep_cap} sweeps{detail}")
+
+
 def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_TOL):
     """Project a batch of mode matrices onto the two-sided constraint region.
 
@@ -318,6 +356,15 @@ def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_
     that caused it moves away, so the pushes are minimal.  The batch axis is
     vectorized; the coordinate sweep is sequential and deterministic.
 
+    The sweep sees only the matrices outside the region, found once before
+    it: a matrix strictly inside (every entry strictly below its upper and
+    above its lower barrier) is a fixed point of every sweep, and is copied
+    through unchanged.  A tie with a barrier counts as outside, so it is
+    swept; the clamp can still turn a -0.0 there into +0.0.  The test runs
+    on the region check's mode-major blocks, and the sweep cap and the
+    convergence test read the whole batch as before (a skipped matrix moves
+    by exactly zero), so the sweeps and their count are the whole batch's.
+
     A one-sided reflection needs no sweep: under the strict triangle
     inequality one clamp, ``min(y, upper_barrier(y))`` or
     ``max(y, lower_barrier(y))``, is its fixed point (the penalized and the
@@ -326,59 +373,44 @@ def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_
 
     Parameters
     ----------
-    y : (n, m1, m2) or (m1, m2) array_like
+    y : (..., m1, m2) array_like, finite; a NaN or an infinity raises
+        DataError naming its matrix (counted in C order) and mode pair.
 
     Returns
     -------
     y_star, dK, dL : arrays shaped like `y`; dK is the net downward push and
     dL the net upward push, with dK * dL == 0 per coordinate.
     """
-    y0 = np.asarray(y, dtype=float)
-    squeeze = y0.ndim == 2
-    base = y0[None] if squeeze else y0
+    y = np.asarray(y, dtype=float)
     m1, m2 = costs.m1, costs.m2
-    if base.shape[-2:] != (m1, m2):
-        raise DataError(f"value shape {base.shape[-2:]} does not match mode grid {(m1, m2)}")
+    if y.shape[-2:] != (m1, m2):
+        raise DataError(f"value shape {y.shape[-2:]} does not match mode grid {(m1, m2)}")
+    base = y.reshape(-1, m1, m2)
+    span = float(base.max()) - float(base.min()) if base.size else 0.0
+    if not math.isfinite(span):
+        bad = np.argwhere(~np.isfinite(base))
+        if len(bad):
+            n, i, j = bad[0]
+            raise DataError(f"value {float(base[n, i, j])!r} at matrix {n}, mode pair "
+                            f"({i + 1},{j + 1}) cannot be projected; values must be finite")
+        raise DataError(f"values span {span!r}, past the float range; cannot project")
 
     rounds = 1      # a one-sided grid settles within m1*m2 sweeps
     if m1 > 1 and m2 > 1:
         c = min_loop_cost(costs)
-        span = float(base.max() - base.min()) if base.size else 0.0
-        # a zero-cost loop is diagnosed below when the sweeps do not settle
+        # a zero-cost loop is diagnosed by `_sweep` when the sweeps do not settle
         rounds = math.ceil(span / c + 1.0) if c > 0.0 else 64
     sweep_cap = m1 * m2 * rounds + 64
 
-    # The sweep runs on (m1, m2, n) copies, so a barrier reduces across whole
-    # batch rows and a pre-projection value is one contiguous row.  The
-    # masked rows make it one reduction: a coordinate's own entry reads +inf
-    # (upper) or -inf (lower) and never wins.
-    orig = np.ascontiguousarray(np.moveaxis(base, 0, -1))
-    work = orig.copy()
-    k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
-    for _ in range(sweep_cap):
-        prev = work.copy()
-        for i in range(m1):
-            for j in range(m2):
-                val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
-                work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
-        if np.abs(work - prev).max() <= tol:
-            break
-    else:
-        detail = ""
-        if costs.loop_costs:
-            worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
-            detail = f"; nearest-to-zero loop cost is {cost:g} on {_pretty_loop(worst)}"
-        raise ConvergenceError(
-            f"oblique projection did not settle in {sweep_cap} sweeps{detail}"
-        )
-
-    out = np.ascontiguousarray(np.moveaxis(work, -1, 0))
+    moving = _outside_matrices(base, costs)
+    out = base.copy()
+    if moving.size:
+        out[moving] = _sweep(base[moving].transpose(1, 2, 0).copy(), costs, tol,
+                             sweep_cap).transpose(2, 0, 1)
     net = base - out
     dK = np.maximum(net, 0.0)
-    dL = np.maximum(-net, 0.0)
-    if squeeze:
-        return out[0], dK[0], dL[0]
-    return out, dK, dL
+    dL = np.maximum(np.negative(net, out=net), 0.0, out=net)     # in net's buffer
+    return out.reshape(y.shape), dK.reshape(y.shape), dL.reshape(y.shape)
 
 
 def project_oblique(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_TOL):
@@ -473,12 +505,14 @@ class GeneratorSpec:
         if self.family == "mode_constant":
             return self.c
         a, M = self.a, self.M
-        zterm = np.einsum("p,...pij->...ij", self.b, np.clip(z, -M, M))
+        zsat = np.maximum(-M, z)    # sat_M as np.clip gives it, bit for bit
+        zterm = np.einsum("p,...pij->...ij", self.b, np.minimum(M, zsat, out=zsat))
         c = np.empty_like(zterm)
         c[...] = self.c
 
         def f(y):
-            out = np.clip(y, -M, M)
+            out = np.maximum(-M, y)
+            np.minimum(M, out, out=out)
             out *= a
             out += c
             out += zterm

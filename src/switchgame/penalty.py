@@ -13,6 +13,7 @@ A sweep solves all its levels in one backward pass; `solve_penalized` one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,17 +27,16 @@ from .reflected import RbsdeSolution
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
 
 
-def _lower_terms(y, l):
-    """(j, slice j' of (y[i,j] - y[i,j'] + l(j,j'))^-) for each j' != j in order,
-    as (y[..., j'] - y[..., j] - l(j,j'))^+, the same float; each term is a new
-    array, computed in place."""
-    m2 = l.shape[0]
-    for j in range(m2):
-        for b in range(m2):
-            if b != j:
-                term = np.subtract(y[..., b], y[..., j])
-                term -= l[j, b]
-                yield j, np.maximum(term, 0.0, out=term)
+def _lower_excess(y, l):
+    """(j, y[..., j'] - y[..., j] - l(j,j')) for each j' != j, whose positive part
+    is slice j' of (y[i,j] - y[i,j'] + l(j,j'))^-.  Each pair j < j' takes one
+    difference d = y[..., j'] - y[..., j] for both of its terms: -l(j',j) - d is
+    the same float as y[..., j] - y[..., j'] - l(j',j).  Pairs come in order, so
+    each j's terms come in j' order.  Each term is a new array."""
+    for j, b in itertools.combinations(range(l.shape[0]), 2):
+        d = np.subtract(y[..., b], y[..., j])
+        yield j, np.subtract(d, l[j, b])
+        yield b, np.subtract(-l[b, j], d, out=d)
 
 
 def lower_penalty_intensity(y, l, n):
@@ -47,9 +47,13 @@ def lower_penalty_intensity(y, l, n):
     if y.shape[-1] >= 8:
         return n * np.stack([np.maximum(y - y[..., j, None] - l[j], 0.0).sum(axis=-1)
                              for j in range(l.shape[0])], axis=-1)
-    beta = np.zeros(y.shape)
-    for j, term in _lower_terms(y, l):
-        beta[..., j] += term
+    beta, started = np.zeros(y.shape), set()
+    for j, term in _lower_excess(y, l):
+        if j in started:
+            beta[..., j] += np.maximum(term, 0.0, out=term)
+        else:   # a first term, never -0.0, is what 0.0 + term would give
+            np.maximum(term, 0.0, out=beta[..., j])
+            started.add(j)
     beta *= n
     return beta
 
@@ -275,8 +279,8 @@ def penalization_report(spec: GameSpec, tree, n_list,
     roots = np.empty((S, spec.m1, spec.m2))
 
     def fold(t, y):
-        for _, term in _lower_terms(y, l):
-            np.maximum(stat, bsde.problem_max(n * term), out=stat)
+        for _, term in _lower_excess(y, l):
+            np.maximum(stat, bsde.problem_max(n * np.maximum(term, 0.0, out=term)), out=stat)
         np.maximum(worst[1:], bsde.problem_max(y[1:] - y[:-1]), out=worst[1:])
         if direct is not None:
             np.maximum(gap, bsde.problem_max(np.abs(y - direct.Y[t])), out=gap)

@@ -3,8 +3,8 @@ a wall-time budget, an array that refuses per-entry reads, the
 canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
 per-carrier conditioning oracle, the level-by-level penalization oracle,
 the csv.writer export oracle, the entry-by-entry text oracle, the
-field-layout region-check and minimality oracles and the per-iterate kernel
-oracle."""
+field-layout region-check and minimality oracles, the per-iterate kernel
+oracle and the sweep-every-matrix projection oracle."""
 
 import contextlib
 import csv
@@ -17,12 +17,13 @@ import pytest
 
 from switchgame import build_tree
 from switchgame.bsde import DriverFn, check_contraction
-from switchgame.errors import ConvergenceError
+from switchgame.errors import ConvergenceError, DataError
 from switchgame.model import (
     CostTables,
     GameSpec,
     GeneratorSpec,
     TerminalSpec,
+    _pretty_loop,
     check_loop_costs,
     lower_barrier,
     project_oblique,
@@ -142,6 +143,53 @@ def canonicalizing_walk_loops(m1, m2):
     for start in itertools.product(range(m1), range(m2)):
         extend([start], {start})
     return sorted(found)
+
+
+def sweep_every_matrix(y, costs: CostTables, tol: float = 1e-12):
+    """`project_oblique_batch` as it swept every matrix of the batch, inside
+    the region or not, on one mode-major copy of the whole batch: an oracle
+    for sweeping only the matrices outside."""
+    y0 = np.asarray(y, dtype=float)
+    squeeze = y0.ndim == 2
+    base = y0[None] if squeeze else y0
+    m1, m2 = costs.m1, costs.m2
+    if base.shape[-2:] != (m1, m2):
+        raise DataError(f"value shape {base.shape[-2:]} does not match mode grid {(m1, m2)}")
+
+    rounds = 1
+    if m1 > 1 and m2 > 1:
+        c = costs.min_loop_cost
+        span = float(base.max() - base.min()) if base.size else 0.0
+        rounds = math.ceil(span / c + 1.0) if c > 0.0 else 64
+    sweep_cap = m1 * m2 * rounds + 64
+
+    orig = np.ascontiguousarray(np.moveaxis(base, 0, -1))
+    work = orig.copy()
+    k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
+    for _ in range(sweep_cap):
+        prev = work.copy()
+        for i in range(m1):
+            for j in range(m2):
+                val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
+                work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
+        if np.abs(work - prev).max() <= tol:
+            break
+    else:
+        detail = ""
+        if costs.loop_costs:
+            worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
+            detail = f"; nearest-to-zero loop cost is {cost:g} on {_pretty_loop(worst)}"
+        raise ConvergenceError(
+            f"oblique projection did not settle in {sweep_cap} sweeps{detail}"
+        )
+
+    out = np.ascontiguousarray(np.moveaxis(work, -1, 0))
+    net = base - out
+    dK = np.maximum(net, 0.0)
+    dL = np.maximum(-net, 0.0)
+    if squeeze:
+        return out[0], dK[0], dL[0]
+    return out, dK, dL
 
 
 def fieldwise_outside_region(y, costs: CostTables, tol: float):

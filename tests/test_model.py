@@ -38,11 +38,13 @@ from conftest import (
     STANDARD_L,
     canonical_loop,
     canonicalizing_walk_loops,
+    fieldwise_generator,
     fieldwise_outside_region,
     lower_sweep,
     make_3x3,
     standard_costs,
     swapped_projection,
+    sweep_every_matrix,
     tensor_barriers,
     time_budget,
     upper_sweep,
@@ -604,6 +606,118 @@ class TestProjection:
                                       lower_sweep(y, costs))
 
 
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def planted_batch(rng, costs, kind, n=60):
+    """A batch of n matrices that are all strictly inside the region, all
+    outside it, or mixed, with exact ties with each barrier and -0.0 planted
+    in some of them."""
+    m1, m2 = costs.m1, costs.m2
+    half = min(costs.k_off.min(), costs.l_off.min(), 2.0) / 2.0    # strictly inside below
+    y = rng.uniform(-half, half, (n, m1, m2)) * 0.99
+    wild = {"inside": np.zeros(n, bool), "outside": np.ones(n, bool),
+            "mixed": rng.random(n) < 0.5}[kind]
+    y[wild] = rng.uniform(-5.0, 5.0, (int(wild.sum()), m1, m2))
+    y[::7, 0, 0] = -0.0
+    if m1 > 1:          # on the upper barrier through i' = 1, exactly
+        y[1::7, 0, -1] = y[1::7, 1, -1] + costs.k[0, 1]
+    if m2 > 1:          # on the lower barrier through j' = 1, exactly
+        y[2::7, -1, 0] = y[2::7, -1, 1] - costs.l[0, 1]
+    return y
+
+
+class TestProjectionSkipsInsideMatrices:
+    """Only the matrices outside the region are swept; the rest are copied.
+    Outputs are bit for bit those of sweeping every matrix."""
+
+    @pytest.mark.parametrize("kind", ["inside", "outside", "mixed"])
+    @pytest.mark.parametrize("m1, m2", list(itertools.product([1, 2, 3], repeat=2)))
+    def test_bitwise_equal_to_sweeping_every_matrix(self, m1, m2, kind):
+        rng = np.random.default_rng([m1, m2, len(kind)])
+        for _ in range(4):
+            costs = admissible_costs(rng, m1, m2)
+            y = planted_batch(rng, costs, kind)
+            assert_same_bits(project_oblique_batch(y, costs), sweep_every_matrix(y, costs))
+            assert_same_bits(project_oblique(y[1], costs), sweep_every_matrix(y[1], costs))
+
+    def test_a_signed_zero_tie_is_swept(self):
+        # -0.0 sits exactly on its upper barrier -1.0 + 1.0 = +0.0, inside in
+        # value; the sweep's clamp returns +0.0 there, so the matrix is swept
+        y = np.array([[[-0.0, 0.5], [-1.0, -0.3]], [[0.1, 0.2], [0.0, 0.1]]])
+        got = project_oblique_batch(y, standard_costs())
+        assert not np.signbit(got[0][0, 0, 0])
+        assert_same_bits(got, sweep_every_matrix(y, standard_costs()))
+
+    def test_no_sweep_runs_when_every_matrix_is_inside(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("swept a batch that is inside the region")
+
+        monkeypatch.setattr(model, "_sweep", refuse)
+        costs = make_3x3().costs
+        y = planted_batch(np.random.default_rng(5), costs, "inside")[3:7]
+        assert_same_bits(project_oblique_batch(y, costs), (y, np.zeros_like(y), np.zeros_like(y)))
+        assert_same_bits(project_oblique_batch(y[:0], costs), (y[:0], y[:0], y[:0]))
+
+    def test_any_leading_batch_shape_projects_each_matrix(self, rng):
+        # a (2, 3, 4) batch of matrices projects as the flat batch of 24
+        costs = admissible_costs(rng, 2, 3)
+        flat = planted_batch(rng, costs, "mixed", n=24)
+        got = project_oblique_batch(flat.reshape(2, 3, 4, 2, 3), costs)
+        assert_same_bits([a.reshape(flat.shape) for a in got], sweep_every_matrix(flat, costs))
+
+    def test_zero_cost_loop_fails_with_the_same_message(self):
+        costs = CostTables(k=[[0.0, 1.0], [1.0, 0.0]], l=[[0.0, 1.0], [1.0, 0.0]])
+        inside = np.array([[0.1, 0.2], [0.0, 0.1]])
+        y = np.stack([inside, [[4.0, 0.0], [0.0, 3.0]], inside])
+        with pytest.raises(ConvergenceError) as want:
+            sweep_every_matrix(y, costs)
+        with pytest.raises(ConvergenceError) as got:
+            project_oblique_batch(y, costs)
+        assert str(got.value) == str(want.value)
+        # inside matrices alone settle under any costs
+        assert_same_bits(project_oblique_batch(y[[0, 2]], costs),
+                         sweep_every_matrix(y[[0, 2]], costs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m2", [1, 2])
+    def test_non_finite_values_raise_a_data_error_naming_the_entry(self, bad, m2):
+        costs = CostTables(k=STANDARD_K, l=STANDARD_L if m2 == 2 else [[0.0]])
+        y = np.zeros((5, 2, m2))
+        y[3, 1, 0] = bad
+        y[4, 0, 0] = bad
+        with pytest.raises(DataError, match=rf"{bad!r} at matrix 3, mode pair \(2,1\)"):
+            project_oblique_batch(y, costs)
+        with pytest.raises(DataError, match=r"matrix 0, mode pair \(2,1\)"):
+            project_oblique(y[3], costs)
+
+    def test_a_span_past_the_float_range_raises_a_data_error(self):
+        with pytest.raises(DataError, match="span"):
+            project_oblique(np.array([[1e308, 0.0], [0.0, -1e308]]), standard_costs())
+
+    def test_peak_memory_stays_below_sweeping_every_matrix(self):
+        # the three outputs hold three fields of the batch and the sweep's
+        # copies a quarter of one each; one more temporary the size of the
+        # batch passes the bound (sweeping every matrix peaked at 8.1 fields
+        # under tracemalloc, NumPy 2.4)
+        rng = np.random.default_rng(0)
+        costs = make_3x3().costs
+        y = rng.uniform(-0.3, 0.3, (65536, 3, 3))
+        wild = rng.random(len(y)) < 0.25
+        y[wild] = rng.uniform(-2.0, 2.0, (int(wild.sum()), 3, 3))
+        project_oblique_batch(y[:64], costs)
+        tracemalloc.start()
+        try:
+            project_oblique_batch(y, costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * y.nbytes, peak / y.nbytes
+
+
 # ---------------------------------------------------------------------------
 # generators / terminals / game spec
 # ---------------------------------------------------------------------------
@@ -634,6 +748,21 @@ class TestGeneratorSpec:
         gen = GeneratorSpec("saturated_affine", 2, 2, a=1.0, M=1.0)
         out = gen(0.0, None, np.full((2, 2), 50.0), np.zeros((1, 2, 2)))
         np.testing.assert_allclose(out, 1.0)
+
+    @pytest.mark.parametrize("M", [0.8, 0.0, -0.5])
+    def test_level_form_saturates_as_np_clip(self, M):
+        # planted: both saturation levels exactly, signed zeros, infinities
+        gen = GeneratorSpec("saturated_affine", 2, 2, d=2, a=-0.7, b=[0.3, -0.4], M=M,
+                            c=[[0.0, -0.0], [0.5, -0.5]])
+        rng = np.random.default_rng(3)
+        y, z = rng.uniform(-2.0, 2.0, (50, 2, 2)), rng.uniform(-2.0, 2.0, (50, 2, 2, 2))
+        for a in (y, z):
+            flat = a.reshape(-1)
+            flat[:6] = [M, -M, 0.0, -0.0, np.inf, -np.inf]
+            flat[6::11] = -0.0
+        want = fieldwise_generator(gen)(0.0, None, y, z)
+        np.testing.assert_array_equal(gen.at_level(0.0, None, z)(y).view(np.uint64),
+                                      want.view(np.uint64))
 
     def test_family_misuse_rejected(self):
         with pytest.raises(DataError):

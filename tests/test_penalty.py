@@ -386,11 +386,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("m2", [1, 2, 3, 5, 7, 8, 9, 12])
     def test_intensity_equals_the_tensor_sum(self, rng, m2):
-        # per problem n on a stack, and a scalar n; exact ties y_j' - y_j = l
+        # per problem n on a stack, and a scalar n; exact ties y_j' - y_j = l,
+        # equal columns, signed zeros
         l = rng.uniform(1.0, 1.5, (m2, m2))
         np.fill_diagonal(l, 0.0)
         y = rng.normal(size=(40, 3, 2, m2)) * 10.0 ** rng.integers(-3, 3, (40, 3, 2, m2))
         y[::5, ..., 0] = y[::5, ..., -1] + l[-1, 0]
+        y[1::5, ..., -1] = y[1::5, ..., 0]
+        y[2::5, ..., ::2] = -0.0
         n = np.array([1.0, 7.0, 416.0])[:, None, None]
         got = lower_penalty_intensity(y, l, n)
         want = np.stack([tensor_lower_intensity(y[:, s], l, n[s]) for s in range(3)], axis=1)
