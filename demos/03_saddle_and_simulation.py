@@ -25,7 +25,7 @@ spec = GameSpec(
 tree = build_tree(N=8, d=1, T=spec.horizon)
 sol = solve_rbsde(spec, tree)
 
-report = verify_saddle(spec, tree, sol, catalog_size=200, seed=0)
+report = verify_saddle(sol, catalog_size=200, seed=0)
 print("best replies: Player I gains at most", f"{report.reply_slack_I:.2e},",
       "Player II at most", f"{report.reply_slack_II:.2e}",
       f"(rounding margin {report.certificate_margin:.1e})")

@@ -32,8 +32,10 @@ every field, ``(S, n_t, m1, m2)``: each problem's field is one contiguous run,
 and each comes out bit for bit as from its own pass.
 
 The contraction condition ``dt * C < 1`` (C the driver's Lipschitz constant)
-makes the fixed point unique; the iteration cap is generous because the
-convergence rate degrades like 1/(1 - dt*C) near the boundary (penalized
+makes the fixed point unique.  Iteration stops once an update moves no entry
+by more than PICARD_TOL, and fails after MAX_PICARD_ITER iterations.  Both
+are fixed: the values are exact up to them.  The cap is generous because
+the convergence rate degrades like 1/(1 - dt*C) near the boundary (penalized
 drivers deliberately run close to it).
 """
 
@@ -45,8 +47,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SizingError
 
-DEFAULT_PICARD_TOL = 1e-12
-DEFAULT_MAX_ITER = 10000
+PICARD_TOL = 1e-12
+MAX_PICARD_ITER = 10000
 
 
 class DriverFn:
@@ -81,9 +83,8 @@ def check_contraction(dt: float, lipschitz: float):
         )
 
 
-def picard_solve(E, update, picard_tol=DEFAULT_PICARD_TOL, max_iter=DEFAULT_MAX_ITER,
-                 problems=None):
-    """Iterate ``y <- E + update(y)`` to its fixed point.
+def picard_solve(E, update, problems=None):
+    """Iterate ``y <- E + update(y)`` until no entry moves more than PICARD_TOL.
 
     Returns (y, iterations).  `update` already includes the dt factor; it
     returns a new array shaped like y, into which the loop adds E.  An update
@@ -98,13 +99,13 @@ def picard_solve(E, update, picard_tol=DEFAULT_PICARD_TOL, max_iter=DEFAULT_MAX_
     summed over them, and a failure names its problem.
     """
     if problems is not None:
-        return _stacked_picard(E, update, picard_tol, max_iter, problems)
+        return _stacked_picard(E, update, problems)
     one = update if not callable(update) else (lambda y: update(y[0])[None])
-    y, iterations = _stacked_picard(E[None], lambda live: one, picard_tol, max_iter, [None])
+    y, iterations = _stacked_picard(E[None], lambda live: one, [None])
     return y[0], iterations
 
 
-def _stacked_picard(E, update, picard_tol, max_iter, names):
+def _stacked_picard(E, update, names):
     """`picard_solve` on problems stacked on axis 0; a name None is left out of
     the messages."""
     live, out, total = np.arange(len(E)), None, 0
@@ -114,14 +115,14 @@ def _stacked_picard(E, update, picard_tol, max_iter, names):
         _require_finite(problem_max(np.abs(y - E)), 1, live, names)
         return y, len(E)
     y = E
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_PICARD_ITER + 1):
         y_new = step(y)
         y_new += E
         change = y_new - y
         delta = problem_max(np.abs(change, out=change))
         _require_finite(delta, it, live, names)
-        if min(delta) <= picard_tol:
-            done = np.array(delta) <= picard_tol
+        if min(delta) <= PICARD_TOL:
+            done = np.array(delta) <= PICARD_TOL
             total += it * int(done.sum())
             if out is None:
                 if done.all():
@@ -134,7 +135,7 @@ def _stacked_picard(E, update, picard_tol, max_iter, names):
             step = update(live)
         y = y_new
     raise ConvergenceError(f"{_prefix(names[live[0]])}Picard iteration did not converge "
-                           f"within {max_iter} iterations (last update {max(delta):g})")
+                           f"within {MAX_PICARD_ITER} iterations (last update {max(delta):g})")
 
 
 def _require_finite(delta, it, live, names):
@@ -168,7 +169,7 @@ def _level_update(driver, t, w, z, dt):
     return step
 
 
-def backward(tree, terminal, driver, post, picard_tol=DEFAULT_PICARD_TOL, problems=None):
+def backward(tree, terminal, driver, post, problems=None):
     """Run the backward induction from the leaf values `terminal` to the root.
 
     Each level t solves ``y = E + dt * driver(time, w, y, z)`` on the whole
@@ -209,7 +210,7 @@ def backward(tree, terminal, driver, post, picard_tol=DEFAULT_PICARD_TOL, proble
                 zl = z if live.size == len(z) else z[live]
                 return _level_update(driver(live), time, w, zl, dt)
         try:
-            y, _ = picard_solve(E, update, picard_tol=picard_tol, problems=problems)
+            y, _ = picard_solve(E, update, problems=problems)
             kept[t] = post(t, y, z)
         except ConvergenceError as exc:
             raise ConvergenceError(f"tree level {t}: {exc}") from exc
@@ -219,7 +220,7 @@ def backward(tree, terminal, driver, post, picard_tol=DEFAULT_PICARD_TOL, proble
     return (kept[0] + [terminal], *kept[1:]) if kept else ()
 
 
-def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL):
+def solve_system(tree, driver, terminal_values):
     """Full unreflected backward solve.
 
     Parameters
@@ -232,4 +233,4 @@ def solve_system(tree, driver, terminal_values, picard_tol=DEFAULT_PICARD_TOL):
     Z : list of per-level martingale coefficient arrays, index 0 to N-1.
     """
     return backward(tree, np.asarray(terminal_values, dtype=float), driver,
-                    lambda t, y, z: (y, z), picard_tol=picard_tol)
+                    lambda t, y, z: (y, z))

@@ -268,7 +268,7 @@ def _barrier_actions(y, costs, player, fire):
     return np.where(fired, target, stay), fired
 
 
-def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None):
+def extract_saddle(sol: RbsdeSolution):
     """Candidate saddle strategies from the solved value field.
 
     Player I's trigger fires when the value sits on its upper barrier (within
@@ -276,7 +276,7 @@ def extract_saddle(sol: RbsdeSolution, spec: GameSpec | None = None):
     fire at once, Player I switches and Player II stays.  Switch targets are
     the barrier argmin/argmax, smallest index on ties.
     """
-    costs = (spec or sol.spec).costs
+    costs = sol.spec.costs
     acts_I, acts_II = [], []
     for y in sol.Y[:sol.tree.N]:
         a, fire_I = _barrier_actions(y, costs, "I", lambda up: y >= up - TRIGGER_TOL)
@@ -436,8 +436,8 @@ def _certificate_margin(spec: GameSpec, tree, xi):
         N*cap*max(k, l), the largest value or running cost sum any
         read-out reaches (cap = `_switch_cap`, 4*m1*m2);
       * for `saturated_affine`, the Picard stopping error: iteration stops
-        once an update moves no entry by more than the Picard tolerance
-        tau, which leaves the iterate within q/(1 - q) * tau of the fixed
+        once an update moves no entry by more than tau = `bsde.PICARD_TOL`,
+        which leaves the iterate within q/(1 - q) * tau of the fixed
         point.  The other two families do not iterate: their driver
         ignores y, and the kernel takes the one step E + dt*c.
     Summed over the levels with the growth factor, and over both sides:
@@ -457,7 +457,7 @@ def _certificate_margin(spec: GameSpec, tree, xi):
              + tree.N * cap * float(max(spec.costs.k.max(), spec.costs.l.max())))
     per_level = rounds * (np.finfo(float).eps / 2) * scale
     if affine:
-        per_level += q / (1.0 - q) * bsde.DEFAULT_PICARD_TOL
+        per_level += q / (1.0 - q) * bsde.PICARD_TOL
     growth = sum((1.0 - q) ** -t for t in range(tree.N))
     return max(1e-12, float(2.0 * growth * per_level))
 
@@ -469,10 +469,11 @@ def _add_violations(violations, kind, name, slack, tol, strategy):
         violations.append((kind, name, (int(i), int(j)), slack[i, j], strategy))
 
 
-def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 200,
-                  seed: int = 0, tol: float = 1e-8) -> SaddleReport:
-    """Check the saddle inequalities: certify them by best replies, or name
-    the catalog strategies that break them.
+def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
+                  tol: float = 1e-8) -> SaddleReport:
+    """Check the saddle inequalities on the game and tree `sol` was solved
+    on: certify them by best replies, or name the catalog strategies that
+    break them.
 
     Asserts, per start mode pair: |U(a*, b*) - Y(root)| <= tol; for every
     catalog Player-II strategy b, U(a*, b) <= Y(root) + tol; for every catalog
@@ -488,9 +489,10 @@ def verify_saddle(spec: GameSpec, tree, sol: RbsdeSolution, catalog_size: int = 
     terminal, drawn one strategy at a time, and each violation carries the
     serialized strategy for replay.
     """
+    spec, tree = sol.spec, sol.tree
     spec.require_valid()
     xi = spec.check_terminal(tree)
-    a_star, b_star = extract_saddle(sol, spec)
+    a_star, b_star = extract_saddle(sol)
     root_Y = sol.root
     gaps = np.abs(_switched_backward(spec, tree, xi, a_star, b_star).root() - root_Y)
     report = SaddleReport(
@@ -598,7 +600,7 @@ def brute_force_value(spec: GameSpec, tree, start=None,
                           f"got {count}")
     bsde.check_contraction(tree.dt, spec.generator.lipschitz)
     q = tree.dt * spec.generator.lipschitz  # the update shrinks by q per iteration, from ~1
-    iters = (1 + (math.ceil(math.log(bsde.DEFAULT_PICARD_TOL) / math.log(q)) if q > 0 else 1)
+    iters = (1 + (math.ceil(math.log(bsde.PICARD_TOL) / math.log(q)) if q > 0 else 1)
              if spec.generator.family == "saturated_affine" else 1)  # y-independent: one step
     if count * interior * iters > _MAX_BRUTE_FORCE_WORK:
         raise SizingError(f"brute force capped at {_MAX_BRUTE_FORCE_WORK} Picard node-iterations; "

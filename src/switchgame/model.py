@@ -24,7 +24,7 @@ from .errors import ConvergenceError, DataError, SizingError
 
 LOOP_TOL = 1e-12       # |alternating cost| at most this counts as a zero-cost loop
 REGION_TOL = 1e-9      # how far past a barrier a value may sit and count as inside
-DEFAULT_PROJECTION_TOL = 1e-12
+PROJECTION_TOL = 1e-12  # the sweeps stop once no coordinate moves further
 DEFAULT_LOOP_CAP = 12
 MAX_PRIMARY_LOOPS = 2 ** 17     # 2x6 has 74,815 primary loops; 1x10 has 556,059
 
@@ -317,9 +317,9 @@ def _outside_matrices(base, costs: CostTables):
     return np.flatnonzero(outside)
 
 
-def _sweep(orig, costs: CostTables, tol: float, sweep_cap: int):
+def _sweep(orig, costs: CostTables, sweep_cap: int):
     """Gauss-Seidel sweeps of `project_oblique_batch` on a mode-major (m1, m2,
-    rows) copy `orig`, until no coordinate moves more than tol.
+    rows) copy `orig`, until no coordinate moves more than PROJECTION_TOL.
 
     On the copy a barrier reduces across whole batch rows and a
     pre-projection value is one contiguous row.  The masked rows make it one
@@ -334,7 +334,7 @@ def _sweep(orig, costs: CostTables, tol: float, sweep_cap: int):
             for j in range(costs.m2):
                 val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
                 work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
-        if np.abs(np.subtract(work, prev, out=prev), out=prev).max() <= tol:
+        if np.abs(np.subtract(work, prev, out=prev), out=prev).max() <= PROJECTION_TOL:
             return work
     detail = ""
     if costs.loop_costs:
@@ -343,18 +343,18 @@ def _sweep(orig, costs: CostTables, tol: float, sweep_cap: int):
     raise ConvergenceError(f"oblique projection did not settle in {sweep_cap} sweeps{detail}")
 
 
-def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_TOL):
+def project_oblique_batch(y, costs: CostTables):
     """Project a batch of mode matrices onto the two-sided constraint region.
 
     Gauss-Seidel sweeps over coordinates in row-major order; at each coordinate
     visit the value is reset to its pre-projection value and clamped down by
     its upper (k) barrier, then up by its lower (l) barrier, both computed
     from the current values of the other coordinates.  Sweeps repeat until no
-    coordinate moves more than `tol`.  Re-clamping from the original value
-    (rather than the previous iterate) is what makes this a genuine fixed
-    point of the complementarity system: a push is undone when the barrier
-    that caused it moves away, so the pushes are minimal.  The batch axis is
-    vectorized; the coordinate sweep is sequential and deterministic.
+    coordinate moves more than PROJECTION_TOL.  Re-clamping from the original
+    value (rather than the previous iterate) is what makes this a genuine
+    fixed point of the complementarity system: a push is undone when the
+    barrier that caused it moves away, so the pushes are minimal.  The batch
+    axis is vectorized; the coordinate sweep is sequential and deterministic.
 
     The sweep sees only the matrices outside the region, found once before
     it: a matrix strictly inside (every entry strictly below its upper and
@@ -405,7 +405,7 @@ def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_
     moving = _outside_matrices(base, costs)
     out = base.copy()
     if moving.size:
-        out[moving] = _sweep(base[moving].transpose(1, 2, 0).copy(), costs, tol,
+        out[moving] = _sweep(base[moving].transpose(1, 2, 0).copy(), costs,
                              sweep_cap).transpose(2, 0, 1)
     net = base - out
     dK = np.maximum(net, 0.0)
@@ -413,9 +413,9 @@ def project_oblique_batch(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_
     return out.reshape(y.shape), dK.reshape(y.shape), dL.reshape(y.shape)
 
 
-def project_oblique(y, costs: CostTables, tol: float = DEFAULT_PROJECTION_TOL):
+def project_oblique(y, costs: CostTables):
     """Single-matrix convenience wrapper around :func:`project_oblique_batch`."""
-    return project_oblique_batch(y, costs, tol=tol)
+    return project_oblique_batch(y, costs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bsde
-from .errors import SizingError
+from .errors import DataError, SizingError
 from .model import GameSpec, upper_barrier
 from .reflected import RbsdeSolution
 
@@ -179,7 +179,7 @@ class _PenaltyDriver:
         return f
 
 
-def _sweep(spec: GameSpec, tree, n_list, post, picard_tol=bsde.DEFAULT_PICARD_TOL):
+def _sweep(spec: GameSpec, tree, n_list, post):
     """One backward pass of the penalized system at every level of n_list, each checked
     first, ascending, so a SizingError names the smallest failing n before any Picard
     call.  The levels are stacked problem-first, (S, n_t, m1, m2).  Each step returns
@@ -196,11 +196,10 @@ def _sweep(spec: GameSpec, tree, n_list, post, picard_tol=bsde.DEFAULT_PICARD_TO
     xi = np.repeat(spec.check_terminal(tree)[None], len(n_list), axis=0)
     return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip),
                              lambda t, y, z: post(t, y, upper_barrier(y, spec.costs)),
-                             picard_tol, problems=[f"penalty level {n}" for n in n_list])
+                             problems=[f"penalty level {n}" for n in n_list])
 
 
-def solve_penalized(spec: GameSpec, tree, n: int,
-                    picard_tol=bsde.DEFAULT_PICARD_TOL) -> PenalizedSolution:
+def solve_penalized(spec: GameSpec, tree, n: int) -> PenalizedSolution:
     """Solve the penalized system at penalty level n, the one-level sweep: a
     joint Picard loop over all mode pairs (the penalty couples the j
     coordinates), then the upper clamp, recording dK.  Under the strict
@@ -209,7 +208,7 @@ def solve_penalized(spec: GameSpec, tree, n: int,
         clamped = np.minimum(y, bar)
         return clamped, y - clamped
 
-    _, (Y, dK) = _sweep(spec, tree, [n], clamp, picard_tol=picard_tol)
+    _, (Y, dK) = _sweep(spec, tree, [n], clamp)
     return PenalizedSolution(tree, spec, n, [y[0] for y in Y], [k[0] for k in dK])
 
 
@@ -225,14 +224,13 @@ class DoublePenalizedSolution(_Penalized):
         return [upper_penalty_intensity(y, self.spec.costs.k, self.m) for y in self.Y]
 
 
-def solve_double_penalized(spec: GameSpec, tree, n: int, m: int,
-                           picard_tol=bsde.DEFAULT_PICARD_TOL) -> DoublePenalizedSolution:
+def solve_double_penalized(spec: GameSpec, tree, n: int, m: int) -> DoublePenalizedSolution:
     """Unreflected solve with the lower penalty at level n and the upper
     penalty at level m."""
     spec.require_valid()
     driver = _PenaltyDriver(spec, n, _require_penalty_contraction(tree, spec, n, m), m)
     Y = bsde.backward(tree, spec.check_terminal(tree), driver,
-                      lambda t, y, z: (y,), picard_tol=picard_tol)[0]
+                      lambda t, y, z: (y,))[0]
     return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=Y)
 
 
@@ -258,6 +256,11 @@ class ConvergenceReport:
         return [r.gap for r in self.rows]
 
 
+def _tree_shape(tree):
+    """The parameters that fix a tree's levels and values, as text."""
+    return f"(N={tree.N}, d={tree.d}, horizon={tree.T!r}, recombining={tree.recombining})"
+
+
 def penalization_report(spec: GameSpec, tree, n_list,
                         direct: RbsdeSolution | None = None) -> ConvergenceReport:
     """Solve the penalized system along n_list and report the convergence
@@ -270,7 +273,11 @@ def penalization_report(spec: GameSpec, tree, n_list,
     nondecreasing: ``monotone_ok`` is False with a positive ``monotone_worst``
     wherever lower barriers bind.  One pass solves every level; its post-step
     folds each statistic, a maximum, over the tree levels and keeps the roots.
+    `direct` must be solved on a tree of the same shape as `tree`, else DataError.
     """
+    if direct is not None and _tree_shape(direct.tree) != _tree_shape(tree):
+        raise DataError(f"the direct solution is on the tree {_tree_shape(direct.tree)}, "
+                        f"not on the report's tree {_tree_shape(tree)}")
     n_list = sorted(n_list)
     if not n_list:
         return ConvergenceReport(rows=[])

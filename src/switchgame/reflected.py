@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bsde
 from .model import (
-    DEFAULT_PROJECTION_TOL,
     REGION_TOL,
     GameSpec,
     ValidationReport,
@@ -77,8 +76,7 @@ def _accumulate(tree, increments):
     return out
 
 
-def solve_rbsde(spec: GameSpec, tree, picard_tol=bsde.DEFAULT_PICARD_TOL,
-                proj_tol=DEFAULT_PROJECTION_TOL) -> RbsdeSolution:
+def solve_rbsde(spec: GameSpec, tree) -> RbsdeSolution:
     """Solve the reflected system on the whole tree.
 
     Validates the cost structure, checks the terminal matrix lies in the
@@ -89,16 +87,15 @@ def solve_rbsde(spec: GameSpec, tree, picard_tol=bsde.DEFAULT_PICARD_TOL,
     spec.require_valid()
 
     def post(t, y, z):
-        y, dK, dL = project_oblique_batch(y, spec.costs, tol=proj_tol)
+        y, dK, dL = project_oblique_batch(y, spec.costs)
         return y, z, dK, dL
 
-    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree), spec.generator,
-                                 post, picard_tol=picard_tol)
+    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree), spec.generator, post)
     return RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
 
 
-def check_minimality(sol: RbsdeSolution, spec: GameSpec | None = None,
-                     tol: float = 1e-8, push_tol: float = 1e-9) -> ValidationReport:
+def check_minimality(sol: RbsdeSolution, tol: float = 1e-8,
+                     push_tol: float = 1e-9) -> ValidationReport:
     """Every strictly positive push must sit exactly on its barrier.
 
     For nodes with dK > push_tol the value must equal its upper barrier within
@@ -106,7 +103,7 @@ def check_minimality(sol: RbsdeSolution, spec: GameSpec | None = None,
     entries, never exceptions, per level the upper ones first, each in node
     order.  The barriers and gaps are reduced on mode-major blocks of nodes.
     """
-    spec = spec or sol.spec
+    spec = sol.spec
     bad = []
     for t in range(sol.tree.N):
         found = {"upper": [], "lower": []}

@@ -26,11 +26,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bsde
 from .errors import ScenarioError, SizingError, SwitchGameError
 from .game import brute_force_value, verify_saddle
 from .lattice import DEFAULT_NODE_CAP, build_tree
-from .model import DEFAULT_PROJECTION_TOL, CostTables, GameSpec, GeneratorSpec, TerminalSpec
+from .model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from .penalty import penalization_report, solve_double_penalized, solve_penalized
 from .reflected import (
     _export_blocks,
@@ -42,12 +41,7 @@ from .reflected import (
 
 SCHEMA_VERSION = 1
 
-DEFAULT_TOLERANCES = {
-    "picard": bsde.DEFAULT_PICARD_TOL,
-    "projection": DEFAULT_PROJECTION_TOL,
-    "saddle": 1e-8,
-    "match": 1e-9,
-}
+DEFAULT_TOLERANCES = {"saddle": 1e-8, "match": 1e-9}
 
 _REQUIRED = object()    # the default of a field that must be present
 
@@ -347,9 +341,10 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
     Parameters
     ----------
     out_dir, seed, tasks, tolerance : overrides for the scenario's own run
-        plan; `tasks` is a list of task names run with default parameters,
-        `tolerance` (a positive finite number, else ScenarioError) replaces
-        the saddle and match tolerances.
+        plan; `tasks` is a list of task names, each run with the parameters
+        of the scenario's entry for it (ScenarioError when that leaves a
+        required one out), `tolerance` (a positive finite number, else
+        ScenarioError) replaces the saddle and match tolerances.
     solution_hook : callable applied to the direct solution right after
         solve_direct (test hook for fault injection); leave None.
     """
@@ -361,13 +356,12 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
 
     plan = scenario.tasks
     if tasks is not None:
-        plan = []
-        for name in tasks:
-            if name not in _TASKS:
-                raise ScenarioError([f"unknown task {name!r} in task override"])
-            # reuse the scenario's parameters for the task when it has them
-            params = next((t.params for t in scenario.tasks if t.name == name), {})
-            plan.append(TaskPlan(name, params))
+        # each task reuses the scenario's parameters for it, checked as an entry
+        errs = []
+        plan = [_task({**next((t.params for t in scenario.tasks if t.name == name), {}),
+                       "task": name}, "task override", errs) for name in tasks]
+        if errs:
+            raise ScenarioError(errs)
 
     out = Path(out_dir or scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -481,7 +475,7 @@ def _get_tree(scenario, state):
 def _run_solve_direct(scenario, task, state, out, tol, seed, hook):
     spec = scenario.spec
     tree = _get_tree(scenario, state)
-    sol = solve_rbsde(spec, tree, picard_tol=tol["picard"], proj_tol=tol["projection"])
+    sol = solve_rbsde(spec, tree)
     if hook is not None:
         hook(sol)
     state["direct"] = sol
@@ -494,7 +488,7 @@ def _run_solve_direct(scenario, task, state, out, tol, seed, hook):
     _write_table(out / "solve_direct.csv",
                  ["i", "j", "Y_root", "total_dK", "total_dL"], rows)
     failures = []
-    minimality = check_minimality(sol, spec)
+    minimality = check_minimality(sol)
     if not minimality.ok:
         failures.extend(minimality.violations)
     domain = domain_report(sol)
@@ -532,13 +526,13 @@ def _run_double_penalize(scenario, task, state, out, tol, seed, hook):
     spec = scenario.spec
     tree = _get_tree(scenario, state)
     n = task.params["n"]
-    single = solve_penalized(spec, tree, n, picard_tol=tol["picard"])
+    single = solve_penalized(spec, tree, n)
     header = ["m"]
     header += [f"Y_root_{i + 1}{j + 1}" for i in range(spec.m1) for j in range(spec.m2)]
     header += ["gap_to_single"]
     rows = []
     for m in task.params["m_list"]:
-        sol = solve_double_penalized(spec, tree, n, m, picard_tol=tol["picard"])
+        sol = solve_double_penalized(spec, tree, n, m)
         gap = max(float(np.abs(y - ys).max()) for y, ys in zip(sol.Y, single.Y))
         rows.append([m] + [_fmt(v) for v in sol.root.ravel()] + [_fmt(gap)])
     _write_table(out / "double_penalize.csv", header, rows)
@@ -546,14 +540,11 @@ def _run_double_penalize(scenario, task, state, out, tol, seed, hook):
 
 
 def _run_saddle(scenario, task, state, out, tol, seed, hook):
-    spec = scenario.spec
-    tree = _get_tree(scenario, state)
     sol = _require(state, "direct", "saddle", "solve_direct")
     task_seed = task.params.get("seed")
     if task_seed is None:
         task_seed = _task_seed(seed, "saddle")
-    report = verify_saddle(spec, tree, sol,
-                           catalog_size=task.params.get("catalog_size", 200),
+    report = verify_saddle(sol, catalog_size=task.params.get("catalog_size", 200),
                            seed=task_seed, tol=tol["saddle"])
     state["entry"].update(certified=report.certified,
                           best_reply_slack_I=report.reply_slack_I,

@@ -199,11 +199,11 @@ def fieldwise_outside_region(y, costs: CostTables, tol: float):
     return ~((y <= upper_barrier(y, costs) + tol) & (y >= lower_barrier(y, costs) - tol))
 
 
-def fieldwise_check_minimality(sol, spec=None, tol=1e-8, push_tol=1e-9):
+def fieldwise_check_minimality(sol, tol=1e-8, push_tol=1e-9):
     """The violations of `reflected.check_minimality` as it reduced both
     barriers and both gaps in each level's (nodes, m1, m2) layout: an oracle
     for the mode-major blocks."""
-    spec = spec or sol.spec
+    spec = sol.spec
     bad = []
     for t in range(sol.tree.N):
         y = sol.Y[t]

@@ -189,7 +189,7 @@ def test_criterion_08_saddle_point():
     tree = build_tree(8, 1, spec.horizon)
     sol = solve_rbsde(spec, tree)
     t0 = time.perf_counter()
-    report = verify_saddle(spec, tree, sol, catalog_size=200, seed=0, tol=1e-8)
+    report = verify_saddle(sol, catalog_size=200, seed=0, tol=1e-8)
     elapsed = time.perf_counter() - t0
     ok = report.ok and max(report.value_gap.values()) <= 1e-8 and elapsed < 30.0
     assert report_line(8, "saddle-point-catalog", ok,

@@ -51,7 +51,7 @@ def test_reports_match_the_pinned_digests(tmp_path, seed):
 def test_solution_stays_in_the_domain_with_minimal_pushes(solved):
     spec, tree, sol = solved
     assert domain_report(sol).ok
-    assert check_minimality(sol, spec).ok
+    assert check_minimality(sol).ok
     active = sum(int(((dk > 0.0) | (dl > 0.0)).reshape(dk.shape[0], -1).any(axis=1).sum())
                  for dk, dl in zip(sol.dK, sol.dL))
     assert active >= 1000
@@ -59,9 +59,9 @@ def test_solution_stays_in_the_domain_with_minimal_pushes(solved):
 
 def test_saddle_is_certified_and_the_saddle_strategies_switch(solved):
     spec, tree, sol = solved
-    report = verify_saddle(spec, tree, sol, catalog_size=200, seed=0)
+    report = verify_saddle(sol, catalog_size=200, seed=0)
     assert report.ok and report.certified
-    a_star, b_star = extract_saddle(sol, spec)
+    a_star, b_star = extract_saddle(sol)
     assert sum(int((a != np.arange(3)[:, None]).sum()) for a in a_star.actions) >= 1000
     ones = np.ones((3, 3))
     longest = max(int((nA + nB).max()) for nA, nB in (
@@ -74,7 +74,7 @@ def test_forward_play_agrees_with_the_backward_values(solved):
     # along a path, the value at each visited node and start pair is the
     # implicit step at the settled pair plus this step's switch costs
     spec, tree, sol = solved
-    a_star, b_star = extract_saddle(sol, spec)
+    a_star, b_star = extract_saddle(sol)
     U = game.eval_switched(spec, tree, a_star, b_star).U
     c = spec.generator.c
     rng = np.random.default_rng(7)

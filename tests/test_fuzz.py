@@ -19,6 +19,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from switchgame import runner
 from switchgame.cli import main as cli_main
 from switchgame.game import BRUTE_FORCE_MAX_MODES, BRUTE_FORCE_MAX_STEPS
 
@@ -121,7 +122,8 @@ def scenario(rnd):
         "tasks": [_task(rnd, name) for name in _plan(rnd)],
     }
     if rnd.random() < 0.5:
-        keys = rnd.sample(["picard", "projection", "saddle", "match"], rnd.randint(1, 4))
+        keys = rnd.sample(sorted(runner.DEFAULT_TOLERANCES),
+                          rnd.randint(1, len(runner.DEFAULT_TOLERANCES)))
         doc["tolerances"] = {key: _either(rnd, lambda: rnd.choice([1e-12, 1e-8, 1e-3]), TOKENS)
                              for key in keys}
     for _ in range(rnd.choice([0, 1, 1, 2]) if rnd.faulty else 0):

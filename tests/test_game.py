@@ -396,7 +396,7 @@ class TestSaddle:
     def test_verify_saddle_on_small_instance(self, standard_spec):
         tree = build_tree(3, 1, standard_spec.horizon)
         sol = solve_rbsde(standard_spec, tree)
-        report = verify_saddle(standard_spec, tree, sol, catalog_size=30, seed=7)
+        report = verify_saddle(sol, catalog_size=30, seed=7)
         assert report.ok
         assert max(report.value_gap.values()) <= 1e-8
         assert report.catalog_size_I == report.catalog_size_II == 34
@@ -405,7 +405,7 @@ class TestSaddle:
         tree = build_tree(3, 1, standard_spec.horizon)
         sol = solve_rbsde(standard_spec, tree)
         sol.Y[0] = sol.Y[0] + 0.25
-        report = verify_saddle(standard_spec, tree, sol, catalog_size=10, seed=7)
+        report = verify_saddle(sol, catalog_size=10, seed=7)
         assert not report.ok
         kinds = {v[0] for v in report.violations}
         assert "value" in kinds or "lower" in kinds or "upper" in kinds
@@ -465,7 +465,7 @@ class TestResolutionDifferential:
 
     def test_eval_switched_roots_match_the_loop(self, monkeypatch, rng):
         for spec, tree in self._instances():
-            a_star, b_star = extract_saddle(solve_rbsde(spec, tree), spec)
+            a_star, b_star = extract_saddle(solve_rbsde(spec, tree))
             pairs = [(FeedbackStrategy.random("I", tree, spec.m1, spec.m2, rng),
                       FeedbackStrategy.random("II", tree, spec.m1, spec.m2, rng))
                      for _ in range(20)]
@@ -486,10 +486,10 @@ class TestResolutionDifferential:
         # the solved field passes; shifted up at the root it must fail the same way
         for shift in (0.0, 0.25):
             sol.Y[0] = sol.Y[0] + shift
-            new = verify_saddle(standard_spec, tree, sol, catalog_size=30, seed=7)
+            new = verify_saddle(sol, catalog_size=30, seed=7)
             with monkeypatch.context() as patch:
                 patch.setattr(game, "_resolve_modes", resolve_modes_loop)
-                old = verify_saddle(standard_spec, tree, sol, catalog_size=30, seed=7)
+                old = verify_saddle(sol, catalog_size=30, seed=7)
             assert new.value_gap == old.value_gap
             assert [v[:3] for v in new.violations] == [v[:3] for v in old.violations]
             np.testing.assert_array_equal([v[3] for v in new.violations],
@@ -598,7 +598,7 @@ def catalog_sweep(spec, tree, sol, catalog_size, seed, tol):
     """The seeded catalog sweep on its own, through `eval_switched`: value
     gaps, violation records and catalog sizes, as `verify_saddle` reports
     them when it does not certify."""
-    a_star, b_star = extract_saddle(sol, spec)
+    a_star, b_star = extract_saddle(sol)
     Y = sol.root
     u = eval_switched(spec, tree, a_star, b_star).root()
     gaps = {(i, j): abs(u[i, j] - Y[i, j]) for i in range(spec.m1) for j in range(spec.m2)}
@@ -679,7 +679,7 @@ class TestBestReplyCertificate:
         spec = make_standard()
         tree = build_tree(2, 1, spec.horizon)
         sol = solve_rbsde(spec, tree)
-        for opponent in extract_saddle(sol, spec):
+        for opponent in extract_saddle(sol):
             reply = self._reply(spec, tree, opponent)
             np.testing.assert_allclose(reply, exhaustive_reply(spec, tree, opponent),
                                        rtol=0, atol=1e-12)
@@ -695,7 +695,7 @@ class TestBestReplyCertificate:
             margin = _certificate_margin(spec, tree, xi)
             assert margin is not None and margin >= 1e-12
             sol = solve_rbsde(spec, tree)
-            a_star, b_star = extract_saddle(sol, spec)
+            a_star, b_star = extract_saddle(sol)
             opponents = [a_star, b_star, FeedbackStrategy.random("I", tree, m1, m2, rng),
                          FeedbackStrategy.random("II", tree, m1, m2, rng)]
             for opp in opponents:
@@ -721,7 +721,7 @@ class TestBestReplyCertificate:
             sol = solve_rbsde(spec, tree)
             xi = spec.check_terminal(tree)
             margin = _certificate_margin(spec, tree, xi)
-            for opp, hi in zip(extract_saddle(sol, spec), (spec.m1, spec.m2)):
+            for opp, hi in zip(extract_saddle(sol), (spec.m1, spec.m2)):
                 for _ in range(3):
                     bad = perturbed(opp, rng, 0.3, hi)
                     reply = self._reply(spec, tree, bad)
@@ -752,7 +752,7 @@ class TestBestReplyCertificate:
 
         monkeypatch.setattr(game, "_switched_backward", counted)
         monkeypatch.setattr(game, "_catalog", no_catalog)
-        report = verify_saddle(standard_spec, tree, sol, catalog_size=200, seed=0)
+        report = verify_saddle(sol, catalog_size=200, seed=0)
         assert report.ok and report.certified
         assert len(passes) == 1          # the (a*, b*) value rows only
         assert report.reply_slack_I <= 1e-8 - report.certificate_margin
@@ -763,7 +763,7 @@ class TestBestReplyCertificate:
         tree = build_tree(4, 1, standard_spec.horizon)
         sol = solve_rbsde(standard_spec, tree)
         sol.Y[0] = sol.Y[0] + 0.25
-        report = verify_saddle(standard_spec, tree, sol, catalog_size=12, seed=5)
+        report = verify_saddle(sol, catalog_size=12, seed=5)
         # Y(root) raised: Player I's best reply now lies 0.25 below it
         assert not report.certified and report.reply_slack_I > 1e-8
         gaps, violations, sizes = catalog_sweep(standard_spec, tree, sol, 12, 5, 1e-8)
@@ -792,7 +792,7 @@ class TestBestReplyCertificate:
         monkeypatch.setattr(game, "_best_reply", no_reply)
         for shift in (0.0, 0.25):
             sol.Y[0] = sol.Y[0] + shift
-            report = verify_saddle(spec, tree, sol, catalog_size=10, seed=3)
+            report = verify_saddle(sol, catalog_size=10, seed=3)
             assert not report.certified
             assert report.reply_slack_I is report.reply_slack_II is None
             gaps, violations, sizes = catalog_sweep(spec, tree, sol, 10, 3, 1e-8)

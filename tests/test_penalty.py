@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from switchgame import bsde, build_tree, penalty
-from switchgame.errors import ConvergenceError, SizingError
+from switchgame.errors import ConvergenceError, DataError, SizingError
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -266,6 +266,24 @@ class TestSinglePenalty:
         _, _, _, report = standard_run
         gaps = report.gaps()
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("N,scale,recombining", [(5, 1.0, False), (4, 2.0, False),
+                                                     (4, 1.0, True)])
+    def test_direct_solution_on_another_tree_is_refused(self, standard_spec, N, scale,
+                                                        recombining):
+        T = standard_spec.horizon
+        direct = solve_rbsde(standard_spec, build_tree(4, 1, T))
+        other = build_tree(N, 1, scale * T, recombining=recombining)
+        message = (f"the direct solution is on the tree (N=4, d=1, horizon={T!r}, "
+                   f"recombining=False), not on the report's tree (N={N}, d=1, "
+                   f"horizon={scale * T!r}, recombining={recombining})")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            penalization_report(standard_spec, other, [1, 2], direct=direct)
+        # a tree of the same shape, built on its own, is the same tree
+        gaps = penalization_report(standard_spec, build_tree(4, 1, T), [1, 2],
+                                   direct=direct).gaps()
+        assert gaps == penalization_report(standard_spec, direct.tree, [1, 2],
+                                           direct=direct).gaps()
 
 
 class TestDoublePenalty:

@@ -110,14 +110,17 @@ PINNED = [
     (("out_dir",), "", "out_dir: expected a non-empty string"),
     (("tolerances",), [], "tolerances: expected an object"),
     (("tolerances", "loose"), 1.0, "tolerances: unknown field(s) ['loose'] "
-                                    "(known: ['match', 'picard', 'projection', 'saddle'])"),
+                                    "(known: ['match', 'saddle'])"),
+    (("tolerances", "projection"), 1e-12, "tolerances: unknown field(s) ['projection'] "
+                                          "(known: ['match', 'saddle'])"),
     (("tolerances", "saddle"), -1.0, "tolerances.saddle: expected a positive number"),
     (("costs", "k"), [[0.0, 0.0], [1.0, 0.0]], "spec: k has a nonpositive off-diagonal entry"),
 ]
 # Inputs d08c104 accepted, or let escape as a TypeError or ValueError traceback:
 NEWLY_REJECTED = [
     (("tolerances", "saddle"), math.nan, "tolerances.saddle: expected a positive number"),
-    (("tolerances", "picard"), math.nan, "tolerances.picard: expected a positive number"),
+    (("tolerances", "picard"), math.nan, "tolerances: unknown field(s) ['picard'] "
+                                         "(known: ['match', 'saddle'])"),
     (("tolerances", "match"), math.inf, "tolerances.match: expected a positive number"),
     (("d",), True, "d: expected a positive integer"),
     (("tasks", 3, "catalog_size"), "abc",
@@ -650,3 +653,17 @@ class TestCli:
         path = small_scenario(tmp_path)
         assert cli_main(["solve", str(path), "--tasks", "warp"]) == 2
         assert "warp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario,task,missing", [
+        (BUNDLED / "standard_2x2.json", "double_penalize", "['m_list', 'n']"),
+        ({}, "double_penalize", "['m_list', 'n']"),
+        ({"tasks": ["validate", "solve_direct"]}, "penalize", "['n_list']"),
+    ])
+    def test_task_override_missing_a_parameter_exits_two_naming_it(self, tmp_path, capsys,
+                                                                    scenario, task, missing):
+        path = scenario if isinstance(scenario, Path) else small_scenario(tmp_path, **scenario)
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "out"),
+                         "--tasks", f"validate,{task}"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"task override: task {task!r} requires parameter(s) {missing}"]
+        assert not (tmp_path / "out").exists()
