@@ -261,6 +261,22 @@ def _tree_shape(tree):
     return f"(N={tree.N}, d={tree.d}, horizon={tree.T!r}, recombining={tree.recombining})"
 
 
+def _spec_parts(spec):
+    """The parts of a game that fix its solution on a tree, by name, each a
+    tuple of values and arrays to compare by content: `GameSpec` holds
+    arrays, so ``==`` cannot compare two of them.  Each tuple starts with
+    what fixes the length of the rest."""
+    gen, term = spec.generator, spec.terminal
+    return {
+        "cost tables": (spec.costs.k, spec.costs.l),
+        "generator": (gen.family, gen.c, gen.a, gen.b, gen.M),
+        "terminal": (term.family, *(getattr(term, name) for name in ("alpha", "beta", "table")
+                                    if hasattr(term, name))),
+        "horizon": (spec.horizon,),
+        "d": (spec.d,),
+    }
+
+
 def penalization_report(spec: GameSpec, tree, n_list,
                         direct: RbsdeSolution | None = None) -> ConvergenceReport:
     """Solve the penalized system along n_list and report the convergence
@@ -273,11 +289,19 @@ def penalization_report(spec: GameSpec, tree, n_list,
     nondecreasing: ``monotone_ok`` is False with a positive ``monotone_worst``
     wherever lower barriers bind.  One pass solves every level; its post-step
     folds each statistic, a maximum, over the tree levels and keeps the roots.
-    `direct` must be solved on a tree of the same shape as `tree`, else DataError.
+    `direct` must be solved on a tree of the same shape as `tree`, for a game
+    equal in content to `spec`, else DataError.
     """
     if direct is not None and _tree_shape(direct.tree) != _tree_shape(tree):
         raise DataError(f"the direct solution is on the tree {_tree_shape(direct.tree)}, "
                         f"not on the report's tree {_tree_shape(tree)}")
+    if direct is not None and direct.spec is not spec:
+        theirs = _spec_parts(direct.spec)
+        parts = [name for name, part in _spec_parts(spec).items()
+                 if not all(map(np.array_equal, part, theirs[name]))]
+        if parts:
+            raise DataError(f"the direct solution solves another game: it differs from "
+                            f"the report's in its {', '.join(parts)}")
     n_list = sorted(n_list)
     if not n_list:
         return ConvergenceReport(rows=[])

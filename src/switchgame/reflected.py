@@ -134,8 +134,10 @@ def domain_report(sol: RbsdeSolution) -> ValidationReport:
 
 # Rows (node, mode pair) of `fields.csv` held as text at once: the export
 # formats a level in blocks of whole nodes, so its memory does not grow with
-# the level.
-_EXPORT_BLOCK_ROWS = 256
+# the level.  A larger block formats a float that repeats across its nodes
+# once and spreads each call's fixed costs over more rows; past 1152 rows (128
+# nodes of a 3x3 grid) perf_3x3's write got no faster.
+_EXPORT_BLOCK_ROWS = 1152
 
 
 def _text(a):

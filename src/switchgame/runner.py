@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -310,20 +311,39 @@ def _write_table(path, header, rows):
         writer.writerows(rows)
 
 
+# Lines of `fields.csv` joined and written at once.  The joined text and its
+# encoding, not the cells, are most of the writer's transient memory, so a
+# block of `reflected._EXPORT_BLOCK_ROWS` rows is written in slices of these.
+_WRITE_ROWS = 256
+
+
 def _write_fields(path, sol):
     """Write `fields.csv` byte for byte as `_write_table` would from
     `reflected.export_rows`: no cell needs quoting, and each row ends in
-    CR LF.  Each block of `reflected._export_blocks` is joined into lines and
-    written at once; a row's head (level, node, i, j, W) is built once, with
-    the W text of its node."""
+    CR LF.  Each block of `reflected._export_blocks` is joined into lines,
+    written `_WRITE_ROWS` lines at a time.  A row is joined once, from its
+    node's "level,node" and W text (built once per node, repeated for each
+    mode pair), the pair's "i,j" text (built once per grid) and the block's
+    text columns.  Returns the number of rows written."""
     m1, m2 = sol.Y[0].shape[1:]
     pairs = [f"{i},{j}" for i in range(1, m1 + 1) for j in range(1, m2 + 1)]
+
+    def per_row(cells):     # each node's cell, once per mode pair
+        return itertools.chain.from_iterable(map(itertools.repeat, cells,
+                                                 itertools.repeat(len(pairs))))
+
+    rows = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(export_header(sol.tree.d)) + "\r\n")
         for t, nodes, w, cols in _export_blocks(sol):
-            heads = [f"{t},{n},{pair},{wn}"
-                     for n, wn in zip(nodes, map(",".join, zip(*w))) for pair in pairs]
-            fh.write("\r\n".join(map(",".join, zip(heads, *cols))) + "\r\n")
+            keys = per_row([f"{t},{n}" for n in nodes])
+            lines = map(",".join, zip(keys, itertools.cycle(pairs),
+                                      per_row(map(",".join, zip(*w))), *cols))
+            block_rows = len(nodes) * len(pairs)
+            for _ in range(0, block_rows, _WRITE_ROWS):
+                fh.write("\r\n".join(itertools.islice(lines, _WRITE_ROWS)) + "\r\n")
+            rows += block_rows
+    return rows
 
 
 def _fmt(x):
@@ -599,7 +619,8 @@ def _run_brute_force(scenario, task, state, out, tol, seed, hook):
 
 def _run_export(scenario, task, state, out, tol, seed, hook):
     sol = _require(state, "direct", "export", "solve_direct")
-    _write_fields(out / "fields.csv", sol)
+    path = out / "fields.csv"
+    state["entry"].update(rows=_write_fields(path, sol), bytes=path.stat().st_size)
     return []
 
 

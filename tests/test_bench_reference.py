@@ -1,12 +1,14 @@
-"""The benchmark's recorded direct-solve roots, reproduced bit for bit, and
-one short pass of its refinement ladder with every check it makes.
+"""The benchmark's recorded direct-solve roots, reproduced bit for bit, one
+short pass of its refinement ladder and one pass of its bundled pipeline,
+each with every check it makes.
 
 `bench/reference.json` holds the roots of `solve_rbsde` on the seeded
 instances of the `direct_path_3x3` workload.  Solving the N=12 ones here makes
 a barrier or projection change that moves a number fail in this suite,
 before the benchmark runs; so does a penalization change that breaks the
-ladder's monotone or gap checks.  The benchmark's module is loaded from its
-file and only read from.
+ladder's monotone or gap checks, and a report change that moves a bundled
+scenario's CSV digests or fails one of its tasks.  The benchmark's module is
+loaded from its file and only read from.
 """
 
 import importlib.util
@@ -42,3 +44,10 @@ def test_a_short_refinement_ladder_passes_its_checks(workloads):
     recorder = workloads.Recorder()
     workloads.run_pass(workloads.RefineLattice2x2(0, None, ladder=(10, 20)), recorder)
     assert recorder.attempted == 4 and recorder.failed == 0, recorder.failures
+
+
+def test_a_bundled_pipeline_pass_passes_its_checks(workloads, tmp_path):
+    recorder = workloads.Recorder()
+    workloads.run_pass(workloads.PipelineBundled(0, tmp_path), recorder)
+    scenarios = len(workloads.PipelineBundled.SCENARIOS)
+    assert recorder.attempted == scenarios and recorder.failed == 0, recorder.failures

@@ -8,6 +8,7 @@ The report still records the nonincreasing flag so the direction is visible
 per instance.
 """
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -284,6 +285,28 @@ class TestSinglePenalty:
                                    direct=direct).gaps()
         assert gaps == penalization_report(standard_spec, direct.tree, [1, 2],
                                            direct=direct).gaps()
+
+    @pytest.mark.parametrize("other,parts", [
+        (lambda spec: make_standard(driver="zero"), "generator"),
+        (lambda spec: make_standard(T=2 * spec.horizon), "horizon"),
+        (lambda spec: dataclasses.replace(
+            spec, costs=CostTables(k=spec.costs.k, l=spec.costs.l * 2.0),
+            terminal=TerminalSpec("constant", 2, 2, alpha=np.zeros((2, 2)))),
+         "cost tables, terminal"),
+    ], ids=["generator", "horizon", "costs_and_terminal"])
+    def test_direct_solution_of_another_game_is_refused(self, standard_spec, other, parts):
+        # the zero-driver game's direct solve read as the standard game's gave
+        # gaps [0.48, 0.48] in place of [0.832, 0.729], without an error
+        tree = build_tree(4, 1, standard_spec.horizon)
+        direct = solve_rbsde(other(standard_spec), tree)
+        message = ("the direct solution solves another game: it differs from the report's "
+                   f"in its {parts}")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            penalization_report(standard_spec, tree, [1, 2], direct=direct)
+        # a game equal in content, built on its own, is the same game
+        gaps = penalization_report(make_standard(), tree, [1, 2],
+                                   direct=solve_rbsde(standard_spec, tree)).gaps()
+        np.testing.assert_allclose(gaps, [0.832, 0.729], atol=5e-4)
 
 
 class TestDoublePenalty:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchgame import build_tree, model, reflected
+from switchgame import build_tree, model, reflected, runner
 from switchgame.bsde import DriverFn, backward, solve_system
 from switchgame.errors import DataError
 from switchgame.game import (
@@ -312,6 +312,18 @@ def standard_in_dimension(d):
                     horizon=0.24, d=d)
 
 
+def affine_instance(rng, m1, m2, d):
+    """A random m1 x m2 game with d Brownian components and an affine terminal
+    of one slope for every mode pair: its differences across modes are those
+    of its intercept, a point of the constraint region, so it stays in the
+    region at every leaf of a path tree and of a lattice."""
+    base = random_admissible_spec(rng, m1, m2, build_tree(1, 1, 1.0))
+    return GameSpec(base.costs, GeneratorSpec("mode_constant", m1, m2, d=d, c=base.generator.c),
+                    TerminalSpec("affine", m1, m2, alpha=base.terminal.table[0],
+                                 beta=np.full((m1, m2), 0.7)),
+                    horizon=0.04 * d, d=d)
+
+
 class TestExportAndCumulants:
     @pytest.mark.parametrize("recombining", [False, True])
     @pytest.mark.parametrize("d", [1, 2])
@@ -375,24 +387,57 @@ class TestExportAndCumulants:
         _write_fields(tmp_path / "plain.csv", sol)
         assert (tmp_path / "guarded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
-    # 12 rows are 3 nodes of a 2x2 grid, which divides no level past the root;
-    # 1 row is less than a node, so each block holds one node
-    @pytest.mark.parametrize("block_rows", [reflected._EXPORT_BLOCK_ROWS, 12, 1])
+    # The writer repeats a node's key and W text once per mode pair and cycles
+    # the pair text, so it is checked on grids of one row or one column, with
+    # up to three W columns, and in blocks of the default size, of 3 nodes (which
+    # divide no path-tree level past the root) and of 1 row (less than a node,
+    # so each block holds one node; written a line at a time).  On the
+    # 3-dimensional path tree the default block also splits the leaf level into
+    # blocks and a shorter rest, each written in slices and a shorter rest.
+    @pytest.mark.parametrize("block", ["default", "3 nodes", "1 row"])
     @pytest.mark.parametrize("recombining", [False, True])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_writer_matches_csv_writer_byte_for_byte(self, d, recombining, block_rows,
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m1,m2", [(2, 2), (1, 1), (1, 3), (3, 1)])
+    def test_writer_matches_csv_writer_byte_for_byte(self, m1, m2, d, recombining, block,
                                                      tmp_path, monkeypatch):
-        monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", block_rows)
-        spec = standard_in_dimension(d)
+        rows = {"default": reflected._EXPORT_BLOCK_ROWS, "3 nodes": 3 * m1 * m2, "1 row": 1}
+        monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", rows[block])
+        if block == "1 row":
+            monkeypatch.setattr(runner, "_WRITE_ROWS", 1)
+        spec = (standard_in_dimension(d) if (m1, m2) == (2, 2)
+                else affine_instance(np.random.default_rng(m1 + 3 * m2 + 9 * d), m1, m2, d))
         tree = build_tree(4, d, spec.horizon, recombining=recombining)
         sol = solve_rbsde(spec, tree)
+        if block == "default" and d == 3 and not recombining:
+            assert tree.level_size(tree.N) * m1 * m2 > 3 * reflected._EXPORT_BLOCK_ROWS
+            assert reflected._EXPORT_BLOCK_ROWS // (m1 * m2) * m1 * m2 % runner._WRITE_ROWS
         assert list(export_rows(sol)) == list(levelwise_export_rows(sol))
         _write_fields(tmp_path / "fields.csv", sol)
         assert ((tmp_path / "fields.csv").read_bytes()
                 == csv_writer_fields(sol, tmp_path / "oracle.csv"))
 
+    @pytest.mark.parametrize("recombining", [False, True])
+    def test_writer_keeps_planted_nans_and_signed_zeros(self, recombining, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", 3 * 3)    # 3 nodes of a 1x3 grid
+        spec = affine_instance(np.random.default_rng(4), 1, 3, 2)
+        tree = build_tree(4, 2, spec.horizon, recombining=recombining)
+        sol = solve_rbsde(spec, tree)
+        rng = np.random.default_rng(12)
+        fields = {name: [a.copy() for a in getattr(sol, name)] for name in ("Y", "Z", "dK", "dL")}
+        planted = RbsdeSolution(tree=tree, spec=spec, **fields)
+        cumulants = [] if recombining else [*planted.K, *planted.L]
+        for a in itertools.chain(*fields.values(), cumulants):
+            a.flat[rng.choice(a.size, size=max(1, a.size // 10), replace=False)] = rng.choice(
+                PLANTED, size=max(1, a.size // 10))
+        assert list(export_rows(planted)) == list(levelwise_export_rows(planted))
+        _write_fields(tmp_path / "fields.csv", planted)
+        written = (tmp_path / "fields.csv").read_bytes()
+        assert b",nan," in written and b",-0.0," in written
+        assert written == csv_writer_fields(planted, tmp_path / "oracle.csv")
+
     def test_writer_keeps_pushes_and_negative_zeros(self, tmp_path):
-        # bind_3x3 pushes both ways; its 28-node blocks divide no level past 16 nodes
+        # bind_3x3 pushes both ways; each level past 128 nodes spans several blocks
         scenario = parse_scenario(BIND_3X3)
         tree = scenario.build_tree()
         sol = solve_rbsde(scenario.spec, tree)

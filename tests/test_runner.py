@@ -299,6 +299,17 @@ class TestPipeline:
         others = [t for t in result.manifest["tasks"] if t["name"] != "saddle"]
         assert not any("certified" in t for t in others)
 
+    def test_export_records_its_rows_and_bytes_in_the_manifest(self, tmp_path):
+        scenario = parse_scenario(small_scenario(tmp_path))
+        result = run(scenario, out_dir=tmp_path / "sized", seed=0)
+        entry = next(t for t in result.manifest["tasks"] if t["name"] == "export")
+        written = (tmp_path / "sized" / "fields.csv").read_bytes()
+        tree = scenario.build_tree()
+        assert entry["rows"] == written.count(b"\r\n") - 1 == tree.num_nodes * 4
+        assert entry["bytes"] == len(written)
+        others = [t for t in result.manifest["tasks"] if t["name"] != "export"]
+        assert not any({"rows", "bytes"} & t.keys() for t in others)
+
     def test_corrupted_solution_trips_the_saddle_check(self, tmp_path):
         scenario = parse_scenario(small_scenario(tmp_path))
 
@@ -469,9 +480,11 @@ def one_block_bound(d: int, rows: int) -> int:
 
     Per row: the cells of the text columns (Y, Z1..Zd, dK, dL, K, L; a float's
     repr has at most 24 characters), one column's floats and array entries
-    while it is formatted, the (level, node, i, j, W) head and the joined line
-    (keys of at most 7 digits), and the block's text twice: joined, and then
-    copied once more (its closing line end, then its encoding)."""
+    while it is formatted, the joined line (keys of at most 7 digits) and a
+    line's worth again for its key, pair and W cells (a node's are shared by
+    its rows, so this is spare), and the block's text twice: joined, and then
+    copied once more by its encoding.  The bound grows in proportion to the
+    block's rows."""
     ptr, cells = struct.calcsize("P"), 5 + d
     line = 4 * 8 + (d + cells) * 25
     per_row = (cells * (ptr + sys.getsizeof("x" * 24))
