@@ -3,22 +3,15 @@
 Each solver is one backward recursion over the tree levels.  `backward` owns
 that recursion: it puts the terminal values in the leaf slot, checks the
 contraction condition, and for t = N-1, ..., 0 conditions the level-(t+1)
-values on level t,
-
-    E   = E[Y_next]                  (per node)
-    z_p = E[Y_next * dW_p] / dt,
-
-solves the implicit equation ``y = E + driver(t, w, y, z) * dt`` on the
+values on level t, ``E = E[Y_next]`` and ``z_p = E[Y_next * dW_p] / dt`` per
+node, solves the implicit equation ``y = E + driver(t, w, y, z) * dt`` on the
 whole (node, mode pair) field, and hands (y, z) to the solver's post-step:
-the identity (`solve_system`), the oblique projection (`reflected`), the
-exact upper clamp ``min(y, upper_barrier(y))`` behind a penalty driver
-(`penalty`), a gather at the settled pairs plus switch costs
-(`game.eval_switched`), the best-reply read-out (`game.verify_saddle`), or a
-gather plus the exact lower clamp ``max(y, lower_barrier(y))``
-(`game.solve_lower_reflected`).  The drivers act entrywise on (node, pair),
-so a gather after the solve gives the fixed point of a solve at the gathered
-pairs.  This is the discretely obliquely reflected scheme of Chassagneux,
-Elie & Kharroubi (AAP 2012): an implicit step followed by a projection.
+the identity (`solve_system`), the oblique projection (`reflected`), an exact
+clamp behind a penalty driver (`penalty`), a gather at settled pairs plus
+switch costs, or the best-reply read-out (`game`).  The drivers act entrywise
+on (node, pair), so a gather after the solve gives the fixed point of a solve
+at the gathered pairs.  This is the discretely obliquely reflected scheme of
+Chassagneux, Elie & Kharroubi (AAP 2012): an implicit step and a projection.
 
 A driver enters the kernel in its level form, ``driver.at_level(t, w, z)``,
 built once per level while z is fixed.  It is either the level's driver
@@ -27,9 +20,10 @@ generators), and then one step ``E + dt * value`` is the fixed point; or a
 function of y alone, which Picard iteration started from E solves.  A future
 resolvent wraps this level form.
 
-Problems on one tree can share a pass, stacked problem-first on axis 0 of
-every field, ``(S, n_t, m1, m2)``: each problem's field is one contiguous run,
-and each comes out bit for bit as from its own pass.
+Fields are stored mode-major, node axis last, ``(m1, m2, n_t)`` and z ``(d,
+m1, m2, n_t)``, and callers see node-first views.  Problems on one tree can
+share a pass, stacked problem-first, ``(S, m1, m2, n_t)`` and z ``(d, S, m1,
+m2, n_t)``: each comes out bit for bit as from its own pass.
 
 The contraction condition ``dt * C < 1`` (C the driver's Lipschitz constant)
 makes the fixed point unique.  Iteration stops once an update moves no entry
@@ -46,6 +40,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, SizingError
+from .lattice import node_first, node_last
 
 PICARD_TOL = 1e-12
 MAX_PICARD_ITER = 10000
@@ -58,7 +53,7 @@ class DriverFn:
     (n, m1, m2), z is (n, d, m1, m2); the result has y's shape.  A
     `GeneratorSpec` has the same call, level form and attribute, so it is a
     driver too.  For problems stacked in one pass, `fn(live)` gives the
-    driver of the problems `live` instead.
+    driver of the problems `live` instead, on y (n, S, m1, m2).
     """
 
     def __init__(self, fn, lipschitz: float):
@@ -69,8 +64,9 @@ class DriverFn:
         return self.fn(*args)
 
     def at_level(self, t, w, z):
-        """The level form: `fn` at this level, as a function of y."""
-        return lambda y: np.array(self.fn(t, w, y, z), dtype=float)
+        """The level form: `fn` at this level, on node-first views."""
+        z = np.moveaxis(z, (0, -1), (-3, 0))
+        return lambda y: node_last(np.asarray(self.fn(t, w, node_first(y), z), float)).copy()
 
 
 def check_contraction(dt: float, lipschitz: float):
@@ -173,48 +169,41 @@ def backward(tree, terminal, driver, post, problems=None):
     """Run the backward induction from the leaf values `terminal` to the root.
 
     Each level t solves ``y = E + dt * driver(time, w, y, z)`` on the whole
-    (n_t, m1, m2) field, with E and z (n_t, d, m1, m2) conditioned from level
-    t + 1, then calls ``post(t, y, z)``.  The driver enters in its level form
-    (``driver.at_level(time, w, z)``, see the module docstring): a driver value
-    that does not depend on y takes one step, any other driver is iterated.
-    Its `lipschitz` is checked once against the contraction condition.  A
-    ConvergenceError at a level is raised again with the level named.
+    mode-major (m1, m2, n_t) field, with E and z (d, m1, m2, n_t) conditioned
+    from level t + 1, then calls ``post(t, y, z)``.  The driver enters in its
+    level form (see the module docstring), its `lipschitz` checked once
+    against the contraction condition.  A ConvergenceError at a level is
+    raised again with the level named.
 
     The kernel keeps only what `post` returns.  A tuple of level t's values
-    and further entries gives ``(Y, *kept)``: Y[0..N] with `terminal` at N,
-    then a list of N entries, root first, per further entry.  ``()`` leaves
-    the values in y, maybe changed in place, released once level t - 1 is
-    conditioned, and gives ``()``.  With `problems` (see `picard_solve`), every
-    field, `terminal` included, holds the problems on a new axis 0: y is
-    (S, n_t, m1, m2) and z (S, n_t, d, m1, m2).  ``driver(live)`` gives the
-    driver of the problems `live`, whose level form is built again each time
-    the working set shrinks.
+    and further entries gives ``(Y, *kept)`` as node-first views: Y[0..N]
+    with the node-first `terminal` at N, then a list of N entries, root
+    first, per further entry.  ``()`` leaves the values in y, maybe changed
+    in place, and gives ``()``.  With `problems` (see `picard_solve`),
+    `terminal` is (n_N, S, m1, m2), y (S, m1, m2, n_t) and z (d, S, m1, m2,
+    n_t), and ``driver(live)`` gives the driver of the problems `live`.
     """
     check_contraction(tree.dt, driver.lipschitz)
     N, dt = tree.N, tree.dt
     kept = [None] * N
     values = terminal
     for t in range(N - 1, -1, -1):
-        if problems is not None:    # conditioned node-major, solved problem-major
-            values = np.ascontiguousarray(np.moveaxis(values, 0, 1))
-        E, z = tree.expect_next(t, values), tree.z_next(t, values)
+        E = node_last(tree.expect_next(t, values))
+        z = node_last(tree.z_next(t, values))
         values = None
         w, time = tree.level_w(t), tree.time(t)
         if problems is None:
             update = _level_update(driver, time, w, z, dt)
         else:
-            E = np.ascontiguousarray(np.moveaxis(E, 1, 0))
-            z = np.ascontiguousarray(np.moveaxis(z, 2, 0))
-
             def update(live):
-                zl = z if live.size == len(z) else z[live]
+                zl = z if live.size == z.shape[1] else z[:, live]
                 return _level_update(driver(live), time, w, zl, dt)
         try:
             y, _ = picard_solve(E, update, problems=problems)
-            kept[t] = post(t, y, z)
+            kept[t] = [node_first(f) for f in post(t, y, z)]
         except ConvergenceError as exc:
             raise ConvergenceError(f"tree level {t}: {exc}") from exc
-        values = kept[t][0] if kept[t] else y
+        values = kept[t][0] if kept[t] else node_first(y)
         del y
     kept = list(map(list, zip(*kept)))
     return (kept[0] + [terminal], *kept[1:]) if kept else ()

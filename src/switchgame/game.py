@@ -6,17 +6,14 @@ adapted strategy.  Actions equal to the player's own current mode mean
 "stay".
 
 Within a step the two action tables are resolved at the step's left endpoint
-by an alternating read-out with Player I first: I acts on the current pair,
-II acts on the post-I pair, and the alternation repeats until neither table
-asks for a further switch.  Such same-instant chains are essential, not a
-corner case: when a switch lands on a coordinate that itself sits on a
-barrier, the reflected system reacts at the same time point, and the saddle
-strategies realize that reaction as a cascade of switches at one node (every
-leg charged its cost).  The no-zero-cost-loop hypothesis guarantees the
-cascades of the extracted saddle strategies terminate; adversarially cyclic
-tables are cut off by a switch-count cap and only pay for the detour.  The
-BSDE step then runs under the settled pair, and the switch costs are
-charged.
+by an alternating read-out with Player I first, repeated until neither table
+asks for a further switch.  Such same-instant chains are essential: when a
+switch lands on a coordinate that itself sits on a barrier, the reflected
+system reacts at the same time point, and the saddle strategies realize that
+as a cascade of switches at one node, every leg charged its cost.  The
+no-zero-cost-loop hypothesis makes the cascades of the extracted saddle
+strategies terminate; cyclic tables are cut off by a switch-count cap.  The
+BSDE step then runs under the settled pair, and the switch costs are charged.
 
 `verify_saddle` certifies the saddle point by backward induction.  With the
 opponent's table fixed, a player's best reply is a one-player switching
@@ -43,7 +40,7 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError
-from .model import GameSpec, lower_barrier, upper_barrier
+from .model import GameSpec, _lower, _require_tolerance, _upper, lower_barrier, upper_barrier
 from .reflected import RbsdeSolution
 
 BRUTE_FORCE_MAX_STEPS = 3
@@ -128,22 +125,24 @@ def _switch_cap(m1, m2):
 
 
 def _resolve_modes(A, B, m1, m2, k, l):
-    """Settle one step's mode pair from both action tables.
+    """Settle one step's mode pair from both (n, m1, m2) action tables.
 
     The read-out runs round by round over every (node, i, j) entry: Player I
     reads its table at the current pair and switches if the read differs,
     then Player II, each switch charged its cost, until a round in which no
     entry moves.  An entry stops switching once it has made `_switch_cap`
-    switches (only adversarially cyclic tables reach it).  Returns the
-    settled (i, j) tables and each player's switch cost, all shaped like A.
+    switches (only adversarially cyclic tables reach it).  Returns (m1, m2, n)
+    arrays of flat positions ``(i * m2 + j) * n + node`` and of both costs.
     """
     cap = _switch_cap(m1, m2)
-    _, i0, j0 = np.indices(A.shape)
+    A, B = np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
+    n = A.shape[-1]
+    i0, j0, _ = np.indices(A.shape)
     costA, costB = np.zeros(A.shape), np.zeros(A.shape)
     # each player's read as a move of the flat entry position, and what the
     # move charges (a stay is free); an entry at the cap neither moves nor pays
-    reads = ((np.ravel((A - i0) * m2), np.ravel(np.where(A == i0, 0.0, k[i0, A])), costA),
-             (np.ravel(B - j0), np.ravel(np.where(B == j0, 0.0, l[j0, B])), costB))
+    reads = ((np.ravel((A - i0) * (m2 * n)), np.ravel(np.where(A == i0, 0.0, k[i0, A])), costA),
+             (np.ravel((B - j0) * n), np.ravel(np.where(B == j0, 0.0, l[j0, B])), costB))
     pos, switches = np.arange(A.size).reshape(A.shape), np.zeros(A.shape, dtype=int)
     moved = True
     while moved:
@@ -155,8 +154,7 @@ def _resolve_modes(A, B, m1, m2, k, l):
             switches += step != 0
             pos += step
             moved = moved or step.any()
-    pair = pos % (m1 * m2)
-    return pair // m2, pair % m2, costA, costB
+    return pos, costA, costB
 
 
 def _check_actions(spec: GameSpec, tree, strategy: FeedbackStrategy):
@@ -198,10 +196,9 @@ def eval_switched(spec: GameSpec, tree, a: FeedbackStrategy,
 def _switched_backward(spec, tree, xi, a, b):
     """The backward pass of `eval_switched` from checked leaf values `xi`."""
     def post(t, W, z):
-        i_fin, j_fin, costA, costB = _resolve_modes(
+        pos, costA, costB = _resolve_modes(
             a.actions[t], b.actions[t], spec.m1, spec.m2, spec.costs.k, spec.costs.l)
-        n_idx = np.arange(W.shape[0])[:, None, None]
-        return (W[n_idx, i_fin, j_fin] + costA - costB,)
+        return (W.reshape(-1)[pos] + costA - costB,)
 
     return SwitchedValue(tree=tree, U=bsde.backward(tree, xi, spec.generator, post)[0])
 
@@ -349,55 +346,48 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
 
     Player II replies to a Player-I table and maximizes; Player I replies to
     a Player-II table and minimizes.  At each level the kernel's implicit
-    step gives W, the step value at every pair the read-out can settle on;
-    the post-step runs the same-instant programme on it.
-
-    * Same-instant programme.  The read-out of `_resolve_modes` (Player I
-      reads first, the opponent's moves are forced, switching stops at
-      `_switch_cap` switches) becomes a programme over the states (pair, switches
-      used s, whose turn, whether anyone moved this round):
+    step gives W at every pair, and the post-step runs the read-out of
+    `_resolve_modes` (Player I first, the opponent's moves forced, at most
+    `_switch_cap` switches) as a programme over the states (pair, switches
+    used s, whose turn, whether anyone moved this round):
 
         I(p, s)     = the I move into II1(p', s + 1), charged k, or II0(p, s)
         II0(p, s)   = the II move into I(p', s + 1), less l, or W(p)
         II1(p, s)   = the II move into I(p', s + 1), less l, or I(p, s)
 
-      with every state worth W(p) at s = cap, and the value I(p, 0).
-      The opponent's turns follow its table; the replier's take the best
-      option.  The recursion in s does not depend on s, so it stops as soon
-      as one pass reproduces the previous one exactly.
-
-    The replier may choose by the whole state, so the value is at least (or
-    at most) every feedback table's value, not only equal to the best one:
-    against an arbitrary opponent it can sit strictly above the best table
-    by exploiting a cycle.
+    with every state worth W(p) at s = cap, and the value I(p, 0).  The
+    replier's turns take the best option.  The recursion does not depend on
+    s, so it stops once a pass reproduces the previous one exactly.  The
+    value bounds every feedback table's, and can pass the best table's by
+    exploiting a cycle of an arbitrary opponent.
     """
     m1, m2 = spec.m1, spec.m2
     costs = spec.costs
     cap = _switch_cap(m1, m2)
-    i_grid = np.arange(m1)[:, None]
-    j_grid = np.arange(m2)[None, :]
+    i_grid = np.arange(m1)[:, None, None]
+    j_grid = np.arange(m2)[None, :, None]
 
     def post(t, W, z):
-        act = opponent.actions[t]
-        n_idx = np.arange(act.shape[0])[:, None, None]
+        act = np.moveaxis(opponent.actions[t], 0, -1)       # mode-major, like W
+        node = np.arange(act.shape[-1])
         if opponent.player == "I":
             stays = act == i_grid
             charge = costs.k[i_grid, act]
 
             def turn_I(stay, move):
-                return np.where(stays, stay, charge + move[n_idx, act, j_grid])
+                return np.where(stays, stay, charge + move[act, j_grid, node])
 
             def turn_II(stay, move):
-                return np.maximum(stay, lower_barrier(move, costs))
+                return np.maximum(stay, _lower(move, costs))
         else:
             stays = act == j_grid
             charge = costs.l[j_grid, act]
 
             def turn_I(stay, move):
-                return np.minimum(stay, upper_barrier(move, costs))
+                return np.minimum(stay, _upper(move, costs))
 
             def turn_II(stay, move):
-                return np.where(stays, stay, move[n_idx, i_grid, act] - charge)
+                return np.where(stays, stay, move[i_grid, act, node] - charge)
 
         # states with s = cap are worth W; descend in s
         I_next = II1_next = W
@@ -485,10 +475,11 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     solved first.  If Player II's best reply stays below Y(root) + tol and
     Player I's above Y(root) - tol, each with `_certificate_margin` to
     spare, no catalog strategy can violate, and the catalog is neither drawn
-    nor evaluated.  Otherwise the catalog is evaluated from the checked
-    terminal, drawn one strategy at a time, and each violation carries the
-    serialized strategy for replay.
+    nor evaluated.  Otherwise the catalog is evaluated, drawn one strategy
+    at a time, and each violation carries the strategy for replay.  `tol`
+    must be finite and nonnegative (DataError otherwise).
     """
+    _require_tolerance("tol", tol)
     spec, tree = sol.spec, sol.tree
     spec.require_valid()
     xi = spec.check_terminal(tree)
@@ -531,11 +522,10 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     """Solve the Player-II-reflected system under a fixed Player-I strategy.
 
     The strategy must not read the opponent coordinate (its action table is
-    constant across j).  Each step: the implicit step's value at the
-    strategy's mode choice, plus the Player-I switch cost, then the lower (l)
-    barriers are enforced by the minimal upward push, one clamp
-    ``max(y, lower_barrier(y))``; it is exact under the strict triangle
-    inequality, which `spec.require_valid()` checks.
+    constant across j).  Each step takes the implicit step's value at the
+    strategy's mode choice plus the Player-I switch cost, then the minimal
+    upward push ``max(y, lower_barrier(y))``, exact under the strict triangle
+    inequality that `spec.require_valid()` checks.
 
     Returns the list of per-level (n_t, m1, m2) value fields.
     """
@@ -545,14 +535,13 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     _check_actions(spec, tree, a)
     if not a.j_uniform():
         raise DataError("the representation route needs a j-independent strategy")
-    i_grid = np.arange(spec.m1)[:, None]
-    j_grid = np.arange(spec.m2)[None, None, :]
+    i_grid = np.arange(spec.m1)[:, None, None]
+    j_grid = np.arange(spec.m2)[None, :, None]
 
     def post(t, W, z):
-        ia = a.actions[t]                           # (n, m1, m2), j-uniform
-        n_idx = np.arange(W.shape[0])[:, None, None]
-        y = W[n_idx, ia, j_grid] + spec.costs.k[i_grid, ia]
-        return (np.maximum(y, lower_barrier(y, spec.costs)),)
+        ia = np.moveaxis(a.actions[t], 0, -1)       # (m1, m2, n), j-uniform
+        y = W[ia, j_grid, np.arange(W.shape[-1])] + spec.costs.k[i_grid, ia]
+        return (np.maximum(y, _lower(y, spec.costs)),)
 
     return bsde.backward(tree, spec.check_terminal(tree), spec.generator, post)[0]
 

@@ -3,9 +3,8 @@
 Both carriers are the scaled random walk: per-component increments are
 ``+/- sqrt(dt)`` with probability ``2**-d`` per joint sign pattern, so
 ``E[dW] = 0`` and ``E[dW_p dW_q] = dt * delta_pq`` hold exactly at every
-node.  `_Tree` owns the conditioning on the next level; a carrier states
-only its level sizes, its W-states (built once) and where a node's 2**d
-children sit:
+node.  `_Tree` owns the conditioning; a carrier states its level sizes,
+W-states and where a node's 2**d children sit:
 
 * :class:`PathTree` -- a non-recombining tree.  Level t holds ``(2**d)**t``
   nodes; node q at level t has children ``q * 2**d + c`` at level t+1, one per
@@ -17,8 +16,8 @@ children sit:
   ``(t+1)**d`` walk states; valid only when driver and terminal depend on the
   current W-state alone.
 
-Values on a level are arrays with the node axis first: ``(n_t, m1, m2)`` for a
-mode field, ``(n_t, d, m1, m2)`` for its martingale coefficients.
+Values on a level are node-first, ``(n_t, m1, m2)`` or ``(n_t, d, m1, m2)``,
+summed as views with the node axis last, whose slices are a node's children.
 """
 
 from __future__ import annotations
@@ -30,6 +29,16 @@ import numpy as np
 from .errors import DataError, SizingError
 
 DEFAULT_NODE_CAP = 2 ** 22
+
+
+def node_last(a):
+    """A node-first (n, ...) array as a view with its node axis last."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
+def node_first(a):
+    """A node-last (..., n) array as a view with its node axis first."""
+    return a.transpose(-1, *range(a.ndim - 1))
 
 
 def _branch_signs(d: int) -> np.ndarray:
@@ -46,8 +55,8 @@ class _Tree:
 
     A subclass defines `level_size` (used here to count its nodes), the noun
     and unit of its node-cap message, the per-level W-states `_w`, and
-    `_children(t, v)`: the 2**d blocks of a (rows, entries) level-(t+1) array
-    holding each node's child in branch c, node axes first, in branch order.
+    `_children(t, v)`: the 2**d blocks of an (entries, rows) level-(t+1) array
+    holding each node's child in branch c, node axes last, in branch order.
     """
 
     def __init__(self, N: int, d: int, T: float, node_cap: int):
@@ -84,14 +93,14 @@ class _Tree:
         return t * self.dt
 
     def _next_level(self, t: int, values) -> np.ndarray:
-        """Level-(t+1) `values` as a (rows, entries per node) array."""
+        """Level-(t+1) `values` as an (entries per node, rows) view."""
         if not 0 <= t < self.N:
             raise DataError(f"level {t} has no next level; levels 0..{self.N - 1} do")
         v = np.asarray(values, dtype=float)
         rows = self.level_size(t + 1)
         if v.shape[:1] != (rows,):
             raise DataError(f"expected {rows} level-{t + 1} values, got shape {v.shape}")
-        return v.reshape(rows, math.prod(v.shape[1:]))
+        return node_last(v).reshape(math.prod(v.shape[1:]), rows)
 
     def expect_next(self, t: int, values: np.ndarray) -> np.ndarray:
         """Conditional expectation of level-(t+1) values, per level-t node."""
@@ -100,23 +109,22 @@ class _Tree:
         for block in blocks:
             out += block
         out /= self.branching
-        return out.reshape((self.level_size(t),) + np.shape(values)[1:])
+        return node_first(out.reshape((*np.shape(values)[1:], -1)))
 
     def z_next(self, t: int, values: np.ndarray) -> np.ndarray:
-        """Martingale coefficients E[value * dW_p | node] / dt, all components.
-
-        Returns ``(n_t, d) + tail`` for input ``(n_{t+1},) + tail``.
-        """
+        """Martingale coefficients E[value * dW_p | node] / dt, all components:
+        ``(n_t, d) + tail`` for input ``(n_{t+1},) + tail``."""
         blocks = self._children(t, self._next_level(t, values))
-        out = np.zeros(blocks[0].shape[:-1] + (self.d,) + blocks[0].shape[-1:])
+        out = np.zeros((self.d,) + blocks[0].shape)
+        lift = (slice(None),) + (None,) * blocks[0].ndim
         for block, weights in zip(blocks, self._z_weights):
-            out += block[..., None, :] * weights[:, None]
-        return out.reshape((self.level_size(t), self.d) + np.shape(values)[1:])
+            out += block * weights[lift]
+        return node_first(out.reshape((self.d, *np.shape(values)[1:], -1)))
 
 
 class PathTree(_Tree):
     """Non-recombining binary-per-component tree over N steps in dimension d;
-    node q's children are rows ``q * B .. q * B + B - 1`` of the next level."""
+    node q's children are rows ``q * B + c``: branch c's, a stride-B slice."""
 
     recombining = False
     _noun = "tree"
@@ -135,8 +143,7 @@ class PathTree(_Tree):
         return self.branching ** t
 
     def _children(self, t: int, v: np.ndarray) -> list:
-        grouped = v.reshape(self.level_size(t), self.branching, v.shape[1])
-        return [grouped[:, c] for c in range(self.branching)]
+        return [v[:, c::self.branching] for c in range(self.branching)]
 
     # bound in the class body because the benchmark's span tracer times each
     # carrier's conditioning as found in the carrier's own namespace
@@ -168,9 +175,9 @@ class RecombiningTree(_Tree):
     def _children(self, t: int, v: np.ndarray) -> list:
         """On the (t+2)**d grid of level t+1, state u's child in branch c is
         u shifted up by one in every component whose bit is set in c."""
-        grid = v.reshape((t + 2,) * self.d + v.shape[1:])
-        return [grid[tuple(slice(1, t + 2) if (c >> p) & 1 else slice(0, t + 1)
-                           for p in range(self.d))]
+        grid = v.reshape(v.shape[:1] + (t + 2,) * self.d)
+        return [grid[(slice(None),) + tuple(slice(1, t + 2) if (c >> p) & 1 else slice(0, t + 1)
+                                            for p in range(self.d))]
                 for c in range(self.branching)]
 
     # see PathTree

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DataError, SizingError
+from .lattice import node_first, node_last
 
 LOOP_TOL = 1e-12       # |alternating cost| at most this counts as a zero-cost loop
 REGION_TOL = 1e-9      # how far past a barrier a value may sit and count as inside
-PROJECTION_TOL = 1e-12  # the sweeps stop once no coordinate moves further
 DEFAULT_LOOP_CAP = 12
 MAX_PRIMARY_LOOPS = 2 ** 17     # 2x6 has 74,815 primary loops; 1x10 has 556,059
 
@@ -208,11 +208,7 @@ def check_loop_costs(costs: CostTables) -> ValidationReport:
 
 
 def min_loop_cost(costs: CostTables) -> float:
-    """Smallest absolute alternating cost over all primary loops.
-
-    Used to bound the number of projection sweeps; infinite when the grid has
-    no loops at all (1 x 1).  Read from the tables' cache.
-    """
+    """`CostTables.min_loop_cost`: it bounds the number of projection sweeps."""
     return costs.min_loop_cost
 
 
@@ -236,95 +232,107 @@ def _running_extreme(pairs, op, keep, wins, targets):
     return out, target
 
 
+def _upper(ym, costs: CostTables, targets: bool = False):
+    """`upper_barrier` of a mode-first (m1, m2, ...) array."""
+    k = costs.k_off.reshape(costs.k_off.shape + (1,) * (ym.ndim - 1))
+    return _running_extreme(((ym[a:a + 1], k[:, a]) for a in range(costs.m1)),
+                            np.add, np.minimum, np.less, targets)
+
+
+def _lower(ym, costs: CostTables, targets: bool = False):
+    """`lower_barrier` of a mode-first (m1, m2, ...) array."""
+    l = costs.l_off.reshape(costs.l_off.shape + (1,) * (ym.ndim - 2))
+    return _running_extreme(((ym[:, b:b + 1], l[:, b]) for b in range(costs.m2)),
+                            np.subtract, np.maximum, np.greater, targets)
+
+
+def _modes_first(y, costs: CostTables):
+    """A (..., m1, m2) array as a float view with the mode axes first; DataError
+    naming both shapes when its last two axes are not the mode grid."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-2:] != (costs.m1, costs.m2):
+        raise DataError(f"value shape {y.shape[-2:]} does not match mode grid "
+                        f"{(costs.m1, costs.m2)}")
+    return y.transpose(-2, -1, *range(y.ndim - 2))
+
+
+def _modes_last(a):
+    """The view of a mode-first array that undoes `_modes_first`."""
+    return a.transpose(*range(2, a.ndim), 0, 1)
+
+
 def upper_barrier(y, costs: CostTables, targets: bool = False):
     """min over i' != i of y[..., i', j] + k[i, i'] per (i, j); +inf for a single mode.
 
-    A running np.minimum over i' that builds no (..., m1, m1, m2) tensor; exact,
-    and a NaN propagates.  With `targets`, also the smallest i' attaining it.
+    A running np.minimum over i' on a mode-first view of y, with no (..., m1,
+    m1, m2) tensor; exact, and a NaN propagates.  With `targets`, also the
+    smallest i' attaining it.
     """
-    y = np.asarray(y, dtype=float)
-    pairs = ((y[..., a:a + 1, :], costs.k_off[:, a:a + 1]) for a in range(costs.m1))
-    return _running_extreme(pairs, np.add, np.minimum, np.less, targets)
+    out = _upper(_modes_first(y, costs), costs, targets)
+    return tuple(map(_modes_last, out)) if targets else _modes_last(out)
 
 
 def lower_barrier(y, costs: CostTables, targets: bool = False):
     """max over j' != j of y[..., i, j'] - l[j, j'] per (i, j); -inf for a single mode.
 
     The mirror of :func:`upper_barrier`, over j' with np.maximum."""
-    y = np.asarray(y, dtype=float)
-    pairs = ((y[..., b:b + 1], costs.l_off[:, b]) for b in range(costs.m2))
-    return _running_extreme(pairs, np.subtract, np.maximum, np.greater, targets)
+    out = _lower(_modes_first(y, costs), costs, targets)
+    return tuple(map(_modes_last, out)) if targets else _modes_last(out)
 
 
-# Mode matrices of a batch the region check copies mode-major at once: its
-# working set stays a few fields of this many rows, not copies of a 2^17-leaf
-# level.
+# Matrices the region check reduces at once, a bound on its working set
 _REGION_ROWS = 4096
 
 
-def _mode_major_blocks(y, costs: CostTables):
-    """(rows, copy) for at most `_REGION_ROWS` matrices of y at a time: a
-    contiguous mode-major (m1, m2, rows) copy of them, and the slice of y's
-    matrices it holds.  On the copy each barrier term is a whole run over the
-    rows, not a 3-entry inner axis."""
-    matrices = np.asarray(y, dtype=float).reshape(-1, costs.m1, costs.m2)
-    for start in range(0, len(matrices), _REGION_ROWS):
+def _mode_major_blocks(ym):
+    """(rows, block) per `_REGION_ROWS` rows of a mode-first (m1, m2, rows)
+    array: the slice and a contiguous array of those rows."""
+    for start in range(0, ym.shape[-1], _REGION_ROWS):
         rows = slice(start, start + _REGION_ROWS)
-        yield rows, matrices[rows].transpose(1, 2, 0).copy()
-
-
-def _block_upper_barrier(ym, costs: CostTables):
-    """`upper_barrier` of a mode-major block: the same terms in the same order."""
-    k = costs.k_off[:, :, None, None]
-    return _running_extreme(((ym[a:a + 1], k[:, a]) for a in range(costs.m1)),
-                            np.add, np.minimum, np.less, False)
-
-
-def _block_lower_barrier(ym, costs: CostTables):
-    """`lower_barrier` of a mode-major block: the same terms in the same order."""
-    l = costs.l_off[:, :, None]
-    return _running_extreme(((ym[:, b:b + 1], l[:, b]) for b in range(costs.m2)),
-                            np.subtract, np.maximum, np.greater, False)
+        yield rows, np.ascontiguousarray(ym[..., rows])
 
 
 def _outside_region(y, costs: CostTables, tol: float):
-    """Mask of the coordinates of y beyond a barrier by more than tol (NaN counts),
-    reduced on the blocks of `_mode_major_blocks`; the mask comes back in y's
-    (..., m1, m2) layout."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty((math.prod(y.shape[:-2]), costs.m1, costs.m2), dtype=bool)
-    for rows, ym in _mode_major_blocks(y, costs):
-        inside = ym <= _block_upper_barrier(ym, costs) + tol
-        inside &= ym >= _block_lower_barrier(ym, costs) - tol
-        out[rows] = (~inside).transpose(2, 0, 1)
-    return out.reshape(y.shape)
+    """Mask of the coordinates of y beyond a barrier by more than tol (NaN
+    counts), reduced on the blocks of `_mode_major_blocks` and shaped like y."""
+    ym = _modes_first(y, costs)
+    out = np.empty(ym.shape, dtype=bool)
+    flat = out.reshape(costs.m1, costs.m2, -1)
+    for rows, block in _mode_major_blocks(ym.reshape(flat.shape)):
+        inside = block <= _upper(block, costs) + tol
+        inside &= block >= _lower(block, costs) - tol
+        np.logical_not(inside, out=flat[..., rows])
+    return _modes_last(out)
+
+
+def _require_tolerance(name, tol):
+    """DataError naming the parameter `name` unless tol is a finite number >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise DataError(f"{name} must be a finite nonnegative number; got {tol!r}")
 
 
 def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:
     """True when every coordinate of y satisfies both barrier constraints within tol."""
+    _require_tolerance("tol", tol)
     return not _outside_region(y, costs, tol).any()
 
 
-def _outside_matrices(base, costs: CostTables):
-    """Indices of the matrices of an (n, m1, m2) batch with an entry not
-    strictly inside both its barriers (a tie counts), tested on the
-    blocks of `_mode_major_blocks`."""
-    outside = np.empty(len(base), dtype=bool)
-    for rows, ym in _mode_major_blocks(base, costs):
-        inside = ym < _block_upper_barrier(ym, costs)
-        inside &= ym > _block_lower_barrier(ym, costs)
+def _outside_matrices(ym, costs: CostTables):
+    """Indices of the rows of a mode-first (m1, m2, rows) batch with an entry
+    not strictly inside both its barriers (a tie counts)."""
+    outside = np.empty(ym.shape[-1], dtype=bool)
+    for rows, block in _mode_major_blocks(ym):
+        inside = block < _upper(block, costs)
+        inside &= block > _lower(block, costs)
         outside[rows] = ~inside.all(axis=(0, 1))
     return np.flatnonzero(outside)
 
 
 def _sweep(orig, costs: CostTables, sweep_cap: int):
-    """Gauss-Seidel sweeps of `project_oblique_batch` on a mode-major (m1, m2,
-    rows) copy `orig`, until no coordinate moves more than PROJECTION_TOL.
-
-    On the copy a barrier reduces across whole batch rows and a
-    pre-projection value is one contiguous row.  The masked rows make it one
-    reduction: a coordinate's own entry reads +inf (upper) or -inf (lower)
-    and never wins.
+    """Gauss-Seidel sweeps of `project_oblique_batch` on a mode-first (m1, m2,
+    rows) batch `orig`, until a sweep moves no coordinate at all.  The masked
+    rows make each barrier one reduction: a coordinate's own entry reads +inf
+    (upper) or -inf (lower) and never wins.
     """
     work, prev = orig.copy(), np.empty_like(orig)
     k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
@@ -334,8 +342,8 @@ def _sweep(orig, costs: CostTables, sweep_cap: int):
             for j in range(costs.m2):
                 val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
                 work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
-        if np.abs(np.subtract(work, prev, out=prev), out=prev).max() <= PROJECTION_TOL:
-            return work
+        if np.abs(np.subtract(work, prev, out=prev), out=prev).max() == 0.0:
+            return work     # |-0.0 - +0.0| = 0: a sign flip alone settles
     detail = ""
     if costs.loop_costs:
         worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
@@ -349,8 +357,9 @@ def project_oblique_batch(y, costs: CostTables):
     Gauss-Seidel sweeps over coordinates in row-major order; at each coordinate
     visit the value is reset to its pre-projection value and clamped down by
     its upper (k) barrier, then up by its lower (l) barrier, both computed
-    from the current values of the other coordinates.  Sweeps repeat until no
-    coordinate moves more than PROJECTION_TOL.  Re-clamping from the original
+    from the current values of the other coordinates.  Sweeps repeat until
+    one moves no coordinate, an exact fixed point; the sweep cap (with its
+    zero-cost-loop message) is only a guard.  Re-clamping from the original
     value (rather than the previous iterate) is what makes this a genuine
     fixed point of the complementarity system: a push is undone when the
     barrier that caused it moves away, so the pushes are minimal.  The batch
@@ -360,16 +369,13 @@ def project_oblique_batch(y, costs: CostTables):
     it: a matrix strictly inside (every entry strictly below its upper and
     above its lower barrier) is a fixed point of every sweep, and is copied
     through unchanged.  A tie with a barrier counts as outside, so it is
-    swept; the clamp can still turn a -0.0 there into +0.0.  The test runs
-    on the region check's mode-major blocks, and the sweep cap and the
-    convergence test read the whole batch as before (a skipped matrix moves
-    by exactly zero), so the sweeps and their count are the whole batch's.
+    swept; the clamp can still turn a -0.0 there into +0.0.  The sweeps run
+    on a mode-first view of y: no copy of a mode-major field.
 
     A one-sided reflection needs no sweep: under the strict triangle
-    inequality one clamp, ``min(y, upper_barrier(y))`` or
-    ``max(y, lower_barrier(y))``, is its fixed point (the penalized and the
-    lower-reflected solvers use it).  On a single column or row this routine
-    is that one-sided sweep, since a single mode's barrier is infinite.
+    inequality one clamp, ``min(y, upper_barrier(y))`` or ``max(y,
+    lower_barrier(y))``, is its fixed point; on a single column or row this
+    routine is that clamp, since a single mode's barrier is infinite.
 
     Parameters
     ----------
@@ -378,20 +384,17 @@ def project_oblique_batch(y, costs: CostTables):
 
     Returns
     -------
-    y_star, dK, dL : arrays shaped like `y`; dK is the net downward push and
+    y_star, dK, dL : views shaped like `y`; dK is the net downward push and
     dL the net upward push, with dK * dL == 0 per coordinate.
     """
-    y = np.asarray(y, dtype=float)
     m1, m2 = costs.m1, costs.m2
-    if y.shape[-2:] != (m1, m2):
-        raise DataError(f"value shape {y.shape[-2:]} does not match mode grid {(m1, m2)}")
-    base = y.reshape(-1, m1, m2)
+    base = _modes_first(y, costs).reshape(m1, m2, -1)
     span = float(base.max()) - float(base.min()) if base.size else 0.0
     if not math.isfinite(span):
-        bad = np.argwhere(~np.isfinite(base))
+        bad = np.argwhere(~np.isfinite(node_first(base)))
         if len(bad):
             n, i, j = bad[0]
-            raise DataError(f"value {float(base[n, i, j])!r} at matrix {n}, mode pair "
+            raise DataError(f"value {float(base[i, j, n])!r} at matrix {n}, mode pair "
                             f"({i + 1},{j + 1}) cannot be projected; values must be finite")
         raise DataError(f"values span {span!r}, past the float range; cannot project")
 
@@ -403,14 +406,15 @@ def project_oblique_batch(y, costs: CostTables):
     sweep_cap = m1 * m2 * rounds + 64
 
     moving = _outside_matrices(base, costs)
-    out = base.copy()
+    out = np.array(base, order="C")
     if moving.size:
-        out[moving] = _sweep(base[moving].transpose(1, 2, 0).copy(), costs,
-                             sweep_cap).transpose(2, 0, 1)
+        out[..., moving] = _sweep(np.take(out, moving, axis=-1), costs, sweep_cap)
     net = base - out
     dK = np.maximum(net, 0.0)
     dL = np.maximum(np.negative(net, out=net), 0.0, out=net)     # in net's buffer
-    return out.reshape(y.shape), dK.reshape(y.shape), dL.reshape(y.shape)
+    shape = (m1, m2, *np.shape(y)[:-2])
+    return (_modes_last(out.reshape(shape)), _modes_last(dK.reshape(shape)),
+            _modes_last(dL.reshape(shape)))
 
 
 def project_oblique(y, costs: CostTables):
@@ -483,32 +487,33 @@ class GeneratorSpec:
         return math.sqrt(dt) * float(np.abs(self.b).sum()) <= 1.0
 
     def __call__(self, t, w, y, z):
-        """Evaluate on a full mode field.
-
-        y : (..., m1, m2); z : (..., d, m1, m2).  Returns (..., m1, m2).
-        """
-        f = self.at_level(t, w, z)
-        return f(y) if callable(f) else np.broadcast_to(f, np.shape(y)).copy()
+        """Evaluate on a full mode field: y (..., m1, m2), z (..., d, m1, m2)."""
+        y = np.asarray(y, dtype=float)[..., None]
+        f = self.at_level(t, w, np.moveaxis(np.asarray(z, dtype=float), -3, 0)[..., None])
+        return (f(y) if callable(f) else np.broadcast_to(f, y.shape).copy())[..., 0]
 
     def at_level(self, t, w, z):
         """The driver on one level with z fixed, in the kernel's level form.
 
-        `zero` and `mode_constant` give their (m1, m2) value table, which does
-        not depend on y or z (zeros for `zero`, whatever the sign of c's
-        zeros).  `saturated_affine` gives the function
-        ``y -> (a * sat_M(y) + c) + sum_p b[p] * sat_M(z[p])`` of a field shaped
-        like z without its Brownian axis, with the z term and c broadcast to
-        that field once, here.
+        z is the kernel's ``(d, ..., m1, m2, n)`` field and y is z without its
+        Brownian axis.  `zero` and `mode_constant` give their (m1, m2, 1)
+        value table, which does not depend on y or z (zeros for `zero`,
+        whatever the sign of c's zeros).  `saturated_affine` gives the
+        function ``y -> (a * sat_M(y) + c) + sum_p b[p] * sat_M(z[p])``, the z
+        term summed in p order from 0.0 and broadcast with c once, here.
         """
         if self.family == "zero":
-            return np.zeros((self.m1, self.m2))
+            return np.zeros((self.m1, self.m2, 1))
         if self.family == "mode_constant":
-            return self.c
+            return self.c[:, :, None]
         a, M = self.a, self.M
         zsat = np.maximum(-M, z)    # sat_M as np.clip gives it, bit for bit
-        zterm = np.einsum("p,...pij->...ij", self.b, np.minimum(M, zsat, out=zsat))
+        np.minimum(M, zsat, out=zsat)
+        zterm = np.zeros(zsat.shape[1:])
+        for bp, zp in zip(self.b, zsat):
+            zterm += bp * zp
         c = np.empty_like(zterm)
-        c[...] = self.c
+        c[...] = self.c[:, :, None]
 
         def f(y):
             out = np.maximum(-M, y)
@@ -579,21 +584,19 @@ class TerminalSpec:
         return self.family in ("constant", "affine")
 
     def evaluate(self, leaf_w):
-        """Terminal matrix per leaf.
-
-        leaf_w : (n_leaves, d) array of terminal W-states.
-        Returns (n_leaves, m1, m2).
-        """
+        """Terminal matrix per leaf, (n_leaves, m1, m2) for the (n_leaves, d)
+        W-states `leaf_w`: a view of a new mode-major array."""
         n = leaf_w.shape[0]
         if self.family == "constant":
-            return np.broadcast_to(self.alpha, (n, self.m1, self.m2)).copy()
-        if self.family == "affine":
-            return self.alpha[None] + self.beta[None] * leaf_w[:, 0, None, None]
-        if self.table.shape[0] != n:
-            raise DataError(
-                f"leaf table has {self.table.shape[0]} rows but the tree has {n} leaves"
-            )
-        return self.table.copy()
+            xi = np.broadcast_to(self.alpha[:, :, None], (self.m1, self.m2, n)).copy()
+        elif self.family == "affine":
+            xi = self.alpha[:, :, None] + self.beta[:, :, None] * leaf_w[:, 0]
+        elif self.table.shape[0] != n:
+            raise DataError(f"leaf table has {self.table.shape[0]} rows but the tree "
+                            f"has {n} leaves")
+        else:
+            xi = node_last(self.table).copy()
+        return node_first(xi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,46 +21,52 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError
-from .model import GameSpec, upper_barrier
+from .lattice import node_first, node_last
+from .model import GameSpec, _upper
 from .reflected import RbsdeSolution
 
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
 
 
 def _lower_excess(y, l):
-    """(j, y[..., j'] - y[..., j] - l(j,j')) for each j' != j, whose positive part
-    is slice j' of (y[i,j] - y[i,j'] + l(j,j'))^-.  Each pair j < j' takes one
-    difference d = y[..., j'] - y[..., j] for both of its terms: -l(j',j) - d is
-    the same float as y[..., j] - y[..., j'] - l(j',j).  Pairs come in order, so
-    each j's terms come in j' order.  Each term is a new array."""
+    """(j, y[..., j', :] - y[..., j, :] - l(j,j')) for each j' != j of a
+    mode-major field, whose positive part is term j' of (y[i,j] - y[i,j'] +
+    l(j,j'))^-.  A pair j < j' takes one difference d for both its terms:
+    -l(j',j) - d is the same float as y[..., j, :] - y[..., j', :] - l(j',j).
+    Each j's terms come in j' order, each a new array."""
     for j, b in itertools.combinations(range(l.shape[0]), 2):
-        d = np.subtract(y[..., b], y[..., j])
+        d = np.subtract(y[..., b, :], y[..., j, :])
         yield j, np.subtract(d, l[j, b])
         yield b, np.subtract(-l[b, j], d, out=d)
 
 
 def lower_penalty_intensity(y, l, n):
-    """beta = n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^-, n one level or levels that
-    broadcast against y, such as the (S, 1, 1, 1) levels of problems stacked on
-    axis 0.  Summed as NumPy sums a last axis of m2 terms, in j' order below
-    eight and by its pairwise sum from eight, with no (..., m2, m2) tensor."""
-    if y.shape[-1] >= 8:
-        return n * np.stack([np.maximum(y - y[..., j, None] - l[j], 0.0).sum(axis=-1)
-                             for j in range(l.shape[0])], axis=-1)
+    """beta = n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^- on a mode-major (..., m1,
+    m2, nodes) field, n one level or the (S, 1, 1, 1) levels of stacked
+    problems.  Summed as NumPy sums a contiguous last axis of m2 terms: in j'
+    order below eight, and pairwise from eight, on a copy of y with j' last."""
+    if y.shape[-2] >= 8:
+        last = np.ascontiguousarray(np.moveaxis(y, -2, -1))
+        return n * np.stack([np.maximum(last - y[..., j, :, None] - l[j], 0.0).sum(axis=-1)
+                             for j in range(l.shape[0])], axis=-2)
     beta, started = np.zeros(y.shape), set()
     for j, term in _lower_excess(y, l):
         if j in started:
-            beta[..., j] += np.maximum(term, 0.0, out=term)
+            beta[..., j, :] += np.maximum(term, 0.0, out=term)
         else:   # a first term, never -0.0, is what 0.0 + term would give
-            np.maximum(term, 0.0, out=beta[..., j])
+            np.maximum(term, 0.0, out=beta[..., j, :])
             started.add(j)
     beta *= n
     return beta
 
 
 def upper_penalty_intensity(y, k, m):
-    """alpha = m * sum_i' (y[i,j] - y[i',j] - k(i,i'))^+."""
-    return m * np.maximum(y[..., :, None, :] - y[..., None, :, :] - k[:, :, None], 0.0).sum(-2)
+    """alpha = m * sum_i' (y[i,j] - y[i',j] - k(i,i'))^+ on a mode-major field, in i'
+    order from 0.0, or pairwise from eight terms with one Player-II mode."""
+    terms = np.maximum(y[..., :, None, :, :] - y[..., None, :, :, :] - k[:, :, None, None], 0.0)
+    if y.shape[-2] == 1:
+        return m * np.ascontiguousarray(np.moveaxis(terms, -3, -1)).sum(axis=-1)
+    return m * terms.sum(axis=-3)
 
 
 def penalty_rate(n: int, m: int) -> float:
@@ -141,7 +147,8 @@ class _Penalized:
 
     @cached_property
     def beta(self) -> list:
-        return [lower_penalty_intensity(y, self.spec.costs.l, self.n) for y in self.Y]
+        return [node_first(lower_penalty_intensity(node_last(y), self.spec.costs.l, self.n))
+                for y in self.Y]
 
 
 @dataclass
@@ -163,16 +170,13 @@ class _PenaltyDriver:
 
     def at_level(self, t, w, z):
         g = self.gen.at_level(t, w, z)
-        if not callable(g):     # y-independent: broadcast to the field once
-            c = np.broadcast_to(g, z.shape[:-3] + z.shape[-2:]).copy()
-
-            def g(y):
-                return c
+        # a y-independent value is broadcast to the field once
+        c = None if callable(g) else np.broadcast_to(g, z.shape[1:]).copy()
         costs, n, m = self.costs, self.n, self.m
 
         def f(y):
             out = lower_penalty_intensity(y, costs.l, n)
-            out += g(y)
+            out += g(y) if c is None else c
             if m:
                 out -= upper_penalty_intensity(y, costs.k, m)
             return out
@@ -182,9 +186,8 @@ class _PenaltyDriver:
 def _sweep(spec: GameSpec, tree, n_list, post):
     """One backward pass of the penalized system at every level of n_list, each checked
     first, ascending, so a SizingError names the smallest failing n before any Picard
-    call.  The levels are stacked problem-first, (S, n_t, m1, m2).  Each step returns
-    ``post(t, y, bar)`` with the upper barrier `bar` of y; the post-step clamps.
-    Returns the stacked leaf values and the kernel's result."""
+    call.  The levels are stacked, y (S, m1, m2, n_t); each step returns ``post(t, y,
+    bar)``, `bar` the upper barrier of y.  Returns the leaf values and the result."""
     spec.require_valid()
     lip = max(_require_penalty_contraction(tree, spec, n, 0) for n in sorted(n_list))
     ns = np.asarray(n_list, dtype=float)
@@ -193,9 +196,11 @@ def _sweep(spec: GameSpec, tree, n_list, post):
         return _PenaltyDriver(spec, ns[live][:, None, None, None] if live.size > 1
                               else float(ns[live[0]]), lip)
 
-    xi = np.repeat(spec.check_terminal(tree)[None], len(n_list), axis=0)
-    return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip),
-                             lambda t, y, z: post(t, y, upper_barrier(y, spec.costs)),
+    def step(t, y, z):      # the barrier of (S, m1, m2, n_t) values, on a mode-first view
+        return post(t, y, np.moveaxis(_upper(np.moveaxis(y, 0, -2), spec.costs), -2, 0))
+
+    xi = node_first(np.repeat(node_last(spec.check_terminal(tree))[None], len(n_list), axis=0))
+    return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip), step,
                              problems=[f"penalty level {n}" for n in n_list])
 
 
@@ -209,7 +214,7 @@ def solve_penalized(spec: GameSpec, tree, n: int) -> PenalizedSolution:
         return clamped, y - clamped
 
     _, (Y, dK) = _sweep(spec, tree, [n], clamp)
-    return PenalizedSolution(tree, spec, n, [y[0] for y in Y], [k[0] for k in dK])
+    return PenalizedSolution(tree, spec, n, [y[:, 0] for y in Y], [k[:, 0] for k in dK])
 
 
 @dataclass
@@ -221,7 +226,8 @@ class DoublePenalizedSolution(_Penalized):
 
     @cached_property
     def alpha(self) -> list:
-        return [upper_penalty_intensity(y, self.spec.costs.k, self.m) for y in self.Y]
+        return [node_first(upper_penalty_intensity(node_last(y), self.spec.costs.k, self.m))
+                for y in self.Y]
 
 
 def solve_double_penalized(spec: GameSpec, tree, n: int, m: int) -> DoublePenalizedSolution:
@@ -229,8 +235,7 @@ def solve_double_penalized(spec: GameSpec, tree, n: int, m: int) -> DoublePenali
     penalty at level m."""
     spec.require_valid()
     driver = _PenaltyDriver(spec, n, _require_penalty_contraction(tree, spec, n, m), m)
-    Y = bsde.backward(tree, spec.check_terminal(tree), driver,
-                      lambda t, y, z: (y,))[0]
+    Y = bsde.backward(tree, spec.check_terminal(tree), driver, lambda t, y, z: (y,))[0]
     return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=Y)
 
 
@@ -284,13 +289,11 @@ def penalization_report(spec: GameSpec, tree, n_list,
     against 2 * sup|psi|, and sup-norm gaps to the direct solution.
 
     ``monotone_ok`` tests that the values are nonincreasing in n (largest
-    increase ``monotone_worst`` at most ``_MONOTONE_SLACK``).  The penalty is
-    nonnegative and grows with n, so by comparison the values are in fact
-    nondecreasing: ``monotone_ok`` is False with a positive ``monotone_worst``
-    wherever lower barriers bind.  One pass solves every level; its post-step
-    folds each statistic, a maximum, over the tree levels and keeps the roots.
-    `direct` must be solved on a tree of the same shape as `tree`, for a game
-    equal in content to `spec`, else DataError.
+    increase ``monotone_worst`` at most ``_MONOTONE_SLACK``); by comparison
+    they are in fact nondecreasing, so it is False wherever lower barriers
+    bind.  One pass solves every level, and its post-step folds each
+    statistic over the tree levels.  `direct` must be solved on a tree of the
+    same shape, for a game equal in content to `spec`, else DataError.
     """
     if direct is not None and _tree_shape(direct.tree) != _tree_shape(tree):
         raise DataError(f"the direct solution is on the tree {_tree_shape(direct.tree)}, "
@@ -314,14 +317,14 @@ def penalization_report(spec: GameSpec, tree, n_list,
             np.maximum(stat, bsde.problem_max(n * np.maximum(term, 0.0, out=term)), out=stat)
         np.maximum(worst[1:], bsde.problem_max(y[1:] - y[:-1]), out=worst[1:])
         if direct is not None:
-            np.maximum(gap, bsde.problem_max(np.abs(y - direct.Y[t])), out=gap)
+            np.maximum(gap, bsde.problem_max(np.abs(y - node_last(direct.Y[t]))), out=gap)
         if t == 0:
-            roots[...] = y[:, 0]
+            roots[...] = y[..., 0]
         return ()
 
     # the clamp is in place: fold keeps nothing, so the kernel reads y on
     xi, _ = _sweep(spec, tree, n_list, lambda t, y, bar: fold(t, np.minimum(y, bar, out=y)))
-    fold(tree.N, xi)
+    fold(tree.N, node_last(xi))
     bound = 2.0 * spec.generator.sup_bound
     return ConvergenceReport(rows=[ConvergenceRow(
         n=level, root=roots[s], monotone_ok=bool(worst[s] <= _MONOTONE_SLACK),

@@ -16,13 +16,16 @@ from functools import cached_property
 import numpy as np
 
 from . import bsde
+from .lattice import node_first, node_last
 from .model import (
     REGION_TOL,
     GameSpec,
     ValidationReport,
-    _block_lower_barrier,
-    _block_upper_barrier,
+    _lower,
     _mode_major_blocks,
+    _modes_first,
+    _require_tolerance,
+    _upper,
     in_Qbar,
     project_oblique_batch,
 )
@@ -31,6 +34,9 @@ from .model import (
 @dataclass
 class RbsdeSolution:
     """Backward solution fields, level-indexed (0 = root, N = leaves).
+
+    Each field is a node-first view of a mode-major array: ``np.moveaxis(f,
+    0, -1)`` is the contiguous stored (m1, m2, n_t) or (d, m1, m2, n_t) array.
 
     Y[t]            : (n_t, m1, m2) values.
     Z[t], t < N     : (n_t, d, m1, m2) martingale coefficients.
@@ -66,14 +72,13 @@ class RbsdeSolution:
 
 def _accumulate(tree, increments):
     """Root-to-node cumulative sums of per-level push increments on a path
-    tree; None on a recombining lattice."""
+    tree, stored mode-major; None on a recombining lattice."""
     if tree.recombining:
         return None
-    out = [np.zeros((1,) + increments[0].shape[1:])]
+    out = [np.zeros(increments[0].shape[1:] + (1,))]
     for t in range(tree.N):
-        nxt = np.repeat(out[t] + increments[t], tree.branching, axis=0)
-        out.append(nxt)
-    return out
+        out.append(np.repeat(out[t] + node_last(increments[t]), tree.branching, -1))
+    return list(map(node_first, out))
 
 
 def solve_rbsde(spec: GameSpec, tree) -> RbsdeSolution:
@@ -87,7 +92,7 @@ def solve_rbsde(spec: GameSpec, tree) -> RbsdeSolution:
     spec.require_valid()
 
     def post(t, y, z):
-        y, dK, dL = project_oblique_batch(y, spec.costs)
+        y, dK, dL = map(node_last, project_oblique_batch(node_first(y), spec.costs))
         return y, z, dK, dL
 
     Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree), spec.generator, post)
@@ -101,20 +106,23 @@ def check_minimality(sol: RbsdeSolution, tol: float = 1e-8,
     For nodes with dK > push_tol the value must equal its upper barrier within
     `tol`; symmetrically for dL and the lower barrier.  Violations are report
     entries, never exceptions, per level the upper ones first, each in node
-    order.  The barriers and gaps are reduced on mode-major blocks of nodes.
+    order, reduced on mode-major blocks of nodes.  Both tolerances must be
+    finite and nonnegative (DataError otherwise).
     """
+    _require_tolerance("tol", tol)
+    _require_tolerance("push_tol", push_tol)
     spec = sol.spec
     bad = []
     for t in range(sol.tree.N):
         found = {"upper": [], "lower": []}
-        for rows, y in _mode_major_blocks(sol.Y[t], spec.costs):
-            for pushes, barrier, name in ((sol.dK[t], _block_upper_barrier, "upper"),
-                                          (sol.dL[t], _block_lower_barrier, "lower")):
+        for rows, y in _mode_major_blocks(_modes_first(sol.Y[t], spec.costs)):
+            for pushes, barrier, name in ((sol.dK[t], _upper, "upper"),
+                                          (sol.dL[t], _lower, "lower")):
                 bar = barrier(y, spec.costs)
                 gaps = np.abs(np.subtract(y, bar, out=bar), out=bar)
-                push = pushes[rows].transpose(1, 2, 0)
+                push = _modes_first(pushes, spec.costs)[..., rows]
                 viol = (push > push_tol) & (gaps > tol)
-                for n, i, j in np.argwhere(viol.transpose(2, 0, 1)):
+                for n, i, j in np.argwhere(node_first(viol)):
                     found[name].append(
                         f"level {t} node {rows.start + n} mode ({i + 1},{j + 1}): {name} "
                         f"push {push[i, j, n]:g} off the barrier by {gaps[i, j, n]:g}"

@@ -4,7 +4,10 @@ canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
 per-carrier conditioning oracle, the level-by-level penalization oracle,
 the csv.writer export oracle, the entry-by-entry text oracle, the
 field-layout region-check and minimality oracles, the per-iterate kernel
-oracle and the sweep-every-matrix projection oracle."""
+oracle, the sweep-every-matrix projection oracle, and the node-major
+routines (barriers, region check, projection, conditioning, penalty
+intensities, mode resolution) that ran before fields were stored
+mode-major."""
 
 import contextlib
 import csv
@@ -25,10 +28,8 @@ from switchgame.model import (
     TerminalSpec,
     _pretty_loop,
     check_loop_costs,
-    lower_barrier,
     project_oblique,
     project_oblique_batch,
-    upper_barrier,
     validate_cost_matrices,
 )
 from switchgame.penalty import ConvergenceRow, penalty_rate
@@ -89,6 +90,13 @@ class NoEntryReads(np.ndarray):
         return super().__getitem__(key)
 
 
+def assert_bitwise(got, want):
+    """Equal shapes and equal bits, entry by entry: -0.0 is not +0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def swapped_projection(y, costs: CostTables):
     """`project_oblique(y, costs)[0]` reached through the player-swapped dual:
     -y.T with the two cost tables exchanged has the same region, so the
@@ -145,6 +153,37 @@ def canonicalizing_walk_loops(m1, m2):
     return sorted(found)
 
 
+def _sweep_cap(base, costs: CostTables):
+    """The projection's sweep cap for the (rows, m1, m2) batch `base`."""
+    m1, m2 = costs.m1, costs.m2
+    rounds = 1
+    if m1 > 1 and m2 > 1:
+        c = costs.min_loop_cost
+        span = float(base.max()) - float(base.min()) if base.size else 0.0
+        rounds = math.ceil(span / c + 1.0) if c > 0.0 else 64
+    return m1 * m2 * rounds + 64
+
+
+def tolerance_sweep(orig, costs: CostTables, sweep_cap: int, tol: float):
+    """The Gauss-Seidel sweeps of the projection on a mode-major (m1, m2, rows)
+    batch as they stopped once no coordinate moved more than `tol`."""
+    work = orig.copy()
+    k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
+    for _ in range(sweep_cap):
+        prev = work.copy()
+        for i in range(costs.m1):
+            for j in range(costs.m2):
+                val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
+                work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
+        if np.abs(work - prev).max() <= tol:
+            return work
+    detail = ""
+    if costs.loop_costs:
+        worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
+        detail = f"; nearest-to-zero loop cost is {cost:g} on {_pretty_loop(worst)}"
+    raise ConvergenceError(f"oblique projection did not settle in {sweep_cap} sweeps{detail}")
+
+
 def sweep_every_matrix(y, costs: CostTables, tol: float = 1e-12):
     """`project_oblique_batch` as it swept every matrix of the batch, inside
     the region or not, on one mode-major copy of the whole batch: an oracle
@@ -155,34 +194,8 @@ def sweep_every_matrix(y, costs: CostTables, tol: float = 1e-12):
     m1, m2 = costs.m1, costs.m2
     if base.shape[-2:] != (m1, m2):
         raise DataError(f"value shape {base.shape[-2:]} does not match mode grid {(m1, m2)}")
-
-    rounds = 1
-    if m1 > 1 and m2 > 1:
-        c = costs.min_loop_cost
-        span = float(base.max() - base.min()) if base.size else 0.0
-        rounds = math.ceil(span / c + 1.0) if c > 0.0 else 64
-    sweep_cap = m1 * m2 * rounds + 64
-
     orig = np.ascontiguousarray(np.moveaxis(base, 0, -1))
-    work = orig.copy()
-    k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
-    for _ in range(sweep_cap):
-        prev = work.copy()
-        for i in range(m1):
-            for j in range(m2):
-                val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
-                work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
-        if np.abs(work - prev).max() <= tol:
-            break
-    else:
-        detail = ""
-        if costs.loop_costs:
-            worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
-            detail = f"; nearest-to-zero loop cost is {cost:g} on {_pretty_loop(worst)}"
-        raise ConvergenceError(
-            f"oblique projection did not settle in {sweep_cap} sweeps{detail}"
-        )
-
+    work = tolerance_sweep(orig, costs, _sweep_cap(base, costs), tol)
     out = np.ascontiguousarray(np.moveaxis(work, -1, 0))
     net = base - out
     dK = np.maximum(net, 0.0)
@@ -194,9 +207,10 @@ def sweep_every_matrix(y, costs: CostTables, tol: float = 1e-12):
 
 def fieldwise_outside_region(y, costs: CostTables, tol: float):
     """The region check's mask as it was reduced in y's own (..., m1, m2)
-    layout, from the two barriers: an oracle for the mode-major copy."""
+    layout, from the two node-major barriers: an oracle for the blocks."""
     y = np.asarray(y, dtype=float)
-    return ~((y <= upper_barrier(y, costs) + tol) & (y >= lower_barrier(y, costs) - tol))
+    up, lo = nodemajor_barrier(y, costs, "upper"), nodemajor_barrier(y, costs, "lower")
+    return ~((y <= up + tol) & (y >= lo - tol))
 
 
 def fieldwise_check_minimality(sol, tol=1e-8, push_tol=1e-9):
@@ -207,8 +221,8 @@ def fieldwise_check_minimality(sol, tol=1e-8, push_tol=1e-9):
     bad = []
     for t in range(sol.tree.N):
         y = sol.Y[t]
-        up = upper_barrier(y, spec.costs)
-        lo = lower_barrier(y, spec.costs)
+        up = nodemajor_barrier(y, spec.costs, "upper")
+        lo = nodemajor_barrier(y, spec.costs, "lower")
         for push, bar, name in ((sol.dK[t], up, "upper"),
                                 (sol.dL[t], lo, "lower")):
             gaps = np.abs(y - bar)
@@ -256,6 +270,133 @@ def carrier_conditioning(tree, t, values):
             sign = 1.0 if (c >> p) & 1 else -1.0
             z[:, p] += piece.reshape((n,) + tail) * (sign * math.sqrt(dt) / (B * dt))
     return (acc / B).reshape((n,) + tail), z
+
+
+def _running_extreme(pairs, op, keep, wins, targets):
+    out = op(*next(pairs))
+    if not targets:
+        for pair in pairs:
+            keep(out, op(*pair), out=out)
+        return out
+    target = np.zeros(out.shape, dtype=int)
+    for mode, pair in enumerate(pairs, 1):
+        term = op(*pair)
+        target[wins(term, out)] = mode
+        keep(out, term, out=out)
+    return out, target
+
+
+def nodemajor_barrier(y, costs: CostTables, side, targets=False):
+    """`upper_barrier` (side "upper") or `lower_barrier` as they reduced a
+    node-major (..., m1, m2) field over its 3-entry inner axes."""
+    y = np.asarray(y, dtype=float)
+    if side == "upper":
+        pairs = ((y[..., a:a + 1, :], costs.k_off[:, a:a + 1]) for a in range(costs.m1))
+        return _running_extreme(pairs, np.add, np.minimum, np.less, targets)
+    pairs = ((y[..., b:b + 1], costs.l_off[:, b]) for b in range(costs.m2))
+    return _running_extreme(pairs, np.subtract, np.maximum, np.greater, targets)
+
+
+def nodemajor_projection(y, costs: CostTables):
+    """`project_oblique_batch` as it ran on node-major batches: the matrices
+    not strictly inside gathered into a mode-major copy, swept until no
+    coordinate moved more than 1e-12, and scattered back."""
+    y = np.asarray(y, dtype=float)
+    m1, m2 = costs.m1, costs.m2
+    if y.shape[-2:] != (m1, m2):
+        raise DataError(f"value shape {y.shape[-2:]} does not match mode grid {(m1, m2)}")
+    base = y.reshape(-1, m1, m2)
+    span = float(base.max()) - float(base.min()) if base.size else 0.0
+    if not math.isfinite(span):
+        bad = np.argwhere(~np.isfinite(base))
+        if len(bad):
+            n, i, j = bad[0]
+            raise DataError(f"value {float(base[n, i, j])!r} at matrix {n}, mode pair "
+                            f"({i + 1},{j + 1}) cannot be projected; values must be finite")
+        raise DataError(f"values span {span!r}, past the float range; cannot project")
+    inside = ((base < nodemajor_barrier(base, costs, "upper"))
+              & (base > nodemajor_barrier(base, costs, "lower")))
+    moving = np.flatnonzero(~inside.all(axis=(1, 2)))
+    out = base.copy()
+    if moving.size:
+        orig = base[moving].transpose(1, 2, 0).copy()
+        out[moving] = tolerance_sweep(orig, costs, _sweep_cap(base, costs),
+                                      1e-12).transpose(2, 0, 1)
+    net = base - out
+    dK = np.maximum(net, 0.0)
+    dL = np.maximum(np.negative(net, out=net), 0.0, out=net)
+    return out.reshape(y.shape), dK.reshape(y.shape), dL.reshape(y.shape)
+
+
+def nodemajor_conditioning(tree, t, values):
+    """(E, z) of level-(t+1) `values` as the shared `_Tree` conditioning
+    summed them on node-first (rows, entries) blocks."""
+    v = np.asarray(values, dtype=float)
+    B, d, n = tree.branching, tree.d, tree.level_size(t)
+    rows = v.reshape(len(v), -1)
+    if tree.recombining:
+        grid = rows.reshape((t + 2,) * d + rows.shape[1:])
+        blocks = [grid[tuple(slice(1, t + 2) if (c >> p) & 1 else slice(0, t + 1)
+                             for p in range(d))] for c in range(B)]
+    else:
+        grouped = rows.reshape(n, B, rows.shape[1])
+        blocks = [grouped[:, c] for c in range(B)]
+    E = np.zeros(blocks[0].shape)
+    for block in blocks:
+        E += block
+    E /= B
+    z = np.zeros(blocks[0].shape[:-1] + (d,) + blocks[0].shape[-1:])
+    for block, weights in zip(blocks, tree.signs * math.sqrt(tree.dt) / (B * tree.dt)):
+        z += block[..., None, :] * weights[:, None]
+    return E.reshape((n,) + v.shape[1:]), z.reshape((n, d) + v.shape[1:])
+
+
+def nodemajor_lower_intensity(y, l, n):
+    """`penalty.lower_penalty_intensity` as it summed a node-major (..., m1, m2)
+    field: slice by slice in j' order below eight Player-II modes, by
+    NumPy's pairwise sum over the contiguous last axis from eight."""
+    if y.shape[-1] >= 8:
+        return n * np.stack([np.maximum(y - y[..., j, None] - l[j], 0.0).sum(axis=-1)
+                             for j in range(l.shape[0])], axis=-1)
+    beta, started = np.zeros(y.shape), set()
+    for j, b in itertools.combinations(range(l.shape[0]), 2):
+        d = np.subtract(y[..., b], y[..., j])
+        for col, term in ((j, np.subtract(d, l[j, b])), (b, np.subtract(-l[b, j], d, out=d))):
+            if col in started:
+                beta[..., col] += np.maximum(term, 0.0, out=term)
+            else:
+                np.maximum(term, 0.0, out=beta[..., col])
+                started.add(col)
+    beta *= n
+    return beta
+
+
+def nodemajor_upper_intensity(y, k, m):
+    """`penalty.upper_penalty_intensity` on a node-major (..., m1, m2) field."""
+    return m * np.maximum(y[..., :, None, :] - y[..., None, :, :] - k[:, :, None], 0.0).sum(-2)
+
+
+def nodemajor_resolve_modes(A, B, m1, m2, k, l):
+    """`game._resolve_modes` as it walked node-major flat positions
+    ``node * m1 * m2 + pair``: the settled (i, j) tables and both costs."""
+    cap = 4 * m1 * m2
+    _, i0, j0 = np.indices(A.shape)
+    costA, costB = np.zeros(A.shape), np.zeros(A.shape)
+    reads = ((np.ravel((A - i0) * m2), np.ravel(np.where(A == i0, 0.0, k[i0, A])), costA),
+             (np.ravel(B - j0), np.ravel(np.where(B == j0, 0.0, l[j0, B])), costB))
+    pos, switches = np.arange(A.size).reshape(A.shape), np.zeros(A.shape, dtype=int)
+    moved = True
+    while moved:
+        moved = False
+        for jump, charge, cost in reads:
+            open_ = switches < cap
+            step = jump[pos] * open_
+            cost += charge[pos] * open_
+            switches += step != 0
+            pos += step
+            moved = moved or step.any()
+    pair = pos % (m1 * m2)
+    return pair // m2, pair % m2, costA, costB
 
 
 def tensor_lower_intensity(y, l, n):
@@ -369,7 +510,7 @@ def sequential_penalized(spec, tree, n, counts=None):
         return np.asarray(gen(t, w, y, z), dtype=float) + tensor_lower_intensity(y, l, n)
 
     def post(t, y, z):
-        out = np.minimum(y, upper_barrier(y, spec.costs))
+        out = np.minimum(y, nodemajor_barrier(y, spec.costs, "upper"))
         return out, y - out
 
     lip = gen.lipschitz + penalty_rate(n, spec.m2)

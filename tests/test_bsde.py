@@ -15,15 +15,17 @@ from switchgame.bsde import (
 )
 from switchgame.errors import ConvergenceError, SizingError
 from switchgame.model import GameSpec, GeneratorSpec, TerminalSpec, project_oblique, upper_barrier
-from switchgame.penalty import lower_penalty_intensity, max_penalty_level
+from switchgame.penalty import max_penalty_level
 
 from conftest import (
+    assert_bitwise,
     fieldwise_generator,
     iterate_backward,
     iterate_picard_solve,
     make_3x3,
     sequential_penalized,
     standard_costs,
+    tensor_lower_intensity,
 )
 
 
@@ -32,9 +34,9 @@ def zero_driver():
 
 
 def last_step(tree, nxt, driver):
-    """Level N-1 of the kernel from leaf values `nxt` with the identity
-    post-step: (y, z)."""
-    Y, Z = backward(tree, nxt, driver, lambda t, y, z: (y, z))
+    """Level N-1 of the kernel from node-first leaf values `nxt` with the
+    identity post-step: (y, z), node-first."""
+    Y, Z = solve_system(tree, driver, nxt)
     t = tree.N - 1
     return Y[t], Z[t]
 
@@ -98,11 +100,11 @@ class TestStep:
 
         out = backward(tree, xi, DriverFn(fn, 0.0), post)
         assert len(out) == 1 and len(out[0]) == 4 and out[0][3] is xi
-        # the driver sees each level's time and W-states; post sees (t, y, z)
-        # for t = N-1..0
+        # the driver sees each level's time and W-states and node-first
+        # fields; post sees (t, y, z) for t = N-1..0, stored mode-major
         assert list(dict.fromkeys(driven)) == [
             (t / 3, (2 ** t, 1), (2 ** t, 2, 2), (2 ** t, 1, 2, 2)) for t in (2, 1, 0)]
-        assert seen == [(t, (2 ** t, 2, 2), (2 ** t, 1, 2, 2)) for t in (2, 1, 0)]
+        assert seen == [(t, (2, 2, 2 ** t), (1, 2, 2, 2 ** t)) for t in (2, 1, 0)]
         np.testing.assert_allclose(out[0][0][0], xi.mean(axis=0), atol=1e-15)
         with pytest.raises(SizingError, match="refine the tree"):
             backward(tree, xi, DriverFn(fn, 3.0), post)
@@ -153,7 +155,8 @@ class TestStep:
 
 
 class TestStackedProblems:
-    """Several problems on one tree, stacked problem-first on axis 0 of every field."""
+    """Several problems on one tree, stacked problem-first in the kernel's
+    fields, (S, m1, m2, n_t), and after the node axis in its node-first views."""
 
     def test_each_problem_stops_where_it_would_alone(self, rng):
         # y <- E + r * sin(y) contracts at rate r: the problems need
@@ -189,8 +192,8 @@ class TestStackedProblems:
                          problems=["first", "second"])
 
     def test_stacked_pass_equals_separate_passes(self, rng):
-        # two driver levels on a 2-d lattice: the driver sees z with its
-        # Brownian axis just before the mode pair, as an unstacked driver does
+        # two driver levels on a 2-d lattice: the driver sees node-first
+        # fields with the problems on axis 1, (n, S, m1, m2)
         tree = build_tree(4, 2, 0.5, recombining=True)
         gen = GeneratorSpec("saturated_affine", 2, 2, d=2, a=0.6, b=[0.5, -0.3], M=0.7,
                             c=[[0.3, -0.3], [0.1, 0.0]])
@@ -199,16 +202,22 @@ class TestStackedProblems:
 
         def driver(live):
             return DriverFn(lambda t, w, y, z: gen(t, w, y, z)
-                            + shift[live][:, None, None, None], gen.lipschitz)
+                            + shift[live][:, None, None], gen.lipschitz)
 
-        stacked = backward(tree, np.stack([xi, xi]), DriverFn(driver, gen.lipschitz),
+        stacked = backward(tree, np.stack([xi, xi], axis=1), DriverFn(driver, gen.lipschitz),
                            lambda t, y, z: (y, z), problems=["low", "high"])
         for s in range(2):
             alone = solve_system(tree, DriverFn(lambda t, w, y, z: gen(t, w, y, z) + shift[s],
                                                 gen.lipschitz), xi)
-            for got, want in zip(stacked[0] + stacked[1], alone[0] + alone[1], strict=True):
-                assert got[s].flags.c_contiguous
-                np.testing.assert_array_equal(got[s].view(np.uint64), want.view(np.uint64))
+            # each solved level's values, and each component of its z, is
+            # one run of a problem's mode-major field
+            pairs = [(got[:, s], want) for got, want in zip(stacked[0], alone[0], strict=True)]
+            pairs += [(got[:, p, s], want[:, p]) for got, want in zip(stacked[1], alone[1],
+                                                                      strict=True)
+                      for p in range(tree.d)]
+            for level, (got, want) in enumerate(pairs):
+                assert level == tree.N or np.moveaxis(got, 0, -1).flags.c_contiguous
+                assert_bitwise(got, want)
 
     def test_a_post_step_that_returns_nothing_keeps_nothing(self, rng):
         # the values left in y, changed in place, condition the next level
@@ -224,7 +233,7 @@ class TestStackedProblems:
 
         assert backward(tree, xi, zero_driver(), post) == ()
         Y, _ = backward(tree, xi, zero_driver(), lambda t, y, z: (y + 1.0, z))
-        np.testing.assert_array_equal(roots[0], Y[0])
+        np.testing.assert_array_equal(np.moveaxis(roots[0], -1, 0), Y[0])
 
 class TestSolveSystem:
     def test_constant_terminal_is_a_martingale(self):
@@ -346,7 +355,7 @@ def oracle_sweep(spec, tree, levels):
 
     def driver(live):
         n = ns[live][:, None, None] if live.size > 1 else float(ns[live[0]])
-        return lambda t, w, y, z: gen(t, w, y, z) + lower_penalty_intensity(y, l, n)
+        return lambda t, w, y, z: gen(t, w, y, z) + tensor_lower_intensity(y, l, n)
 
     def post(t, y, z):
         out = np.minimum(y, upper_barrier(y, spec.costs))
@@ -364,11 +373,6 @@ def new_sweep(spec, tree, levels):
         return out, y - out
 
     return penalty._sweep(spec, tree, levels, clamp)[1]
-
-
-def assert_bitwise(got, want):
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def outcome(fn):
@@ -404,7 +408,7 @@ class TestLevelForm:
         (Y, dK), (Yo, dKo) = new_sweep(spec, tree, levels), oracle_sweep(spec, tree, levels)
         for got, want in zip(Y + dK, Yo + dKo, strict=True):
             for s in range(len(levels)):
-                assert_bitwise(got[s], want[:, s])
+                assert_bitwise(got[:, s], want[:, s])
         # one penalty level alone, and one generator for several terminals
         sol = penalty.solve_penalized(spec, tree, levels[-1])
         Y1, dK1 = sequential_penalized(spec, tree, levels[-1])
@@ -412,15 +416,17 @@ class TestLevelForm:
             assert_bitwise(got, want)
         gen = spec.generator
         xi = spec.check_terminal(tree.tree)
-        xis = np.stack([xi, xi + 0.5, -xi])
+        xis = np.stack([xi, xi + 0.5, -xi], axis=1)
         got = backward(tree, xis, DriverFn(lambda live: gen, gen.lipschitz),
                        lambda t, y, z: (y, z), problems=["a", "b", "c"])
-        want = iterate_backward(tree, np.moveaxis(xis, 0, 1),
+        want = iterate_backward(tree, xis,
                                 DriverFn(lambda live: fieldwise_generator(gen), gen.lipschitz),
                                 lambda t, y, z: (y, z), problems=["a", "b", "c"])
-        for g, w in zip(got[0] + got[1], want[0] + want[1], strict=True):
-            for s in range(3):
-                assert_bitwise(g[s], w[:, s])
+        for s in range(3):
+            for g, w in zip(got[0], want[0], strict=True):      # (n_t, S, m1, m2)
+                assert_bitwise(g[:, s], w[:, s])
+            for g, w in zip(got[1], want[1], strict=True):      # (n_t, d, S, m1, m2)
+                assert_bitwise(g[:, :, s], w[:, s])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -471,7 +477,7 @@ class CountingGenerator(GeneratorSpec):
         self.built, self.calls = {}, {}
 
     def at_level(self, t, w, z):
-        key = (z.shape[-4], z.shape[0] if z.ndim == 5 else 1)
+        key = (z.shape[-1], z.shape[1] if z.ndim == 5 else 1)
         self.built[key] = self.built.get(key, 0) + 1
         f = super().at_level(t, w, z)
         if not callable(f):
@@ -528,7 +534,7 @@ class TestOncePerLevel:
         tree = build_tree(6, 1, 0.24)
         xi = np.random.default_rng(5).normal(size=(tree.level_size(6), 2, 2))
         Y, _ = solve_system(tree, gen, xi)
-        backward(tree, np.stack([xi, -xi]), DriverFn(lambda live: gen, 0.0),
+        backward(tree, np.stack([xi, -xi], axis=1), DriverFn(lambda live: gen, 0.0),
                  lambda t, y, z: (y,), problems=["a", "b"])
         assert steps == [1] * tree.N + [2] * tree.N     # one step per problem and level
         sizes = [tree.level_size(t) for t in range(tree.N)]

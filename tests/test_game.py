@@ -107,6 +107,25 @@ def resolve_modes_loop(A, B, m1, m2, k, l):
     return ci, cj, costA, costB
 
 
+def settled(A, B, m1, m2, k, l):
+    """`game._resolve_modes` in the node-major terms of its loop oracle: the
+    settled (i, j) tables and both players' costs, shaped like A."""
+    pos, costA, costB = _resolve_modes(A, B, m1, m2, k, l)
+    i, j = np.divmod(pos // A.shape[0], m2)
+    return tuple(np.moveaxis(f, -1, 0) for f in (i, j, costA, costB))
+
+
+def flat_positions(resolve):
+    """A resolver of node-major (i, j, costA, costB) tables made to answer as
+    `game._resolve_modes` does: flat positions ``pair * n + node`` in a
+    mode-major field, and both costs, all mode-major."""
+    def wrapped(A, B, m1, m2, k, l):
+        i, j, costA, costB = (np.moveaxis(f, 0, -1) for f in resolve(A, B, m1, m2, k, l))
+        n = A.shape[0]
+        return (i * m2 + j) * n + np.arange(n), costA, costB
+    return wrapped
+
+
 class TestModeResolution:
     def test_matches_scalar_oracle_on_random_tables(self, rng):
         k = np.array(standard_costs().k)
@@ -115,7 +134,7 @@ class TestModeResolution:
             n_t = int(rng.integers(1, 5))
             A = rng.integers(0, 2, (n_t, 2, 2))
             B = rng.integers(0, 2, (n_t, 2, 2))
-            ci, cj, cA, cB = _resolve_modes(A, B, 2, 2, k, l)
+            ci, cj, cA, cB = settled(A, B, 2, 2, k, l)
             for n in range(n_t):
                 for i in range(2):
                     for j in range(2):
@@ -149,7 +168,7 @@ class TestModeResolution:
         tree = build_tree(2, 1, 1.0)
         a = FeedbackStrategy.stay("I", tree, 2, 2)
         b = FeedbackStrategy.stay("II", tree, 2, 2)
-        ci, cj, cA, cB = _resolve_modes(a.actions[0], b.actions[0], 2, 2,
+        ci, cj, cA, cB = settled(a.actions[0], b.actions[0], 2, 2,
                                         np.array(standard_costs().k),
                                         np.array(standard_costs().l))
         np.testing.assert_array_equal(ci[0], [[0, 0], [1, 1]])
@@ -185,7 +204,7 @@ class TestClosedFormResolution:
                     # nonzero diagonals: only switches that happen may be charged
                     k = rng.uniform(0.1, 2.0, (m1, m1))
                     l = rng.uniform(0.1, 2.0, (m2, m2))
-                    ci, cj, cA, cB = _resolve_modes(A, B, m1, m2, k, l)
+                    ci, cj, cA, cB = settled(A, B, m1, m2, k, l)
                     oi, oj, oA, oB = resolve_modes_loop(A, B, m1, m2, k, l)
                     np.testing.assert_array_equal(ci, oi)
                     np.testing.assert_array_equal(cj, oj)
@@ -193,7 +212,7 @@ class TestClosedFormResolution:
                     np.testing.assert_array_equal(cB, oB)
                     # unit costs turn the charges into per-player switch counts
                     ones_k, ones_l = np.ones((m1, m1)), np.ones((m2, m2))
-                    _, _, nA, nB = _resolve_modes(A, B, m1, m2, ones_k, ones_l)
+                    _, _, nA, nB = settled(A, B, m1, m2, ones_k, ones_l)
                     _, _, onA, onB = resolve_modes_loop(A, B, m1, m2,
                                                         ones_k, ones_l)
                     np.testing.assert_array_equal(nA, onA)
@@ -364,6 +383,17 @@ class TestEvalSwitched:
 
 
 class TestSaddle:
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(self, standard_spec):
+        # a root raised by 0.5 breaks the saddle inequalities at tol = 1e-8;
+        # with tol = NaN no comparison held and the report came back ok
+        tree = build_tree(6, 1, standard_spec.horizon)
+        sol = solve_rbsde(standard_spec, tree)
+        sol.Y[0] = sol.Y[0] + 0.5
+        assert len(verify_saddle(sol, catalog_size=4, tol=1e-8).violations) > 4
+        for bad in (np.nan, np.inf, -1e-9):
+            with pytest.raises(DataError, match="^tol must be a finite nonnegative"):
+                verify_saddle(sol, catalog_size=4, tol=bad)
+
     def test_interior_solution_yields_stay_strategies(self):
         spec = GameSpec(
             costs=standard_costs(),
@@ -472,7 +502,7 @@ class TestResolutionDifferential:
             resolved = [eval_switched(spec, tree, a, b).root()
                         for a, b in [(a_star, b_star)] + pairs]
             with monkeypatch.context() as patch:
-                patch.setattr(game, "_resolve_modes", resolve_modes_loop)
+                patch.setattr(game, "_resolve_modes", flat_positions(resolve_modes_loop))
                 looped = [eval_switched(spec, tree, a, b).root()
                           for a, b in [(a_star, b_star)] + pairs]
             # the saddle pair and the cyclic random pairs alike add up bit for bit
@@ -488,7 +518,7 @@ class TestResolutionDifferential:
             sol.Y[0] = sol.Y[0] + shift
             new = verify_saddle(sol, catalog_size=30, seed=7)
             with monkeypatch.context() as patch:
-                patch.setattr(game, "_resolve_modes", resolve_modes_loop)
+                patch.setattr(game, "_resolve_modes", flat_positions(resolve_modes_loop))
                 old = verify_saddle(sol, catalog_size=30, seed=7)
             assert new.value_gap == old.value_gap
             assert [v[:3] for v in new.violations] == [v[:3] for v in old.violations]
@@ -523,11 +553,11 @@ def gathered_backward(spec, tree, settle, finish):
 def gathered_switched(spec, tree, a, b):
     """`eval_switched(...).U` by the gathered path."""
     k, l = spec.costs.k, spec.costs.l
-    settled = {t: _resolve_modes(a.actions[t], b.actions[t], spec.m1, spec.m2, k, l)
-               for t in range(tree.N)}
+    resolved = {t: settled(a.actions[t], b.actions[t], spec.m1, spec.m2, k, l)
+                for t in range(tree.N)}
     return gathered_backward(
-        spec, tree, lambda t: settled[t][:2],
-        lambda t, y, I: y + settled[t][2] - settled[t][3])
+        spec, tree, lambda t: resolved[t][:2],
+        lambda t, y, I: y + resolved[t][2] - resolved[t][3])
 
 
 def gathered_lower_reflected(spec, tree, a):

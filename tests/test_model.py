@@ -2,6 +2,7 @@
 projection, checked against independent brute-force oracles."""
 
 import itertools
+import re
 import traceback
 import tracemalloc
 from collections import Counter
@@ -462,6 +463,23 @@ class TestDomain:
             tracemalloc.stop()
         assert peak <= y.nbytes / 2, peak / y.nbytes
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3), (3, 3), (3,), (5, 2, 3)])
+    def test_a_field_off_the_mode_grid_is_refused_naming_both_shapes(self, shape):
+        # a (2, 3) field on a 3x2 grid used to pass the region check as one
+        # (3, 2) matrix, and a (3, 3) field got (3, 3) barriers
+        costs = CostTables(k=1.0 - np.eye(3), l=0.8 * (1.0 - np.eye(2)))
+        message = re.escape(f"value shape {shape[-2:]} does not match mode grid (3, 2)")
+        for check in (in_Qbar, upper_barrier, lower_barrier, project_oblique_batch):
+            with pytest.raises(DataError, match=message):
+                check(np.zeros(shape), costs)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(self, tol):
+        # a NaN tolerance made every comparison false, so nothing was outside
+        with pytest.raises(DataError, match="^tol must be a finite nonnegative number"):
+            in_Qbar(np.array([[5.0, 0.0], [0.0, 0.0]]), standard_costs(), tol=tol)
+        assert in_Qbar(np.zeros((2, 2)), standard_costs(), tol=0.0)
+
     def test_barriers_build_no_candidate_tensor(self):
         # a (..., m, m, m') candidate tensor alone holds three fields on a
         # 3x3 grid; the running reduction peaks near two
@@ -652,6 +670,23 @@ class TestProjectionSkipsInsideMatrices:
         assert not np.signbit(got[0][0, 0, 0])
         assert_same_bits(got, sweep_every_matrix(y, standard_costs()))
 
+    def test_a_sweep_that_only_flips_signed_zeros_is_the_fixed_point(self):
+        # -0.0 ties its upper barrier -1.0 + 1.0 = +0.0 in the first matrix
+        # and its lower barrier 0.8 - 0.8 = +0.0 in the third; +0.0 ties in
+        # the second.  The first sweep turns each -0.0 into +0.0 and moves
+        # nothing else, and -0.0 == +0.0, so that sweep ends the loop
+        assert not hasattr(model, "PROJECTION_TOL")
+        costs = standard_costs()
+        y = np.array([[[-0.0, 0.5], [-1.0, -0.3]], [[0.0, 0.5], [-1.0, -0.3]],
+                      [[0.8, -0.0], [0.5, 0.3]]])
+        flipped = np.where(y == 0.0, 0.0, y)
+        assert np.signbit(y).sum() - np.signbit(flipped).sum() == 2
+        settled = model._sweep(np.ascontiguousarray(np.moveaxis(y, 0, -1)), costs, 1)
+        assert_same_bits([np.moveaxis(settled, -1, 0)], [flipped])
+        got = project_oblique_batch(y, costs)
+        assert_same_bits(got, (flipped, np.zeros_like(y), np.zeros_like(y)))
+        assert_same_bits(got, sweep_every_matrix(y, costs))
+
     def test_no_sweep_runs_when_every_matrix_is_inside(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("swept a batch that is inside the region")
@@ -761,8 +796,11 @@ class TestGeneratorSpec:
             flat[:6] = [M, -M, 0.0, -0.0, np.inf, -np.inf]
             flat[6::11] = -0.0
         want = fieldwise_generator(gen)(0.0, None, y, z)
-        np.testing.assert_array_equal(gen.at_level(0.0, None, z)(y).view(np.uint64),
-                                      want.view(np.uint64))
+        # the level form reads the kernel's mode-major fields, nodes last
+        got = gen.at_level(0.0, None, np.moveaxis(z, 0, -1))(np.moveaxis(y, 0, -1))
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      np.moveaxis(want, 0, -1).view(np.uint64))
+        np.testing.assert_array_equal(gen(0.0, None, y, z).view(np.uint64), want.view(np.uint64))
 
     def test_family_misuse_rejected(self):
         with pytest.raises(DataError):

@@ -43,6 +43,7 @@ from conftest import (
     STANDARD_K,
     STANDARD_L,
     STANDARD_T,
+    assert_bitwise,
     make_standard,
     sequential_penalized,
     sequential_report,
@@ -65,15 +66,15 @@ def standard_run():
 
 class TestPenaltyTerms:
     def test_diagonal_terms_vanish_identically(self, rng):
-        # (y_ij - y_ij + l(j,j))^- = 0 since l(j,j) = 0
+        # (y_ij - y_ij + l(j,j))^- = 0 since l(j,j) = 0; fields are mode-major
         l = np.array(standard_costs().l)
         y = rng.uniform(-3, 3, (4, 2, 2))
-        same = lower_penalty_intensity(y, np.zeros_like(l), 1)
+        same = lower_penalty_intensity(np.moveaxis(y, 0, -1), np.zeros_like(l), 1)
         by_hand = np.maximum(-(y[..., :, :, None] - y[..., :, None, :]), 0.0)
-        np.testing.assert_allclose(same, by_hand.sum(axis=-1))
+        np.testing.assert_allclose(same, np.moveaxis(by_hand.sum(axis=-1), 0, -1))
 
     def test_intensities_are_nonnegative(self, rng):
-        y = rng.uniform(-3, 3, (8, 2, 2))
+        y = rng.uniform(-3, 3, (2, 2, 8))
         assert lower_penalty_intensity(y, np.array(standard_costs().l), 3).min() >= 0.0
         assert upper_penalty_intensity(y, np.array(standard_costs().k), 3).min() >= 0.0
 
@@ -246,7 +247,8 @@ class TestSinglePenalty:
         sol = solve_penalized(standard_spec, tree, 8)
         assert len(calls) == at_return[0] > 0
         assert not hasattr(sol, "Z")
-        eager = [intensity(y, standard_spec.costs.l, 8) for y in sol.Y]
+        eager = [np.moveaxis(intensity(np.moveaxis(y, 0, -1), standard_spec.costs.l, 8), -1, 0)
+                 for y in sol.Y]
         beta = sol.beta
         assert len(calls) == at_return[0] + tree.N + 1
         for b, e in zip(beta, eager):
@@ -258,10 +260,11 @@ class TestSinglePenalty:
         sol = solve_double_penalized(standard_spec, tree, 4, 4)
         assert not hasattr(sol, "Z") and not {"alpha", "beta"} & vars(sol).keys()
         costs = standard_spec.costs
-        for got, want in [(sol.alpha, [upper_penalty_intensity(y, costs.k, 4) for y in sol.Y]),
-                          (sol.beta, [lower_penalty_intensity(y, costs.l, 4) for y in sol.Y])]:
+        Ym = [np.moveaxis(y, 0, -1) for y in sol.Y]
+        for got, want in [(sol.alpha, [upper_penalty_intensity(y, costs.k, 4) for y in Ym]),
+                          (sol.beta, [lower_penalty_intensity(y, costs.l, 4) for y in Ym])]:
             for g, w in zip(got, want, strict=True):
-                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+                assert_bitwise(np.moveaxis(g, 0, -1), w)
 
     def test_gap_shrinks_along_the_sweep(self, standard_run):
         _, _, _, report = standard_run
@@ -435,12 +438,13 @@ class TestSweep:
         y[::5, ..., 0] = y[::5, ..., -1] + l[-1, 0]
         y[1::5, ..., -1] = y[1::5, ..., 0]
         y[2::5, ..., ::2] = -0.0
+        # the intensity reads mode-major fields: problems first, nodes last
         n = np.array([1.0, 7.0, 416.0])[:, None, None]
-        got = lower_penalty_intensity(y, l, n)
+        got = lower_penalty_intensity(np.moveaxis(y, 0, -1), l, n[..., None])
         want = np.stack([tensor_lower_intensity(y[:, s], l, n[s]) for s in range(3)], axis=1)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        np.testing.assert_array_equal(lower_penalty_intensity(y[:, 1], l, 7).view(np.uint64),
-                                      want[:, 1].view(np.uint64))
+        assert_bitwise(got, np.moveaxis(want, 0, -1))
+        assert_bitwise(lower_penalty_intensity(np.moveaxis(y[:, 1], 0, -1), l, 7),
+                       np.moveaxis(want[:, 1], 0, -1))
 
     @pytest.mark.parametrize("recombining,N", [(False, 8), (True, 100)])
     def test_each_level_takes_the_iterations_of_its_own_solve(self, monkeypatch,
@@ -455,10 +459,11 @@ class TestSweep:
         intensity = penalty.lower_penalty_intensity
 
         def counted(y, l, n):
-            # y is (S, n_t, m1, m2): problems on axis 0, one level of n each
+            # y is (S, m1, m2, n_t): problems on axis 0, one level of n each
             assert y.ndim == 4 and np.size(n) in (1, y.shape[0])
             for level in np.ravel(n):
-                stacked[(y.shape[1], int(level))] = stacked.get((y.shape[1], int(level)), 0) + 1
+                stacked[(y.shape[-1], int(level))] = stacked.get((y.shape[-1], int(level)),
+                                                                 0) + 1
             return intensity(y, l, n)
 
         monkeypatch.setattr(penalty, "lower_penalty_intensity", counted)

@@ -214,6 +214,20 @@ class TestMinimalityCheck:
                         == fieldwise_check_minimality(planted, tol=0.3, push_tol=0.3))
 
 
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(self):
+        # a push planted off its barrier is found at the default tolerances;
+        # with tol = NaN every gap test was false and the check passed
+        spec = make_standard()
+        tree = build_tree(4, 1, spec.horizon)
+        sol = solve_rbsde(spec, tree)
+        sol.dK[1][0, 0, 0] = 0.5
+        assert check_minimality(sol).violations
+        for name in ("tol", "push_tol"):
+            for bad in (np.nan, np.inf, -1e-9):
+                with pytest.raises(DataError, match=f"^{name} must be a finite nonnegative"):
+                    check_minimality(sol, **{name: bad})
+
+
 class TestOneSidedReduction:
     def test_upper_only_equals_independent_columns(self, rng):
         # with the lower clamps disabled the 2x2 system decouples into two
@@ -222,11 +236,11 @@ class TestOneSidedReduction:
         spec = make_standard()
         tree = build_tree(4, 1, spec.horizon)
 
-        def post(t, y, z):
-            return (np.minimum(y, upper_barrier(y, spec.costs)),)
+        def post(t, y, z):      # y is stored mode-major, (m1, m2, n_t)
+            bar = np.moveaxis(upper_barrier(np.moveaxis(y, -1, 0), spec.costs), 0, -1)
+            return (np.minimum(y, bar),)
 
-        upper_only = backward(tree, spec.check_terminal(tree),
-                              spec.generator, post)[0]
+        upper_only = backward(tree, spec.check_terminal(tree), spec.generator, post)[0]
 
         costs_col = CostTables(k=spec.costs.k, l=[[0.0]])
         for j in range(2):

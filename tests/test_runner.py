@@ -474,24 +474,29 @@ class TestGolden:
         }
 
 
-def one_block_bound(d: int, rows: int) -> int:
-    """Bytes that `rows` rows of `fields.csv` can hold at once while their
-    block is written, with room for the file's buffers.
+def one_block_bound(d: int, rows: int, lines: int) -> int:
+    """Bytes that a block of `rows` rows of `fields.csv`, joined and written
+    `lines` lines at a time, can hold at once, with room for the file's
+    buffers.
 
-    Per row: the cells of the text columns (Y, Z1..Zd, dK, dL, K, L; a float's
-    repr has at most 24 characters), one column's floats and array entries
-    while it is formatted, the joined line (keys of at most 7 digits) and a
-    line's worth again for its key, pair and W cells (a node's are shared by
-    its rows, so this is spare), and the block's text twice: joined, and then
-    copied once more by its encoding.  The bound grows in proportion to the
-    block's rows."""
+    Per row of the block: the cells of the text columns (Y, Z1..Zd, dK, dL,
+    K, L; a float's repr has at most 24 characters), and one column's floats
+    and array entries while it is formatted.  Per line joined at once: the
+    joined line (keys of at most 7 digits) and a line's worth again for its
+    key, pair and W cells (a node's are shared by its rows, so this is
+    spare), and its text twice: joined, and then copied once more by its
+    encoding.  The bound grows in proportion to the block's rows and to the
+    lines joined at once."""
     ptr, cells = struct.calcsize("P"), 5 + d
     line = 4 * 8 + (d + cells) * 25
-    per_row = (cells * (ptr + sys.getsizeof("x" * 24))
-               + ptr + sys.getsizeof(0.0) + 8
-               + 2 * (ptr + sys.getsizeof("x" * line))
-               + 2 * (line + 2))
-    return rows * per_row + 8 * io.DEFAULT_BUFFER_SIZE
+    per_row = cells * (ptr + sys.getsizeof("x" * 24)) + ptr + sys.getsizeof(0.0) + 8
+    per_line = 2 * (ptr + sys.getsizeof("x" * line)) + 2 * (line + 2)
+    return rows * per_row + min(lines, rows) * per_line + 8 * io.DEFAULT_BUFFER_SIZE
+
+
+def export_bound(d: int) -> int:
+    """`one_block_bound` of the committed block and write sizes."""
+    return one_block_bound(d, reflected._EXPORT_BLOCK_ROWS, runner._WRITE_ROWS)
 
 
 class TestFieldsExport:
@@ -515,7 +520,7 @@ class TestFieldsExport:
             tracemalloc.stop()
 
     def test_peak_is_within_one_block_of_text(self, perf_3x3, tmp_path):
-        bound = one_block_bound(perf_3x3.tree.d, reflected._EXPORT_BLOCK_ROWS)
+        bound = export_bound(perf_3x3.tree.d)
         assert self.traced_peak(perf_3x3, tmp_path / "fields.csv") <= bound
 
     def test_peak_on_values_that_do_not_repeat_is_within_one_block_of_text(self, tmp_path):
@@ -527,12 +532,12 @@ class TestFieldsExport:
         for fields in (sol.Y, sol.Z):
             entries = np.concatenate([a.ravel() for a in fields])
             assert np.unique(entries).size > 0.9 * entries.size
-        bound = one_block_bound(tree.d, reflected._EXPORT_BLOCK_ROWS)
+        bound = export_bound(tree.d)
         assert self.traced_peak(sol, tmp_path / "fields.csv") <= bound
 
     def test_a_writer_of_whole_levels_passes_the_bound(self, perf_3x3, tmp_path, monkeypatch):
         # the bound has teeth: one block per level holds the leaf level at once
-        bound = one_block_bound(perf_3x3.tree.d, reflected._EXPORT_BLOCK_ROWS)
+        bound = export_bound(perf_3x3.tree.d)
         tree, pairs = perf_3x3.tree, perf_3x3.root.size
         monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", tree.level_size(tree.N) * pairs)
         assert self.traced_peak(perf_3x3, tmp_path / "fields.csv") > bound
