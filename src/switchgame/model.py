@@ -328,22 +328,77 @@ def _outside_matrices(ym, costs: CostTables):
     return np.flatnonzero(outside)
 
 
-def _sweep(orig, costs: CostTables, sweep_cap: int):
-    """Gauss-Seidel sweeps of `project_oblique_batch` on a mode-first (m1, m2,
-    rows) batch `orig`, until a sweep moves no coordinate at all.  The masked
-    rows make each barrier one reduction: a coordinate's own entry reads +inf
-    (upper) or -inf (lower) and never wins.
+def _fold(keep, op, rows, terms, into, scratch):
+    """`into` = op(rows[r], cost) over the ((r, cost), ...) `terms`, folded in
+    their order as keep(running, next), with `scratch` for each next term."""
+    (r, cost), *rest = terms
+    op(rows[r], cost, out=into)
+    for r, cost in rest:
+        keep(into, op(rows[r], cost, out=scratch), out=into)
+
+
+def _sweep(out, live, costs: CostTables, sweep_cap: int):
+    """Gauss-Seidel sweeps of `project_oblique_batch` over the matrices `live`
+    (indices on the last axis) of the C-ordered mode-first (m1, m2, rows)
+    batch `out`, written into `out` in place; `live` is compacted in place.
+    The loop ends at the first sweep that moves no live coordinate by value,
+    so a -0.0 -> +0.0 flip alone settles.
+
+    A matrix's sweep reads that matrix alone, so one that a sweep reproduces
+    bit for bit (compared as int64) repeats from then on: it is written into
+    `out` at once and leaves the loop.  The live matrices stay packed at the
+    front of the flat `orig`, `work` and `prev` buffers, as one contiguous
+    (m1 * m2, live) array each, compacted one coordinate at a time.
+
+    Each barrier folds only the other modes, in ascending order, with
+    np.minimum / np.maximum(running, next); the upper one folds in the
+    coordinate's own row of `work`, which none of its barriers reads.  That
+    is bit for bit the reduction over all modes, own entry included: on ties
+    NumPy returns the second operand, as the reduction's fold does; the own
+    +inf (upper) or -inf (lower) entry never wins; and with finite positive
+    costs no term is -0.0.  A single-mode side copies the original value, as
+    its clamp by an infinite barrier does.
     """
+    m1, m2, m = costs.m1, costs.m2, costs.m1 * costs.m2
+    k, l = costs.k.tolist(), costs.l.tolist()
+    # per coordinate c = i * m2 + j, the (coordinate, cost) of each barrier term
+    uppers = [[(a * m2 + j, k[i][a]) for a in range(m1) if a != i]
+              for i in range(m1) for j in range(m2)]
+    lowers = [[(i * m2 + b, l[j][b]) for b in range(m2) if b != j]
+              for i in range(m1) for j in range(m2)]
+    rows = out.reshape(m, -1)
+    orig = np.take(rows, live, axis=1).reshape(-1)
     work, prev = orig.copy(), np.empty_like(orig)
-    k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
+    lower, scratch = np.empty(len(live)), np.empty(len(live))
     for _ in range(sweep_cap):
-        np.copyto(prev, work)
-        for i in range(costs.m1):
-            for j in range(costs.m2):
-                val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
-                work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
-        if np.abs(np.subtract(work, prev, out=prev), out=prev).max() == 0.0:
-            return work     # |-0.0 - +0.0| = 0: a sign flip alone settles
+        n = len(live)
+        O, W, P = (buf[:m * n].reshape(m, n) for buf in (orig, work, prev))
+        np.copyto(P, W)
+        cells, lo, tmp = list(W), lower[:n], scratch[:n]
+        for c, cell in enumerate(cells):
+            if uppers[c]:
+                _fold(np.minimum, np.add, cells, uppers[c], cell, tmp)
+                np.minimum(O[c], cell, out=cell)
+            else:
+                np.copyto(cell, O[c])
+            if lowers[c]:
+                _fold(np.maximum, np.subtract, cells, lowers[c], lo, tmp)
+                np.maximum(cell, lo, out=cell)
+        same = np.equal(W.view(np.int64), P.view(np.int64)).all(axis=0)
+        first = same.argmin()       # the first matrix the sweep changed, if any
+        if not (W[:, first] != P[:, first]).any() and not (W != P).any():
+            rows[:, live] = W
+            return
+        if same.any():
+            gone, kept = np.flatnonzero(same), np.flatnonzero(~same)
+            done = live[gone]
+            live[:len(kept)] = live[kept]
+            live = live[:len(kept)]
+            O2, W2 = (buf[:m * len(kept)].reshape(m, -1) for buf in (orig, work))
+            for c in range(m):      # "clip" copies `out` only where it overlaps
+                rows[c][done] = cells[c].take(gone)
+                O[c].take(kept, out=O2[c], mode="clip")
+                cells[c].take(kept, out=W2[c], mode="clip")
     detail = ""
     if costs.loop_costs:
         worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
@@ -369,8 +424,12 @@ def project_oblique_batch(y, costs: CostTables):
     it: a matrix strictly inside (every entry strictly below its upper and
     above its lower barrier) is a fixed point of every sweep, and is copied
     through unchanged.  A tie with a barrier counts as outside, so it is
-    swept; the clamp can still turn a -0.0 there into +0.0.  The sweeps run
-    on a mode-first view of y: no copy of a mode-major field.
+    swept; the clamp can still turn a -0.0 there into +0.0.  A swept matrix
+    leaves the loop at the first sweep that reproduces it bit for bit, and
+    is written into the output then; the rest stay packed at the front of
+    the sweep's buffers, compacted in place, so no batch-sized array is made
+    for them.  Each barrier folds only the other modes, in ascending order,
+    bit for bit the reduction over all modes (see `_sweep`).
 
     A one-sided reflection needs no sweep: under the strict triangle
     inequality one clamp, ``min(y, upper_barrier(y))`` or ``max(y,
@@ -408,7 +467,7 @@ def project_oblique_batch(y, costs: CostTables):
     moving = _outside_matrices(base, costs)
     out = np.array(base, order="C")
     if moving.size:
-        out[..., moving] = _sweep(np.take(out, moving, axis=-1), costs, sweep_cap)
+        _sweep(out, moving, costs, sweep_cap)
     net = base - out
     dK = np.maximum(net, 0.0)
     dL = np.maximum(np.negative(net, out=net), 0.0, out=net)     # in net's buffer
@@ -438,7 +497,7 @@ class GeneratorSpec:
 
     The declared Lipschitz constant and sup norm are computed from the
     parameters, never asserted by the caller.  Every parameter must be
-    finite.
+    finite, and the saturation level M nonnegative.
     """
 
     FAMILIES = ("zero", "mode_constant", "saturated_affine")
@@ -459,6 +518,8 @@ class GeneratorSpec:
         self.M = float(M)
         for name in ("c", "a", "b", "M"):
             _require_finite(name, np.asarray(getattr(self, name)))
+        if self.M < 0.0:
+            raise DataError(f"M must be a nonnegative number; got {self.M!r}")
         if family != "saturated_affine" and (self.a != 0.0 or np.any(self.b != 0.0)):
             raise DataError("a and b are only meaningful for the saturated_affine family")
         if family == "zero" and np.any(self.c != 0.0):
@@ -621,6 +682,9 @@ class GameSpec:
         for other in (self.generator, self.terminal):
             if (other.m1, other.m2) != (self.costs.m1, self.costs.m2):
                 raise DataError("generator/terminal mode grid does not match the cost tables")
+        if self.generator.d != self.d:
+            raise DataError(f"generator has Brownian dimension d={self.generator.d}, "
+                            f"but the game has d={self.d}")
 
     @property
     def m1(self):
@@ -641,8 +705,15 @@ class GameSpec:
 
     def check_terminal(self, tree):
         """Leaf values of the terminal on `tree`, where every solver starts.  Hard
-        error for a non-Markovian terminal on a recombining lattice (a state does
-        not determine the path) and for a leaf value outside the region."""
+        error for a tree whose Brownian dimension or horizon is not the game's,
+        for a non-Markovian terminal on a recombining lattice (a state does not
+        determine the path) and for a leaf value outside the region."""
+        differ = [f"{name} {theirs!r} against the game's {ours!r}"
+                  for name, theirs, ours in (("d", tree.d, self.d),
+                                             ("horizon", tree.T, self.horizon))
+                  if theirs != ours]
+        if differ:
+            raise DataError("the tree does not fit the game: " + "; ".join(differ))
         if tree.recombining and not self.terminal.markovian:
             raise DataError("the recombining fast path requires a Markovian terminal")
         xi = self.terminal.evaluate(tree.leaf_w)

@@ -164,19 +164,31 @@ def _sweep_cap(base, costs: CostTables):
     return m1 * m2 * rounds + 64
 
 
-def tolerance_sweep(orig, costs: CostTables, sweep_cap: int, tol: float):
-    """The Gauss-Seidel sweeps of the projection on a mode-major (m1, m2, rows)
-    batch as they stopped once no coordinate moved more than `tol`."""
+def reduction_sweeps(orig, costs: CostTables):
+    """The batch after each Gauss-Seidel sweep of the projection on a
+    mode-major (m1, m2, rows) batch, as each barrier was one reduction over
+    all m modes, the coordinate's own +inf (upper) or -inf (lower) entry
+    included, and every matrix was swept until the whole batch settled.
+    Yields a new array per sweep, without end."""
     work = orig.copy()
     k_off, l_off = costs.k_off[:, :, None], costs.l_off[:, :, None]
-    for _ in range(sweep_cap):
-        prev = work.copy()
+    while True:
         for i in range(costs.m1):
             for j in range(costs.m2):
                 val = np.minimum(orig[i, j], (work[:, j] + k_off[i]).min(axis=0))
                 work[i, j] = np.maximum(val, (work[i] - l_off[j]).max(axis=0))
+        yield work.copy()
+
+
+def tolerance_sweep(orig, costs: CostTables, sweep_cap: int, tol: float):
+    """The sweeps of `reduction_sweeps` as they stopped once no coordinate
+    moved more than `tol`; with tol 0.0, at the exact fixed point, as the
+    projection's sweep did before settled matrices left it."""
+    prev = orig
+    for _, work in zip(range(sweep_cap), reduction_sweeps(orig, costs)):
         if np.abs(work - prev).max() <= tol:
             return work
+        prev = work
     detail = ""
     if costs.loop_costs:
         worst, cost = min(costs.loop_costs, key=lambda lc: abs(lc[1]))
@@ -630,7 +642,7 @@ def random_admissible_spec(rng: np.random.Generator, m1: int, m2: int, tree) -> 
             break
     raw = rng.uniform(-2.0, 2.0, (tree.level_size(tree.N), m1, m2))
     table = np.stack([project_oblique(raw[p], costs)[0] for p in range(raw.shape[0])])
-    gen = GeneratorSpec("mode_constant", m1, m2, c=rng.uniform(-2.0, 2.0, (m1, m2)))
+    gen = GeneratorSpec("mode_constant", m1, m2, d=tree.d, c=rng.uniform(-2.0, 2.0, (m1, m2)))
     term = TerminalSpec("leaf_table", m1, m2, table=table)
     return GameSpec(costs=costs, generator=gen, terminal=term, horizon=tree.T, d=tree.d)
 

@@ -37,6 +37,7 @@ from conftest import (
     STANDARD_C,
     STANDARD_K,
     STANDARD_L,
+    _sweep_cap,
     canonical_loop,
     canonicalizing_walk_loops,
     fieldwise_generator,
@@ -44,10 +45,13 @@ from conftest import (
     lower_sweep,
     make_3x3,
     standard_costs,
+    make_standard,
+    reduction_sweeps,
     swapped_projection,
     sweep_every_matrix,
     tensor_barriers,
     time_budget,
+    tolerance_sweep,
     upper_sweep,
 )
 
@@ -681,7 +685,8 @@ class TestProjectionSkipsInsideMatrices:
                       [[0.8, -0.0], [0.5, 0.3]]])
         flipped = np.where(y == 0.0, 0.0, y)
         assert np.signbit(y).sum() - np.signbit(flipped).sum() == 2
-        settled = model._sweep(np.ascontiguousarray(np.moveaxis(y, 0, -1)), costs, 1)
+        settled = np.ascontiguousarray(np.moveaxis(y, 0, -1))
+        model._sweep(settled, np.arange(len(y)), costs, 1)
         assert_same_bits([np.moveaxis(settled, -1, 0)], [flipped])
         got = project_oblique_batch(y, costs)
         assert_same_bits(got, (flipped, np.zeros_like(y), np.zeros_like(y)))
@@ -753,6 +758,95 @@ class TestProjectionSkipsInsideMatrices:
         assert peak <= 3.5 * y.nbytes, peak / y.nbytes
 
 
+def sweep_grid_costs(rng, m1, m2):
+    """Admissible costs on an m1 x m2 grid, for the sweep alone past the loop
+    cap.  Random tables past three modes rarely pass the triangle test, so
+    the player with more modes pays 1.5 to 1.6 per switch and the other 0.9
+    to 1.1.  A primary loop longer than two steps never switches the player
+    with two modes twice in a row, so its alternating cost is at least 0.4
+    per switch of the player with more modes away from zero."""
+    if max(m1, m2) <= 3:
+        return admissible_costs(rng, m1, m2)
+    big, small = (1.5, 1.6), (0.9, 1.1)
+    k = rng.uniform(*(big if m1 > m2 else small), (m1, m1))
+    l = rng.uniform(*(big if m2 > m1 else small), (m2, m2))
+    np.fill_diagonal(k, 0.0)
+    np.fill_diagonal(l, 0.0)
+    costs = CostTables(k=k, l=l)
+    assert validate_cost_matrices(costs).ok
+    return costs
+
+
+def first_repeats(y, costs, sweeps=64):
+    """Per matrix of the (rows, m1, m2) batch y, the first sweep of
+    `reduction_sweeps` that reproduces it bit for bit (0: none of `sweeps`)."""
+    orig = np.ascontiguousarray(np.moveaxis(y, 0, -1))
+    first = np.zeros(len(y), dtype=int)
+    prev = orig
+    for sweep, work in zip(range(1, sweeps + 1), reduction_sweeps(orig, costs)):
+        repeat = (work.view(np.int64) == prev.view(np.int64)).all(axis=(0, 1))
+        first[repeat & (first == 0)] = sweep
+        prev = work
+    return first
+
+
+class TestSettledMatricesLeaveTheSweep:
+    """A matrix leaves the sweep at its first bit-for-bit repeat, and each
+    barrier folds only the other modes; the bits are those of the reduction
+    over all modes that swept every matrix until the batch settled."""
+
+    GRIDS = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (2, 8), (8, 2), (1, 9)]
+
+    @pytest.mark.parametrize("kind", ["inside", "outside", "mixed"])
+    @pytest.mark.parametrize("m1, m2", GRIDS)
+    def test_bitwise_equal_to_the_reduction_sweep(self, m1, m2, kind):
+        rng = np.random.default_rng([m1, m2, len(kind), 23])
+        for _ in range(3):
+            costs = sweep_grid_costs(rng, m1, m2)
+            y = planted_batch(rng, costs, kind, n=120)
+            # the sweep on every matrix, inside or not; past the loop cap the
+            # costs above keep 2000 sweeps past need
+            enumerable = m1 * m2 <= model.DEFAULT_LOOP_CAP
+            cap = _sweep_cap(y, costs) if enumerable else 2000
+            orig = np.ascontiguousarray(np.moveaxis(y, 0, -1))
+            got = orig.copy()
+            model._sweep(got, np.arange(len(y)), costs, cap)
+            assert_same_bits([got], [tolerance_sweep(orig, costs, cap, 0.0)])
+            if enumerable:
+                assert_same_bits(project_oblique_batch(y, costs),
+                                 sweep_every_matrix(y, costs, tol=0.0))
+
+    def test_matrices_settling_at_every_sweep_count_in_one_batch(self):
+        costs = make_3x3().costs
+        y = planted_batch(np.random.default_rng(1), costs, "mixed", n=200)
+        counts = np.bincount(first_repeats(y, costs))
+        assert counts[0] == 0 and (counts[1:6] > 0).all() and counts[6:].sum() > 0, counts
+        assert_same_bits(project_oblique_batch(y, costs), sweep_every_matrix(y, costs, tol=0.0))
+
+    def test_random_batch_drawn_like_the_bench_setup(self):
+        # the leaf tables of direct_path_3x3: uniform(-2, 2) on the perf costs
+        costs = make_3x3().costs
+        y = np.random.default_rng(23).uniform(-2.0, 2.0, (2 ** 12, 3, 3))
+        assert_same_bits(project_oblique_batch(y, costs), sweep_every_matrix(y, costs, tol=0.0))
+
+    def test_peak_memory_makes_no_copy_of_the_live_matrices(self):
+        # sweeping until the whole batch settled peaked at 4.67 fields of
+        # this batch under tracemalloc (NumPy 2.4): the output, the sweep's
+        # three buffers, its (m, rows) reduction temporaries and the row
+        # indices.  One compacted copy of the live matrices adds most of a
+        # field in the first sweeps, where nearly every matrix is live
+        costs = make_3x3().costs
+        y = np.random.default_rng(0).uniform(-2.0, 2.0, (2 ** 17, 3, 3))
+        project_oblique_batch(y[:64], costs)
+        tracemalloc.start()
+        try:
+            project_oblique_batch(y, costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.7 * y.nbytes, peak / y.nbytes
+
+
 # ---------------------------------------------------------------------------
 # generators / terminals / game spec
 # ---------------------------------------------------------------------------
@@ -784,7 +878,7 @@ class TestGeneratorSpec:
         out = gen(0.0, None, np.full((2, 2), 50.0), np.zeros((1, 2, 2)))
         np.testing.assert_allclose(out, 1.0)
 
-    @pytest.mark.parametrize("M", [0.8, 0.0, -0.5])
+    @pytest.mark.parametrize("M", [0.8, 0.0])
     def test_level_form_saturates_as_np_clip(self, M):
         # planted: both saturation levels exactly, signed zeros, infinities
         gen = GeneratorSpec("saturated_affine", 2, 2, d=2, a=-0.7, b=[0.3, -0.4], M=M,
@@ -801,6 +895,17 @@ class TestGeneratorSpec:
         np.testing.assert_array_equal(got.view(np.uint64),
                                       np.moveaxis(want, 0, -1).view(np.uint64))
         np.testing.assert_array_equal(gen(0.0, None, y, z).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("M", [-1.0, -0.5, -5e-324])
+    def test_negative_saturation_level_is_refused(self, M):
+        # M = -1 made sat_M the constant -1 and put sup_bound at 1.3, below
+        # max|c| = 2, so penalize.csv's penalty_bound was wrong
+        with pytest.raises(DataError, match=rf"^M must be a nonnegative number; got {M!r}$"):
+            GeneratorSpec("saturated_affine", 2, 2, a=0.5, b=[0.2], M=M, c=STANDARD_C)
+
+    def test_zero_saturation_level_is_accepted(self):
+        gen = GeneratorSpec("saturated_affine", 2, 2, a=0.5, b=[0.2], M=-0.0, c=STANDARD_C)
+        assert gen.sup_bound == 2.0
 
     def test_family_misuse_rejected(self):
         with pytest.raises(DataError):
@@ -844,6 +949,30 @@ class TestTerminalSpec:
                 terminal=TerminalSpec("constant", 2, 2, alpha=np.zeros((2, 2))),
                 horizon=1.0,
             )
+
+    def test_generator_of_another_brownian_dimension_is_refused(self):
+        # a d=2 game with a d=1 generator read its z term off z[0] alone
+        with pytest.raises(DataError, match=r"^generator has Brownian dimension d=1, "
+                                            r"but the game has d=2$"):
+            GameSpec(costs=standard_costs(),
+                     generator=GeneratorSpec("saturated_affine", 2, 2, a=0.5, b=[0.2]),
+                     terminal=TerminalSpec("constant", 2, 2, alpha=np.zeros((2, 2))),
+                     horizon=1.0, d=2)
+
+    @pytest.mark.parametrize("N,d,T,differ", [
+        (4, 1, 1.0, "horizon 1.0 against the game's 0.24"),
+        (2, 2, 0.24, "d 2 against the game's 1"),
+        (2, 2, 1.0, "d 2 against the game's 1; horizon 1.0 against the game's 0.24"),
+    ], ids=["horizon", "d", "d_and_horizon"])
+    def test_tree_of_another_game_is_refused(self, N, d, T, differ):
+        # solve_rbsde of this horizon-0.24 game on build_tree(4, 1, 1.0)
+        # returned a root without an error
+        tree = build_tree(N, d, T)
+        message = re.escape(f"the tree does not fit the game: {differ}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            make_standard().check_terminal(tree)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            solve_rbsde(make_standard(), tree)
 
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
     def test_horizon_must_be_positive_and_finite(self, horizon):

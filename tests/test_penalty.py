@@ -299,13 +299,15 @@ class TestSinglePenalty:
     ], ids=["generator", "horizon", "costs_and_terminal"])
     def test_direct_solution_of_another_game_is_refused(self, standard_spec, other, parts):
         # the zero-driver game's direct solve read as the standard game's gave
-        # gaps [0.48, 0.48] in place of [0.832, 0.729], without an error
+        # gaps [0.48, 0.48] in place of [0.832, 0.729], without an error.  The
+        # report takes the other game: no solver takes a game whose horizon
+        # is not its tree's, so only a report can be handed that mismatch
         tree = build_tree(4, 1, standard_spec.horizon)
-        direct = solve_rbsde(other(standard_spec), tree)
+        direct = solve_rbsde(standard_spec, tree)
         message = ("the direct solution solves another game: it differs from the report's "
                    f"in its {parts}")
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            penalization_report(standard_spec, tree, [1, 2], direct=direct)
+            penalization_report(other(standard_spec), tree, [1, 2], direct=direct)
         # a game equal in content, built on its own, is the same game
         gaps = penalization_report(make_standard(), tree, [1, 2],
                                    direct=solve_rbsde(standard_spec, tree)).gaps()

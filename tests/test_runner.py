@@ -585,6 +585,16 @@ class TestCli:
         assert "spec: mode grid 1x11 has more than 131072 primary loops" in \
             capsys.readouterr().err
 
+    def test_negative_saturation_level_exits_two_naming_it(self, tmp_path, capsys):
+        # M = -1 made sat_M the constant -1 and penalize.csv's penalty_bound
+        # 1.3, below max|c| = 2, and the run exited 0
+        path = small_scenario(tmp_path, generator={
+            "family": "saturated_affine", "a": 0.5, "b": [0.2], "M": -1,
+            "c": [[2.0, -2.0], [-2.0, 2.0]]})
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "generator: M must be a nonnegative number; got -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,number,token", [
         ("k", '"k": [[0.0, 1.0', '"k": [[0.0, NaN'),
         ("c", '"c": [[2.0', '"c": [[NaN'),
