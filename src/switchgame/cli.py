@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run seed; forked per task for catalog strategies")
     solve.add_argument("--tasks", metavar="LIST", default=None,
                        help="comma-separated task subset overriding the scenario's plan")
-    solve.add_argument("--tolerance", metavar="T", type=float, default=None,
-                       help="override the saddle and cross-solver match tolerances")
     return parser
 
 
@@ -42,8 +40,7 @@ def main(argv=None) -> int:
             tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
             if not tasks:
                 raise ScenarioError(["--tasks: empty task list"])
-        result = run(scenario, out_dir=args.out, seed=args.seed, tasks=tasks,
-                     tolerance=args.tolerance)
+        result = run(scenario, out_dir=args.out, seed=args.seed, tasks=tasks)
     except ScenarioError as exc:
         for msg in exc.messages:
             print(msg, file=sys.stderr)

@@ -43,10 +43,8 @@ from .errors import DataError, SizingError
 from .model import GameSpec, _lower, _require_tolerance, _upper, lower_barrier, upper_barrier
 from .reflected import RbsdeSolution
 
-BRUTE_FORCE_MAX_STEPS = 3
-BRUTE_FORCE_MAX_MODES = 4
 TRIGGER_TOL = 1e-9     # how close to its barrier a value must sit to fire a switch
-_MAX_STRATEGIES = 2 ** 14      # Player I's tables at those caps with 2x2 modes and d = 1
+_MAX_STRATEGIES = 2 ** 14      # Player I's tables with two modes at N = 3 and d = 1
 _MAX_BRUTE_FORCE_WORK = 2 ** 18  # strategies x nodes x iterations; 2x2 at N = 3: 16384 x 7 x 2
 
 
@@ -124,7 +122,7 @@ def _switch_cap(m1, m2):
     return 4 * m1 * m2
 
 
-def _resolve_modes(A, B, m1, m2, k, l):
+def _resolve_modes(A, B, m1, m2, k, l, paid=(0.0, 0.0)):
     """Settle one step's mode pair from both (n, m1, m2) action tables.
 
     The read-out runs round by round over every (node, i, j) entry: Player I
@@ -132,13 +130,14 @@ def _resolve_modes(A, B, m1, m2, k, l):
     then Player II, each switch charged its cost, until a round in which no
     entry moves.  An entry stops switching once it has made `_switch_cap`
     switches (only adversarially cyclic tables reach it).  Returns (m1, m2, n)
-    arrays of flat positions ``(i * m2 + j) * n + node`` and of both costs.
+    arrays of flat positions ``(i * m2 + j) * n + node`` and of both costs,
+    each switch's cost added in turn to the costs `paid` before the step.
     """
     cap = _switch_cap(m1, m2)
     A, B = np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
     n = A.shape[-1]
     i0, j0, _ = np.indices(A.shape)
-    costA, costB = np.zeros(A.shape), np.zeros(A.shape)
+    costA, costB = (np.full(A.shape, p) for p in paid)
     # each player's read as a move of the flat entry position, and what the
     # move charges (a stay is free); an entry at the cap neither moves nor pays
     reads = ((np.ravel((A - i0) * (m2 * n)), np.ravel(np.where(A == i0, 0.0, k[i0, A])), costA),
@@ -219,25 +218,17 @@ def simulate_path(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
     _check_indices("branches", branches, (tree.branching,) * tree.N)
     node = 0
     nodes, modes, A, B = [0], [(i, j)], [0.0], [0.0]
-    cumA = cumB = 0.0
-    cap = _switch_cap(spec.m1, spec.m2)
     for t, c in enumerate(branches):
-        moved, switches = True, 0
-        while moved and switches < cap:
-            moved = False
-            ni = int(a.actions[t][node, i, j])
-            if ni != i:
-                cumA += spec.costs.k[i, ni]
-                i, moved, switches = ni, True, switches + 1
-            nj = int(b.actions[t][node, i, j])
-            if nj != j and switches < cap:
-                cumB += spec.costs.l[j, nj]
-                j, moved, switches = nj, True, switches + 1
+        # the read-out of `eval_switched` on the node's one-row tables
+        pos, costA, costB = _resolve_modes(
+            a.actions[t][node:node + 1], b.actions[t][node:node + 1], spec.m1, spec.m2,
+            spec.costs.k, spec.costs.l, paid=(A[-1], B[-1]))
+        A.append(float(costA[i, j, 0]))
+        B.append(float(costB[i, j, 0]))
+        i, j = divmod(int(pos[i, j, 0]), spec.m2)
         node = node * tree.branching + int(c)
         nodes.append(node)
         modes.append((i, j))
-        A.append(cumA)
-        B.append(cumB)
     return nodes, modes, A, B
 
 
@@ -535,6 +526,12 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     _check_actions(spec, tree, a)
     if not a.j_uniform():
         raise DataError("the representation route needs a j-independent strategy")
+    return _lower_reflected_backward(spec, tree, spec.check_terminal(tree), a)
+
+
+def _lower_reflected_backward(spec, tree, xi, a):
+    """The backward pass of `solve_lower_reflected` from checked leaf values
+    `xi`, for a checked j-uniform Player-I table `a`."""
     i_grid = np.arange(spec.m1)[:, None, None]
     j_grid = np.arange(spec.m2)[None, :, None]
 
@@ -543,7 +540,7 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
         y = W[ia, j_grid, np.arange(W.shape[-1])] + spec.costs.k[i_grid, ia]
         return (np.maximum(y, _lower(y, spec.costs)),)
 
-    return bsde.backward(tree, spec.check_terminal(tree), spec.generator, post)[0]
+    return bsde.backward(tree, xi, spec.generator, post)[0]
 
 
 def enumerate_feedback_strategies(tree, player, m1, m2):
@@ -566,27 +563,24 @@ def enumerate_feedback_strategies(tree, player, m1, m2):
         yield FeedbackStrategy(player, acts)
 
 
-def brute_force_value(spec: GameSpec, tree, start=None,
-                      max_steps: int = BRUTE_FORCE_MAX_STEPS,
-                      max_modes: int = BRUTE_FORCE_MAX_MODES):
+def brute_force_value(spec: GameSpec, tree, start=None):
     """Exhaustive minimum over Player-I strategies of the lower-reflected solve.
 
     Returns the (m1, m2) matrix of root values (or the scalar for `start`).
     This is the independent oracle for the representation theorem; it never
-    calls the direct reflected solver.  Past any of its caps, SizingError at once.
+    calls the direct reflected solver.  Past its strategy or work cap,
+    SizingError before any enumeration.
     """
     if start is not None:
         start = _check_indices("start", start, (spec.m1, spec.m2))
-    if tree.N > max_steps or spec.m1 * spec.m2 > max_modes:
-        raise SizingError(
-            f"brute force capped at N <= {max_steps} and m1*m2 <= {max_modes}; "
-            f"got N={tree.N}, m1*m2={spec.m1 * spec.m2}"
-        )
     interior = sum(tree.level_size(t) for t in range(tree.N))
-    count = spec.m1 ** (spec.m1 * interior)
-    if count > _MAX_STRATEGIES:
+    # m1 ** power tables; past the cap's bit length the power alone exceeds it
+    power = spec.m1 * interior
+    if spec.m1 > 1 and (power >= _MAX_STRATEGIES.bit_length()
+                        or spec.m1 ** power > _MAX_STRATEGIES):
         raise SizingError(f"brute force capped at {_MAX_STRATEGIES} Player-I strategies; "
-                          f"got {count}")
+                          f"got {spec.m1}**{power}")
+    count = spec.m1 ** power     # 1 for a single mode, else at most the cap
     bsde.check_contraction(tree.dt, spec.generator.lipschitz)
     q = tree.dt * spec.generator.lipschitz  # the update shrinks by q per iteration, from ~1
     iters = (1 + (math.ceil(math.log(bsde.PICARD_TOL) / math.log(q)) if q > 0 else 1)
@@ -596,10 +590,12 @@ def brute_force_value(spec: GameSpec, tree, start=None,
                           f"got {count} strategies x {interior} interior nodes x {iters} "
                           f"estimated iterations at dt*C = {q:g}")
     spec.require_valid()
+    xi = spec.check_terminal(tree)
     best = None
-    # the j-independent Player-I strategies: one table per (node, i), repeated over j
+    # the j-independent Player-I strategies: one table per (node, i), repeated
+    # over j, so j-uniform and in range without a check
     for table in enumerate_feedback_strategies(tree, "I", spec.m1, 1):
         a = FeedbackStrategy("I", [np.repeat(x, spec.m2, axis=2) for x in table.actions])
-        root = solve_lower_reflected(spec, tree, a)[0][0]
+        root = _lower_reflected_backward(spec, tree, xi, a)[0][0]
         best = root.copy() if best is None else np.minimum(best, root)
     return best if start is None else float(best[start])

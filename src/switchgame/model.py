@@ -476,9 +476,7 @@ def project_oblique_batch(y, costs: CostTables):
             _modes_last(dL.reshape(shape)))
 
 
-def project_oblique(y, costs: CostTables):
-    """Single-matrix convenience wrapper around :func:`project_oblique_batch`."""
-    return project_oblique_batch(y, costs)
+project_oblique = project_oblique_batch     # a single matrix is a batch too
 
 
 # ---------------------------------------------------------------------------

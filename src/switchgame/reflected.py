@@ -24,11 +24,15 @@ from .model import (
     _lower,
     _mode_major_blocks,
     _modes_first,
-    _require_tolerance,
     _upper,
     in_Qbar,
     project_oblique_batch,
 )
+
+# A push larger than PUSH_TOL must leave its value within MINIMALITY_TOL of the
+# barrier it acts on
+MINIMALITY_TOL = 1e-8
+PUSH_TOL = 1e-9
 
 
 @dataclass
@@ -99,18 +103,14 @@ def solve_rbsde(spec: GameSpec, tree) -> RbsdeSolution:
     return RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
 
 
-def check_minimality(sol: RbsdeSolution, tol: float = 1e-8,
-                     push_tol: float = 1e-9) -> ValidationReport:
+def check_minimality(sol: RbsdeSolution) -> ValidationReport:
     """Every strictly positive push must sit exactly on its barrier.
 
-    For nodes with dK > push_tol the value must equal its upper barrier within
-    `tol`; symmetrically for dL and the lower barrier.  Violations are report
-    entries, never exceptions, per level the upper ones first, each in node
-    order, reduced on mode-major blocks of nodes.  Both tolerances must be
-    finite and nonnegative (DataError otherwise).
+    For nodes with dK > PUSH_TOL the value must equal its upper barrier within
+    MINIMALITY_TOL; symmetrically for dL and the lower barrier.  Violations
+    are report entries, never exceptions, per level the upper ones first, each
+    in node order, reduced on mode-major blocks of nodes.
     """
-    _require_tolerance("tol", tol)
-    _require_tolerance("push_tol", push_tol)
     spec = sol.spec
     bad = []
     for t in range(sol.tree.N):
@@ -121,7 +121,7 @@ def check_minimality(sol: RbsdeSolution, tol: float = 1e-8,
                 bar = barrier(y, spec.costs)
                 gaps = np.abs(np.subtract(y, bar, out=bar), out=bar)
                 push = _modes_first(pushes, spec.costs)[..., rows]
-                viol = (push > push_tol) & (gaps > tol)
+                viol = (push > PUSH_TOL) & (gaps > MINIMALITY_TOL)
                 for n, i, j in np.argwhere(node_first(viol)):
                     found[name].append(
                         f"level {t} node {rows.start + n} mode ({i + 1},{j + 1}): {name} "

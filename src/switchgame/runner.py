@@ -355,25 +355,18 @@ def _task_seed(seed: int, task_name: str) -> int:
 
 
 def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
-        tolerance=None, solution_hook=None) -> RunResult:
+        solution_hook=None) -> RunResult:
     """Execute a scenario's task list and write reports.
 
     Parameters
     ----------
-    out_dir, seed, tasks, tolerance : overrides for the scenario's own run
-        plan; `tasks` is a list of task names, each run with the parameters
-        of the scenario's entry for it (ScenarioError when that leaves a
-        required one out), `tolerance` (a positive finite number, else
-        ScenarioError) replaces the saddle and match tolerances.
+    out_dir, tasks : overrides for the scenario's own run plan; `tasks` is
+        a list of task names, each run with the parameters of the scenario's
+        entry for it (ScenarioError when that leaves a required one out).
+    seed : the run seed, forked per task for the saddle catalog.
     solution_hook : callable applied to the direct solution right after
         solve_direct (test hook for fault injection); leave None.
     """
-    tol = dict(scenario.tolerances)
-    if tolerance is not None:
-        if not _TOLERANCE.test(tolerance):
-            raise ScenarioError([f"--tolerance: {_TOLERANCE.text}"])
-        tol["saddle"] = tol["match"] = float(tolerance)
-
     plan = scenario.tasks
     if tasks is not None:
         # each task reuses the scenario's parameters for it, checked as an entry
@@ -397,7 +390,7 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
         t0 = time.perf_counter()
         try:
             task_failures = _TASKS[task.name][0](
-                scenario, task, state, out, tol, seed, solution_hook
+                scenario, task, state, out, seed, solution_hook
             )
             if task_failures:
                 failures.extend(f"{task.name}: {m}" for m in task_failures)
@@ -416,7 +409,7 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
         "scenario_name": scenario.name,
         "scenario_sha256": scenario.source_sha256,
         "seed": seed,
-        "tolerances": tol,
+        "tolerances": dict(scenario.tolerances),
         "tasks": task_entries,
         "exit_code": exit_code,
     }
@@ -436,7 +429,7 @@ def _require(state, key, task, needed):
     return state[key]
 
 
-def _run_validate(scenario, task, state, out, tol, seed, hook):
+def _run_validate(scenario, task, state, out, seed, hook):
     spec = scenario.spec
     rows = []
     failures = []
@@ -492,7 +485,7 @@ def _get_tree(scenario, state):
     return state["tree"]
 
 
-def _run_solve_direct(scenario, task, state, out, tol, seed, hook):
+def _run_solve_direct(scenario, task, state, out, seed, hook):
     spec = scenario.spec
     tree = _get_tree(scenario, state)
     sol = solve_rbsde(spec, tree)
@@ -517,7 +510,7 @@ def _run_solve_direct(scenario, task, state, out, tol, seed, hook):
     return failures
 
 
-def _run_penalize(scenario, task, state, out, tol, seed, hook):
+def _run_penalize(scenario, task, state, out, seed, hook):
     spec = scenario.spec
     tree = _get_tree(scenario, state)
     report = penalization_report(spec, tree, task.params["n_list"],
@@ -542,7 +535,7 @@ def _run_penalize(scenario, task, state, out, tol, seed, hook):
     return failures
 
 
-def _run_double_penalize(scenario, task, state, out, tol, seed, hook):
+def _run_double_penalize(scenario, task, state, out, seed, hook):
     spec = scenario.spec
     tree = _get_tree(scenario, state)
     n = task.params["n"]
@@ -559,13 +552,11 @@ def _run_double_penalize(scenario, task, state, out, tol, seed, hook):
     return []
 
 
-def _run_saddle(scenario, task, state, out, tol, seed, hook):
+def _run_saddle(scenario, task, state, out, seed, hook):
     sol = _require(state, "direct", "saddle", "solve_direct")
-    task_seed = task.params.get("seed")
-    if task_seed is None:
-        task_seed = _task_seed(seed, "saddle")
-    report = verify_saddle(sol, catalog_size=task.params.get("catalog_size", 200),
-                           seed=task_seed, tol=tol["saddle"])
+    # the parser admits exactly verify_saddle's catalog_size keyword
+    report = verify_saddle(sol, seed=_task_seed(seed, "saddle"),
+                           tol=scenario.tolerances["saddle"], **task.params)
     state["entry"].update(certified=report.certified,
                           best_reply_slack_I=report.reply_slack_I,
                           best_reply_slack_II=report.reply_slack_II,
@@ -590,11 +581,10 @@ def _run_saddle(scenario, task, state, out, tol, seed, hook):
     return failures
 
 
-def _run_brute_force(scenario, task, state, out, tol, seed, hook):
+def _run_brute_force(scenario, task, state, out, seed, hook):
     spec = scenario.spec
     tree = _get_tree(scenario, state)
-    # the parser admits exactly brute_force_value's two cap keywords
-    values = brute_force_value(spec, tree, **task.params)
+    values = brute_force_value(spec, tree)
     direct = state.get("direct")
     rows = []
     failures = []
@@ -604,7 +594,7 @@ def _run_brute_force(scenario, task, state, out, tol, seed, hook):
             if direct is not None:
                 diff = abs(float(values[i, j] - direct.root[i, j]))
                 row += [_fmt(direct.root[i, j]), _fmt(diff)]
-                if diff > tol["match"]:
+                if diff > scenario.tolerances["match"]:
                     failures.append(
                         f"strategy-enumeration value differs from the direct solve "
                         f"by {diff!r} at start ({i + 1},{j + 1})"
@@ -617,7 +607,7 @@ def _run_brute_force(scenario, task, state, out, tol, seed, hook):
     return failures
 
 
-def _run_export(scenario, task, state, out, tol, seed, hook):
+def _run_export(scenario, task, state, out, seed, hook):
     sol = _require(state, "direct", "export", "solve_direct")
     path = out / "fields.csv"
     state["entry"].update(rows=_write_fields(path, sol), bytes=path.stat().st_size)
@@ -632,9 +622,7 @@ _TASKS = {
     "penalize": (_run_penalize, {"n_list": (_POSITIVE_INTS, _REQUIRED)}),
     "double_penalize": (_run_double_penalize, {"n": (_POSITIVE_INT, _REQUIRED),
                                                "m_list": (_POSITIVE_INTS, _REQUIRED)}),
-    "saddle": (_run_saddle, {"catalog_size": (_NON_NEGATIVE_INT, None),
-                             "seed": (_NON_NEGATIVE_INT, None)}),
-    "brute_force": (_run_brute_force, {"max_steps": (_POSITIVE_INT, None),
-                                       "max_modes": (_POSITIVE_INT, None)}),
+    "saddle": (_run_saddle, {"catalog_size": (_NON_NEGATIVE_INT, None)}),
+    "brute_force": (_run_brute_force, {}),
     "export": (_run_export, {}),
 }

@@ -162,7 +162,7 @@ def test_criterion_06_minimality_sweep():
         tree = build_tree(N, 1, 1.0)
         spec = random_admissible_spec(rng, m1, m2, tree)
         sol = solve_rbsde(spec, tree)
-        if not (check_minimality(sol, tol=1e-8, push_tol=1e-9).ok
+        if not (check_minimality(sol).ok
                 and domain_report(sol).ok):
             bad += 1
     elapsed = time.perf_counter() - t0

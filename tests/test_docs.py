@@ -1,0 +1,72 @@
+"""The documents name the settings the code has, and no others.
+
+`docs/scenario_schema.md` lists every task with its parameters, and both it
+and `README.md` give the `switchgame solve` synopsis.  A task parameter or a
+command-line option removed from the code but left in these documents (or
+added to the code but not to them) fails here.
+"""
+
+import argparse
+import re
+from pathlib import Path
+
+import pytest
+
+from switchgame import cli, runner
+
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = ROOT / "docs" / "scenario_schema.md"
+README = ROOT / "README.md"
+
+
+def _table(text, first_header):
+    """The cells of the Markdown table whose header row starts with the
+    column `first_header`, one list per body row."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_header} "))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _quoted(cell):
+    """The names written as code in a table cell."""
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def _solve_parser():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["solve"]
+
+
+def _options():
+    """(flag, metavar) of each `switchgame solve` option, in declared order."""
+    return [(a.option_strings[-1], a.metavar) for a in _solve_parser()._actions
+            if a.option_strings and a.metavar is not None]
+
+
+def test_task_table_lists_each_task_with_its_parameters():
+    rows = _table(SCHEMA.read_text(), "task")
+    documented = {_quoted(task)[0]: set(_quoted(params)) for task, params, _ in rows}
+    assert documented == {name: set(rules) for name, (_, rules) in runner._TASKS.items()}
+
+
+def test_parameter_table_lists_every_task_parameter():
+    rows = _table(SCHEMA.read_text(), "parameter")
+    documented = {name for row in rows for name in _quoted(row[0])}
+    assert documented == {key for _, rules in runner._TASKS.values() for key in rules}
+
+
+@pytest.mark.parametrize("doc", [README, SCHEMA], ids=lambda p: p.name)
+def test_solve_synopsis_matches_the_parser(doc):
+    assert [a.dest for a in _solve_parser()._actions if not a.option_strings] == ["scenario"]
+    synopsis = "switchgame solve <scenario.json> " + " ".join(
+        f"[{flag} {metavar}]" for flag, metavar in _options())
+    text = doc.read_text()
+    assert [line for line in text.splitlines()
+            if line.startswith("switchgame solve ")] == [synopsis]
+    assert set(re.findall(r"`(--[\w-]+)", text)) <= {flag for flag, _ in _options()}

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from switchgame import runner
 from switchgame.cli import main as cli_main
-from switchgame.game import BRUTE_FORCE_MAX_MODES, BRUTE_FORCE_MAX_STEPS
 
 BUDGET_S = 120
 TOKENS = [math.nan, math.inf, -math.inf, True, False, None, "x", "", -1, 0, 1.5, [], {}]
@@ -74,10 +73,7 @@ def _task(rnd, name):
         "penalize": {"n_list": (ints, bad_ints)},
         "double_penalize": {"n": (lambda: rnd.randint(1, 4), bad_int),
                             "m_list": (ints, bad_ints)},
-        "saddle": {"catalog_size": (lambda: rnd.randint(0, 5), bad_int),
-                   "seed": (lambda: rnd.randint(0, 9), bad_int)},
-        "brute_force": {"max_steps": (lambda: rnd.randint(1, BRUTE_FORCE_MAX_STEPS), bad_int),
-                        "max_modes": (lambda: rnd.randint(1, BRUTE_FORCE_MAX_MODES), bad_int)},
+        "saddle": {"catalog_size": (lambda: rnd.randint(0, 5), bad_int)},
     }.get(name, {})
     # optional parameters are left out half the time; required ones go
     # missing one time in ten in a faulty document

@@ -2,6 +2,7 @@
 strategy-enumeration oracles."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -919,16 +920,37 @@ class TestRepresentation:
             brute_force_value(standard_spec, tree)
 
     def test_strategy_count_is_capped(self):
-        # 3x1 is within m1*m2 <= 4, but Player I has 3**9 tables at N = 2 and
-        # 3**21 at N = 3, where the enumeration never ends
+        # 3x1: Player I has 3**9 tables at N = 2 and 3**21 at N = 3, where
+        # the enumeration never ends
         k = [[0.0, 1.0, 1.1], [1.2, 0.0, 0.9], [1.0, 1.3, 0.0]]
         spec = GameSpec(CostTables(k, [[0.0]]), GeneratorSpec("zero", 3, 1),
                         TerminalSpec("constant", 3, 1, alpha=[[0.0]] * 3), horizon=1.0)
         assert brute_force_value(spec, build_tree(1, 1, 1.0)).shape == (3, 1)
         for N in (2, 3):
-            count = 3 ** (3 * (2 ** N - 1))
-            with pytest.raises(SizingError, match=f"16384 Player-I strategies; got {count}"):
+            count = re.escape(f"3**{3 * (2 ** N - 1)}")
+            with pytest.raises(SizingError, match=f"16384 Player-I strategies; got {count}$"):
                 brute_force_value(spec, build_tree(N, 1, 1.0))
+
+    def test_a_count_past_the_cap_is_named_as_a_power(self, standard_spec):
+        # 2**32766 tables at N = 14; str() of the count raised a ValueError
+        # past 4,300 digits
+        tree = build_tree(14, 1, standard_spec.horizon)
+        with time_budget(1), pytest.raises(
+                SizingError, match=re.escape("16384 Player-I strategies; got 2**32766") + "$"):
+            brute_force_value(standard_spec, tree)
+
+    @pytest.mark.parametrize("N", [3, 5, 10])
+    def test_a_single_player_I_mode_is_one_strategy_at_any_N(self, N):
+        # 1x3: the one table stays, and the lower clamp is the projection
+        l = [[0.0, 0.8, 0.9], [0.7, 0.0, 0.85], [0.95, 0.75, 0.0]]
+        spec = GameSpec(CostTables([[0.0]], l),
+                        GeneratorSpec("mode_constant", 1, 3, c=[[2.0, -1.0, -3.0]]),
+                        TerminalSpec("affine", 1, 3, alpha=[[0.1, 0.3, -0.2]],
+                                     beta=[[0.5, 0.5, 0.5]]), horizon=0.5)
+        tree = build_tree(N, 1, spec.horizon)
+        direct = solve_rbsde(spec, tree)
+        assert max(float(x.max()) for x in direct.dL) > 0.1     # the lower barriers bind
+        np.testing.assert_array_equal(brute_force_value(spec, tree), direct.root)
 
     def test_picard_work_is_capped_before_enumerating(self):
         # 2 x 1 with a = -3 at N = 3, dt = 1/6: 16,384 strategies pass the

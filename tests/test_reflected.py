@@ -185,7 +185,7 @@ class TestMinimalityCheck:
     @pytest.mark.parametrize("block_rows", [model._REGION_ROWS, 3, 1])
     def test_mode_major_check_matches_the_fieldwise_one(self, rng, block_rows, monkeypatch):
         # pushes planted off their barriers on every level, at exactly
-        # push_tol (no violation), as -0.0, NaN and +inf, next to values
+        # PUSH_TOL (no violation), as -0.0, NaN and +inf, next to values
         # that are NaN, +-inf, -0.0 or tie with a barrier
         monkeypatch.setattr(model, "_REGION_ROWS", block_rows)
         for m1, m2 in [(2, 2), (3, 3), (2, 3)]:
@@ -210,22 +210,11 @@ class TestMinimalityCheck:
                 got = check_minimality(planted).violations
                 want = fieldwise_check_minimality(planted)
                 assert got == want and len(got) > 2 * tree.N
-                assert (check_minimality(planted, tol=0.3, push_tol=0.3).violations
-                        == fieldwise_check_minimality(planted, tol=0.3, push_tol=0.3))
-
-
-    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(self):
-        # a push planted off its barrier is found at the default tolerances;
-        # with tol = NaN every gap test was false and the check passed
-        spec = make_standard()
-        tree = build_tree(4, 1, spec.horizon)
-        sol = solve_rbsde(spec, tree)
-        sol.dK[1][0, 0, 0] = 0.5
-        assert check_minimality(sol).violations
-        for name in ("tol", "push_tol"):
-            for bad in (np.nan, np.inf, -1e-9):
-                with pytest.raises(DataError, match=f"^{name} must be a finite nonnegative"):
-                    check_minimality(sol, **{name: bad})
+                with monkeypatch.context() as patch:
+                    patch.setattr(reflected, "MINIMALITY_TOL", 0.3)
+                    patch.setattr(reflected, "PUSH_TOL", 0.3)
+                    assert (check_minimality(planted).violations
+                            == fieldwise_check_minimality(planted, tol=0.3, push_tol=0.3))
 
 
 class TestOneSidedReduction:

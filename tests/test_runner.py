@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchgame import build_tree, cli, reflected, runner
+from switchgame import build_tree, reflected, runner
 from switchgame.cli import main as cli_main
 from switchgame.errors import DataError, ScenarioError
 from switchgame.penalty import solve_double_penalized, solve_penalized
@@ -65,10 +65,10 @@ EVERY_TASK = [
     "validate",
     "solve_direct",
     {"task": "penalize", "n_list": [1, 2]},
-    {"task": "saddle", "catalog_size": 10, "seed": 5},
+    {"task": "saddle", "catalog_size": 10},
     "export",
     {"task": "double_penalize", "n": 2, "m_list": [1, 2]},
-    {"task": "brute_force", "max_steps": 2, "max_modes": 4},
+    {"task": "brute_force"},
 ]
 DELETE = object()
 KNOWN_TASKS = "brute_force, double_penalize, export, penalize, saddle, solve_direct, validate"
@@ -126,9 +126,6 @@ NEWLY_REJECTED = [
     (("tasks", 3, "catalog_size"), "abc",
      "tasks[3].catalog_size: expected a non-negative integer"),
     (("tasks", 3, "catalog_size"), -3, "tasks[3].catalog_size: expected a non-negative integer"),
-    (("tasks", 3, "seed"), "x", "tasks[3].seed: expected a non-negative integer"),
-    (("tasks", 6, "max_steps"), "a", "tasks[6].max_steps: expected a positive integer"),
-    (("tasks", 6, "max_modes"), 0, "tasks[6].max_modes: expected a positive integer"),
     (("tasks", 5, "n"), "x", "tasks[5].n: expected a positive integer"),
     (("tasks", 5, "n"), 0, "tasks[5].n: expected a positive integer"),
     (("tasks", 2, "n_list"), [True],
@@ -149,6 +146,15 @@ NEWLY_REJECTED = [
                        "step, more than the node cap 4194304"),
     (("d",), 23, "d: 23 Brownian components need 2**d + 1 nodes for one step, more than "
                  "the node cap 4194304"),
+]
+# Task parameters d985b76 accepted that are now gone: the run seed seeds the
+# catalog, and brute force is sized by its strategy and work caps alone
+RETIRED = [
+    (("tasks", 3, "seed"), 5, "tasks[3]: unknown parameter(s) ['seed'] for task 'saddle'"),
+    (("tasks", 6, "max_steps"), 3,
+     "tasks[6]: unknown parameter(s) ['max_steps'] for task 'brute_force'"),
+    (("tasks", 6, "max_modes"), 4,
+     "tasks[6]: unknown parameter(s) ['max_modes'] for task 'brute_force'"),
 ]
 
 
@@ -175,10 +181,10 @@ class TestFieldRules:
             {k: v for k, v in t.items() if k != "task"} if isinstance(t, dict) else {}
             for t in EVERY_TASK]
 
-    @pytest.mark.parametrize("where,value,message", PINNED + NEWLY_REJECTED,
+    @pytest.mark.parametrize("where,value,message", PINNED + NEWLY_REJECTED + RETIRED,
                              ids=[f"{'.'.join(map(str, w))}={v!r}" if v is not DELETE
                                   else f"{'.'.join(map(str, w))}-deleted"
-                                  for w, v, _ in PINNED + NEWLY_REJECTED])
+                                  for w, v, _ in PINNED + NEWLY_REJECTED + RETIRED])
     def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, where, value, message):
         path = malformed(tmp_path, where, value)
         assert cli_main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -348,21 +354,15 @@ class TestPipeline:
         else:
             assert result.exit_code == 0 and not validate
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-    def test_tolerance_override_is_validated(self, tmp_path, capsys, monkeypatch, value):
-        # with --tolerance nan every saddle comparison was False, so this
-        # corrupted solution passed with exit 0
-        def corrupt(sol):
-            sol.Y[0] = sol.Y[0] + 0.3
-
-        monkeypatch.setattr(cli, "run", functools.partial(runner.run, solution_hook=corrupt))
+    def test_tolerance_option_is_refused(self, tmp_path, capsys):
+        # the scenario's `tolerances` is the one source of the saddle and
+        # match tolerances
         path = small_scenario(tmp_path)
-        assert cli_main(["solve", str(path), "--out", str(tmp_path / "default")]) == 1
-        capsys.readouterr()
-        assert cli_main(["solve", str(path), "--out", str(tmp_path / "bad"),
-                         f"--tolerance={value}"]) == 2
-        assert capsys.readouterr().err.splitlines() == ["--tolerance: expected a positive number"]
-        assert not (tmp_path / "bad").exists()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", str(path), "--out", str(tmp_path / "tol"), "--tolerance", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance 1e-6" in capsys.readouterr().err
+        assert not (tmp_path / "tol").exists()
 
     def test_lowered_root_trips_the_upper_inequality_on_the_catalog(self, tmp_path):
         def lower(sol):
@@ -389,10 +389,9 @@ class TestPipeline:
             count = sum(r[1] == name for r in upper)
             assert sum(r[1] == name for r in replay) == count * 15 * 4
 
-    def test_tolerance_override_sets_saddle_and_match_only(self, tmp_path):
-        path = small_scenario(tmp_path)
-        assert cli_main(["solve", str(path), "--out", str(tmp_path / "tol"),
-                         "--tolerance", "1e-6"]) == 0
+    def test_scenario_tolerances_set_saddle_and_match(self, tmp_path):
+        path = small_scenario(tmp_path, tolerances={"saddle": 1e-6, "match": 1e-6})
+        assert cli_main(["solve", str(path), "--out", str(tmp_path / "tol")]) == 0
         manifest = json.loads((tmp_path / "tol" / "manifest.json").read_text())
         assert manifest["tolerances"] == {**runner.DEFAULT_TOLERANCES,
                                           "saddle": 1e-6, "match": 1e-6}
@@ -548,6 +547,23 @@ class TestCli:
         path = small_scenario(tmp_path)
         assert cli_main(["solve", str(path), "--out", str(tmp_path / "cli")]) == 0
         assert "exit 0" in capsys.readouterr().out
+
+    def test_brute_force_past_its_strategy_cap_exits_two_with_a_manifest(self, tmp_path,
+                                                                         capsys):
+        # 2**32766 Player-I tables at N = 14: str() of the count raised a
+        # ValueError past 4,300 digits, so the run ended in a traceback
+        doc = json.loads((BUNDLED / "standard_2x2.json").read_text())
+        doc.update(tree={"N": 14}, tasks=["brute_force"])
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        with time_budget(5):
+            assert cli_main(["solve", str(path), "--out", str(tmp_path / "wide")]) == 2
+        message = ("brute_force: brute force capped at 16384 Player-I strategies; "
+                   "got 2**32766")
+        assert capsys.readouterr().err.splitlines() == [message]
+        manifest = json.loads((tmp_path / "wide" / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert [t["status"] for t in manifest["tasks"]] == ["error"]
 
     def test_configuration_error_exits_two(self, tmp_path, capsys):
         path = small_scenario(
