@@ -23,7 +23,12 @@ resolvent wraps this level form.
 Fields are stored mode-major, node axis last, ``(m1, m2, n_t)`` and z ``(d,
 m1, m2, n_t)``, and callers see node-first views.  Problems on one tree can
 share a pass, stacked problem-first, ``(S, m1, m2, n_t)`` and z ``(d, S, m1,
-m2, n_t)``: each comes out bit for bit as from its own pass.
+m2, n_t)``: each comes out bit for bit as from its own pass.  The level form
+is built once per level for all S problems, and evaluates any trailing run
+``y = Y[k:]`` of them by slicing its own arrays (`lattice.trailing`).  The
+Picard loop keeps its live problems a trailing run: finished leading
+problems leave as views, and one that finishes behind a live one rides
+along, its later iterates neither checked nor kept.
 
 The contraction condition ``dt * C < 1`` (C the driver's Lipschitz constant)
 makes the fixed point unique.  Iteration stops once an update moves no entry
@@ -52,8 +57,8 @@ class DriverFn:
     `fn(t, w, y, z)` is evaluated on whole levels: w is (n, d), y is
     (n, m1, m2), z is (n, d, m1, m2); the result has y's shape.  A
     `GeneratorSpec` has the same call, level form and attribute, so it is a
-    driver too.  For problems stacked in one pass, `fn(live)` gives the
-    driver of the problems `live` instead, on y (n, S, m1, m2).
+    driver too.  For problems stacked in one pass, y is (n, S', m1, m2) and
+    z (n, S', d, m1, m2), the last S' of the S problems (a trailing run).
     """
 
     def __init__(self, fn, lipschitz: float):
@@ -64,9 +69,15 @@ class DriverFn:
         return self.fn(*args)
 
     def at_level(self, t, w, z):
-        """The level form: `fn` at this level, on node-first views."""
+        """The level form: `fn` at this level, on node-first views, with z
+        cut to the problems of y when they are stacked."""
+        stacked = z.ndim == 5
         z = np.moveaxis(z, (0, -1), (-3, 0))
-        return lambda y: node_last(np.asarray(self.fn(t, w, node_first(y), z), float)).copy()
+
+        def f(y):
+            zy = z[:, z.shape[1] - len(y):] if stacked else z
+            return node_last(np.asarray(self.fn(t, w, node_first(y), zy), float)).copy()
+        return f
 
 
 def check_contraction(dt: float, lipschitz: float):
@@ -89,55 +100,71 @@ def picard_solve(E, update, problems=None):
     checked as iterate 1.  An iterate holding a NaN or an infinity makes the
     update non-finite, and raises ConvergenceError at once.
 
-    With `problems`, one name per entry of E's axis 0, ``update(live)`` gives
-    the update of the problems `live` and is asked again whenever one leaves:
-    each leaves at the iteration where it would stop alone, `iterations` is
-    summed over them, and a failure names its problem.
+    With `problems`, one name per entry of E's axis 0, the problems are
+    solved together and `update` takes the iterate of any trailing run
+    ``E[k:]`` of them.  Each stops at the iteration where it would stop
+    alone: finished leading problems leave as views, so the live ones stay a
+    trailing run, and one that finishes behind a live one rides along, its
+    later iterates neither checked nor kept.  `iterations` is summed over
+    the problems, and a failure names its problem.
     """
     if problems is not None:
         return _stacked_picard(E, update, problems)
     one = update if not callable(update) else (lambda y: update(y[0])[None])
-    y, iterations = _stacked_picard(E[None], lambda live: one, [None])
+    y, iterations = _stacked_picard(E[None], one, [None])
     return y[0], iterations
 
 
-def _stacked_picard(E, update, names):
+def _stacked_picard(E, step, names):
     """`picard_solve` on problems stacked on axis 0; a name None is left out of
-    the messages."""
-    live, out, total = np.arange(len(E)), None, 0
-    step = update(live)
+    the messages.  The live problems are ``k:``; `riders` are those among
+    them that have finished."""
+    S = len(E)
     if not callable(step):
         y = E + step
-        _require_finite(problem_max(np.abs(y - E)), 1, live, names)
-        return y, len(E)
-    y = E
+        if not np.isfinite(y).all():     # the update is formed only to word the error
+            _require_finite(enumerate(problem_max(np.abs(y - E))), 1, names)
+        return y, S
+    k, total, out, riders = 0, 0, None, set()
+    y = live_E = E
     for it in range(1, MAX_PICARD_ITER + 1):
         y_new = step(y)
-        y_new += E
+        y_new += live_E
         change = y_new - y
         delta = problem_max(np.abs(change, out=change))
-        _require_finite(delta, it, live, names)
-        if min(delta) <= PICARD_TOL:
-            done = np.array(delta) <= PICARD_TOL
-            total += it * int(done.sum())
-            if out is None:
-                if done.all():
-                    return y_new, total
-                out = np.empty_like(y_new)
-            out[live[done]] = y_new[done]
-            live, E, y_new = live[~done], E[~done], y_new[~done]
-            if not live.size:
-                return out, total
-            step = update(live)
+        unfinished = enumerate(delta, k)    # (problem, update) pairs, before k moves
+        if riders or not math.isfinite(sum(delta)) or min(delta) <= PICARD_TOL:
+            unfinished = [(s, d) for s, d in unfinished if s not in riders]
+            _require_finite(unfinished, it, names)
+            done = [s for s, d in unfinished if d <= PICARD_TOL]
+            if done:
+                total += it * len(done)
+                if out is None:
+                    if len(done) == S:
+                        return y_new, total
+                    out = np.empty_like(y_new)
+                for s in done:
+                    out[s] = y_new[s - k]
+                riders.update(done)
+                first = k
+                while first in riders:
+                    riders.remove(first)
+                    first += 1
+                if first == S:
+                    return out, total
+                y_new, live_E, k = y_new[first - k:], E[first:], first
         y = y_new
-    raise ConvergenceError(f"{_prefix(names[live[0]])}Picard iteration did not converge "
-                           f"within {MAX_PICARD_ITER} iterations (last update {max(delta):g})")
+    last = max(d for s, d in unfinished if d > PICARD_TOL)
+    raise ConvergenceError(f"{_prefix(names[k])}Picard iteration did not converge "
+                           f"within {MAX_PICARD_ITER} iterations (last update {last:g})")
 
 
-def _require_finite(delta, it, live, names):
-    for s, d in enumerate(delta):
+def _require_finite(deltas, it, names):
+    """ConvergenceError naming the first problem whose update is not finite,
+    `deltas` (problem, update) pairs in problem order."""
+    for s, d in deltas:
         if not math.isfinite(d):
-            raise ConvergenceError(f"{_prefix(names[live[s]])}Picard iterate {it} holds a "
+            raise ConvergenceError(f"{_prefix(names[s])}Picard iterate {it} holds a "
                                    f"non-finite value (update {d:g})")
 
 
@@ -181,7 +208,8 @@ def backward(tree, terminal, driver, post, problems=None):
     first, per further entry.  ``()`` leaves the values in y, maybe changed
     in place, and gives ``()``.  With `problems` (see `picard_solve`),
     `terminal` is (n_N, S, m1, m2), y (S, m1, m2, n_t) and z (d, S, m1, m2,
-    n_t), and ``driver(live)`` gives the driver of the problems `live`.
+    n_t), and the driver's level form, built once per level for all S
+    problems, is evaluated on trailing runs of them.
     """
     check_contraction(tree.dt, driver.lipschitz)
     N, dt = tree.N, tree.dt
@@ -191,15 +219,9 @@ def backward(tree, terminal, driver, post, problems=None):
         E = node_last(tree.expect_next(t, values))
         z = node_last(tree.z_next(t, values))
         values = None
-        w, time = tree.level_w(t), tree.time(t)
-        if problems is None:
-            update = _level_update(driver, time, w, z, dt)
-        else:
-            def update(live):
-                zl = z if live.size == z.shape[1] else z[:, live]
-                return _level_update(driver(live), time, w, zl, dt)
-        try:
-            y, _ = picard_solve(E, update, problems=problems)
+        try:    # the level form, and the arrays it holds, last as long as the solve
+            y, _ = picard_solve(E, _level_update(driver, tree.time(t), tree.level_w(t), z, dt),
+                                problems=problems)
             kept[t] = [node_first(f) for f in post(t, y, z)]
         except ConvergenceError as exc:
             raise ConvergenceError(f"tree level {t}: {exc}") from exc

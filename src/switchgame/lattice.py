@@ -41,6 +41,13 @@ def node_first(a):
     return a.transpose(-1, *range(a.ndim - 1))
 
 
+def trailing(a, y):
+    """The part of `a` that belongs to `y`: problems stacked on axis 0 are
+    evaluated on their trailing run ``[S - len(y):]``, so this is `a` itself
+    when y holds as many entries on axis 0, else a view of its last len(y)."""
+    return a if len(a) == len(y) else a[len(a) - len(y):]
+
+
 def _branch_signs(d: int) -> np.ndarray:
     """(2**d, d) matrix of increment signs; bit p of the branch index gives
     the sign of component p (+1 for a set bit)."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DataError, SizingError
-from .lattice import node_first, node_last
+from .lattice import node_first, node_last, trailing
 
 LOOP_TOL = 1e-12       # |alternating cost| at most this counts as a zero-cost loop
 REGION_TOL = 1e-9      # how far past a barrier a value may sit and count as inside
@@ -548,18 +548,22 @@ class GeneratorSpec:
     def __call__(self, t, w, y, z):
         """Evaluate on a full mode field: y (..., m1, m2), z (..., d, m1, m2)."""
         y = np.asarray(y, dtype=float)[..., None]
-        f = self.at_level(t, w, np.moveaxis(np.asarray(z, dtype=float), -3, 0)[..., None])
+        f = self.at_level(t, w, np.moveaxis(np.asarray(z, dtype=float), -3, 0)[..., None],
+                          stacked=False)
         return (f(y) if callable(f) else np.broadcast_to(f, y.shape).copy())[..., 0]
 
-    def at_level(self, t, w, z):
+    def at_level(self, t, w, z, stacked=None):
         """The driver on one level with z fixed, in the kernel's level form.
 
         z is the kernel's ``(d, ..., m1, m2, n)`` field and y is z without its
-        Brownian axis.  `zero` and `mode_constant` give their (m1, m2, 1)
+        Brownian axis; `stacked`, by default whether z is ``(d, S, m1, m2,
+        n)``, says that axis 1 of z holds stacked problems.  `zero` and `mode_constant` give their (m1, m2, 1)
         value table, which does not depend on y or z (zeros for `zero`,
         whatever the sign of c's zeros).  `saturated_affine` gives the
         function ``y -> (a * sat_M(y) + c) + sum_p b[p] * sat_M(z[p])``, the z
-        term summed in p order from 0.0 and broadcast with c once, here.
+        term summed in p order from 0.0 and broadcast with c once, here, for
+        every stacked problem; a y of the trailing run of S' < S of them
+        reads the last S' of both arrays.
         """
         if self.family == "zero":
             return np.zeros((self.m1, self.m2, 1))
@@ -573,13 +577,15 @@ class GeneratorSpec:
             zterm += bp * zp
         c = np.empty_like(zterm)
         c[...] = self.c[:, :, None]
+        if stacked is None:
+            stacked = z.ndim == 5
 
         def f(y):
             out = np.maximum(-M, y)
             np.minimum(M, out, out=out)
             out *= a
-            out += c
-            out += zterm
+            out += trailing(c, y) if stacked else c
+            out += trailing(zterm, y) if stacked else zterm
             return out
         return f
 

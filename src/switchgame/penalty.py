@@ -15,47 +15,69 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError
-from .lattice import node_first, node_last
+from .lattice import node_first, node_last, trailing
 from .model import GameSpec, _upper
 from .reflected import RbsdeSolution
 
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
 
 
+@cache
+def _mode_pairs(m):
+    """The mode pairs j < j' of m modes in `itertools.combinations` order, each
+    with whether its term of j and its term of j' is that mode's first."""
+    return tuple((j, b, j == 0 and b == 1, j == 0)
+                 for j, b in itertools.combinations(range(m), 2))
+
+
 def _lower_excess(y, l):
-    """(j, y[..., j', :] - y[..., j, :] - l(j,j')) for each j' != j of a
+    """(j, y[..., j', :] - y[..., j, :] - l(j,j'), first) for each j' != j of a
     mode-major field, whose positive part is term j' of (y[i,j] - y[i,j'] +
-    l(j,j'))^-.  A pair j < j' takes one difference d for both its terms:
-    -l(j',j) - d is the same float as y[..., j, :] - y[..., j', :] - l(j',j).
-    Each j's terms come in j' order, each a new array."""
-    for j, b in itertools.combinations(range(l.shape[0]), 2):
-        d = np.subtract(y[..., b, :], y[..., j, :])
-        yield j, np.subtract(d, l[j, b])
-        yield b, np.subtract(-l[b, j], d, out=d)
+    l(j,j'))^-, `first` whether it is j's first term.  A pair j < j' takes one
+    difference d for both its terms: -l(j',j) - d is the same float as
+    y[..., j, :] - y[..., j', :] - l(j',j).  Each j's terms come in j' order,
+    each a new array."""
+    rows = [y[..., j, :] for j in range(l.shape[0])]
+    for j, b, j_first, b_first in _mode_pairs(l.shape[0]):
+        d = np.subtract(rows[b], rows[j])
+        yield j, np.subtract(d, l[j, b]), j_first
+        yield b, np.subtract(-l[b, j], d, out=d), b_first
 
 
 def lower_penalty_intensity(y, l, n):
     """beta = n * sum_j' (y[i,j] - y[i,j'] + l(j,j'))^- on a mode-major (..., m1,
-    m2, nodes) field, n one level or the (S, 1, 1, 1) levels of stacked
-    problems.  Summed as NumPy sums a contiguous last axis of m2 terms: in j'
-    order below eight, and pairwise from eight, on a copy of y with j' last."""
-    if y.shape[-2] >= 8:
+    m2, nodes) field, n one level or the levels of stacked problems, (S, 1, 1,
+    1) or a trailing run of them.  Summed as NumPy sums a contiguous last axis
+    of m2 terms: in j' order below eight, and pairwise from eight, on a copy
+    of y with j' last.  Below eight, each mode's first term, never -0.0, is
+    what 0.0 + term would give, so it is clipped straight into beta, which
+    then needs no zero fill unless there is no term (one mode).  Two modes
+    skip `_lower_excess`'s generator: both terms are first, so one difference
+    and one clip give them, 7-12% of `small_ref` on the 2x2 benchmarks."""
+    m = y.shape[-2]
+    if m >= 8:
         last = np.ascontiguousarray(np.moveaxis(y, -2, -1))
         return n * np.stack([np.maximum(last - y[..., j, :, None] - l[j], 0.0).sum(axis=-1)
                              for j in range(l.shape[0])], axis=-2)
-    beta, started = np.zeros(y.shape), set()
-    for j, term in _lower_excess(y, l):
-        if j in started:
-            beta[..., j, :] += np.maximum(term, 0.0, out=term)
-        else:   # a first term, never -0.0, is what 0.0 + term would give
-            np.maximum(term, 0.0, out=beta[..., j, :])
-            started.add(j)
+    if m == 2:      # both terms are first: one difference, and one clip for both
+        beta = np.empty(y.shape)
+        d = np.subtract(y[..., 1, :], y[..., 0, :])
+        np.subtract(d, l[0, 1], out=beta[..., 0, :])
+        np.subtract(-l[1, 0], d, out=beta[..., 1, :])
+        np.maximum(beta, 0.0, out=beta)
+    else:
+        beta = np.zeros(y.shape) if m == 1 else np.empty(y.shape)
+        for j, term, first in _lower_excess(y, l):
+            if first:
+                np.maximum(term, 0.0, out=beta[..., j, :])
+            else:
+                beta[..., j, :] += np.maximum(term, 0.0, out=term)
     beta *= n
     return beta
 
@@ -162,7 +184,9 @@ class PenalizedSolution(_Penalized):
 class _PenaltyDriver:
     """The generator plus the lower penalty at level n, minus the upper penalty
     at level m (none for m = 0), in the kernel's level form.  n is one level or
-    the (S, 1, 1, 1) levels of problems stacked on axis 0."""
+    the (S, 1, 1, 1) levels of problems stacked on axis 0: the level form is
+    then built once for all S, and evaluates a trailing run of them by
+    slicing n and the generator's arrays."""
 
     def __init__(self, spec, n, lipschitz, m=0):
         self.gen, self.costs, self.n, self.m = spec.generator, spec.costs, n, m
@@ -173,10 +197,11 @@ class _PenaltyDriver:
         # a y-independent value is broadcast to the field once
         c = None if callable(g) else np.broadcast_to(g, z.shape[1:]).copy()
         costs, n, m = self.costs, self.n, self.m
+        stacked = np.ndim(n) > 0
 
         def f(y):
-            out = lower_penalty_intensity(y, costs.l, n)
-            out += g(y) if c is None else c
+            out = lower_penalty_intensity(y, costs.l, trailing(n, y) if stacked else n)
+            out += g(y) if c is None else trailing(c, y)
             if m:
                 out -= upper_penalty_intensity(y, costs.k, m)
             return out
@@ -186,21 +211,22 @@ class _PenaltyDriver:
 def _sweep(spec: GameSpec, tree, n_list, post):
     """One backward pass of the penalized system at every level of n_list, each checked
     first, ascending, so a SizingError names the smallest failing n before any Picard
-    call.  The levels are stacked, y (S, m1, m2, n_t); each step returns ``post(t, y,
-    bar)``, `bar` the upper barrier of y.  Returns the leaf values and the result."""
+    call.  The levels are stacked, y (S, m1, m2, n_t), under one `_PenaltyDriver` (a
+    float n for one level) whose level form is built once per tree level; a level
+    leaves the Picard loop where its own pass would stop.  Each step returns
+    ``post(t, y, bar)``, `bar` the upper barrier of y.  Returns the leaf values and
+    the result."""
     spec.require_valid()
     lip = max(_require_penalty_contraction(tree, spec, n, 0) for n in sorted(n_list))
-    ns = np.asarray(n_list, dtype=float)
-
-    def driver(live):
-        return _PenaltyDriver(spec, ns[live][:, None, None, None] if live.size > 1
-                              else float(ns[live[0]]), lip)
+    levels = (np.asarray(n_list, dtype=float)[:, None, None, None] if len(n_list) > 1
+              else float(n_list[0]))
+    driver = _PenaltyDriver(spec, levels, lip)
 
     def step(t, y, z):      # the barrier of (S, m1, m2, n_t) values, on a mode-first view
         return post(t, y, np.moveaxis(_upper(np.moveaxis(y, 0, -2), spec.costs), -2, 0))
 
     xi = node_first(np.repeat(node_last(spec.check_terminal(tree))[None], len(n_list), axis=0))
-    return xi, bsde.backward(tree, xi, bsde.DriverFn(driver, lip), step,
+    return xi, bsde.backward(tree, xi, driver, step,
                              problems=[f"penalty level {n}" for n in n_list])
 
 
@@ -313,7 +339,7 @@ def penalization_report(spec: GameSpec, tree, n_list,
     roots = np.empty((S, spec.m1, spec.m2))
 
     def fold(t, y):
-        for _, term in _lower_excess(y, l):
+        for _, term, _ in _lower_excess(y, l):
             np.maximum(stat, bsde.problem_max(n * np.maximum(term, 0.0, out=term)), out=stat)
         np.maximum(worst[1:], bsde.problem_max(y[1:] - y[:-1]), out=worst[1:])
         if direct is not None:

@@ -6,11 +6,13 @@ each with every check it makes.
 instances of the `direct_path_3x3` workload.  Solving the N=12 ones here makes
 a barrier or projection change that moves a number fail in this suite,
 before the benchmark runs; so does a penalization change that breaks the
-ladder's monotone or gap checks, and a report change that moves a bundled
-scenario's CSV digests or fails one of its tasks.  The benchmark's module is
+ladder's monotone or gap checks or moves a bit of its short ladder's rows,
+and a report change that moves a bundled scenario's CSV digests or fails one
+of its tasks.  The benchmark's module is
 loaded from its file and only read from.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -44,6 +46,24 @@ def test_a_short_refinement_ladder_passes_its_checks(workloads):
     recorder = workloads.Recorder()
     workloads.run_pass(workloads.RefineLattice2x2(0, None, ladder=(10, 20)), recorder)
     assert recorder.attempted == 4 and recorder.failed == 0, recorder.failures
+
+
+# sha256 of the short ladder's rows and direct roots below: a change that
+# moves any of them by one bit fails here
+SHORT_LADDER_DIGEST = "1ab7d3c39eceee918ebe24a53e05902ad8bc9f1c700b6bba14c737cfb7544676"
+
+
+def test_a_short_refinement_ladder_is_reproduced_bit_for_bit(workloads):
+    workload = workloads.RefineLattice2x2(0, None, ladder=(10, 20))
+    spec, trees = workload._build()
+    h = hashlib.sha256()
+    for N in workload.ladder:
+        sol, report = workload._rung(spec, trees[N])
+        h.update(repr(sol.root.tolist()).encode())
+        for row in report.rows:
+            h.update(repr((row.n, row.root.tolist(), row.gap, row.penalty_stat,
+                           row.monotone_worst)).encode())
+    assert h.hexdigest() == SHORT_LADDER_DIGEST
 
 
 def test_a_bundled_pipeline_pass_passes_its_checks(workloads, tmp_path):

@@ -2,6 +2,8 @@
 checks, the contraction guard, residuals, comparison, and a priori bounds;
 the level form and the problem-first layout against the per-iterate oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,24 @@ class TestStep:
             picard_solve(np.zeros(3), update)
         assert len(calls) == 1
 
+    def test_an_overflowing_step_is_non_finite(self):
+        # finite E and update whose sum overflows, as a value and as a function
+        E = np.array([[1.0, 2.0], [0.0, 1e308]])
+        for update in (np.full(2, 1e308), lambda y: np.full_like(y, 1e308)):
+            with pytest.raises(ConvergenceError,
+                               match=r"^Picard iterate 1 holds a non-finite value \(update inf\)$"), \
+                    np.errstate(over="ignore"):
+                picard_solve(E[1], update)
+            with pytest.raises(ConvergenceError,
+                               match=r"^second: Picard iterate 1 holds a non-finite value"), \
+                    np.errstate(over="ignore"):
+                picard_solve(E, update, problems=["first", "second"])
+        # finite values whose sum overflows are no failure, and warn of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, its = picard_solve(np.full((2, 3), 1e308), np.zeros(3), problems=["a", "b"])
+        assert its == 2 and (y == 1e308).all()
+
     def test_non_finite_driver_names_the_tree_level(self):
         # NaN only at level 1 (time 1/3): levels 2 and 1 are reached, 0 is not
         tree = build_tree(3, 1, 1.0)
@@ -153,43 +173,178 @@ class TestStep:
         assert times.count(times[-1]) == 1 and min(times) > 0.3
 
 
+def run_of(a, y):
+    """The entries of `a` for the problems of a level form's y: the trailing
+    run of the stack, ``a[len(a) - len(y):]``."""
+    return a[len(a) - len(y):]
+
+
+def rated(E, rates):
+    """(stacked level form of y <- E + r * sin(y), which contracts at rate r,
+    the run length of every call, and each problem's solo pass (y, its))."""
+    runs = []
+
+    def update(y):
+        runs.append(len(y))
+        return run_of(rates, y)[:, None, None, None] * np.sin(y)
+
+    alone = [picard_solve(E[s], lambda v, r=rates[s]: r * np.sin(v)) for s in range(len(E))]
+    return update, runs, alone
+
+
+def on_axis_1(update):
+    """A stacked level form on axis 0 as the per-iterate oracle's
+    ``update(live)`` on axis 1, while the last problem is live: the oracle
+    drops finished problems, here filled in as NaN."""
+    def oracle(live):
+        def step(y):
+            full = np.full((live[-1] + 1,) + np.moveaxis(y, 1, 0).shape[1:], np.nan)
+            full[live] = np.moveaxis(y, 1, 0)
+            return np.moveaxis(update(full[live[0]:])[live - live[0]], 0, 1)
+        return step
+    return oracle
+
 
 class TestStackedProblems:
     """Several problems on one tree, stacked problem-first in the kernel's
-    fields, (S, m1, m2, n_t), and after the node axis in its node-first views."""
+    fields, (S, m1, m2, n_t), and after the node axis in its node-first views.
+    The level form takes the trailing run of problems still live."""
 
     def test_each_problem_stops_where_it_would_alone(self, rng):
-        # y <- E + r * sin(y) contracts at rate r: the problems need
-        # different iteration counts and leave the working set one by one
+        # the problems need different iteration counts and leave the run one
+        # by one, lowest rate first
         E = rng.normal(size=(3, 5, 2, 2))
-        rates = np.array([0.0, 0.3, 0.9])
-        seen = []
-
-        def update(live):
-            seen.append(live.tolist())
-            return lambda y: rates[live][:, None, None, None] * np.sin(y)
-
+        update, runs, alone = rated(E, np.array([0.0, 0.3, 0.9]))
         y, total = picard_solve(E, update, problems=["a", "b", "c"])
-        iterations = []
-        for s in range(3):
-            alone, its = picard_solve(E[s], lambda v: rates[s] * np.sin(v))
-            np.testing.assert_array_equal(y[s].view(np.uint64), alone.view(np.uint64))
-            iterations.append(its)
+        for s, (want, _) in enumerate(alone):
+            assert_bitwise(y[s], want)
+        iterations = [its for _, its in alone]
         assert total == sum(iterations) and len(set(iterations)) == 3
-        assert seen == [[0, 1, 2], [1, 2], [2]]
+        assert list(dict.fromkeys(runs)) == [3, 2, 1]
+        assert len(runs) == max(iterations)
+
+    def test_a_later_problem_may_finish_first(self, rng):
+        # b and c finish behind a: they ride along to a's last iterate, and
+        # what they give is still their own pass
+        E = rng.normal(size=(3, 5, 2, 2))
+        update, runs, alone = rated(E, np.array([0.9, 0.0, 0.3]))
+        y, total = picard_solve(E, update, problems=["a", "b", "c"])
+        for s, (want, _) in enumerate(alone):
+            assert_bitwise(y[s], want)
+        iterations = [its for _, its in alone]
+        assert iterations[0] > iterations[2] > iterations[1]
+        assert total == sum(iterations) and runs == [3] * iterations[0]
+
+    @pytest.mark.parametrize("rates", [[0.3, 0.3, 0.9], [0.9, 0.3, 0.3]])
+    def test_two_problems_finish_on_the_same_iterate(self, rng, rates):
+        E = rng.normal(size=(3, 5, 2, 2))
+        E[1] = E[2] if rates[0] > rates[1] else E[0]
+        update, runs, alone = rated(E, np.array(rates))
+        y, total = picard_solve(E, update, problems=["a", "b", "c"])
+        for s, (want, _) in enumerate(alone):
+            assert_bitwise(y[s], want)
+        iterations = [its for _, its in alone]
+        assert total == sum(iterations) and len(set(iterations)) == 2
+        assert list(dict.fromkeys(runs)) == ([3, 1] if rates[0] < rates[2] else [3])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_finished_problem_is_not_checked_again(self, rng):
+        # b stops at iterate 1 behind a; its later iterates turn NaN, and are
+        # neither checked nor kept
+        E = rng.normal(size=(2, 5, 2, 2))
+        calls = []
+
+        def update(y):
+            calls.append(len(y))
+            out = run_of(np.array([0.5, 0.0]), y)[:, None, None, None] * np.sin(y)
+            if len(calls) > 1:
+                out[1] = np.nan
+            return out
+
+        y, total = picard_solve(E, update, problems=["a", "b"])
+        want, its = picard_solve(E[0], lambda v: 0.5 * np.sin(v))
+        assert_bitwise(y[0], want)
+        assert_bitwise(y[1], E[1])
+        assert total == its + 1 and calls == [2] * its
 
     def test_a_failing_problem_is_named(self):
         E = np.zeros((2, 2, 1, 1))
 
-        def update(live):
-            return lambda y: np.where(live[:, None, None, None] == 1, y + 1.0, 0.0)
+        def update(y):
+            return np.where(run_of(np.arange(2), y)[:, None, None, None] == 1, y + 1.0, 0.0)
 
         with pytest.raises(ConvergenceError, match="^second: .*within 10000 iterations"):
             picard_solve(E, update, problems=["first", "second"])
         with pytest.raises(ConvergenceError, match="^second: Picard iterate 1 holds a non-finite"):
-            picard_solve(E, lambda live: lambda y: np.where(live[:, None, None, None] == 1,
-                                                            np.nan, y),
+            picard_solve(E, lambda y: np.where(run_of(np.arange(2), y)[:, None, None, None] == 1,
+                                               np.nan, y),
                          problems=["first", "second"])
+        # a NaN behind a finite update that is not settling, at iterate 3
+        calls = []
+
+        def late_nan(y):
+            calls.append(1)
+            late = (run_of(np.arange(2), y) == 1) & (len(calls) == 3)
+            return y + np.where(late[:, None, None, None], np.nan, 1.0)
+
+        with pytest.raises(ConvergenceError,
+                           match=r"^second: Picard iterate 3 holds a non-finite value \(update nan\)$"):
+            picard_solve(E, late_nan, problems=["first", "second"])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fail_at,message", [
+        (5, "c: Picard iterate 5 holds a non-finite value (update {bad})"),
+        (None, "a: Picard iteration did not converge within 10000 iterations (last update 2)")])
+    def test_an_unfinished_problem_is_named_as_before(self, bad, fail_at, message):
+        # a grows by 1 and c by 2 per iterate; b stops at iterate 1 behind
+        # them, then turns non-finite and later moves by thousands, neither
+        # checked nor counted as the last update.  c's iterate `fail_at` is
+        # non-finite.  The messages are the per-iterate loop's.
+        def level_form():
+            calls = []
+
+            def update(y):
+                calls.append(1)
+                p = run_of(np.arange(3), y)[:, None, None, None]
+                out = np.where(p == 0, y + 1.0, np.where(p == 2, y + 2.0, 0.0))
+                if len(calls) > 1 and len(y) == 3:
+                    out[1] = bad if len(calls) < 4 else 1e3 * len(calls)
+                if len(calls) == fail_at:
+                    out[-1] = bad
+                return out
+            return update
+
+        E, names = np.zeros((3, 2, 1, 1)), ["a", "b", "c"]
+        got = outcome(lambda: picard_solve(E, level_form(), problems=names))
+        want = outcome(lambda: iterate_picard_solve(np.moveaxis(E, 0, 1),
+                                                    on_axis_1(level_form()), problems=names))
+        assert got == want == message.format(bad=bad)
+
+    def test_the_last_update_is_an_unfinished_problems(self):
+        # b stops at iterate 1 and then moves by thousands behind the others;
+        # a stops on the cap's iterate, and c never settles: the last update
+        # is c's, as the per-iterate loop words it
+        def level_form():
+            calls = []
+
+            def update(y):
+                calls.append(1)
+                p = run_of(np.arange(3), y)[:, None, None, None]
+                out = np.where(p == 0, y + 1.0, np.where(p == 2, y + 2.0, 0.0))
+                if len(calls) > 1 and len(y) == 3:
+                    out[1] = 1e3 * len(calls)
+                if len(calls) == bsde.MAX_PICARD_ITER:
+                    out[0] = y[0]
+                return out
+            return update
+
+        E, names = np.zeros((3, 2, 1, 1)), ["a", "b", "c"]
+        got = outcome(lambda: picard_solve(E, level_form(), problems=names))
+        want = outcome(lambda: iterate_picard_solve(np.moveaxis(E, 0, 1),
+                                                    on_axis_1(level_form()), problems=names))
+        assert got == want == ("c: Picard iteration did not converge within "
+                               f"{bsde.MAX_PICARD_ITER} iterations (last update 2)")
 
     def test_stacked_pass_equals_separate_passes(self, rng):
         # two driver levels on a 2-d lattice: the driver sees node-first
@@ -200,9 +355,8 @@ class TestStackedProblems:
         xi = rng.uniform(-1, 1, (tree.level_size(4), 2, 2))
         shift = np.array([0.0, 0.25])
 
-        def driver(live):
-            return DriverFn(lambda t, w, y, z: gen(t, w, y, z)
-                            + shift[live][:, None, None], gen.lipschitz)
+        def driver(t, w, y, z):     # y (n, S', m1, m2): the last S' problems
+            return gen(t, w, y, z) + run_of(shift, y[0])[:, None, None]
 
         stacked = backward(tree, np.stack([xi, xi], axis=1), DriverFn(driver, gen.lipschitz),
                            lambda t, y, z: (y, z), problems=["low", "high"])
@@ -417,8 +571,7 @@ class TestLevelForm:
         gen = spec.generator
         xi = spec.check_terminal(tree.tree)
         xis = np.stack([xi, xi + 0.5, -xi], axis=1)
-        got = backward(tree, xis, DriverFn(lambda live: gen, gen.lipschitz),
-                       lambda t, y, z: (y, z), problems=["a", "b", "c"])
+        got = backward(tree, xis, gen, lambda t, y, z: (y, z), problems=["a", "b", "c"])
         want = iterate_backward(tree, xis,
                                 DriverFn(lambda live: fieldwise_generator(gen), gen.lipschitz),
                                 lambda t, y, z: (y, z), problems=["a", "b", "c"])
@@ -450,8 +603,8 @@ class TestLevelForm:
 
     def test_non_convergence_is_reported_as_before(self):
         # y <- E + y + 1 never settles: the cap's message, alone and stacked
-        def grow(live):
-            return lambda y: np.where(live[:, None, None, None] == 1, y + 1.0, 0.0)
+        def grow(y):
+            return np.where(run_of(np.arange(2), y)[:, None, None, None] == 1, y + 1.0, 0.0)
 
         def grow_axis1(live):
             return lambda y: np.where(live[:, None, None] == 1, y + 1.0, 0.0)
@@ -470,7 +623,8 @@ class TestLevelForm:
 
 class CountingGenerator(GeneratorSpec):
     """A generator that counts its level forms (each builds the z term) per
-    (level size, live problems), and the calls of each form."""
+    (level size, problems), and the calls of each form per (level size, run
+    of problems it is evaluated on)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -484,15 +638,17 @@ class CountingGenerator(GeneratorSpec):
             return f
 
         def counted(y):
-            self.calls[key] = self.calls.get(key, 0) + 1
+            run = (key[0], len(y) if y.ndim == 4 else 1)
+            self.calls[run] = self.calls.get(run, 0) + 1
             return f(y)
         return counted
 
 
 class TestOncePerLevel:
-    def test_z_term_is_built_once_per_level_and_live_set(self):
-        # the refine ladder's driver on a sweep whose levels leave the working
-        # set at different iterations: one build per live set, not per iterate
+    def test_z_term_is_built_once_per_level(self):
+        # the refine ladder's driver on a sweep whose levels leave the Picard
+        # loop at different iterations: one build per tree level for all of
+        # them, evaluated on the run still live at each iterate
         gen = CountingGenerator("saturated_affine", 2, 2, a=0.5, b=[0.3], M=1.0,
                                 c=[[1.5, -1.5], [-1.5, 1.5]])
         spec = GameSpec(standard_costs(), gen,
@@ -506,13 +662,14 @@ class TestOncePerLevel:
         penalty.penalization_report(spec, tree, levels)
         for t in range(tree.N):
             size = tree.level_size(t)
-            its = sorted({alone[(size, n)] for n in levels})
-            # live sets: all three levels, then those left after each exit
-            live = [len(levels)] + [sum(alone[(size, n)] > i for n in levels) for i in its[:-1]]
+            its = [alone[(size, n)] for n in levels]
+            assert its == sorted(its) and its[-1] > 1     # lowest levels leave first
             assert {key: v for key, v in gen.built.items() if key[0] == size} == {
-                (size, k): 1 for k in live}
-            assert sum(v for key, v in gen.calls.items() if key[0] == size) == its[-1]
-            assert its[-1] > len(live)
+                (size, len(levels)): 1}
+            # iterate i evaluates the levels that have not stopped before it
+            runs = [sum(k >= i for k in its) for i in range(1, its[-1] + 1)]
+            assert {key[1]: v for key, v in gen.calls.items() if key[0] == size} == {
+                r: runs.count(r) for r in set(runs)}
         gen.built.clear()
         xi = spec.check_terminal(tree)
         solve_system(tree, gen, xi)
@@ -534,8 +691,8 @@ class TestOncePerLevel:
         tree = build_tree(6, 1, 0.24)
         xi = np.random.default_rng(5).normal(size=(tree.level_size(6), 2, 2))
         Y, _ = solve_system(tree, gen, xi)
-        backward(tree, np.stack([xi, -xi], axis=1), DriverFn(lambda live: gen, 0.0),
-                 lambda t, y, z: (y,), problems=["a", "b"])
+        backward(tree, np.stack([xi, -xi], axis=1), gen, lambda t, y, z: (y,),
+                 problems=["a", "b"])
         assert steps == [1] * tree.N + [2] * tree.N     # one step per problem and level
         sizes = [tree.level_size(t) for t in range(tree.N)]
         assert gen.calls == {} and gen.built == {(n, s): 1 for n in sizes for s in (1, 2)}

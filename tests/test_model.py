@@ -896,6 +896,17 @@ class TestGeneratorSpec:
                                       np.moveaxis(want, 0, -1).view(np.uint64))
         np.testing.assert_array_equal(gen(0.0, None, y, z).view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_call_broadcasts_a_z_without_the_leading_axes(self, n):
+        # z carries no leading axes, so c and the z term keep their m1 rows
+        # on axis 0: none of them is taken for a stacked problem
+        gen = GeneratorSpec("saturated_affine", 2, 2, d=2, a=0.5, b=[0.3, -0.4], M=1.0,
+                            c=[[1.0, -1.0], [-1.0, 1.0]])
+        rng = np.random.default_rng(5)
+        y, z = rng.uniform(-2.0, 2.0, (n, 2, 2)), rng.uniform(-2.0, 2.0, (2, 2, 2))
+        want = fieldwise_generator(gen)(0.0, None, y, z)
+        np.testing.assert_array_equal(gen(0.0, None, y, z).view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("M", [-1.0, -0.5, -5e-324])
     def test_negative_saturation_level_is_refused(self, M):
         # M = -1 made sat_M the constant -1 and put sup_bound at 1.3, below

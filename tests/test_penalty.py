@@ -432,21 +432,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("m2", [1, 2, 3, 5, 7, 8, 9, 12])
     def test_intensity_equals_the_tensor_sum(self, rng, m2):
-        # per problem n on a stack, and a scalar n; exact ties y_j' - y_j = l,
-        # equal columns, signed zeros
+        # per problem n on a stack, a trailing run of it, and a scalar n;
+        # exact ties y_j' - y_j = l with mode 0 and without it, equal
+        # columns, signed zeros
         l = rng.uniform(1.0, 1.5, (m2, m2))
         np.fill_diagonal(l, 0.0)
         y = rng.normal(size=(40, 3, 2, m2)) * 10.0 ** rng.integers(-3, 3, (40, 3, 2, m2))
         y[::5, ..., 0] = y[::5, ..., -1] + l[-1, 0]
         y[1::5, ..., -1] = y[1::5, ..., 0]
         y[2::5, ..., ::2] = -0.0
+        y[3::5, ..., -1] = y[3::5, ..., min(1, m2 - 1)] + l[min(1, m2 - 1), -1]
         # the intensity reads mode-major fields: problems first, nodes last
         n = np.array([1.0, 7.0, 416.0])[:, None, None]
-        got = lower_penalty_intensity(np.moveaxis(y, 0, -1), l, n[..., None])
-        want = np.stack([tensor_lower_intensity(y[:, s], l, n[s]) for s in range(3)], axis=1)
-        assert_bitwise(got, np.moveaxis(want, 0, -1))
-        assert_bitwise(lower_penalty_intensity(np.moveaxis(y[:, 1], 0, -1), l, 7),
-                       np.moveaxis(want[:, 1], 0, -1))
+        field = np.moveaxis(y, 0, -1)
+        got = lower_penalty_intensity(field, l, n[..., None])
+        want = np.moveaxis(np.stack([tensor_lower_intensity(y[:, s], l, n[s])
+                                     for s in range(3)], axis=1), 0, -1)
+        assert_bitwise(got, want)
+        assert_bitwise(lower_penalty_intensity(field[1:], l, n[1:, ..., None]), want[1:])
+        assert_bitwise(lower_penalty_intensity(field[1], l, 7), want[1])
 
     @pytest.mark.parametrize("recombining,N", [(False, 8), (True, 100)])
     def test_each_level_takes_the_iterations_of_its_own_solve(self, monkeypatch,
