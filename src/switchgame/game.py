@@ -33,19 +33,24 @@ before and names the violating strategies.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError
-from .model import GameSpec, _lower, _require_tolerance, _upper, lower_barrier, upper_barrier
+from .model import (
+    GameSpec,
+    _lower,
+    _require_count,
+    _require_tolerance,
+    _upper,
+    lower_barrier,
+    upper_barrier,
+)
 from .reflected import RbsdeSolution
 
 TRIGGER_TOL = 1e-9     # how close to its barrier a value must sit to fire a switch
-_MAX_STRATEGIES = 2 ** 14      # Player I's tables with two modes at N = 3 and d = 1
-_MAX_BRUTE_FORCE_WORK = 2 ** 18  # strategies x nodes x iterations; 2x2 at N = 3: 16384 x 7 x 2
 
 
 @dataclass
@@ -468,9 +473,12 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     spare, no catalog strategy can violate, and the catalog is neither drawn
     nor evaluated.  Otherwise the catalog is evaluated, drawn one strategy
     at a time, and each violation carries the strategy for replay.  `tol`
-    must be finite and nonnegative (DataError otherwise).
+    must be finite and nonnegative, `catalog_size` and `seed` nonnegative
+    integers (DataError otherwise).
     """
     _require_tolerance("tol", tol)
+    _require_count("catalog_size", catalog_size, 0)
+    _require_count("seed", seed, 0)
     spec, tree = sol.spec, sol.tree
     spec.require_valid()
     xi = spec.check_terminal(tree)
@@ -509,6 +517,13 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
 # The representation route: lower-reflected systems and brute force
 # ---------------------------------------------------------------------------
 
+# Values (strategy suffixes x nodes x m1 x m2) in any level of brute force's
+# pass.  Within the former caps (2**14 strategies, 2**18 strategies x interior
+# nodes) a level held at most 2**18 * m1 * m2 < 2**22, as m1 * m2 <= 12 always
+# (`model.DEFAULT_LOOP_CAP`), so every game they admitted passes.
+_MAX_BRUTE_FORCE_VALUES = 2 ** 22
+
+
 def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     """Solve the Player-II-reflected system under a fixed Player-I strategy.
 
@@ -516,9 +531,8 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     constant across j).  Each step takes the implicit step's value at the
     strategy's mode choice plus the Player-I switch cost, then the minimal
     upward push ``max(y, lower_barrier(y))``, exact under the strict triangle
-    inequality that `spec.require_valid()` checks.
-
-    Returns the list of per-level (n_t, m1, m2) value fields.
+    inequality that `spec.require_valid()` checks.  Returns the list of
+    per-level (n_t, m1, m2) value fields.
     """
     if a.player != "I":
         raise DataError("expected a Player-I strategy")
@@ -526,41 +540,45 @@ def solve_lower_reflected(spec: GameSpec, tree, a: FeedbackStrategy):
     _check_actions(spec, tree, a)
     if not a.j_uniform():
         raise DataError("the representation route needs a j-independent strategy")
-    return _lower_reflected_backward(spec, tree, spec.check_terminal(tree), a)
+    xi, tables = spec.check_terminal(tree), [x[None, :, :, 0] for x in a.actions]
+    return [y[:, 0] for y in _lower_reflected_backward(spec, tree, xi, tables)]
 
 
-def _lower_reflected_backward(spec, tree, xi, a):
-    """The backward pass of `solve_lower_reflected` from checked leaf values
-    `xi`, for a checked j-uniform Player-I table `a`."""
-    i_grid = np.arange(spec.m1)[:, None, None]
-    j_grid = np.arange(spec.m2)[None, :, None]
-
+def _lower_reflected_backward(spec, tree, xi, tables):
+    """The lower-reflected systems from checked leaf values `xi` under stacks
+    of checked j-uniform Player-I tables, `tables[t]` (T_t, n_t, m1).  Level
+    t's problems are each level-(t+1) problem under each level-t table,
+    suffix-major, on the leading axis of one field that the kernel solves as
+    one problem.  Returns the kernel's node-first levels, (n_t, problems, m1, m2)."""
     def post(t, W, z):
-        ia = np.moveaxis(a.actions[t], 0, -1)       # (m1, m2, n), j-uniform
-        y = W[ia, j_grid, np.arange(W.shape[-1])] + spec.costs.k[i_grid, ia]
-        return (np.maximum(y, _lower(y, spec.costs)),)
+        S, m1, m2, n = W.shape
+        a = np.moveaxis(tables[t], 1, -1)[:, :, None]    # (T, m1, 1, n)
+        at = np.ravel_multi_index((a, np.arange(m2)[:, None], np.arange(n)), (m1, m2, n))
+        y = np.take(W.reshape(S, -1), at, axis=1)        # W[:, a, j, node]
+        y += spec.costs.k[np.arange(m1)[:, None, None], a]
+        y = y.reshape(-1, m1, m2, n)
+        lower = np.moveaxis(_lower(np.moveaxis(y, 0, 2), spec.costs), 2, 0)
+        return (np.maximum(y, lower, out=y),)
 
-    return bsde.backward(tree, xi, spec.generator, post)[0]
+    return bsde.backward(tree, xi[:, None], spec.generator, post)[0]
+
+
+def feedback_tables(tree, player, m1, m2):
+    """Every (n_t, m1, m2) action table of one player, one stack per level, in
+    the order of `itertools.product` over the table's entries."""
+    hi, stacks = (m1 if player == "I" else m2), []
+    for t in range(tree.N):
+        slots = tree.level_size(t) * m1 * m2
+        codes = np.arange(hi ** slots)[:, None] // hi ** np.arange(slots - 1, -1, -1)
+        stacks.append((codes % hi).reshape(-1, tree.level_size(t), m1, m2))
+    return stacks
 
 
 def enumerate_feedback_strategies(tree, player, m1, m2):
-    """All feedback strategies (node, i, j) -> mode for one player.
-
-    One mode choice per (interior node, i, j); the count is
-    (m1 or m2) ** (num_interior_nodes * m1 * m2), so callers must respect
-    the brute-force caps.
-    """
-    sizes = [tree.level_size(t) for t in range(tree.N)]
-    hi = m1 if player == "I" else m2
-    slots = sum(sizes) * m1 * m2
-    for combo in itertools.product(range(hi), repeat=slots):
-        acts = []
-        pos = 0
-        for n_t in sizes:
-            block = np.array(combo[pos:pos + n_t * m1 * m2], dtype=int)
-            pos += n_t * m1 * m2
-            acts.append(block.reshape(n_t, m1, m2))
-        yield FeedbackStrategy(player, acts)
+    """All feedback strategies of one player: each combination of the levels'
+    `feedback_tables`; callers must respect the brute-force cap."""
+    for acts in itertools.product(*feedback_tables(tree, player, m1, m2)):
+        yield FeedbackStrategy(player, list(acts))
 
 
 def brute_force_value(spec: GameSpec, tree, start=None):
@@ -568,34 +586,23 @@ def brute_force_value(spec: GameSpec, tree, start=None):
 
     Returns the (m1, m2) matrix of root values (or the scalar for `start`).
     This is the independent oracle for the representation theorem; it never
-    calls the direct reflected solver.  Past its strategy or work cap,
-    SizingError before any enumeration.
+    calls the direct reflected solver.  One pass solves every j-independent
+    Player-I strategy.  Past its size cap, SizingError before any table is built.
     """
     if start is not None:
         start = _check_indices("start", start, (spec.m1, spec.m2))
-    interior = sum(tree.level_size(t) for t in range(tree.N))
-    # m1 ** power tables; past the cap's bit length the power alone exceeds it
-    power = spec.m1 * interior
-    if spec.m1 > 1 and (power >= _MAX_STRATEGIES.bit_length()
-                        or spec.m1 ** power > _MAX_STRATEGIES):
-        raise SizingError(f"brute force capped at {_MAX_STRATEGIES} Player-I strategies; "
-                          f"got {spec.m1}**{power}")
-    count = spec.m1 ** power     # 1 for a single mode, else at most the cap
-    bsde.check_contraction(tree.dt, spec.generator.lipschitz)
-    q = tree.dt * spec.generator.lipschitz  # the update shrinks by q per iteration, from ~1
-    iters = (1 + (math.ceil(math.log(bsde.PICARD_TOL) / math.log(q)) if q > 0 else 1)
-             if spec.generator.family == "saturated_affine" else 1)  # y-independent: one step
-    if count * interior * iters > _MAX_BRUTE_FORCE_WORK:
-        raise SizingError(f"brute force capped at {_MAX_BRUTE_FORCE_WORK} Picard node-iterations; "
-                          f"got {count} strategies x {interior} interior nodes x {iters} "
-                          f"estimated iterations at dt*C = {q:g}")
+    power = 0   # level t holds m1 ** power strategy suffixes
+    for t in range(tree.N - 1, -1, -1):
+        n_t = tree.level_size(t)
+        power += n_t * spec.m1
+        # past the cap's bit length the power alone exceeds it
+        if (spec.m1 > 1 and power >= _MAX_BRUTE_FORCE_VALUES.bit_length()
+                or spec.m1 ** power * n_t * spec.m1 * spec.m2 > _MAX_BRUTE_FORCE_VALUES):
+            raise SizingError(f"brute force capped at {_MAX_BRUTE_FORCE_VALUES} values per "
+                              f"tree level; level {t} holds {spec.m1}**{power} strategy "
+                              f"suffixes x {n_t} nodes x {spec.m1 * spec.m2} mode pairs")
     spec.require_valid()
-    xi = spec.check_terminal(tree)
-    best = None
-    # the j-independent Player-I strategies: one table per (node, i), repeated
-    # over j, so j-uniform and in range without a check
-    for table in enumerate_feedback_strategies(tree, "I", spec.m1, 1):
-        a = FeedbackStrategy("I", [np.repeat(x, spec.m2, axis=2) for x in table.actions])
-        root = _lower_reflected_backward(spec, tree, xi, a)[0][0]
-        best = root.copy() if best is None else np.minimum(best, root)
-    return best if start is None else float(best[start])
+    # one mode per (node, i), as if Player II had one mode: j-uniform and in range
+    tables = [x[..., 0] for x in feedback_tables(tree, "I", spec.m1, 1)]
+    roots = _lower_reflected_backward(spec, tree, spec.check_terminal(tree), tables)[0][0]
+    return roots.min(axis=0) if start is None else float(roots.min(axis=0)[start])

@@ -311,6 +311,14 @@ def _require_tolerance(name, tol):
         raise DataError(f"{name} must be a finite nonnegative number; got {tol!r}")
 
 
+def _require_count(name, value, least=1):
+    """DataError naming the parameter `name` unless value is an integer of at
+    least `least` (1 or 0): NumPy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise DataError(f"{name} must be a {kind} integer; got {value!r}")
+
+
 def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:
     """True when every coordinate of y satisfies both barrier constraints within tol."""
     _require_tolerance("tol", tol)

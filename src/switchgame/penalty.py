@@ -22,7 +22,7 @@ import numpy as np
 from . import bsde
 from .errors import DataError, SizingError
 from .lattice import node_first, node_last, trailing
-from .model import GameSpec, _upper
+from .model import GameSpec, _require_count, _upper
 from .reflected import RbsdeSolution
 
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
@@ -234,7 +234,10 @@ def solve_penalized(spec: GameSpec, tree, n: int) -> PenalizedSolution:
     """Solve the penalized system at penalty level n, the one-level sweep: a
     joint Picard loop over all mode pairs (the penalty couples the j
     coordinates), then the upper clamp, recording dK.  Under the strict
-    triangle inequality (`spec.require_valid()`) it is the minimal push."""
+    triangle inequality (`spec.require_valid()`) it is the minimal push.  n
+    must be a positive integer, else DataError."""
+    _require_count("n", n)
+
     def clamp(t, y, bar):
         clamped = np.minimum(y, bar)
         return clamped, y - clamped
@@ -258,7 +261,9 @@ class DoublePenalizedSolution(_Penalized):
 
 def solve_double_penalized(spec: GameSpec, tree, n: int, m: int) -> DoublePenalizedSolution:
     """Unreflected solve with the lower penalty at level n and the upper
-    penalty at level m."""
+    penalty at level m, both positive integers (DataError otherwise)."""
+    _require_count("n", n)
+    _require_count("m", m)
     spec.require_valid()
     driver = _PenaltyDriver(spec, n, _require_penalty_contraction(tree, spec, n, m), m)
     Y = bsde.backward(tree, spec.check_terminal(tree), driver, lambda t, y, z: (y,))[0]
@@ -318,8 +323,9 @@ def penalization_report(spec: GameSpec, tree, n_list,
     increase ``monotone_worst`` at most ``_MONOTONE_SLACK``); by comparison
     they are in fact nondecreasing, so it is False wherever lower barriers
     bind.  One pass solves every level, and its post-step folds each
-    statistic over the tree levels.  `direct` must be solved on a tree of the
-    same shape, for a game equal in content to `spec`, else DataError.
+    statistic over the tree levels.  Every level must be a positive integer,
+    and `direct` must be solved on a tree of the same shape, for a game equal
+    in content to `spec`, else DataError.
     """
     if direct is not None and _tree_shape(direct.tree) != _tree_shape(tree):
         raise DataError(f"the direct solution is on the tree {_tree_shape(direct.tree)}, "
@@ -331,6 +337,8 @@ def penalization_report(spec: GameSpec, tree, n_list,
         if parts:
             raise DataError(f"the direct solution solves another game: it differs from "
                             f"the report's in its {', '.join(parts)}")
+    for n in n_list:
+        _require_count("each entry of n_list", n)
     n_list = sorted(n_list)
     if not n_list:
         return ConvergenceReport(rows=[])

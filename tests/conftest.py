@@ -4,10 +4,10 @@ canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
 per-carrier conditioning oracle, the level-by-level penalization oracle,
 the csv.writer export oracle, the entry-by-entry text oracle, the
 field-layout region-check and minimality oracles, the per-iterate kernel
-oracle, the sweep-every-matrix projection oracle, and the node-major
-routines (barriers, region check, projection, conditioning, penalty
-intensities, mode resolution) that ran before fields were stored
-mode-major."""
+oracle, the per-strategy brute-force oracle, the sweep-every-matrix
+projection oracle, and the node-major routines (barriers, region check,
+projection, conditioning, penalty intensities, mode resolution) that ran
+before fields were stored mode-major."""
 
 import contextlib
 import csv
@@ -21,6 +21,7 @@ import pytest
 from switchgame import build_tree
 from switchgame.bsde import DriverFn, check_contraction
 from switchgame.errors import ConvergenceError, DataError
+from switchgame.game import enumerate_feedback_strategies
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -507,6 +508,26 @@ def iterate_backward(tree, terminal, driver, post, picard_tol=1e-12, problems=No
         del y
     kept = list(map(list, zip(*kept)))
     return (kept[0] + [terminal], *kept[1:]) if kept else ()
+
+
+def per_strategy_brute_force(spec, tree):
+    """`game.brute_force_value` as it ran one lower-reflected backward pass per
+    Player-I strategy, keeping the running minimum of the roots: each
+    j-independent table of `enumerate_feedback_strategies`, gathered at
+    (node, table mode, j) plus the switch cost and pushed up to the lower
+    barrier, solved by the per-iterate kernel `iterate_backward`."""
+    costs, gen = spec.costs, fieldwise_generator(spec.generator)
+    xi = spec.check_terminal(tree)
+    i_grid, j_grid = np.arange(spec.m1)[:, None], np.arange(spec.m2)[None, None, :]
+    best = None
+    for a in enumerate_feedback_strategies(tree, "I", spec.m1, 1):
+        def lower(t, W, z, acts=a.actions):
+            ia = acts[t]        # (n_t, m1, 1), the same mode for every j
+            y = W[np.arange(len(W))[:, None, None], ia, j_grid] + costs.k[i_grid, ia]
+            return (np.maximum(y, nodemajor_barrier(y, costs, "lower")),)
+        root = iterate_backward(tree, xi, gen, lower)[0][0][0]
+        best = root.copy() if best is None else np.minimum(best, root)
+    return best
 
 
 def sequential_penalized(spec, tree, n, counts=None):

@@ -1,6 +1,7 @@
 """Strategies, the switched system, saddle extraction/verification, and the
 strategy-enumeration oracles."""
 
+import itertools
 import math
 import re
 from pathlib import Path
@@ -26,7 +27,7 @@ from switchgame.game import (
     solve_lower_reflected,
     verify_saddle,
 )
-from switchgame.bsde import picard_solve
+from switchgame.bsde import PICARD_TOL, picard_solve
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -41,6 +42,7 @@ from conftest import (
     lower_sweep,
     make_standard,
     n2_fixture_set,
+    per_strategy_brute_force,
     random_admissible_spec,
     standard_costs,
     time_budget,
@@ -394,6 +396,18 @@ class TestSaddle:
         for bad in (np.nan, np.inf, -1e-9):
             with pytest.raises(DataError, match="^tol must be a finite nonnegative"):
                 verify_saddle(sol, catalog_size=4, tol=bad)
+
+    @pytest.mark.parametrize("name,bad", [("catalog_size", 2.5), ("catalog_size", -1),
+                                          ("catalog_size", True), ("seed", -1),
+                                          ("seed", 1.0), ("seed", False)])
+    def test_a_catalog_size_or_seed_that_is_not_a_nonnegative_integer_is_refused(
+            self, standard_spec, name, bad):
+        # catalog_size 2.5 raised a TypeError from range and -1 ran as 0; a
+        # seed of -1 passed whenever the best replies certified
+        sol = solve_rbsde(standard_spec, build_tree(4, 1, standard_spec.horizon))
+        with pytest.raises(DataError, match=rf"^{name} must be a non-negative integer; got "):
+            verify_saddle(sol, **{name: bad})
+        assert verify_saddle(sol, **{name: np.int64(0)}).ok     # NumPy integers pass
 
     def test_interior_solution_yields_stay_strategies(self):
         spec = GameSpec(
@@ -851,6 +865,26 @@ class TestBestReplyCertificate:
             assert _certificate_margin(spec, tree, xi) >= 1e-12
 
 
+def slow_contraction_2x1():
+    """A 2x1 saturated-affine game with a = -3 on horizon 0.5, so dt*|a| is
+    3/4 at N = 2 and 1/2 at N = 3: Picard contracts slowly at every level."""
+    return GameSpec(CostTables([[0.0, 1.0], [1.0, 0.0]], [[0.0]]),
+                    GeneratorSpec("saturated_affine", 2, 1, a=-3.0, M=1.0, c=[[1.0], [-1.0]]),
+                    TerminalSpec("affine", 2, 1, alpha=[[0.2], [-0.1]], beta=[[0.5], [0.5]]),
+                    horizon=0.5)
+
+
+def picard_stopping_margin(spec, tree):
+    """The Picard term of `_certificate_margin`: a saturated-affine iterate that
+    stops once no entry moves more than PICARD_TOL lies within q/(1 - q) *
+    PICARD_TOL of its fixed point, q = dt*|a|, and under the comparison
+    condition a level grows an error in the next level's values by at most
+    1/(1 - q), so two such solves of one scheme differ by at most
+    2 * sum_{t<N} (1 - q)**-t * q/(1 - q) * PICARD_TOL."""
+    q = tree.dt * abs(spec.generator.a)
+    return 2.0 * sum((1.0 - q) ** -t for t in range(tree.N)) * q / (1.0 - q) * PICARD_TOL
+
+
 class TestRepresentation:
     def test_lower_reflected_requires_j_uniform_player_I(self, standard_spec, rng):
         tree = build_tree(2, 1, standard_spec.horizon)
@@ -920,23 +954,23 @@ class TestRepresentation:
             brute_force_value(standard_spec, tree)
 
     def test_strategy_count_is_capped(self):
-        # 3x1: Player I has 3**9 tables at N = 2 and 3**21 at N = 3, where
-        # the enumeration never ends
+        # 3x1: 3**9 tables and 3**10 values at N = 2; at N = 3 level 2 alone
+        # holds 3**12 tables of 4 nodes x 3 pairs, past 2**22 values
         k = [[0.0, 1.0, 1.1], [1.2, 0.0, 0.9], [1.0, 1.3, 0.0]]
         spec = GameSpec(CostTables(k, [[0.0]]), GeneratorSpec("zero", 3, 1),
                         TerminalSpec("constant", 3, 1, alpha=[[0.0]] * 3), horizon=1.0)
-        assert brute_force_value(spec, build_tree(1, 1, 1.0)).shape == (3, 1)
-        for N in (2, 3):
-            count = re.escape(f"3**{3 * (2 ** N - 1)}")
-            with pytest.raises(SizingError, match=f"16384 Player-I strategies; got {count}$"):
-                brute_force_value(spec, build_tree(N, 1, 1.0))
+        for N in (1, 2):
+            assert brute_force_value(spec, build_tree(N, 1, 1.0)).shape == (3, 1)
+        message = "4194304 values per tree level; level 2 holds 3**12 strategy suffixes x 4 nodes"
+        with pytest.raises(SizingError, match=re.escape(message) + " x 3 mode pairs$"):
+            brute_force_value(spec, build_tree(3, 1, 1.0))
 
     def test_a_count_past_the_cap_is_named_as_a_power(self, standard_spec):
-        # 2**32766 tables at N = 14; str() of the count raised a ValueError
-        # past 4,300 digits
+        # 2**16384 tables at the N = 14 tree's last level, named as a power:
+        # str() of such a count raises a ValueError past 4,300 digits
         tree = build_tree(14, 1, standard_spec.horizon)
-        with time_budget(1), pytest.raises(
-                SizingError, match=re.escape("16384 Player-I strategies; got 2**32766") + "$"):
+        with time_budget(1), pytest.raises(SizingError, match=re.escape(
+                "level 13 holds 2**16384 strategy suffixes x 8192 nodes x 4 mode pairs") + "$"):
             brute_force_value(standard_spec, tree)
 
     @pytest.mark.parametrize("N", [3, 5, 10])
@@ -952,32 +986,53 @@ class TestRepresentation:
         assert max(float(x.max()) for x in direct.dL) > 0.1     # the lower barriers bind
         np.testing.assert_array_equal(brute_force_value(spec, tree), direct.root)
 
-    def test_picard_work_is_capped_before_enumerating(self):
-        # 2 x 1 with a = -3 at N = 3, dt = 1/6: 16,384 strategies pass the
-        # strategy cap, but dt*C = 0.5 costs 41 Picard iterations per node
-        # and the enumeration took 41-50 s
-        spec = GameSpec(CostTables([[0.0, 1.0], [1.0, 0.0]], [[0.0]]),
-                        GeneratorSpec("saturated_affine", 2, 1, a=-3.0, M=1.0),
-                        TerminalSpec("constant", 2, 1, alpha=[[0.0], [0.0]]), horizon=0.5)
-        with time_budget(5), pytest.raises(
-                SizingError, match=r"16384 strategies x 7 interior nodes x 41 estimated"):
-            brute_force_value(spec, build_tree(3, 1, 0.5))
+    def test_the_recombining_lattice_at_N_4_equals_the_direct_root(self, standard_spec):
+        # 2**20 strategies, 2**22 values at the root: exactly at the cap
+        tree = build_tree(4, 1, standard_spec.horizon, recombining=True)
+        np.testing.assert_array_equal(brute_force_value(standard_spec, tree),
+                                      solve_rbsde(standard_spec, tree).root)
 
-    def test_picard_work_estimate_takes_one_step_without_y(self, monkeypatch):
-        # zero and mode_constant drivers take one kernel step per level; a
-        # saturated_affine driver with a = b = 0 still iterates twice
-        monkeypatch.setattr(game, "_MAX_BRUTE_FORCE_WORK", 1)
-        tree = build_tree(1, 1, 1.0)
-        terminal = TerminalSpec("constant", 2, 1, alpha=[[0.0], [0.0]])
-        costs = CostTables([[0.0, 1.0], [1.0, 0.0]], [[0.0]])
-        for gen, iters in ((GeneratorSpec("zero", 2, 1), 1),
-                           (GeneratorSpec("mode_constant", 2, 1, c=[[1.0], [-1.0]]), 1),
-                           (GeneratorSpec("saturated_affine", 2, 1, M=1.0), 2)):
-            with pytest.raises(SizingError,
-                               match=rf"4 strategies x 1 interior nodes x {iters} estimated"):
-                brute_force_value(GameSpec(costs, gen, terminal, horizon=1.0), tree)
+    def test_a_slow_contraction_is_enumerated_in_time(self):
+        # 2 x 1 with a = -3 at N = 3, dt*|a| = 1/2: 16,384 strategies, whose
+        # one-at-a-time solves took 41-50 s
+        spec, tree = slow_contraction_2x1(), build_tree(3, 1, 0.5)
+        with time_budget(5):
+            best = brute_force_value(spec, tree)
+        np.testing.assert_allclose(best, solve_rbsde(spec, tree).root, rtol=0,
+                                   atol=picard_stopping_margin(spec, tree))
+
+    @pytest.mark.parametrize("case", ["n2_fixtures", "path_N3", "lattice_N3", "slow_2x1"])
+    def test_one_pass_equals_the_per_strategy_minimum(self, case):
+        # bit for bit when the driver ignores y; a saturated-affine stack
+        # stops its Picard loop jointly, each strategy's iterate within the
+        # Picard stopping margin of its fixed point
+        standard = make_standard()
+        cases = {"n2_fixtures": [(spec, build_tree(2, 1, spec.horizon))
+                                 for _, spec in n2_fixture_set()],
+                 "path_N3": [(standard, build_tree(3, 1, standard.horizon))],
+                 "lattice_N3": [(standard, build_tree(3, 1, standard.horizon,
+                                                      recombining=True))],
+                 "slow_2x1": [(slow_contraction_2x1(), build_tree(2, 1, 0.5))]}[case]
+        for spec, tree in cases:
+            got, want = brute_force_value(spec, tree), per_strategy_brute_force(spec, tree)
+            if spec.generator.family == "saturated_affine":
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=picard_stopping_margin(spec, tree))
+            else:
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_enumeration_counts(self, standard_spec):
         tree = build_tree(1, 1, standard_spec.horizon)
         assert sum(1 for _ in enumerate_feedback_strategies(tree, "I", 2, 1)) == 2 ** 2
         assert sum(1 for _ in enumerate_feedback_strategies(tree, "II", 2, 2)) == 2 ** 4
+
+    def test_enumeration_runs_over_every_entry_in_product_order(self):
+        # the (level, node, i, j) entries flattened level by level run through
+        # itertools.product, the last entry fastest
+        tree = build_tree(2, 1, 1.0)
+        got = [np.concatenate([x.ravel() for x in a.actions]).tolist()
+               for a in enumerate_feedback_strategies(tree, "I", 2, 1)]
+        assert got == [list(p) for p in itertools.product(range(2), repeat=6)]
+        got = [np.concatenate([x.ravel() for x in b.actions]).tolist()
+               for b in enumerate_feedback_strategies(build_tree(1, 1, 1.0), "II", 2, 3)]
+        assert got == [list(p) for p in itertools.product(range(3), repeat=6)]

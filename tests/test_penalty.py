@@ -155,6 +155,41 @@ class TestSizing:
             solve_double_penalized(standard_spec, tree, n + 1, 2)
 
 
+# levels that are not positive integers: before they were refused, n = -3
+# solved the standard game at N = 4 without complaint (root [-0.536, 0.42,
+# -1.536, 0.88]), and n = NaN ended in a ConvergenceError
+NOT_POSITIVE_INTEGERS = [-3, 0, 2.0, 2.5, np.nan, True, np.float64(4.0), "4"]
+
+
+class TestLevelsArePositiveIntegers:
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_INTEGERS, ids=repr)
+    def test_solve_penalized(self, standard_spec, bad):
+        tree = build_tree(4, 1, standard_spec.horizon)
+        with pytest.raises(DataError, match=r"^n must be a positive integer; got "):
+            solve_penalized(standard_spec, tree, bad)
+        np.testing.assert_array_equal(solve_penalized(standard_spec, tree, np.int64(4)).root,
+                                      solve_penalized(standard_spec, tree, 4).root)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("name", ["n", "m"])
+    def test_solve_double_penalized(self, standard_spec, name, bad):
+        tree = build_tree(4, 1, standard_spec.horizon)
+        with pytest.raises(DataError, match=rf"^{name} must be a positive integer; got "):
+            solve_double_penalized(standard_spec, tree, **{"n": 2, "m": 2, name: bad})
+        numpy_level = solve_double_penalized(standard_spec, tree,
+                                             **{"n": 2, "m": 2, name: np.int32(2)})
+        np.testing.assert_array_equal(numpy_level.root,
+                                      solve_double_penalized(standard_spec, tree, 2, 2).root)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_INTEGERS, ids=repr)
+    def test_penalization_report(self, standard_spec, bad):
+        tree = build_tree(4, 1, standard_spec.horizon)
+        with pytest.raises(DataError, match=r"^each entry of n_list must be a positive integer"):
+            penalization_report(standard_spec, tree, [1, bad])
+        rows = penalization_report(standard_spec, tree, np.array([2, 1])).rows
+        assert [row.n for row in rows] == [1, 2]
+
+
 class TestSinglePenalty:
     def test_inactive_penalty_matches_direct(self):
         # interior constant terminal, zero driver: no barrier ever binds, so

@@ -148,7 +148,7 @@ NEWLY_REJECTED = [
                  "the node cap 4194304"),
 ]
 # Task parameters d985b76 accepted that are now gone: the run seed seeds the
-# catalog, and brute force is sized by its strategy and work caps alone
+# catalog, and brute force is sized by its cap on the values per tree level alone
 RETIRED = [
     (("tasks", 3, "seed"), 5, "tasks[3]: unknown parameter(s) ['seed'] for task 'saddle'"),
     (("tasks", 6, "max_steps"), 3,
@@ -548,18 +548,18 @@ class TestCli:
         assert cli_main(["solve", str(path), "--out", str(tmp_path / "cli")]) == 0
         assert "exit 0" in capsys.readouterr().out
 
-    def test_brute_force_past_its_strategy_cap_exits_two_with_a_manifest(self, tmp_path,
-                                                                         capsys):
-        # 2**32766 Player-I tables at N = 14: str() of the count raised a
-        # ValueError past 4,300 digits, so the run ended in a traceback
+    def test_brute_force_past_its_size_cap_exits_two_with_a_manifest(self, tmp_path,
+                                                                     capsys):
+        # 2**16384 Player-I tables at the last level of N = 14, named as a
+        # power: str() of such a count raises a ValueError past 4,300 digits
         doc = json.loads((BUNDLED / "standard_2x2.json").read_text())
         doc.update(tree={"N": 14}, tasks=["brute_force"])
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
         with time_budget(5):
             assert cli_main(["solve", str(path), "--out", str(tmp_path / "wide")]) == 2
-        message = ("brute_force: brute force capped at 16384 Player-I strategies; "
-                   "got 2**32766")
+        message = ("brute_force: brute force capped at 4194304 values per tree level; "
+                   "level 13 holds 2**16384 strategy suffixes x 8192 nodes x 4 mode pairs")
         assert capsys.readouterr().err.splitlines() == [message]
         manifest = json.loads((tmp_path / "wide" / "manifest.json").read_text())
         assert manifest["exit_code"] == 2
