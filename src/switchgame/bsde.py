@@ -20,15 +20,17 @@ generators), and then one step ``E + dt * value`` is the fixed point; or a
 function of y alone, which Picard iteration started from E solves.  A future
 resolvent wraps this level form.
 
-Fields are stored mode-major, node axis last, ``(m1, m2, n_t)`` and z ``(d,
-m1, m2, n_t)``, and callers see node-first views.  Problems on one tree can
-share a pass, stacked problem-first, ``(S, m1, m2, n_t)`` and z ``(d, S, m1,
-m2, n_t)``: each comes out bit for bit as from its own pass.  The level form
-is built once per level for all S problems, and evaluates any trailing run
-``y = Y[k:]`` of them by slicing its own arrays (`lattice.trailing`).  The
-Picard loop keeps its live problems a trailing run: finished leading
-problems leave as views, and one that finishes behind a live one rides
-along, its later iterates neither checked nor kept.
+Fields are stored problems first, then modes, then nodes: ``(S, m1, m2,
+n_t)`` and z ``(d, S, m1, m2, n_t)``, or ``(m1, m2, n_t)`` and z ``(d, m1,
+m2, n_t)`` for one problem, so the modes are axes -3 and -2 and the nodes
+the last; callers see node-first views.  Problems on one tree can share a
+pass, each bit for bit as from its own.  The level form is built once per
+level for all of them, and evaluates y of any trailing run ``Y[k:]`` of axis
+0 on the same run of its own arrays (`lattice.trailing`); for one problem
+the run is the whole field.  The Picard loop keeps its live problems a
+trailing run: finished leading problems leave as views, and one that
+finishes behind a live one rides along, its later iterates neither checked
+nor kept.
 
 The contraction condition ``dt * C < 1`` (C the driver's Lipschitz constant)
 makes the fixed point unique.  Iteration stops once an update moves no entry
@@ -44,7 +46,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, SizingError
+from .errors import ConvergenceError, SizingError, _require_tolerance
 from .lattice import node_first, node_last
 
 PICARD_TOL = 1e-12
@@ -52,7 +54,8 @@ MAX_PICARD_ITER = 10000
 
 
 class DriverFn:
-    """A driver with a declared Lipschitz constant.
+    """A driver with a declared Lipschitz constant, a finite number >= 0
+    (DataError otherwise).
 
     `fn(t, w, y, z)` is evaluated on whole levels: w is (n, d), y is
     (n, m1, m2), z is (n, d, m1, m2); the result has y's shape.  A
@@ -64,18 +67,16 @@ class DriverFn:
     def __init__(self, fn, lipschitz: float):
         self.fn = fn
         self.lipschitz = float(lipschitz)
+        _require_tolerance("lipschitz", self.lipschitz)
 
     def __call__(self, *args):
         return self.fn(*args)
 
     def at_level(self, t, w, z):
-        """The level form: `fn` at this level, on node-first views, with z
-        cut to the problems of y when they are stacked."""
-        stacked = z.ndim == 5
-        z = np.moveaxis(z, (0, -1), (-3, 0))
-
+        """The level form: `fn` at this level on node-first views, z's axis 1
+        cut to y's trailing run of the stored axis 0 before its axes move."""
         def f(y):
-            zy = z[:, z.shape[1] - len(y):] if stacked else z
+            zy = np.moveaxis(z[:, z.shape[1] - len(y):], (0, -1), (-3, 0))
             return node_last(np.asarray(self.fn(t, w, node_first(y), zy), float)).copy()
         return f
 
@@ -196,11 +197,12 @@ def backward(tree, terminal, driver, post, problems=None):
     """Run the backward induction from the leaf values `terminal` to the root.
 
     Each level t solves ``y = E + dt * driver(time, w, y, z)`` on the whole
-    mode-major (m1, m2, n_t) field, with E and z (d, m1, m2, n_t) conditioned
+    stored field, modes at -3 and -2 and nodes last, with E and z conditioned
     from level t + 1, then calls ``post(t, y, z)``.  The driver enters in its
-    level form (see the module docstring), its `lipschitz` checked once
-    against the contraction condition.  A ConvergenceError at a level is
-    raised again with the level named.
+    level form, evaluated on trailing runs of y's axis 0 (see the module
+    docstring), its `lipschitz` checked once against the contraction
+    condition.  A ConvergenceError at a level is raised again with the level
+    named.
 
     The kernel keeps only what `post` returns.  A tuple of level t's values
     and further entries gives ``(Y, *kept)`` as node-first views: Y[0..N]
@@ -208,8 +210,7 @@ def backward(tree, terminal, driver, post, problems=None):
     first, per further entry.  ``()`` leaves the values in y, maybe changed
     in place, and gives ``()``.  With `problems` (see `picard_solve`),
     `terminal` is (n_N, S, m1, m2), y (S, m1, m2, n_t) and z (d, S, m1, m2,
-    n_t), and the driver's level form, built once per level for all S
-    problems, is evaluated on trailing runs of them.
+    n_t); without, y is (m1, m2, n_t) and z (d, m1, m2, n_t).
     """
     check_contraction(tree.dt, driver.lipschitz)
     N, dt = tree.N, tree.dt

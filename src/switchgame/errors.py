@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter checks that
+raise them from more than one module."""
+
+import math
+
+import numpy as np
 
 
 class SwitchGameError(Exception):
@@ -29,3 +34,17 @@ class ScenarioError(DataError):
             messages = [messages]
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
+
+
+def _require_tolerance(name, tol):
+    """DataError naming the parameter `name` unless tol is a finite number >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise DataError(f"{name} must be a finite nonnegative number; got {tol!r}")
+
+
+def _require_count(name, value, least=1):
+    """DataError naming the parameter `name` unless value is an integer of at
+    least `least` (1 or 0): NumPy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise DataError(f"{name} must be a {kind} integer; got {value!r}")

@@ -38,12 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bsde
-from .errors import DataError, SizingError
+from .errors import DataError, SizingError, _require_count, _require_tolerance
 from .model import (
     GameSpec,
     _lower,
-    _require_count,
-    _require_tolerance,
     _upper,
     lower_barrier,
     upper_barrier,
@@ -557,8 +555,7 @@ def _lower_reflected_backward(spec, tree, xi, tables):
         y = np.take(W.reshape(S, -1), at, axis=1)        # W[:, a, j, node]
         y += spec.costs.k[np.arange(m1)[:, None, None], a]
         y = y.reshape(-1, m1, m2, n)
-        lower = np.moveaxis(_lower(np.moveaxis(y, 0, 2), spec.costs), 2, 0)
-        return (np.maximum(y, lower, out=y),)
+        return (np.maximum(y, _lower(y, spec.costs), out=y),)
 
     return bsde.backward(tree, xi[:, None], spec.generator, post)[0]
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, SizingError
+from .errors import DataError, SizingError, _require_count
 
 DEFAULT_NODE_CAP = 2 ** 22
 
@@ -42,9 +42,9 @@ def node_first(a):
 
 
 def trailing(a, y):
-    """The part of `a` that belongs to `y`: problems stacked on axis 0 are
-    evaluated on their trailing run ``[S - len(y):]``, so this is `a` itself
-    when y holds as many entries on axis 0, else a view of its last len(y)."""
+    """The part of `a` that belongs to `y`, a trailing run of axis 0 of the
+    field that `a` was built for: `a` itself when y holds as many entries on
+    axis 0 (always so for one problem), else a view of its last len(y)."""
     return a if len(a) == len(y) else a[len(a) - len(y):]
 
 
@@ -67,8 +67,8 @@ class _Tree:
     """
 
     def __init__(self, N: int, d: int, T: float, node_cap: int):
-        if N < 1 or d < 1:
-            raise DataError("need N >= 1 and d >= 1")
+        _require_count("N", N)
+        _require_count("d", d)
         if not (0 < T < math.inf):
             raise DataError(f"horizon must be a positive finite number; got {T!r}")
         self.N = N
@@ -196,7 +196,8 @@ def build_tree(N: int, d: int, T: float, recombining: bool = False,
     """Build the requested filtration carrier.
 
     The recombining form is an opt-in fast path for Markovian data; every
-    solver refuses a non-Markovian terminal on it.
+    solver refuses a non-Markovian terminal on it.  N and d must be positive
+    integers (DataError otherwise).
     """
     cls = RecombiningTree if recombining else PathTree
     return cls(N, d, T, node_cap=node_cap)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, SizingError
+from .errors import ConvergenceError, DataError, SizingError, _require_tolerance
 from .lattice import node_first, node_last, trailing
 
 LOOP_TOL = 1e-12       # |alternating cost| at most this counts as a zero-cost loop
@@ -232,52 +232,52 @@ def _running_extreme(pairs, op, keep, wins, targets):
     return out, target
 
 
-def _upper(ym, costs: CostTables, targets: bool = False):
-    """`upper_barrier` of a mode-first (m1, m2, ...) array."""
-    k = costs.k_off.reshape(costs.k_off.shape + (1,) * (ym.ndim - 1))
-    return _running_extreme(((ym[a:a + 1], k[:, a]) for a in range(costs.m1)),
+def _upper(y, costs: CostTables, targets: bool = False):
+    """`upper_barrier` of a (..., m1, m2, n) array: modes at -3 and -2, nodes last."""
+    k = costs.k_off[:, :, None, None]
+    return _running_extreme(((y[..., a:a + 1, :, :], k[:, a]) for a in range(costs.m1)),
                             np.add, np.minimum, np.less, targets)
 
 
-def _lower(ym, costs: CostTables, targets: bool = False):
-    """`lower_barrier` of a mode-first (m1, m2, ...) array."""
-    l = costs.l_off.reshape(costs.l_off.shape + (1,) * (ym.ndim - 2))
-    return _running_extreme(((ym[:, b:b + 1], l[:, b]) for b in range(costs.m2)),
+def _lower(y, costs: CostTables, targets: bool = False):
+    """`lower_barrier` of a (..., m1, m2, n) array: modes at -3 and -2, nodes last."""
+    l = costs.l_off[:, :, None]
+    return _running_extreme(((y[..., b:b + 1, :], l[:, b]) for b in range(costs.m2)),
                             np.subtract, np.maximum, np.greater, targets)
 
 
-def _modes_first(y, costs: CostTables):
-    """A (..., m1, m2) array as a float view with the mode axes first; DataError
-    naming both shapes when its last two axes are not the mode grid."""
+def _matrices(y, costs: CostTables):
+    """The (..., m1, m2) matrices of y in C order as a float (m1, m2, matrices)
+    view; DataError naming both shapes when its last two axes are not the mode
+    grid.  ``node_first(out).reshape(np.shape(y))`` gives y's shape back."""
     y = np.asarray(y, dtype=float)
     if y.shape[-2:] != (costs.m1, costs.m2):
         raise DataError(f"value shape {y.shape[-2:]} does not match mode grid "
                         f"{(costs.m1, costs.m2)}")
-    return y.transpose(-2, -1, *range(y.ndim - 2))
-
-
-def _modes_last(a):
-    """The view of a mode-first array that undoes `_modes_first`."""
-    return a.transpose(*range(2, a.ndim), 0, 1)
+    return node_last(y.reshape(-1, costs.m1, costs.m2))
 
 
 def upper_barrier(y, costs: CostTables, targets: bool = False):
     """min over i' != i of y[..., i', j] + k[i, i'] per (i, j); +inf for a single mode.
 
-    A running np.minimum over i' on a mode-first view of y, with no (..., m1,
+    A running np.minimum over i' on a mode-major view of y, with no (..., m1,
     m1, m2) tensor; exact, and a NaN propagates.  With `targets`, also the
     smallest i' attaining it.
     """
-    out = _upper(_modes_first(y, costs), costs, targets)
-    return tuple(map(_modes_last, out)) if targets else _modes_last(out)
+    out = _upper(_matrices(y, costs), costs, targets)
+    if targets:
+        return tuple(node_first(a).reshape(np.shape(y)) for a in out)
+    return node_first(out).reshape(np.shape(y))
 
 
 def lower_barrier(y, costs: CostTables, targets: bool = False):
     """max over j' != j of y[..., i, j'] - l[j, j'] per (i, j); -inf for a single mode.
 
     The mirror of :func:`upper_barrier`, over j' with np.maximum."""
-    out = _lower(_modes_first(y, costs), costs, targets)
-    return tuple(map(_modes_last, out)) if targets else _modes_last(out)
+    out = _lower(_matrices(y, costs), costs, targets)
+    if targets:
+        return tuple(node_first(a).reshape(np.shape(y)) for a in out)
+    return node_first(out).reshape(np.shape(y))
 
 
 # Matrices the region check reduces at once, a bound on its working set
@@ -285,7 +285,7 @@ _REGION_ROWS = 4096
 
 
 def _mode_major_blocks(ym):
-    """(rows, block) per `_REGION_ROWS` rows of a mode-first (m1, m2, rows)
+    """(rows, block) per `_REGION_ROWS` rows of a mode-major (m1, m2, rows)
     array: the slice and a contiguous array of those rows."""
     for start in range(0, ym.shape[-1], _REGION_ROWS):
         rows = slice(start, start + _REGION_ROWS)
@@ -295,28 +295,13 @@ def _mode_major_blocks(ym):
 def _outside_region(y, costs: CostTables, tol: float):
     """Mask of the coordinates of y beyond a barrier by more than tol (NaN
     counts), reduced on the blocks of `_mode_major_blocks` and shaped like y."""
-    ym = _modes_first(y, costs)
+    ym = _matrices(y, costs)
     out = np.empty(ym.shape, dtype=bool)
-    flat = out.reshape(costs.m1, costs.m2, -1)
-    for rows, block in _mode_major_blocks(ym.reshape(flat.shape)):
+    for rows, block in _mode_major_blocks(ym):
         inside = block <= _upper(block, costs) + tol
         inside &= block >= _lower(block, costs) - tol
-        np.logical_not(inside, out=flat[..., rows])
-    return _modes_last(out)
-
-
-def _require_tolerance(name, tol):
-    """DataError naming the parameter `name` unless tol is a finite number >= 0."""
-    if not 0.0 <= tol < math.inf:
-        raise DataError(f"{name} must be a finite nonnegative number; got {tol!r}")
-
-
-def _require_count(name, value, least=1):
-    """DataError naming the parameter `name` unless value is an integer of at
-    least `least` (1 or 0): NumPy integers pass, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        kind = "positive" if least else "non-negative"
-        raise DataError(f"{name} must be a {kind} integer; got {value!r}")
+        np.logical_not(inside, out=out[..., rows])
+    return node_first(out).reshape(np.shape(y))
 
 
 def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:
@@ -326,7 +311,7 @@ def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:
 
 
 def _outside_matrices(ym, costs: CostTables):
-    """Indices of the rows of a mode-first (m1, m2, rows) batch with an entry
+    """Indices of the rows of a mode-major (m1, m2, rows) batch with an entry
     not strictly inside both its barriers (a tie counts)."""
     outside = np.empty(ym.shape[-1], dtype=bool)
     for rows, block in _mode_major_blocks(ym):
@@ -347,7 +332,7 @@ def _fold(keep, op, rows, terms, into, scratch):
 
 def _sweep(out, live, costs: CostTables, sweep_cap: int):
     """Gauss-Seidel sweeps of `project_oblique_batch` over the matrices `live`
-    (indices on the last axis) of the C-ordered mode-first (m1, m2, rows)
+    (indices on the last axis) of the C-ordered mode-major (m1, m2, rows)
     batch `out`, written into `out` in place; `live` is compacted in place.
     The loop ends at the first sweep that moves no live coordinate by value,
     so a -0.0 -> +0.0 flip alone settles.
@@ -455,7 +440,7 @@ def project_oblique_batch(y, costs: CostTables):
     dL the net upward push, with dK * dL == 0 per coordinate.
     """
     m1, m2 = costs.m1, costs.m2
-    base = _modes_first(y, costs).reshape(m1, m2, -1)
+    base = _matrices(y, costs)
     span = float(base.max()) - float(base.min()) if base.size else 0.0
     if not math.isfinite(span):
         bad = np.argwhere(~np.isfinite(node_first(base)))
@@ -479,9 +464,7 @@ def project_oblique_batch(y, costs: CostTables):
     net = base - out
     dK = np.maximum(net, 0.0)
     dL = np.maximum(np.negative(net, out=net), 0.0, out=net)     # in net's buffer
-    shape = (m1, m2, *np.shape(y)[:-2])
-    return (_modes_last(out.reshape(shape)), _modes_last(dK.reshape(shape)),
-            _modes_last(dL.reshape(shape)))
+    return tuple(node_first(a).reshape(np.shape(y)) for a in (out, dK, dL))
 
 
 project_oblique = project_oblique_batch     # a single matrix is a batch too
@@ -554,24 +537,24 @@ class GeneratorSpec:
         return math.sqrt(dt) * float(np.abs(self.b).sum()) <= 1.0
 
     def __call__(self, t, w, y, z):
-        """Evaluate on a full mode field: y (..., m1, m2), z (..., d, m1, m2)."""
+        """Evaluate on a full mode field: y (..., m1, m2), z (..., d, m1, m2),
+        z broadcast to y's leading axes first, as the level form reads them."""
         y = np.asarray(y, dtype=float)[..., None]
-        f = self.at_level(t, w, np.moveaxis(np.asarray(z, dtype=float), -3, 0)[..., None],
-                          stacked=False)
+        z = np.broadcast_to(np.asarray(z, dtype=float), (*y.shape[:-3], *np.shape(z)[-3:]))
+        f = self.at_level(t, w, np.moveaxis(z, -3, 0)[..., None])
         return (f(y) if callable(f) else np.broadcast_to(f, y.shape).copy())[..., 0]
 
-    def at_level(self, t, w, z, stacked=None):
+    def at_level(self, t, w, z):
         """The driver on one level with z fixed, in the kernel's level form.
 
-        z is the kernel's ``(d, ..., m1, m2, n)`` field and y is z without its
-        Brownian axis; `stacked`, by default whether z is ``(d, S, m1, m2,
-        n)``, says that axis 1 of z holds stacked problems.  `zero` and `mode_constant` give their (m1, m2, 1)
-        value table, which does not depend on y or z (zeros for `zero`,
-        whatever the sign of c's zeros).  `saturated_affine` gives the
-        function ``y -> (a * sat_M(y) + c) + sum_p b[p] * sat_M(z[p])``, the z
-        term summed in p order from 0.0 and broadcast with c once, here, for
-        every stacked problem; a y of the trailing run of S' < S of them
-        reads the last S' of both arrays.
+        z is the kernel's ``(d, ..., m1, m2, n)`` field, modes at -3 and -2
+        and nodes last, and y is a trailing run of axis 0 of z without its
+        Brownian axis (for one problem, all of it).  `zero` and
+        `mode_constant` give their (m1, m2, 1) value table, which does not
+        depend on y or z (zeros for `zero`, whatever the sign of c's zeros).
+        `saturated_affine` gives the function ``y -> (a * sat_M(y) + c) +
+        sum_p b[p] * sat_M(z[p])``, the z term summed in p order from 0.0 and
+        broadcast with c once, here; y reads the same trailing run of both.
         """
         if self.family == "zero":
             return np.zeros((self.m1, self.m2, 1))
@@ -585,15 +568,13 @@ class GeneratorSpec:
             zterm += bp * zp
         c = np.empty_like(zterm)
         c[...] = self.c[:, :, None]
-        if stacked is None:
-            stacked = z.ndim == 5
 
         def f(y):
             out = np.maximum(-M, y)
             np.minimum(M, out, out=out)
             out *= a
-            out += trailing(c, y) if stacked else c
-            out += trailing(zterm, y) if stacked else zterm
+            out += trailing(c, y)
+            out += trailing(zterm, y)
             return out
         return f
 

@@ -8,7 +8,8 @@ downward push under the strict triangle inequality.  The solution gives the
 penalty intensity beta at every node on first read; beta * dt is the implied
 lower push increment.
 
-A sweep solves all its levels in one backward pass; `solve_penalized` one.
+A sweep solves all its levels in one backward pass; `solve_penalized` and
+`solve_double_penalized` are each a one-level sweep.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import bsde
-from .errors import DataError, SizingError
+from .errors import DataError, SizingError, _require_count
 from .lattice import node_first, node_last, trailing
-from .model import GameSpec, _require_count, _upper
+from .model import GameSpec, _upper
 from .reflected import RbsdeSolution
 
 _MONOTONE_SLACK = 1e-10     # rounding allowance of penalization_report's nonincreasing test
@@ -182,13 +183,13 @@ class PenalizedSolution(_Penalized):
 
 
 class _PenaltyDriver:
-    """The generator plus the lower penalty at level n, minus the upper penalty
-    at level m (none for m = 0), in the kernel's level form.  n is one level or
-    the (S, 1, 1, 1) levels of problems stacked on axis 0: the level form is
-    then built once for all S, and evaluates a trailing run of them by
-    slicing n and the generator's arrays."""
+    """The generator plus the lower penalty at levels n, minus the upper penalty
+    at level m (none for m = 0), in the kernel's level form.  n holds the (S, 1,
+    1, 1) levels of the problems stacked on axis 0: the level form is built once
+    for all S, and evaluates a trailing run of them by slicing n and the
+    generator's arrays."""
 
-    def __init__(self, spec, n, lipschitz, m=0):
+    def __init__(self, spec, n, lipschitz, m):
         self.gen, self.costs, self.n, self.m = spec.generator, spec.costs, n, m
         self.lipschitz = lipschitz
 
@@ -197,10 +198,9 @@ class _PenaltyDriver:
         # a y-independent value is broadcast to the field once
         c = None if callable(g) else np.broadcast_to(g, z.shape[1:]).copy()
         costs, n, m = self.costs, self.n, self.m
-        stacked = np.ndim(n) > 0
 
         def f(y):
-            out = lower_penalty_intensity(y, costs.l, trailing(n, y) if stacked else n)
+            out = lower_penalty_intensity(y, costs.l, trailing(n, y))
             out += g(y) if c is None else trailing(c, y)
             if m:
                 out -= upper_penalty_intensity(y, costs.k, m)
@@ -208,25 +208,20 @@ class _PenaltyDriver:
         return f
 
 
-def _sweep(spec: GameSpec, tree, n_list, post):
-    """One backward pass of the penalized system at every level of n_list, each checked
-    first, ascending, so a SizingError names the smallest failing n before any Picard
-    call.  The levels are stacked, y (S, m1, m2, n_t), under one `_PenaltyDriver` (a
-    float n for one level) whose level form is built once per tree level; a level
-    leaves the Picard loop where its own pass would stop.  Each step returns
+def _sweep(spec: GameSpec, tree, n_list, post, m=0):
+    """One backward pass of the penalized system at every lower level of n_list and
+    upper level m, each checked first, ascending, so a SizingError names the smallest
+    failing n before any Picard call.  The levels are stacked on axis 0, y (S, m1,
+    m2, n_t), under one `_PenaltyDriver`, its level form built once per tree level;
+    a level leaves the Picard loop where its own pass would stop.  Each step returns
     ``post(t, y, bar)``, `bar` the upper barrier of y.  Returns the leaf values and
     the result."""
     spec.require_valid()
-    lip = max(_require_penalty_contraction(tree, spec, n, 0) for n in sorted(n_list))
-    levels = (np.asarray(n_list, dtype=float)[:, None, None, None] if len(n_list) > 1
-              else float(n_list[0]))
-    driver = _PenaltyDriver(spec, levels, lip)
-
-    def step(t, y, z):      # the barrier of (S, m1, m2, n_t) values, on a mode-first view
-        return post(t, y, np.moveaxis(_upper(np.moveaxis(y, 0, -2), spec.costs), -2, 0))
-
+    lip = max(_require_penalty_contraction(tree, spec, n, m) for n in sorted(n_list))
+    driver = _PenaltyDriver(spec, np.asarray(n_list, dtype=float)[:, None, None, None], lip, m)
     xi = node_first(np.repeat(node_last(spec.check_terminal(tree))[None], len(n_list), axis=0))
-    return xi, bsde.backward(tree, xi, driver, step,
+    return xi, bsde.backward(tree, xi, driver,
+                             lambda t, y, z: post(t, y, _upper(y, spec.costs)),
                              problems=[f"penalty level {n}" for n in n_list])
 
 
@@ -260,14 +255,12 @@ class DoublePenalizedSolution(_Penalized):
 
 
 def solve_double_penalized(spec: GameSpec, tree, n: int, m: int) -> DoublePenalizedSolution:
-    """Unreflected solve with the lower penalty at level n and the upper
-    penalty at level m, both positive integers (DataError otherwise)."""
+    """Unreflected solve, the one-level sweep with no clamp: lower penalty level
+    n, upper penalty level m, both positive integers (DataError otherwise)."""
     _require_count("n", n)
     _require_count("m", m)
-    spec.require_valid()
-    driver = _PenaltyDriver(spec, n, _require_penalty_contraction(tree, spec, n, m), m)
-    Y = bsde.backward(tree, spec.check_terminal(tree), driver, lambda t, y, z: (y,))[0]
-    return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=Y)
+    _, (Y,) = _sweep(spec, tree, [n], lambda t, y, bar: (y,), m)
+    return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=[y[:, 0] for y in Y])
 
 
 @dataclass

@@ -23,7 +23,6 @@ from .model import (
     ValidationReport,
     _lower,
     _mode_major_blocks,
-    _modes_first,
     _upper,
     in_Qbar,
     project_oblique_batch,
@@ -115,12 +114,12 @@ def check_minimality(sol: RbsdeSolution) -> ValidationReport:
     bad = []
     for t in range(sol.tree.N):
         found = {"upper": [], "lower": []}
-        for rows, y in _mode_major_blocks(_modes_first(sol.Y[t], spec.costs)):
+        for rows, y in _mode_major_blocks(node_last(sol.Y[t])):
             for pushes, barrier, name in ((sol.dK[t], _upper, "upper"),
                                           (sol.dL[t], _lower, "lower")):
                 bar = barrier(y, spec.costs)
                 gaps = np.abs(np.subtract(y, bar, out=bar), out=bar)
-                push = _modes_first(pushes, spec.costs)[..., rows]
+                push = node_last(pushes)[..., rows]
                 viol = (push > PUSH_TOL) & (gaps > MINIMALITY_TOL)
                 for n, i, j in np.argwhere(node_first(viol)):
                     found[name].append(

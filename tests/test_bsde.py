@@ -15,7 +15,7 @@ from switchgame.bsde import (
     picard_solve,
     solve_system,
 )
-from switchgame.errors import ConvergenceError, SizingError
+from switchgame.errors import ConvergenceError, DataError, SizingError
 from switchgame.model import GameSpec, GeneratorSpec, TerminalSpec, project_oblique, upper_barrier
 from switchgame.penalty import max_penalty_level
 
@@ -110,6 +110,15 @@ class TestStep:
         np.testing.assert_allclose(out[0][0][0], xi.mean(axis=0), atol=1e-15)
         with pytest.raises(SizingError, match="refine the tree"):
             backward(tree, xi, DriverFn(fn, 3.0), post)
+
+    @pytest.mark.parametrize("lipschitz", [np.nan, -1.0, np.inf])
+    def test_a_lipschitz_constant_that_is_not_finite_and_nonnegative_is_refused(self,
+                                                                                lipschitz):
+        # NaN and -1 passed the contraction check, and the solve of y <- 3y
+        # hit the Picard cap; +inf raised a bare OverflowError from math.floor
+        with pytest.raises(DataError, match=rf"^lipschitz must be a finite nonnegative "
+                                            rf"number; got {lipschitz!r}$"):
+            DriverFn(lambda t, w, y, z: 3.0 * y, lipschitz)
 
     def test_contraction_guard(self):
         with pytest.raises(SizingError, match="refine the tree"):

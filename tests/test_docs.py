@@ -3,7 +3,8 @@
 `docs/scenario_schema.md` lists every task with its parameters, and both it
 and `README.md` give the `switchgame solve` synopsis.  A task parameter or a
 command-line option removed from the code but left in these documents (or
-added to the code but not to them) fails here.
+added to the code but not to them) fails here, and so does a module added to
+or removed from `src/switchgame/` without its row in README's module map.
 """
 
 import argparse
@@ -70,3 +71,11 @@ def test_solve_synopsis_matches_the_parser(doc):
     assert [line for line in text.splitlines()
             if line.startswith("switchgame solve ")] == [synopsis]
     assert set(re.findall(r"`(--[\w-]+)", text)) <= {flag for flag, _ in _options()}
+
+
+def test_module_map_lists_exactly_the_modules():
+    rows = _table(README.read_text(), "module")
+    documented = sorted(_quoted(row[0])[0] for row in rows)
+    modules = sorted(p.stem for p in (ROOT / "src" / "switchgame").glob("*.py")
+                     if p.stem != "__init__")
+    assert documented == modules

@@ -44,6 +44,19 @@ class TestConstruction:
         with pytest.raises(DataError):
             build_tree(2, 1, -1.0)
 
+    @pytest.mark.parametrize("N,d,field,bad", [(3.5, 1, "N", 3.5), (True, 1, "N", True),
+                                               (0, 1, "N", 0), (-2, 1, "N", -2),
+                                               (3, 2.0, "d", 2.0), (3, False, "d", False),
+                                               (3, 0, "d", 0)])
+    @pytest.mark.parametrize("recombining", [False, True])
+    def test_a_size_that_is_not_a_positive_integer_is_refused(self, N, d, field, bad,
+                                                               recombining):
+        # 3.5 raised a bare TypeError from range, 2.0 one from <<, and True
+        # built a tree whose N was True
+        with pytest.raises(DataError, match=rf"^{field} must be a positive integer; "
+                                            rf"got {bad!r}$"):
+            build_tree(N, d, 1.0, recombining=recombining)
+
     def test_node_cap_is_exact(self):
         assert build_tree(3, 1, 1.0, node_cap=15).num_nodes == 15
         with pytest.raises(SizingError, match="N=3, d=1 passes the cap of 14 nodes by level 3"):

@@ -377,6 +377,19 @@ class TestDoublePenalty:
         for y, ys in zip(sol.Y, single.Y):
             np.testing.assert_allclose(y, ys, atol=1e-9)
 
+    def test_convergence_error_names_the_penalty_level(self):
+        # dt * (C + n + m) = 0.9999 with n = m = 1: the driver alone contracts
+        # at rate dt * |a| = 0.9979 and stops at the iteration cap on the
+        # first level, in a message that names its level as a sweep's does
+        gen = GeneratorSpec("saturated_affine", 2, 2, a=-997.9, M=10.0)
+        term = TerminalSpec("constant", 2, 2, alpha=STANDARD_ALPHA)
+        spec = GameSpec(standard_costs(), gen, term, horizon=1.0)
+        tree = build_tree(1000, 1, 1.0, recombining=True)
+        with time_budget(20):
+            with pytest.raises(ConvergenceError,
+                               match=r"^tree level 999: penalty level 1: .*did not converge"):
+                solve_double_penalized(spec, tree, 1, 1)
+
     def test_alpha_uniformly_bounded_in_m(self, standard_spec):
         tree = build_tree(8, 1, standard_spec.horizon)
         maxima = []
