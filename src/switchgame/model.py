@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -537,10 +537,18 @@ class GeneratorSpec:
         return math.sqrt(dt) * float(np.abs(self.b).sum()) <= 1.0
 
     def __call__(self, t, w, y, z):
-        """Evaluate on a full mode field: y (..., m1, m2), z (..., d, m1, m2),
-        z broadcast to y's leading axes first, as the level form reads them."""
-        y = np.asarray(y, dtype=float)[..., None]
-        z = np.broadcast_to(np.asarray(z, dtype=float), (*y.shape[:-3], *np.shape(z)[-3:]))
+        """The driver on y (..., m1, m2) and z (..., d, m1, m2), z broadcast to y's
+        leading axes as the level form reads them; else DataError naming both shapes."""
+        y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
+        lead, z_lead = y.shape[:-2], z.shape[:-3]
+        if (y.shape[-2:] != (self.m1, self.m2) or z.shape[-3:] != (self.d, self.m1, self.m2)
+                or len(z_lead) > len(lead)
+                or any(a not in (1, b) for a, b in zip(z_lead[::-1], lead[::-1]))):
+            raise DataError(f"the driver takes y (..., {self.m1}, {self.m2}) and z (..., "
+                            f"{self.d}, {self.m1}, {self.m2}) whose leading axes broadcast "
+                            f"to y's, not y {y.shape} and z {z.shape}")
+        z = np.broadcast_to(z, (*lead, *z.shape[-3:]))
+        y = y[..., None]
         f = self.at_level(t, w, np.moveaxis(z, -3, 0)[..., None])
         return (f(y) if callable(f) else np.broadcast_to(f, y.shape).copy())[..., 0]
 

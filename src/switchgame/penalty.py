@@ -8,9 +8,9 @@ downward push under the strict triangle inequality.  The solution gives the
 penalty intensity beta at every node on first read; beta * dt is the implied
 lower push increment.
 
-A sweep solves all its levels in one backward pass; `solve_penalized` and
-`solve_double_penalized` are each a one-level sweep.
-"""
+A sweep solves all its levels in one backward pass, its post-step the kernel's
+``post(t, y, z)``: each clamp reads the barrier of its own y, and the doubly
+penalized solve, a one-level sweep with no clamp, reads none."""
 
 from __future__ import annotations
 
@@ -184,10 +184,10 @@ class PenalizedSolution(_Penalized):
 
 class _PenaltyDriver:
     """The generator plus the lower penalty at levels n, minus the upper penalty
-    at level m (none for m = 0), in the kernel's level form.  n holds the (S, 1,
-    1, 1) levels of the problems stacked on axis 0: the level form is built once
-    for all S, and evaluates a trailing run of them by slicing n and the
-    generator's arrays."""
+    at level m (none for m = 0), in the kernel's level form; the clamp is the
+    caller's post-step, not the driver's.  n holds the (S, 1, 1, 1) levels of
+    the problems stacked on axis 0: the level form is built once for all S, and
+    evaluates a trailing run of them by slicing n and the generator's arrays."""
 
     def __init__(self, spec, n, lipschitz, m):
         self.gen, self.costs, self.n, self.m = spec.generator, spec.costs, n, m
@@ -213,15 +213,13 @@ def _sweep(spec: GameSpec, tree, n_list, post, m=0):
     upper level m, each checked first, ascending, so a SizingError names the smallest
     failing n before any Picard call.  The levels are stacked on axis 0, y (S, m1,
     m2, n_t), under one `_PenaltyDriver`, its level form built once per tree level;
-    a level leaves the Picard loop where its own pass would stop.  Each step returns
-    ``post(t, y, bar)``, `bar` the upper barrier of y.  Returns the leaf values and
-    the result."""
+    a level leaves the Picard loop where its own pass would stop.  `post` goes to the
+    kernel as it is, ``post(t, y, z)``.  Returns the leaf values and the result."""
     spec.require_valid()
     lip = max(_require_penalty_contraction(tree, spec, n, m) for n in sorted(n_list))
     driver = _PenaltyDriver(spec, np.asarray(n_list, dtype=float)[:, None, None, None], lip, m)
     xi = node_first(np.repeat(node_last(spec.check_terminal(tree))[None], len(n_list), axis=0))
-    return xi, bsde.backward(tree, xi, driver,
-                             lambda t, y, z: post(t, y, _upper(y, spec.costs)),
+    return xi, bsde.backward(tree, xi, driver, post,
                              problems=[f"penalty level {n}" for n in n_list])
 
 
@@ -233,8 +231,8 @@ def solve_penalized(spec: GameSpec, tree, n: int) -> PenalizedSolution:
     must be a positive integer, else DataError."""
     _require_count("n", n)
 
-    def clamp(t, y, bar):
-        clamped = np.minimum(y, bar)
+    def clamp(t, y, z):
+        clamped = np.minimum(y, _upper(y, spec.costs))
         return clamped, y - clamped
 
     _, (Y, dK) = _sweep(spec, tree, [n], clamp)
@@ -259,7 +257,7 @@ def solve_double_penalized(spec: GameSpec, tree, n: int, m: int) -> DoublePenali
     n, upper penalty level m, both positive integers (DataError otherwise)."""
     _require_count("n", n)
     _require_count("m", m)
-    _, (Y,) = _sweep(spec, tree, [n], lambda t, y, bar: (y,), m)
+    _, (Y,) = _sweep(spec, tree, [n], lambda t, y, z: (y,), m)
     return DoublePenalizedSolution(tree=tree, spec=spec, n=n, m=m, Y=[y[:, 0] for y in Y])
 
 
@@ -350,7 +348,8 @@ def penalization_report(spec: GameSpec, tree, n_list,
         return ()
 
     # the clamp is in place: fold keeps nothing, so the kernel reads y on
-    xi, _ = _sweep(spec, tree, n_list, lambda t, y, bar: fold(t, np.minimum(y, bar, out=y)))
+    xi, _ = _sweep(spec, tree, n_list,
+                   lambda t, y, z: fold(t, np.minimum(y, _upper(y, spec.costs), out=y)))
     fold(tree.N, node_last(xi))
     bound = 2.0 * spec.generator.sup_bound
     return ConvergenceReport(rows=[ConvergenceRow(

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bsde import check_contraction
 from .errors import ScenarioError, SizingError, SwitchGameError
 from .game import brute_force_value, verify_saddle
 from .lattice import DEFAULT_NODE_CAP, build_tree
@@ -446,11 +447,14 @@ def _run_validate(scenario, task, state, out, seed, hook):
         rows.append([check, "fail", str(exc)])
         failures.append(str(exc))
     if "tree" in state:
-        ok = state["tree"].dt * spec.generator.lipschitz < 1.0
-        rows.append(["contraction", "ok" if ok else "fail",
-                     f"dt={state['tree'].dt!r} lipschitz={spec.generator.lipschitz!r}"])
-        if not ok:
-            failures.append("time step too coarse for the driver's Lipschitz constant")
+        dt, lip = state["tree"].dt, spec.generator.lipschitz
+        status = "ok"
+        try:
+            check_contraction(dt, lip)
+        except SizingError as exc:
+            status = "fail"
+            failures.append(str(exc))
+        rows.append(["contraction", status, f"dt={dt!r} lipschitz={lip!r}"])
     if "tree" in state and spec.generator.family == "saturated_affine":
         failure, detail = _comparison(spec.generator, state["tree"])
         rows.append(["comparison", "fail" if failure else "ok", detail])

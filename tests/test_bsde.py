@@ -531,8 +531,8 @@ def oracle_sweep(spec, tree, levels):
 
 
 def new_sweep(spec, tree, levels):
-    def clamp(t, y, bar):
-        out = np.minimum(y, bar)
+    def clamp(t, y, z):
+        out = np.minimum(y, penalty._upper(y, spec.costs))
         return out, y - out
 
     return penalty._sweep(spec, tree, levels, clamp)[1]

@@ -4,10 +4,13 @@
 and `README.md` give the `switchgame solve` synopsis.  A task parameter or a
 command-line option removed from the code but left in these documents (or
 added to the code but not to them) fails here, and so does a module added to
-or removed from `src/switchgame/` without its row in README's module map.
+or removed from `src/switchgame/` without its row in README's module map, or
+a report whose header row differs from the columns that
+`docs/report_formats.md` names in its section title.
 """
 
 import argparse
+import csv
 import re
 from pathlib import Path
 
@@ -15,9 +18,12 @@ import pytest
 
 from switchgame import cli, runner
 
+from test_runner import EVERY_TASK, small_scenario
+
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = ROOT / "docs" / "scenario_schema.md"
 README = ROOT / "README.md"
+REPORTS = ROOT / "docs" / "report_formats.md"
 
 
 def _table(text, first_header):
@@ -79,3 +85,26 @@ def test_module_map_lists_exactly_the_modules():
     modules = sorted(p.stem for p in (ROOT / "src" / "switchgame").glob("*.py")
                      if p.stem != "__init__")
     assert documented == modules
+
+
+def test_report_headers_match_their_section_titles(tmp_path):
+    # every task once on a tree that brute force takes, then a lowered root,
+    # so that saddle_violations.csv is written
+    titled = dict(re.findall(r"^## `(\w+\.csv)` — `([^`]+)`$", REPORTS.read_text(), re.M))
+    assert sorted(titled) == ["brute_force.csv", "saddle.csv", "saddle_violations.csv",
+                              "solve_direct.csv", "validate.csv"]
+    scenario = runner.parse_scenario(small_scenario(
+        tmp_path, tree={"N": 2, "recombining": False}, tasks=EVERY_TASK))
+
+    def lower(sol):
+        sol.Y[0] = sol.Y[0] - 0.3
+
+    assert runner.run(scenario, out_dir=tmp_path / "every", seed=0).exit_code == 0
+    assert runner.run(scenario, out_dir=tmp_path / "lowered", seed=0,
+                      tasks=["solve_direct", "saddle"], solution_hook=lower).exit_code == 1
+    headers = {}
+    for path in [*(tmp_path / "every").glob("*.csv"), *(tmp_path / "lowered").glob("*.csv")]:
+        with open(path, newline="") as fh:
+            headers.setdefault(path.name, set()).add(",".join(next(csv.reader(fh))))
+    assert {name: headers.get(name) for name in titled} == {
+        name: {columns} for name, columns in titled.items()}

@@ -907,6 +907,25 @@ class TestGeneratorSpec:
         want = fieldwise_generator(gen)(0.0, None, y, z)
         np.testing.assert_array_equal(gen(0.0, None, y, z).view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("family", ["mode_constant", "saturated_affine"])
+    @pytest.mark.parametrize("y_shape,z_shape", [
+        ((2, 2), (3, 1, 2, 2)),         # z has a leading axis y lacks
+        ((2, 2), (2, 2)),               # z lacks its Brownian axis
+        ((2, 2), (1, 2, 3)),            # z on another mode grid
+        ((2, 3), (1, 2, 3)),            # y and z on another mode grid
+        ((4, 2, 2), (3, 1, 2, 2)),      # leading axes that do not broadcast
+        ((2, 2), (2, 2, 2)),            # d = 2 for a d = 1 driver
+    ])
+    def test_call_refuses_fields_of_the_wrong_shape(self, family, y_shape, z_shape):
+        # a bare ValueError or AxisError escaped before, and mode_constant,
+        # which reads no z, took one on the wrong mode grid
+        gen = GeneratorSpec(family, 2, 2, c=STANDARD_C)
+        message = (rf"^the driver takes y \(\.\.\., 2, 2\) and z \(\.\.\., 1, 2, 2\) whose "
+                   rf"leading axes broadcast to y's, not y {re.escape(str(y_shape))} and "
+                   rf"z {re.escape(str(z_shape))}$")
+        with pytest.raises(DataError, match=message):
+            gen(0.0, None, np.zeros(y_shape), np.zeros(z_shape))
+
     @pytest.mark.parametrize("M", [-1.0, -0.5, -5e-324])
     def test_negative_saturation_level_is_refused(self, M):
         # M = -1 made sat_M the constant -1 and put sup_bound at 1.3, below

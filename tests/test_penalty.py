@@ -561,3 +561,37 @@ class TestSweep:
             with pytest.raises(ConvergenceError,
                                match=r"tree level 99: penalty level 416: .*did not converge"):
                 penalization_report(spec, tree, [1, 416])
+
+
+class TestOnePostContract:
+    """The sweep hands the kernel its caller's ``post(t, y, z)`` as it is, and
+    only a clamping post reads the upper barrier, once per tree level."""
+
+    def test_the_sweep_passes_its_post_to_the_kernel(self, monkeypatch, standard_spec,
+                                                     standard_tree_n8):
+        posts = []
+        backward = bsde.backward
+        monkeypatch.setattr(bsde, "backward",
+                            lambda tree, xi, driver, post, **k: posts.append(post)
+                            or backward(tree, xi, driver, post, **k))
+
+        def post(t, y, z):
+            return (y,)
+
+        penalty._sweep(standard_spec, standard_tree_n8, [2], post)
+        assert posts == [post]
+
+    @pytest.mark.parametrize("solve,calls", [
+        (lambda spec, tree: solve_double_penalized(spec, tree, 2, 2), 0),
+        (lambda spec, tree: solve_penalized(spec, tree, 2), 8),
+        (lambda spec, tree: penalization_report(spec, tree, [1, 2, 4]), 8),
+    ], ids=["double", "penalized", "report"])
+    def test_upper_barrier_calls_per_solve(self, monkeypatch, standard_spec, standard_tree_n8,
+                                           solve, calls):
+        # each clamp reads the barrier of its own y once per tree level (8 on
+        # this tree), and the double penalty, which clamps nothing, reads none
+        seen = []
+        upper = penalty._upper
+        monkeypatch.setattr(penalty, "_upper", lambda y, costs: seen.append(1) or upper(y, costs))
+        solve(standard_spec, standard_tree_n8)
+        assert len(seen) == calls

@@ -354,6 +354,25 @@ class TestPipeline:
         else:
             assert result.exit_code == 0 and not validate
 
+    @pytest.mark.parametrize("a,factor", [(20.0, 2), (50.0, 4)])
+    def test_contraction_failure_names_the_refinement_factor(self, tmp_path, a, factor):
+        # dt = 0.06, so dt * C is 1.2 at a = 20 and 3.0 at a = 50: the kernel's
+        # guard names the smallest factor that brings it below 1
+        path = small_scenario(
+            tmp_path,
+            generator={"family": "saturated_affine", "a": a, "b": [0.2], "M": 1.0,
+                       "c": [[2.0, -2.0], [-2.0, 2.0]]},
+            tasks=["validate"],
+        )
+        result = run(parse_scenario(path), out_dir=tmp_path / "coarse")
+        assert result.exit_code == 1
+        rows = (tmp_path / "coarse" / "validate.csv").read_text().splitlines()
+        assert f"contraction,fail,dt=0.06 lipschitz={a!r}" in rows
+        manifest = json.loads((tmp_path / "coarse" / "manifest.json").read_text())
+        assert manifest["tasks"][0]["failures"] == [
+            f"time step dt=0.06 is too coarse for the driver Lipschitz constant {a:g} (need "
+            f"dt*C < 1); refine the tree by a factor of at least {factor}"]
+
     def test_tolerance_option_is_refused(self, tmp_path, capsys):
         # the scenario's `tolerances` is the one source of the saddle and
         # match tolerances
