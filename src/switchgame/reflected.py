@@ -10,6 +10,7 @@ does not load on the Brownian increments).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,9 +142,8 @@ def domain_report(sol: RbsdeSolution) -> ValidationReport:
 
 # Rows (node, mode pair) of `fields.csv` held as text at once: the export
 # formats a level in blocks of whole nodes, so its memory does not grow with
-# the level.  A larger block formats a float that repeats across its nodes
-# once and spreads each call's fixed costs over more rows; past 1152 rows (128
-# nodes of a 3x3 grid) perf_3x3's write got no faster.
+# the level.  A larger block formats a node that repeats within it once more
+# often, and spreads each block's fixed costs over more rows.
 _EXPORT_BLOCK_ROWS = 1152
 
 
@@ -153,46 +153,62 @@ def _text(a):
     Each distinct bit pattern is formatted once and its text indexed: the
     fields repeat heavily on a path tree.  Bits, not values, tell entries
     apart, so -0.0 keeps its sign (NaNs of any payload all read ``nan``)."""
-    a = np.asarray(a, dtype=float).ravel()
-    if not a.size:
-        return []
-    bits = a.view(np.uint64)
-    if bits.min() == bits.max():    # zero pushes and cumulants: skip the sort
-        return [repr(float(a[0]))] * a.size
+    bits = np.asarray(a, dtype=float).ravel().view(np.uint64)
     keys, inverse = np.unique(bits, return_inverse=True)
     text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
     return text[inverse].tolist()
+
+
+def _node_text(fields, d, filled):
+    """``(index, w, cols)`` of a block of `_export_blocks` from the block's
+    slices of `fields`: W, and then the row columns filled at its level
+    (those of `filled` that are true, out of Y, Z1..Zd, dK, dL, K, L).
+
+    A node's key is the bytes of its cells, laid out as the fields are, so
+    -0.0 is not 0.0 and NaNs of different payloads differ.  The keys are
+    numbered in order of first appearance, and each is formatted once."""
+    n, width = len(fields[0]), sum(math.prod(f.shape[1:]) for f in fields)
+    cells = np.concatenate([np.reshape(f, (n, -1)) for f in fields], axis=1,
+                           out=np.empty((n, width)))
+    ids = {}
+    index = [ids.setdefault(key, len(ids))
+             for key in cells.view(np.dtype((np.void, width * 8))).ravel().tolist()]
+    text = _text(np.frombuffer(b"".join(ids), dtype=float).reshape(len(ids), width).T)
+    # one list of texts, over the distinct nodes, per cell of the key; the
+    # cells of a row column are one per mode pair
+    text = [text[c:c + len(ids)] for c in range(0, len(text), len(ids))]
+    pairs, blank = (width - d) // sum(filled), [[""] * len(ids)]
+    filled_cols = iter(text[c:c + pairs] for c in range(d, width, pairs))
+    return index, text[:d], [next(filled_cols) if f else blank * pairs for f in filled]
 
 
 def _export_blocks(sol: RbsdeSolution):
     """The cells of the export rows, in blocks of at most `_EXPORT_BLOCK_ROWS`
     rows (one node at least) of a level, read from whole-array slices.
 
-    Yields ``(t, nodes, w, cols)``: the level, the range of its nodes in the
-    block, the W text columns (one cell per node and component) and the row
-    text columns Y, Z1..Zd, dK, dL, K, L (one cell per node and mode pair, in
-    (node, i, j) order).  Z/dK/dL are blank on leaf rows and K/L on a
-    recombining lattice.  This is the one place the export formats a float.
+    Yields ``(t, nodes, index, w, cols)``: the level, the range of its nodes
+    in the block, each node's index among the block's distinct nodes, and
+    the text of those.  A node's key is the bit pattern of all its cells: W,
+    then Y, Z1..Zd, dK, dL, K and L over its mode pairs; only the first node
+    with each key is formatted.  ``w[p][k]`` is the text of W's component p
+    at distinct node k, and ``cols[c][q][k]`` that of row column c (Y,
+    Z1..Zd, dK, dL, K, L) at its mode pair q, in (i, j) order.  Z/dK/dL are
+    blank on leaf rows and K/L on a recombining lattice.  This is the one
+    place the export formats a float.
     """
     tree, K, L = sol.tree, sol.K, sol.L
     m1, m2 = sol.Y[0].shape[1:]
     size = max(1, _EXPORT_BLOCK_ROWS // (m1 * m2))     # nodes per block
     for t in range(tree.N + 1):
-        fields = [sol.Y[t]]
+        fields = [tree.level_w(t), sol.Y[t]]
         if t < tree.N:
-            fields += [sol.Z[t][:, p] for p in range(tree.d)] + [sol.dK[t], sol.dL[t]]
+            fields += [sol.Z[t], sol.dK[t], sol.dL[t]]
         if K is not None:
             fields += [K[t], L[t]]
-        w, n_t = tree.level_w(t), len(sol.Y[t])
-        for start in range(0, n_t, size):
-            block = slice(start, start + size)
-            cols = [_text(f[block]) for f in fields]
-            blank = [""] * len(cols[0])
-            if t == tree.N:
-                cols[1:1] = [blank] * (tree.d + 2)
-            if K is None:
-                cols += [blank] * 2
-            yield t, range(n_t)[block], [_text(w[block, p]) for p in range(tree.d)], cols
+        filled = [True] + [t < tree.N] * (tree.d + 2) + [K is not None] * 2
+        for start in range(0, len(sol.Y[t]), size):
+            block = [f[start:start + size] for f in fields]
+            yield t, range(start, start + len(block[0])), *_node_text(block, tree.d, filled)
 
 
 def export_rows(sol: RbsdeSolution):
@@ -201,14 +217,16 @@ def export_rows(sol: RbsdeSolution):
     Columns: level, node, i, j, W components, Y, Z components, dK, dL,
     cumulative K, cumulative L.  Z/dK/dL are empty strings on leaf rows;
     cumulants are empty when the tree is recombining.  The cells are the
-    text of `_export_blocks`.
+    text of `_export_blocks`, each distinct node's repeated for every node
+    that shares its key.
     """
     m1, m2 = sol.Y[0].shape[1:]
     pairs = list(itertools.product(range(1, m1 + 1), range(1, m2 + 1)))
-    for t, nodes, w, cols in _export_blocks(sol):
-        keys = ((n, *pair, *wn) for n, *wn in zip(nodes, *w) for pair in pairs)
-        for key, *cells in zip(keys, *cols):
-            yield [t, *key, *cells]
+    for t, nodes, index, w, cols in _export_blocks(sol):
+        for n, k in zip(nodes, index):
+            wk = [c[k] for c in w]
+            for q, pair in enumerate(pairs):
+                yield [t, n, *pair, *wk, *(c[q][k] for c in cols)]
 
 
 def export_header(d: int):

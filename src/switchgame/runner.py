@@ -313,38 +313,45 @@ def _write_table(path, header, rows):
 
 
 # Lines of `fields.csv` joined and written at once.  The joined text and its
-# encoding, not the cells, are most of the writer's transient memory, so a
-# block of `reflected._EXPORT_BLOCK_ROWS` rows is written in slices of these.
+# encoding are much of the writer's transient memory, so a block of
+# `reflected._EXPORT_BLOCK_ROWS` rows is written in slices of whole nodes of
+# at most these many lines (or of one node).
 _WRITE_ROWS = 256
 
 
 def _write_fields(path, sol):
     """Write `fields.csv` byte for byte as `_write_table` would from
     `reflected.export_rows`: no cell needs quoting, and each row ends in
-    CR LF.  Each block of `reflected._export_blocks` is joined into lines,
-    written `_WRITE_ROWS` lines at a time.  A row is joined once, from its
-    node's "level,node" and W text (built once per node, repeated for each
-    mode pair), the pair's "i,j" text (built once per grid) and the block's
-    text columns.  Returns the number of rows written."""
+    CR LF.  Returns (rows written, nodes whose text was formatted).
+
+    A row is its node's "level,node," prefix and its tail, the text from the
+    mode pair's "i,j" on.  In a block of `reflected._export_blocks`, each
+    distinct node's tails are joined once, from the pair's text (built once
+    per grid), the node's W text and its row text.  Every node of the block
+    is then written as its line break and prefix joined into its distinct
+    node's tails: each line break comes before its row, and the file's last
+    one is written at the end."""
     m1, m2 = sol.Y[0].shape[1:]
     pairs = [f"{i},{j}" for i in range(1, m1 + 1) for j in range(1, m2 + 1)]
-
-    def per_row(cells):     # each node's cell, once per mode pair
-        return itertools.chain.from_iterable(map(itertools.repeat, cells,
-                                                 itertools.repeat(len(pairs))))
-
-    rows = 0
+    nodes_at_once = max(1, _WRITE_ROWS // len(pairs))
+    rows = distinct = 0
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(export_header(sol.tree.d)) + "\r\n")
-        for t, nodes, w, cols in _export_blocks(sol):
-            keys = per_row([f"{t},{n}" for n in nodes])
-            lines = map(",".join, zip(keys, itertools.cycle(pairs),
-                                      per_row(map(",".join, zip(*w))), *cols))
-            block_rows = len(nodes) * len(pairs)
-            for _ in range(0, block_rows, _WRITE_ROWS):
-                fh.write("\r\n".join(itertools.islice(lines, _WRITE_ROWS)) + "\r\n")
-            rows += block_rows
-    return rows
+        fh.write(",".join(export_header(sol.tree.d)))
+        for t, nodes, index, w, cols in _export_blocks(sol):
+            w = list(map(",".join, zip(*w)))
+            # ("", the tail of the first pair, ..., of the last) per distinct node
+            tails = list(zip(itertools.repeat(""), *(
+                map(",".join, zip(itertools.repeat(pair), w, *(c[q] for c in cols)))
+                for q, pair in enumerate(pairs))))
+            text = map(str.join, map(f"\r\n{t},{{}},".format, nodes),
+                       map(tails.__getitem__, index))
+            for _ in range(0, len(nodes), nodes_at_once):
+                fh.write("".join(itertools.islice(text, nodes_at_once)))
+            rows += len(nodes) * len(pairs)
+            distinct += len(tails)
+            del w, cols, tails, text    # the next block is formatted with this one freed
+        fh.write("\r\n")
+    return rows, distinct
 
 
 def _fmt(x):
@@ -367,6 +374,10 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
     seed : the run seed, forked per task for the saddle catalog.
     solution_hook : callable applied to the direct solution right after
         solve_direct (test hook for fault injection); leave None.
+
+    Before the first task, the reports that a task writes (`_REPORTS`) are
+    deleted from the report directory, so that it holds this run's alone; no
+    other file there is touched.
     """
     plan = scenario.tasks
     if tasks is not None:
@@ -379,6 +390,8 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
 
     out = Path(out_dir or scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _REPORTS:
+        (out / name).unlink(missing_ok=True)
     state = {}
     failures = []
     config_errors = []
@@ -614,9 +627,14 @@ def _run_brute_force(scenario, task, state, out, seed, hook):
 def _run_export(scenario, task, state, out, seed, hook):
     sol = _require(state, "direct", "export", "solve_direct")
     path = out / "fields.csv"
-    state["entry"].update(rows=_write_fields(path, sol), bytes=path.stat().st_size)
+    rows, distinct = _write_fields(path, sol)
+    state["entry"].update(rows=rows, distinct_nodes=distinct, bytes=path.stat().st_size)
     return []
 
+
+# every report a task writes
+_REPORTS = ("validate.csv", "solve_direct.csv", "penalize.csv", "double_penalize.csv",
+            "saddle.csv", "saddle_violations.csv", "brute_force.csv", "fields.csv")
 
 # task name -> (runner, parameter rules); an optional parameter's default is
 # the runner's own

@@ -6,7 +6,8 @@ command-line option removed from the code but left in these documents (or
 added to the code but not to them) fails here, and so does a module added to
 or removed from `src/switchgame/` without its row in README's module map, or
 a report whose header row differs from the columns that
-`docs/report_formats.md` names in its section title.
+`docs/report_formats.md` names in its section title, or a task's manifest
+entry whose keys differ from the ones its table there lists.
 """
 
 import argparse
@@ -26,10 +27,11 @@ README = ROOT / "README.md"
 REPORTS = ROOT / "docs" / "report_formats.md"
 
 
-def _table(text, first_header):
+def _table(text, first_header, after=""):
     """The cells of the Markdown table whose header row starts with the
-    column `first_header`, one list per body row."""
-    lines = text.splitlines()
+    column `first_header` (the first such table past the text `after`), one
+    list per body row."""
+    lines = text[text.index(after):].splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_header} "))
     rows = []
     for line in lines[start + 2:]:
@@ -108,3 +110,18 @@ def test_report_headers_match_their_section_titles(tmp_path):
             headers.setdefault(path.name, set()).add(",".join(next(csv.reader(fh))))
     assert {name: headers.get(name) for name in titled} == {
         name: {columns} for name, columns in titled.items()}
+
+
+def test_manifest_key_tables_match_the_entries(tmp_path):
+    # past the keys of every entry, the saddle and export tables list the
+    # keys that those tasks add to theirs
+    text = REPORTS.read_text()
+    tasks = next(meaning for key, meaning in _table(text, "key") if key == "`tasks`")
+    common = re.search(r"`\{(.*), \.\.\.\}`", tasks).group(1)
+    scenario = runner.parse_scenario(small_scenario(tmp_path))
+    entries = {e["name"]: e for e in runner.run(scenario, out_dir=tmp_path / "run",
+                                                seed=0).manifest["tasks"]}
+    for task in ("saddle", "export"):
+        rows = _table(text, "key", after=f"The `{task}` task's entry")
+        assert {_quoted(row[0])[0] for row in rows} == entries[task].keys() - set(
+            common.split(", ")), task

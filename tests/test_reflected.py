@@ -439,6 +439,43 @@ class TestExportAndCumulants:
         assert b",nan," in written and b",-0.0," in written
         assert written == csv_writer_fields(planted, tmp_path / "oracle.csv")
 
+    @pytest.mark.parametrize("block", ["default", "3 nodes"])
+    @pytest.mark.parametrize("cell", ["K sign", "Z ulp", "Y nan payload"])
+    def test_nodes_one_bit_apart_are_never_merged(self, cell, block, tmp_path, monkeypatch):
+        # nodes a and b of one block share W and differ in one cell's bits;
+        # c, in the next block, is a's twin
+        if block == "3 nodes":
+            monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", 3 * 4)
+        size = reflected._EXPORT_BLOCK_ROWS // 4
+        spec = standard_in_dimension(1)
+        tree = build_tree(10, 1, spec.horizon)     # level 9 spans two default blocks
+        sol = solve_rbsde(spec, tree)
+        fields = {name: [a.copy() for a in getattr(sol, name)] for name in ("Y", "Z", "dK", "dL")}
+        planted = RbsdeSolution(tree=tree, spec=spec, **fields)
+        t = tree.N - 1
+        w = tree.level_w(t)[:, 0].tolist()
+        a, b, c = next((a, b, c) for a in range(len(w) - size)
+                       for b in range(a + 1, (a // size + 1) * size) if w[b] == w[a]
+                       for c in range((a // size + 1) * size, len(w)) if w[c] == w[a])
+        nan, other_nan = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64).view(float)
+        field, at, value, other = {
+            "K sign": (planted.K, (0, 1), 0.0, -0.0),
+            "Z ulp": (planted.Z, (0, 1, 0), 0.5, np.nextafter(0.5, 1.0)),
+            "Y nan payload": (planted.Y, (1, 1), nan, other_nan),
+        }[cell]
+        field[t][(a, *at)] = value
+        for f in (planted.Y, planted.Z, planted.dK, planted.dL, planted.K, planted.L):
+            f[t][b] = f[t][c] = f[t][a]
+        field[t][(b, *at)] = other
+        index = {n: (nodes.start, k) for level, nodes, ks, *_ in reflected._export_blocks(planted)
+                 if level == t for n, k in zip(nodes, ks)}
+        assert index[a][0] == index[b][0] != index[c][0]
+        assert index[a][1] != index[b][1]
+        assert list(export_rows(planted)) == list(levelwise_export_rows(planted))
+        path = tmp_path / "fields.csv"
+        _write_fields(path, planted)
+        assert path.read_bytes() == csv_writer_fields(planted, tmp_path / "oracle.csv")
+
     def test_writer_keeps_pushes_and_negative_zeros(self, tmp_path):
         # bind_3x3 pushes both ways; each level past 128 nodes spans several blocks
         scenario = parse_scenario(BIND_3X3)
@@ -490,7 +527,7 @@ class TestText:
 
     @pytest.mark.parametrize("size", [1, 2, 9, 28, 252, 256])
     def test_random_blocks_match_repr(self, size):
-        # one bit pattern takes the shortcut, any more the memo, up to all distinct
+        # from one bit pattern up to all distinct
         rng = np.random.default_rng(size)
         counts = {1, 2, size // 2, size // 2 + 1, size}
         for distinct in sorted(d for d in counts if 1 <= d <= size):

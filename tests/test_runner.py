@@ -313,8 +313,55 @@ class TestPipeline:
         tree = scenario.build_tree()
         assert entry["rows"] == written.count(b"\r\n") - 1 == tree.num_nodes * 4
         assert entry["bytes"] == len(written)
+        # the nodes formatted: the distinct bit rows of each block of nodes
+        sol = solve_rbsde(scenario.spec, tree)
+        size = reflected._EXPORT_BLOCK_ROWS // 4
+        distinct = 0
+        for t in range(tree.N + 1):
+            fields = [tree.level_w(t), sol.Y[t], sol.K[t], sol.L[t]]
+            fields += [sol.Z[t], sol.dK[t], sol.dL[t]] if t < tree.N else []
+            bits = np.concatenate([np.reshape(f, (len(f), -1)) for f in fields], axis=1)
+            distinct += sum(len(np.unique(bits[start:start + size].view(np.uint64), axis=0))
+                            for start in range(0, len(bits), size))
+        assert entry["distinct_nodes"] == distinct < tree.num_nodes
         others = [t for t in result.manifest["tasks"] if t["name"] != "export"]
-        assert not any({"rows", "bytes"} & t.keys() for t in others)
+        assert not any({"rows", "bytes", "distinct_nodes"} & t.keys() for t in others)
+
+    def test_a_rerun_leaves_no_report_of_an_earlier_run(self, tmp_path):
+        # a clean rerun kept saddle_violations.csv, and a validate-only rerun
+        # every report of the earlier run
+        path = small_scenario(tmp_path)
+        out = tmp_path / "again"
+
+        def corrupt(sol):
+            sol.Y[0] = sol.Y[0] + 0.3
+
+        assert run(parse_scenario(path), out_dir=out, seed=0, solution_hook=corrupt).exit_code == 1
+        assert (out / "saddle_violations.csv").exists()
+        for name in ("notes.txt", "other.csv"):
+            (out / name).write_text("not a report\n")
+        assert cli_main(["solve", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fields.csv", "manifest.json", "notes.txt", "other.csv", "penalize.csv",
+            "saddle.csv", "solve_direct.csv", "validate.csv"]
+        assert cli_main(["solve", str(path), "--out", str(out), "--tasks", "validate"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "other.csv", "validate.csv"]
+        assert (out / "other.csv").read_text() == "not a report\n"
+
+    def test_the_reports_deleted_before_a_run_are_the_ones_the_tasks_write(self, tmp_path):
+        # every task once on a tree that brute force takes, then a lowered root
+        scenario = parse_scenario(small_scenario(
+            tmp_path, tree={"N": 2, "recombining": False}, tasks=EVERY_TASK))
+
+        def lower(sol):
+            sol.Y[0] = sol.Y[0] - 0.3
+
+        run(scenario, out_dir=tmp_path / "every", seed=0)
+        run(scenario, out_dir=tmp_path / "lowered", seed=0, tasks=["solve_direct", "saddle"],
+            solution_hook=lower)
+        written = {p.name for d in ("every", "lowered") for p in (tmp_path / d).glob("*.csv")}
+        assert written == set(runner._REPORTS)
 
     def test_corrupted_solution_trips_the_saddle_check(self, tmp_path):
         scenario = parse_scenario(small_scenario(tmp_path))
