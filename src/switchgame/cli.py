@@ -1,7 +1,8 @@
 """Command-line front end: ``switchgame solve <scenario>``.
 
 Exit codes: 0 on success, 1 when an asserted invariant failed during the run,
-2 for configuration problems (unreadable or invalid scenario, bad task list).
+2 for configuration problems (unreadable or invalid scenario, bad task list,
+a report directory that cannot be created or cleared).
 """
 
 from __future__ import annotations

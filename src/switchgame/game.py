@@ -32,7 +32,6 @@ before and names the violating strategies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -569,13 +568,6 @@ def feedback_tables(tree, player, m1, m2):
         codes = np.arange(hi ** slots)[:, None] // hi ** np.arange(slots - 1, -1, -1)
         stacks.append((codes % hi).reshape(-1, tree.level_size(t), m1, m2))
     return stacks
-
-
-def enumerate_feedback_strategies(tree, player, m1, m2):
-    """All feedback strategies of one player: each combination of the levels'
-    `feedback_tables`; callers must respect the brute-force cap."""
-    for acts in itertools.product(*feedback_tables(tree, player, m1, m2)):
-        yield FeedbackStrategy(player, list(acts))
 
 
 def brute_force_value(spec: GameSpec, tree, start=None):

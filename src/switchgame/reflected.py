@@ -140,11 +140,16 @@ def domain_report(sol: RbsdeSolution) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-# Rows (node, mode pair) of `fields.csv` held as text at once: the export
-# formats a level in blocks of whole nodes, so its memory does not grow with
-# the level.  A larger block formats a node that repeats within it once more
-# often, and spreads each block's fixed costs over more rows.
+# The export's transient memory is bounded by two sizes.
+# `_EXPORT_BLOCK_ROWS` bounds the rows (node, mode pair) of `fields.csv` held
+# as text at once: the export formats a level in blocks of whole nodes, so its
+# memory does not grow with the level.  A larger block formats a node that
+# repeats within it once more often, and spreads each block's fixed costs over
+# more rows.  `_WRITE_ROWS` bounds the lines joined and written at once: the
+# joined text and its encoding are much of the writer's memory, so a block is
+# written in slices of whole nodes of at most these many lines (or of one node).
 _EXPORT_BLOCK_ROWS = 1152
+_WRITE_ROWS = 256
 
 
 def _text(a):
@@ -159,14 +164,16 @@ def _text(a):
     return text[inverse].tolist()
 
 
-def _node_text(fields, d, filled):
-    """``(index, w, cols)`` of a block of `_export_blocks` from the block's
+def _node_text(fields, filled, pairs):
+    """``(index, tails)`` of a block of `_export_blocks` from the block's
     slices of `fields`: W, and then the row columns filled at its level
     (those of `filled` that are true, out of Y, Z1..Zd, dK, dL, K, L).
 
     A node's key is the bytes of its cells, laid out as the fields are, so
     -0.0 is not 0.0 and NaNs of different payloads differ.  The keys are
-    numbered in order of first appearance, and each is formatted once."""
+    numbered in order of first appearance, and each is formatted once, into
+    its tails: ``""`` and then, per mode pair in (i, j) order, the row text
+    from the pair's ``i,j`` (of `pairs`) on, without a line break."""
     n, width = len(fields[0]), sum(math.prod(f.shape[1:]) for f in fields)
     cells = np.concatenate([np.reshape(f, (n, -1)) for f in fields], axis=1,
                            out=np.empty((n, width)))
@@ -177,28 +184,34 @@ def _node_text(fields, d, filled):
     # one list of texts, over the distinct nodes, per cell of the key; the
     # cells of a row column are one per mode pair
     text = [text[c:c + len(ids)] for c in range(0, len(text), len(ids))]
-    pairs, blank = (width - d) // sum(filled), [[""] * len(ids)]
-    filled_cols = iter(text[c:c + pairs] for c in range(d, width, pairs))
-    return index, text[:d], [next(filled_cols) if f else blank * pairs for f in filled]
+    d = fields[0].shape[1]
+    w = list(map(",".join, zip(*text[:d])))
+    blank = [[""] * len(ids)] * len(pairs)
+    filled_cols = iter(text[c:c + len(pairs)] for c in range(d, width, len(pairs)))
+    cols = [next(filled_cols) if f else blank for f in filled]
+    tails = list(zip(itertools.repeat(""), *(
+        map(",".join, zip(itertools.repeat(pair), w, *(c[q] for c in cols)))
+        for q, pair in enumerate(pairs))))
+    return index, tails
 
 
 def _export_blocks(sol: RbsdeSolution):
-    """The cells of the export rows, in blocks of at most `_EXPORT_BLOCK_ROWS`
+    """The text of the export rows, in blocks of at most `_EXPORT_BLOCK_ROWS`
     rows (one node at least) of a level, read from whole-array slices.
 
-    Yields ``(t, nodes, index, w, cols)``: the level, the range of its nodes
+    Yields ``(t, nodes, index, tails)``: the level, the range of its nodes
     in the block, each node's index among the block's distinct nodes, and
-    the text of those.  A node's key is the bit pattern of all its cells: W,
+    those nodes' tails.  A node's key is the bit pattern of all its cells: W,
     then Y, Z1..Zd, dK, dL, K and L over its mode pairs; only the first node
-    with each key is formatted.  ``w[p][k]`` is the text of W's component p
-    at distinct node k, and ``cols[c][q][k]`` that of row column c (Y,
-    Z1..Zd, dK, dL, K, L) at its mode pair q, in (i, j) order.  Z/dK/dL are
-    blank on leaf rows and K/L on a recombining lattice.  This is the one
-    place the export formats a float.
+    with each key is formatted.  ``tails[k]`` is ``""`` and then distinct
+    node k's ``i,j,W..,Y,Z..,dK,dL,K,L`` text per mode pair, in (i, j)
+    order.  Z/dK/dL are blank on leaf rows and K/L on a recombining lattice.
+    This is the one place the export formats a float or joins a cell.
     """
     tree, K, L = sol.tree, sol.K, sol.L
     m1, m2 = sol.Y[0].shape[1:]
-    size = max(1, _EXPORT_BLOCK_ROWS // (m1 * m2))     # nodes per block
+    pairs = [f"{i},{j}" for i in range(1, m1 + 1) for j in range(1, m2 + 1)]
+    size = max(1, _EXPORT_BLOCK_ROWS // len(pairs))     # nodes per block
     for t in range(tree.N + 1):
         fields = [tree.level_w(t), sol.Y[t]]
         if t < tree.N:
@@ -208,7 +221,33 @@ def _export_blocks(sol: RbsdeSolution):
         filled = [True] + [t < tree.N] * (tree.d + 2) + [K is not None] * 2
         for start in range(0, len(sol.Y[t]), size):
             block = [f[start:start + size] for f in fields]
-            yield t, range(start, start + len(block[0])), *_node_text(block, tree.d, filled)
+            yield t, range(start, start + len(block[0])), *_node_text(block, filled, pairs)
+
+
+def write_fields(path, sol: RbsdeSolution):
+    """Write `fields.csv` byte for byte as `csv.writer` would from
+    `export_rows`: no cell needs quoting, and each row ends in CR LF.
+    Returns (rows written, nodes whose text was formatted).
+
+    Every node of a block of `_export_blocks` is written as its line break
+    and ``level,node,`` prefix joined into its distinct node's tails, at most
+    `_WRITE_ROWS` lines at a time: each line break comes before its row, and
+    the file's last one is written at the end."""
+    pairs = math.prod(sol.Y[0].shape[1:])
+    nodes_at_once = max(1, _WRITE_ROWS // pairs)
+    rows = distinct = 0
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(export_header(sol.tree.d)))
+        for t, nodes, index, tails in _export_blocks(sol):
+            text = map(str.join, map(f"\r\n{t},{{}},".format, nodes),
+                       map(tails.__getitem__, index))
+            for _ in range(0, len(nodes), nodes_at_once):
+                fh.write("".join(itertools.islice(text, nodes_at_once)))
+            rows += len(nodes) * pairs
+            distinct += len(tails)
+            del tails, text     # the next block is formatted with this one freed
+        fh.write("\r\n")
+    return rows, distinct
 
 
 def export_rows(sol: RbsdeSolution):
@@ -216,17 +255,17 @@ def export_rows(sol: RbsdeSolution):
 
     Columns: level, node, i, j, W components, Y, Z components, dK, dL,
     cumulative K, cumulative L.  Z/dK/dL are empty strings on leaf rows;
-    cumulants are empty when the tree is recombining.  The cells are the
-    text of `_export_blocks`, each distinct node's repeated for every node
-    that shares its key.
+    cumulants are empty when the tree is recombining.  The cells are read
+    back from the tails of `_export_blocks`, which `write_fields` writes (no
+    cell holds a comma), each distinct node's for every node that shares
+    its key.
     """
     m1, m2 = sol.Y[0].shape[1:]
     pairs = list(itertools.product(range(1, m1 + 1), range(1, m2 + 1)))
-    for t, nodes, index, w, cols in _export_blocks(sol):
+    for t, nodes, index, tails in _export_blocks(sol):
         for n, k in zip(nodes, index):
-            wk = [c[k] for c in w]
-            for q, pair in enumerate(pairs):
-                yield [t, n, *pair, *wk, *(c[q][k] for c in cols)]
+            for pair, tail in zip(pairs, tails[k][1:]):
+                yield [t, n, *pair, *tail.split(",")[2:]]
 
 
 def export_header(d: int):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -33,13 +32,7 @@ from .game import brute_force_value, verify_saddle
 from .lattice import DEFAULT_NODE_CAP, build_tree
 from .model import CostTables, GameSpec, GeneratorSpec, TerminalSpec
 from .penalty import penalization_report, solve_double_penalized, solve_penalized
-from .reflected import (
-    _export_blocks,
-    check_minimality,
-    domain_report,
-    export_header,
-    solve_rbsde,
-)
+from .reflected import check_minimality, domain_report, solve_rbsde, write_fields
 
 SCHEMA_VERSION = 1
 
@@ -312,48 +305,6 @@ def _write_table(path, header, rows):
         writer.writerows(rows)
 
 
-# Lines of `fields.csv` joined and written at once.  The joined text and its
-# encoding are much of the writer's transient memory, so a block of
-# `reflected._EXPORT_BLOCK_ROWS` rows is written in slices of whole nodes of
-# at most these many lines (or of one node).
-_WRITE_ROWS = 256
-
-
-def _write_fields(path, sol):
-    """Write `fields.csv` byte for byte as `_write_table` would from
-    `reflected.export_rows`: no cell needs quoting, and each row ends in
-    CR LF.  Returns (rows written, nodes whose text was formatted).
-
-    A row is its node's "level,node," prefix and its tail, the text from the
-    mode pair's "i,j" on.  In a block of `reflected._export_blocks`, each
-    distinct node's tails are joined once, from the pair's text (built once
-    per grid), the node's W text and its row text.  Every node of the block
-    is then written as its line break and prefix joined into its distinct
-    node's tails: each line break comes before its row, and the file's last
-    one is written at the end."""
-    m1, m2 = sol.Y[0].shape[1:]
-    pairs = [f"{i},{j}" for i in range(1, m1 + 1) for j in range(1, m2 + 1)]
-    nodes_at_once = max(1, _WRITE_ROWS // len(pairs))
-    rows = distinct = 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(export_header(sol.tree.d)))
-        for t, nodes, index, w, cols in _export_blocks(sol):
-            w = list(map(",".join, zip(*w)))
-            # ("", the tail of the first pair, ..., of the last) per distinct node
-            tails = list(zip(itertools.repeat(""), *(
-                map(",".join, zip(itertools.repeat(pair), w, *(c[q] for c in cols)))
-                for q, pair in enumerate(pairs))))
-            text = map(str.join, map(f"\r\n{t},{{}},".format, nodes),
-                       map(tails.__getitem__, index))
-            for _ in range(0, len(nodes), nodes_at_once):
-                fh.write("".join(itertools.islice(text, nodes_at_once)))
-            rows += len(nodes) * len(pairs)
-            distinct += len(tails)
-            del w, cols, tails, text    # the next block is formatted with this one freed
-        fh.write("\r\n")
-    return rows, distinct
-
-
 def _fmt(x):
     return repr(float(x))
 
@@ -377,7 +328,8 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
 
     Before the first task, the reports that a task writes (`_REPORTS`) are
     deleted from the report directory, so that it holds this run's alone; no
-    other file there is touched.
+    other file there is touched.  A directory that cannot be made or cleared
+    is a ScenarioError naming it, raised before any task runs.
     """
     plan = scenario.tasks
     if tasks is not None:
@@ -389,9 +341,13 @@ def run(scenario: Scenario, out_dir=None, seed: int = 0, tasks=None,
             raise ScenarioError(errs)
 
     out = Path(out_dir or scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in _REPORTS:
-        (out / name).unlink(missing_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in _REPORTS:
+            (out / name).unlink(missing_ok=True)
+    except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
+        raise ScenarioError([f"report directory {str(out)!r}: cannot create it or delete "
+                             f"its old reports ({exc})"])
     state = {}
     failures = []
     config_errors = []
@@ -627,7 +583,7 @@ def _run_brute_force(scenario, task, state, out, seed, hook):
 def _run_export(scenario, task, state, out, seed, hook):
     sol = _require(state, "direct", "export", "solve_direct")
     path = out / "fields.csv"
-    rows, distinct = _write_fields(path, sol)
+    rows, distinct = write_fields(path, sol)
     state["entry"].update(rows=rows, distinct_nodes=distinct, bytes=path.stat().st_size)
     return []
 

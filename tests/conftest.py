@@ -1,5 +1,6 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
-a wall-time budget, an array that refuses per-entry reads, the
+a wall-time budget, an array that refuses per-entry reads, every
+feedback strategy of a player, the
 canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
 per-carrier conditioning oracle, the level-by-level penalization oracle,
 the csv.writer export oracle, the entry-by-entry text oracle, the
@@ -21,7 +22,7 @@ import pytest
 from switchgame import build_tree
 from switchgame.bsde import DriverFn, check_contraction
 from switchgame.errors import ConvergenceError, DataError
-from switchgame.game import enumerate_feedback_strategies
+from switchgame.game import FeedbackStrategy, feedback_tables
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -510,17 +511,24 @@ def iterate_backward(tree, terminal, driver, post, picard_tol=1e-12, problems=No
     return (kept[0] + [terminal], *kept[1:]) if kept else ()
 
 
+def feedback_strategies(tree, player, m1, m2):
+    """Every feedback strategy of one player: each combination of the levels'
+    `feedback_tables`, in the order of `itertools.product` over them."""
+    for acts in itertools.product(*feedback_tables(tree, player, m1, m2)):
+        yield FeedbackStrategy(player, list(acts))
+
+
 def per_strategy_brute_force(spec, tree):
     """`game.brute_force_value` as it ran one lower-reflected backward pass per
     Player-I strategy, keeping the running minimum of the roots: each
-    j-independent table of `enumerate_feedback_strategies`, gathered at
+    j-independent table of `feedback_strategies`, gathered at
     (node, table mode, j) plus the switch cost and pushed up to the lower
     barrier, solved by the per-iterate kernel `iterate_backward`."""
     costs, gen = spec.costs, fieldwise_generator(spec.generator)
     xi = spec.check_terminal(tree)
     i_grid, j_grid = np.arange(spec.m1)[:, None], np.arange(spec.m2)[None, None, :]
     best = None
-    for a in enumerate_feedback_strategies(tree, "I", spec.m1, 1):
+    for a in feedback_strategies(tree, "I", spec.m1, 1):
         def lower(t, W, z, acts=a.actions):
             ia = acts[t]        # (n_t, m1, 1), the same mode for every j
             y = W[np.arange(len(W))[:, None, None], ia, j_grid] + costs.k[i_grid, ia]

@@ -20,7 +20,6 @@ import pytest
 from switchgame import build_tree, solve_rbsde
 from switchgame.game import (
     brute_force_value,
-    enumerate_feedback_strategies,
     eval_switched,
     extract_saddle,
     verify_saddle,
@@ -40,6 +39,7 @@ from switchgame.reflected import check_minimality, domain_report
 from switchgame.runner import parse_scenario, run
 
 from conftest import (
+    feedback_strategies,
     make_standard,
     n2_fixture_set,
     random_admissible_spec,
@@ -203,10 +203,10 @@ def test_criterion_09_exhaustive_saddle():
     sol = solve_rbsde(spec, tree)
     a_star, b_star = extract_saddle(sol)
     best_b = np.full((2, 2), -np.inf)
-    for b in enumerate_feedback_strategies(tree, "II", 2, 2):
+    for b in feedback_strategies(tree, "II", 2, 2):
         best_b = np.maximum(best_b, eval_switched(spec, tree, a_star, b).U[0][0])
     best_a = np.full((2, 2), np.inf)
-    for a in enumerate_feedback_strategies(tree, "I", 2, 2):
+    for a in feedback_strategies(tree, "I", 2, 2):
         best_a = np.minimum(best_a, eval_switched(spec, tree, a, b_star).U[0][0])
     gap = max(float(np.abs(best_b - sol.root).max()),
               float(np.abs(best_a - sol.root).max()))

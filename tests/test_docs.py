@@ -5,9 +5,10 @@ and `README.md` give the `switchgame solve` synopsis.  A task parameter or a
 command-line option removed from the code but left in these documents (or
 added to the code but not to them) fails here, and so does a module added to
 or removed from `src/switchgame/` without its row in README's module map, or
-a report whose header row differs from the columns that
-`docs/report_formats.md` names in its section title, or a task's manifest
-entry whose keys differ from the ones its table there lists.
+a report without exactly one section in `docs/report_formats.md`, a
+report whose header row differs from the columns that its section title
+names, or a task's manifest entry whose keys differ from the ones its table
+there lists.
 """
 
 import argparse
@@ -87,6 +88,13 @@ def test_module_map_lists_exactly_the_modules():
     modules = sorted(p.stem for p in (ROOT / "src" / "switchgame").glob("*.py")
                      if p.stem != "__init__")
     assert documented == modules
+
+
+def test_report_sections_are_exactly_the_reports_the_runner_writes():
+    # penalize.csv, double_penalize.csv and fields.csv have no header in
+    # their titles, so the header check below does not reach them
+    sections = re.findall(r"^## `(\w+\.csv)`", REPORTS.read_text(), re.M)
+    assert sorted(sections) == sorted(set(sections)) == sorted(runner._REPORTS)
 
 
 def test_report_headers_match_their_section_titles(tmp_path):

@@ -19,7 +19,6 @@ from switchgame.game import (
     _certificate_margin,
     _resolve_modes,
     brute_force_value,
-    enumerate_feedback_strategies,
     eval_switched,
     extract_saddle,
     greedy_strategy,
@@ -39,6 +38,7 @@ from switchgame.runner import parse_scenario
 
 from conftest import (
     NoEntryReads,
+    feedback_strategies,
     lower_sweep,
     make_standard,
     n2_fixture_set,
@@ -632,10 +632,10 @@ def exhaustive_reply(spec, tree, opponent):
     Player-I tables against a Player-II table."""
     if opponent.player == "I":
         return np.max([eval_switched(spec, tree, opponent, b).root()
-                       for b in enumerate_feedback_strategies(tree, "II", spec.m1, spec.m2)],
+                       for b in feedback_strategies(tree, "II", spec.m1, spec.m2)],
                       axis=0)
     return np.min([eval_switched(spec, tree, a, opponent).root()
-                   for a in enumerate_feedback_strategies(tree, "I", spec.m1, spec.m2)],
+                   for a in feedback_strategies(tree, "I", spec.m1, spec.m2)],
                   axis=0)
 
 
@@ -1023,16 +1023,16 @@ class TestRepresentation:
 
     def test_enumeration_counts(self, standard_spec):
         tree = build_tree(1, 1, standard_spec.horizon)
-        assert sum(1 for _ in enumerate_feedback_strategies(tree, "I", 2, 1)) == 2 ** 2
-        assert sum(1 for _ in enumerate_feedback_strategies(tree, "II", 2, 2)) == 2 ** 4
+        assert sum(1 for _ in feedback_strategies(tree, "I", 2, 1)) == 2 ** 2
+        assert sum(1 for _ in feedback_strategies(tree, "II", 2, 2)) == 2 ** 4
 
     def test_enumeration_runs_over_every_entry_in_product_order(self):
         # the (level, node, i, j) entries flattened level by level run through
         # itertools.product, the last entry fastest
         tree = build_tree(2, 1, 1.0)
         got = [np.concatenate([x.ravel() for x in a.actions]).tolist()
-               for a in enumerate_feedback_strategies(tree, "I", 2, 1)]
+               for a in feedback_strategies(tree, "I", 2, 1)]
         assert got == [list(p) for p in itertools.product(range(2), repeat=6)]
         got = [np.concatenate([x.ravel() for x in b.actions]).tolist()
-               for b in enumerate_feedback_strategies(build_tree(1, 1, 1.0), "II", 2, 3)]
+               for b in feedback_strategies(build_tree(1, 1, 1.0), "II", 2, 3)]
         assert got == [list(p) for p in itertools.product(range(3), repeat=6)]

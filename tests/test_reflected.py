@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchgame import build_tree, model, reflected, runner
+from switchgame import build_tree, model, reflected
 from switchgame.bsde import DriverFn, backward, solve_system
 from switchgame.errors import DataError
 from switchgame.game import (
@@ -33,8 +33,9 @@ from switchgame.reflected import (
     export_header,
     export_rows,
     solve_rbsde,
+    write_fields,
 )
-from switchgame.runner import _write_fields, parse_scenario
+from switchgame.runner import parse_scenario
 
 from conftest import (
     STANDARD_ALPHA,
@@ -386,8 +387,8 @@ class TestExportAndCumulants:
             **{name: [a.view(NoEntryReads) for a in getattr(sol, name)]
                for name in ("Y", "Z", "dK", "dL")})
         assert list(export_rows(guarded)) == list(export_rows(sol))
-        _write_fields(tmp_path / "guarded.csv", guarded)
-        _write_fields(tmp_path / "plain.csv", sol)
+        write_fields(tmp_path / "guarded.csv", guarded)
+        write_fields(tmp_path / "plain.csv", sol)
         assert (tmp_path / "guarded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     # The writer repeats a node's key and W text once per mode pair and cycles
@@ -406,16 +407,16 @@ class TestExportAndCumulants:
         rows = {"default": reflected._EXPORT_BLOCK_ROWS, "3 nodes": 3 * m1 * m2, "1 row": 1}
         monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", rows[block])
         if block == "1 row":
-            monkeypatch.setattr(runner, "_WRITE_ROWS", 1)
+            monkeypatch.setattr(reflected, "_WRITE_ROWS", 1)
         spec = (standard_in_dimension(d) if (m1, m2) == (2, 2)
                 else affine_instance(np.random.default_rng(m1 + 3 * m2 + 9 * d), m1, m2, d))
         tree = build_tree(4, d, spec.horizon, recombining=recombining)
         sol = solve_rbsde(spec, tree)
         if block == "default" and d == 3 and not recombining:
             assert tree.level_size(tree.N) * m1 * m2 > 3 * reflected._EXPORT_BLOCK_ROWS
-            assert reflected._EXPORT_BLOCK_ROWS // (m1 * m2) * m1 * m2 % runner._WRITE_ROWS
+            assert reflected._EXPORT_BLOCK_ROWS // (m1 * m2) * m1 * m2 % reflected._WRITE_ROWS
         assert list(export_rows(sol)) == list(levelwise_export_rows(sol))
-        _write_fields(tmp_path / "fields.csv", sol)
+        write_fields(tmp_path / "fields.csv", sol)
         assert ((tmp_path / "fields.csv").read_bytes()
                 == csv_writer_fields(sol, tmp_path / "oracle.csv"))
 
@@ -434,7 +435,7 @@ class TestExportAndCumulants:
             a.flat[rng.choice(a.size, size=max(1, a.size // 10), replace=False)] = rng.choice(
                 PLANTED, size=max(1, a.size // 10))
         assert list(export_rows(planted)) == list(levelwise_export_rows(planted))
-        _write_fields(tmp_path / "fields.csv", planted)
+        write_fields(tmp_path / "fields.csv", planted)
         written = (tmp_path / "fields.csv").read_bytes()
         assert b",nan," in written and b",-0.0," in written
         assert written == csv_writer_fields(planted, tmp_path / "oracle.csv")
@@ -467,13 +468,13 @@ class TestExportAndCumulants:
         for f in (planted.Y, planted.Z, planted.dK, planted.dL, planted.K, planted.L):
             f[t][b] = f[t][c] = f[t][a]
         field[t][(b, *at)] = other
-        index = {n: (nodes.start, k) for level, nodes, ks, *_ in reflected._export_blocks(planted)
+        index = {n: (nodes.start, k) for level, nodes, ks, _ in reflected._export_blocks(planted)
                  if level == t for n, k in zip(nodes, ks)}
         assert index[a][0] == index[b][0] != index[c][0]
         assert index[a][1] != index[b][1]
         assert list(export_rows(planted)) == list(levelwise_export_rows(planted))
         path = tmp_path / "fields.csv"
-        _write_fields(path, planted)
+        write_fields(path, planted)
         assert path.read_bytes() == csv_writer_fields(planted, tmp_path / "oracle.csv")
 
     def test_writer_keeps_pushes_and_negative_zeros(self, tmp_path):
@@ -488,7 +489,7 @@ class TestExportAndCumulants:
         for a in itertools.chain(*fields.values(), planted.K, planted.L):
             a.flat[rng.choice(a.size, size=max(1, a.size // 50), replace=False)] = -0.0
         assert list(export_rows(planted)) == list(levelwise_export_rows(planted))
-        _write_fields(tmp_path / "fields.csv", planted)
+        write_fields(tmp_path / "fields.csv", planted)
         written = (tmp_path / "fields.csv").read_bytes()
         assert b",-0.0," in written
         assert written == csv_writer_fields(planted, tmp_path / "oracle.csv")

@@ -561,7 +561,7 @@ def one_block_bound(d: int, rows: int, lines: int) -> int:
 
 def export_bound(d: int) -> int:
     """`one_block_bound` of the committed block and write sizes."""
-    return one_block_bound(d, reflected._EXPORT_BLOCK_ROWS, runner._WRITE_ROWS)
+    return one_block_bound(d, reflected._EXPORT_BLOCK_ROWS, reflected._WRITE_ROWS)
 
 
 class TestFieldsExport:
@@ -579,7 +579,7 @@ class TestFieldsExport:
     def traced_peak(sol, path):
         tracemalloc.start()
         try:
-            runner._write_fields(path, sol)
+            reflected.write_fields(path, sol)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -722,6 +722,33 @@ class TestCli:
                                          ["tree", "fail"]]
         assert rows[2][2].startswith("tree with N=15000, d=1 passes the cap of 4194304 nodes")
         assert result.failures == [f"validate: {rows[2][2]}"]
+
+    @pytest.mark.parametrize("case,reason", [
+        ("an existing file", "File exists"),
+        ("a path below a file", "Not a directory"),
+        ("a fields.csv directory inside", "Is a directory"),
+        ("a NUL byte in out_dir", "embedded null byte"),
+    ])
+    def test_unusable_report_directory_exits_two_naming_it(self, tmp_path, capsys,
+                                                           case, reason):
+        # each escaped as a traceback and exit 1 from the directory's mkdir
+        # or the deletion of its old reports
+        doc = json.loads((BUNDLED / "standard_2x2.json").read_text())
+        (tmp_path / "file").write_text("not a directory\n")
+        out = {"an existing file": tmp_path / "file",
+               "a path below a file": tmp_path / "file" / "reports",
+               "a fields.csv directory inside": tmp_path / "reports",
+               "a NUL byte in out_dir": tmp_path / "re\x00ports"}[case]
+        (tmp_path / "reports" / "fields.csv").mkdir(parents=True)
+        doc["out_dir"] = str(out)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path), "--tasks", "validate"]) == 2
+        [message] = capsys.readouterr().err.splitlines()
+        assert message.startswith(f"report directory {str(out)!r}: cannot create it or "
+                                  "delete its old reports (")
+        assert reason in message
+        assert not (tmp_path / "reports" / "validate.csv").exists()
 
     def test_missing_scenario_exits_two(self, tmp_path):
         assert cli_main(["solve", str(tmp_path / "absent.json")]) == 2
