@@ -30,8 +30,6 @@ class ScenarioError(DataError):
     """
 
     def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
 

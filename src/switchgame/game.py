@@ -26,8 +26,8 @@ round).  Every feedback table is one such choice, so the best-reply value
 bounds every catalog strategy's value, provided the implicit step is
 monotone in the continuation values (see `_certificate_margin`).  When both
 best replies stay within the tolerance the catalog is not evaluated; when
-either fails, or the step is not monotone, the seeded catalog runs as
-before and names the violating strategies.
+either fails, or the step is not monotone, the seeded catalog runs and
+names the violating strategies.
 """
 
 from __future__ import annotations
@@ -103,10 +103,9 @@ class SwitchedValue:
     tree: object
     U: list  # per level, (n_t, m1, m2): payoff given current modes (i, j)
 
-    def root(self, start=None):
-        if start is None:
-            return self.U[0][0]
-        return float(self.U[0][0][_check_indices("start", start, self.U[0].shape[1:])])
+    @property
+    def root(self) -> np.ndarray:
+        return self.U[0][0]
 
 
 def _check_indices(name, values, highs):
@@ -248,12 +247,10 @@ def _barrier_actions(y, costs, player, fire):
     with a single mode has no target but its own mode, so its table is all
     stays whatever fires.
     """
-    if player == "I":
-        barrier, target = upper_barrier(y, costs, targets=True)
-        stay = np.arange(costs.m1)[:, None]
-    else:
-        barrier, target = lower_barrier(y, costs, targets=True)
-        stay = np.arange(costs.m2)
+    side, stay = upper_barrier, np.arange(costs.m1)[:, None]
+    if player == "II":
+        side, stay = lower_barrier, np.arange(costs.m2)
+    barrier, target = side(y, costs, targets=True)
     fired = fire(barrier)
     return np.where(fired, target, stay), fired
 
@@ -363,24 +360,19 @@ def _best_reply(spec: GameSpec, tree, xi, opponent: FeedbackStrategy) -> Switche
     def post(t, W, z):
         act = np.moveaxis(opponent.actions[t], 0, -1)       # mode-major, like W
         node = np.arange(act.shape[-1])
+
+        def forced(stay, move):
+            return np.where(stays, stay, move[at] + charge)
+
+        def reply(stay, move):
+            return best(stay, barrier(move, costs))
+
         if opponent.player == "I":
-            stays = act == i_grid
-            charge = costs.k[i_grid, act]
-
-            def turn_I(stay, move):
-                return np.where(stays, stay, charge + move[act, j_grid, node])
-
-            def turn_II(stay, move):
-                return np.maximum(stay, _lower(move, costs))
+            stays, at, charge = act == i_grid, (act, j_grid, node), costs.k[i_grid, act]
+            best, barrier, turn_I, turn_II = np.maximum, _lower, forced, reply
         else:
-            stays = act == j_grid
-            charge = costs.l[j_grid, act]
-
-            def turn_I(stay, move):
-                return np.minimum(stay, _upper(move, costs))
-
-            def turn_II(stay, move):
-                return np.where(stays, stay, move[i_grid, act, node] - charge)
+            stays, at, charge = act == j_grid, (i_grid, act, node), -costs.l[j_grid, act]
+            best, barrier, turn_I, turn_II = np.minimum, _upper, reply, forced
 
         # states with s = cap are worth W; descend in s
         I_next = II1_next = W
@@ -464,14 +456,14 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     contains the stay, all constant-mode, and the greedy strategies plus
     seeded random ones.
 
-    When the implicit step is monotone, both players' best replies are
-    solved first.  If Player II's best reply stays below Y(root) + tol and
-    Player I's above Y(root) - tol, each with `_certificate_margin` to
-    spare, no catalog strategy can violate, and the catalog is neither drawn
-    nor evaluated.  Otherwise the catalog is evaluated, drawn one strategy
-    at a time, and each violation carries the strategy for replay.  `tol`
-    must be finite and nonnegative, `catalog_size` and `seed` nonnegative
-    integers (DataError otherwise).
+    When the implicit step is monotone, `_best_reply` first solves each
+    player's best reply to the other's extracted strategy.  If Player II's
+    stays below Y(root) + tol and Player I's above Y(root) - tol, each with
+    `_certificate_margin` to spare, no catalog strategy can violate, and
+    the catalog is neither drawn nor evaluated.  Otherwise the catalog is
+    evaluated, drawn one strategy at a time, and each violation carries the
+    strategy for replay.  `tol` must be finite and nonnegative,
+    `catalog_size` and `seed` nonnegative integers (DataError otherwise).
     """
     _require_tolerance("tol", tol)
     _require_count("catalog_size", catalog_size, 0)
@@ -481,7 +473,7 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     xi = spec.check_terminal(tree)
     a_star, b_star = extract_saddle(sol)
     root_Y = sol.root
-    gaps = np.abs(_switched_backward(spec, tree, xi, a_star, b_star).root() - root_Y)
+    gaps = np.abs(_switched_backward(spec, tree, xi, a_star, b_star).root - root_Y)
     report = SaddleReport(
         value_gap=dict(np.ndenumerate(gaps)), violations=[],
         catalog_size_I=_catalog_size(spec, "I", catalog_size),
@@ -490,8 +482,8 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     )
     _add_violations(report.violations, "value", "saddle_pair", gaps, tol, None)
     if report.certificate_margin is not None:
-        reply_II = _best_reply(spec, tree, xi, a_star).root()
-        reply_I = _best_reply(spec, tree, xi, b_star).root()
+        reply_II = _best_reply(spec, tree, xi, a_star).root
+        reply_I = _best_reply(spec, tree, xi, b_star).root
         report.reply_slack_II = float((reply_II - root_Y).max())
         report.reply_slack_I = float((root_Y - reply_I).max())
         report.certified = (max(report.reply_slack_I, report.reply_slack_II)
@@ -503,10 +495,10 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     rng = np.random.default_rng(seed)
     for name, b in _catalog(sol, "II", catalog_size, rng):
         u = _switched_backward(spec, tree, xi, a_star, b)
-        _add_violations(report.violations, "upper", name, u.root() - root_Y, tol, b)
+        _add_violations(report.violations, "upper", name, u.root - root_Y, tol, b)
     for name, a in _catalog(sol, "I", catalog_size, rng):
         u = _switched_backward(spec, tree, xi, a, b_star)
-        _add_violations(report.violations, "lower", name, root_Y - u.root(), tol, a)
+        _add_violations(report.violations, "lower", name, root_Y - u.root, tol, a)
     return report
 
 
@@ -570,16 +562,14 @@ def feedback_tables(tree, player, m1, m2):
     return stacks
 
 
-def brute_force_value(spec: GameSpec, tree, start=None):
+def brute_force_value(spec: GameSpec, tree):
     """Exhaustive minimum over Player-I strategies of the lower-reflected solve.
 
-    Returns the (m1, m2) matrix of root values (or the scalar for `start`).
-    This is the independent oracle for the representation theorem; it never
-    calls the direct reflected solver.  One pass solves every j-independent
-    Player-I strategy.  Past its size cap, SizingError before any table is built.
+    Returns the (m1, m2) matrix of root values.  This is the independent
+    oracle for the representation theorem; it never calls the direct
+    reflected solver.  One pass solves every j-independent Player-I
+    strategy.  Past its size cap, SizingError before any table is built.
     """
-    if start is not None:
-        start = _check_indices("start", start, (spec.m1, spec.m2))
     power = 0   # level t holds m1 ** power strategy suffixes
     for t in range(tree.N - 1, -1, -1):
         n_t = tree.level_size(t)
@@ -594,4 +584,4 @@ def brute_force_value(spec: GameSpec, tree, start=None):
     # one mode per (node, i), as if Player II had one mode: j-uniform and in range
     tables = [x[..., 0] for x in feedback_tables(tree, "I", spec.m1, 1)]
     roots = _lower_reflected_backward(spec, tree, spec.check_terminal(tree), tables)[0][0]
-    return roots.min(axis=0) if start is None else float(roots.min(axis=0)[start])
+    return roots.min(axis=0)

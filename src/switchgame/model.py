@@ -39,12 +39,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def merged(self, other: "ValidationReport") -> "ValidationReport":
-        return ValidationReport(self.violations + other.violations)
-
 
 def _require_finite(name, a):
     """DataError naming the field `name` when array `a` holds a NaN or an infinity."""
@@ -697,7 +691,8 @@ class GameSpec:
 
     def validate(self) -> ValidationReport:
         """Cost-structure and loop-cost validation in one report."""
-        return validate_cost_matrices(self.costs).merged(check_loop_costs(self.costs))
+        return ValidationReport(validate_cost_matrices(self.costs).violations
+                                + check_loop_costs(self.costs).violations)
 
     def require_valid(self):
         report = self.validate()

@@ -261,6 +261,9 @@ def parse_scenario(path) -> Scenario:
         top["d"] = 1
     generator = _family(GeneratorSpec, "generator", top["generator"], costs, errs, d=top["d"])
     terminal = _family(TerminalSpec, "terminal", top["terminal"], costs, errs)
+    if tree and tree["recombining"] and terminal is not None and not terminal.markovian:
+        errs.append(f"terminal.family: {terminal.family!r} needs a path tree, but "
+                    "tree.recombining is true (a lattice state does not determine the path)")
     tasks = [_task(entry, f"tasks[{idx}]", errs) for idx, entry in enumerate(top["tasks"] or [])]
     tolerances = _fields(top["tolerances"], _FIELDS["tolerances"], "tolerances", errs,
                          unknown="{where}: unknown field(s) {names} "
@@ -537,10 +540,10 @@ def _run_saddle(scenario, task, state, out, seed, hook):
     rows = [["value_gap", "", f"{i + 1},{j + 1}", _fmt(g)]
             for (i, j), g in sorted(report.value_gap.items())]
     failures = []
-    for kind, strat_id, start, slack, strategy in report.violations:
-        rows.append([kind, strat_id, f"{start[0] + 1},{start[1] + 1}", _fmt(slack)])
-        failures.append(f"{kind} inequality violated by {slack!r} "
-                        f"(strategy {strat_id}, start {start})")
+    for kind, strat_id, (i, j), slack, strategy in report.violations:
+        rows.append([kind, strat_id, f"{i + 1},{j + 1}", _fmt(slack)])
+        failures.append(f"{kind} inequality violated by {float(slack)!r} "
+                        f"(strategy {strat_id}, start ({i + 1}, {j + 1}))")
     _write_table(out / "saddle.csv", ["kind", "strategy", "start", "value"], rows)
     # each violation's replay table, streamed: one violating table can hold
     # millions of rows, and it repeats once per violating start pair

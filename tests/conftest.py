@@ -1,6 +1,6 @@
 """Shared fixtures: the standard 2x2 instance, trees, random-instance helpers,
-a wall-time budget, an array that refuses per-entry reads, every
-feedback strategy of a player, the
+the player-swapped game, a wall-time budget, an array that refuses
+per-entry reads, every feedback strategy of a player, the
 canonicalizing loop-walk oracle, the candidate-tensor barrier oracle, the
 per-carrier conditioning oracle, the level-by-level penalization oracle,
 the csv.writer export oracle, the entry-by-entry text oracle, the
@@ -658,9 +658,8 @@ def make_3x3() -> GameSpec:
     return spec
 
 
-def random_admissible_spec(rng: np.random.Generator, m1: int, m2: int, tree) -> GameSpec:
-    """A random valid instance on `tree`: random costs passing both validators
-    and a random leaf-table terminal projected into the constraint region."""
+def random_costs(rng: np.random.Generator, m1: int, m2: int) -> CostTables:
+    """Random cost tables passing both validators."""
     while True:
         k = rng.uniform(0.5, 2.0, (m1, m1))
         l = rng.uniform(0.3, 1.5, (m2, m2))
@@ -668,12 +667,38 @@ def random_admissible_spec(rng: np.random.Generator, m1: int, m2: int, tree) -> 
         np.fill_diagonal(l, 0.0)
         costs = CostTables(k=k, l=l)
         if validate_cost_matrices(costs).ok and check_loop_costs(costs).ok:
-            break
+            return costs
+
+
+def random_admissible_spec(rng: np.random.Generator, m1: int, m2: int, tree) -> GameSpec:
+    """A random valid instance on `tree`: random costs passing both validators
+    and a random leaf-table terminal projected into the constraint region."""
+    costs = random_costs(rng, m1, m2)
     raw = rng.uniform(-2.0, 2.0, (tree.level_size(tree.N), m1, m2))
     table = np.stack([project_oblique(raw[p], costs)[0] for p in range(raw.shape[0])])
     gen = GeneratorSpec("mode_constant", m1, m2, d=tree.d, c=rng.uniform(-2.0, 2.0, (m1, m2)))
     term = TerminalSpec("leaf_table", m1, m2, table=table)
     return GameSpec(costs=costs, generator=gen, terminal=term, horizon=tree.T, d=tree.d)
+
+
+def mirror(spec: GameSpec) -> GameSpec:
+    """The player-swapped game: k and l trade places, c, alpha, beta and a
+    leaf table go to their negated transposes, and a, b and M stay, since
+    sat_M is odd.  Its reflected solution is the negated transpose."""
+    def flip(x):
+        return -np.swapaxes(x, -1, -2)
+
+    gen, term = spec.generator, spec.terminal
+    m1, m2 = spec.m2, spec.m1
+    names = {"constant": ("alpha",), "affine": ("alpha", "beta"),
+             "leaf_table": ("table",)}[term.family]
+    return GameSpec(
+        costs=CostTables(k=spec.costs.l, l=spec.costs.k),
+        generator=GeneratorSpec(gen.family, m1, m2, d=gen.d, c=flip(gen.c), a=gen.a, b=gen.b,
+                                M=gen.M),
+        terminal=TerminalSpec(term.family, m1, m2,
+                              **{name: flip(getattr(term, name)) for name in names}),
+        horizon=spec.horizon, d=spec.d)
 
 
 def n2_fixture_set():

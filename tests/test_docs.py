@@ -1,9 +1,10 @@
 """The documents name the settings the code has, and no others.
 
-`docs/scenario_schema.md` lists every task with its parameters, and both it
-and `README.md` give the `switchgame solve` synopsis.  A task parameter or a
-command-line option removed from the code but left in these documents (or
-added to the code but not to them) fails here, and so does a module added to
+`docs/scenario_schema.md` lists every task with its parameters and the
+files it writes, and both it and `README.md` give the `switchgame solve`
+synopsis.  A task parameter, output file or command-line option removed from
+the code but left in these documents (or added to the code but not to them)
+fails here, and so does a module added to
 or removed from `src/switchgame/` without its row in README's module map, or
 a report without exactly one section in `docs/report_formats.md`, a
 report whose header row differs from the columns that its section title
@@ -63,6 +64,31 @@ def test_task_table_lists_each_task_with_its_parameters():
     rows = _table(SCHEMA.read_text(), "task")
     documented = {_quoted(task)[0]: set(_quoted(params)) for task, params, _ in rows}
     assert documented == {name: set(rules) for name, (_, rules) in runner._TASKS.items()}
+
+
+def test_task_table_names_the_files_each_task_writes(tmp_path):
+    # each task in a directory of its own, after solve_direct where it needs
+    # it, and the saddle task once more with a lowered root, so that it
+    # writes its violations too
+    documented = {_quoted(task)[0]: set(_quoted(files))
+                  for task, _, files in _table(SCHEMA.read_text(), "task")}
+    scenario = runner.parse_scenario(small_scenario(
+        tmp_path, tree={"N": 2, "recombining": False}, tasks=EVERY_TASK))
+
+    def lower(sol):
+        sol.Y[0] = sol.Y[0] - 0.3
+
+    names = [entry if isinstance(entry, str) else entry["task"] for entry in EVERY_TASK]
+    written = {}
+    for k, (name, hook) in enumerate([(name, None) for name in names] + [("saddle", lower)]):
+        before = [] if name in ("validate", "solve_direct") else ["solve_direct"]
+        result = runner.run(scenario, out_dir=tmp_path / str(k), seed=0,
+                            tasks=before + [name], solution_hook=hook)
+        assert result.exit_code == (0 if hook is None else 1), name
+        files = {p.name for p in result.out_dir.iterdir()} - {"manifest.json"}
+        written.setdefault(name, set()).update(files - {f"{task}.csv" for task in before})
+    assert written == documented
+    assert set().union(*written.values()) == set(runner._REPORTS)
 
 
 def test_parameter_table_lists_every_task_parameter():

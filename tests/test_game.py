@@ -240,7 +240,7 @@ class TestEvalSwitched:
         b = FeedbackStrategy.stay("II", tree, 2, 2)
         val = eval_switched(spec, tree, a, b)
         xi = spec.check_terminal(tree)
-        np.testing.assert_allclose(val.root(), xi.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(val.root, xi.mean(axis=0), atol=1e-12)
 
     def test_single_switch_adds_one_cost(self):
         spec = make_standard(driver="zero")
@@ -250,8 +250,8 @@ class TestEvalSwitched:
         val = eval_switched(spec, tree, a, b)
         xi = spec.check_terminal(tree)
         for j in range(2):
-            assert val.root((0, j)) == pytest.approx(xi.mean(axis=0)[1, j] + 1.0)
-            assert val.root((1, j)) == pytest.approx(xi.mean(axis=0)[1, j])
+            assert val.root[0, j] == pytest.approx(xi.mean(axis=0)[1, j] + 1.0)
+            assert val.root[1, j] == pytest.approx(xi.mean(axis=0)[1, j])
 
     def test_player_II_switch_subtracts_cost(self):
         spec = make_standard(driver="zero")
@@ -260,7 +260,7 @@ class TestEvalSwitched:
         b = FeedbackStrategy.constant("II", tree, 2, 2, 0)
         val = eval_switched(spec, tree, a, b)
         xi = spec.check_terminal(tree)
-        assert val.root((0, 1)) == pytest.approx(xi.mean(axis=0)[0, 0] - 0.8)
+        assert val.root[0, 1] == pytest.approx(xi.mean(axis=0)[0, 0] - 0.8)
 
     def test_forward_backward_equivalence(self, rng, standard_spec):
         # backward evaluation must equal the forward oracle: average over all
@@ -282,7 +282,7 @@ class TestEvalSwitched:
                     total += xi[nodes[-1], modes[-1][0], modes[-1][1]] \
                         + drift + A[-1] - B[-1]
                 total /= 2 ** 3
-                assert val.root(start) == pytest.approx(total, abs=1e-10)
+                assert val.root[start] == pytest.approx(total, abs=1e-10)
 
     def test_cost_accounting_is_exact(self, rng, standard_spec):
         tree = build_tree(4, 1, standard_spec.horizon)
@@ -366,15 +366,9 @@ class TestEvalSwitched:
         tree = build_tree(3, 1, standard_spec.horizon)
         a = FeedbackStrategy.stay("I", tree, 2, 2)
         b = FeedbackStrategy.stay("II", tree, 2, 2)
-        val = eval_switched(standard_spec, tree, a, b)
         for start in [(-1, 0), (0, -1), (2, 0), (0, 2), (0,), (0, 1, 0), (0.0, 1), 1]:
             with pytest.raises(DataError, match="start must hold 2 integers in 0..1"):
                 simulate_path(standard_spec, tree, a, b, start, [0, 1, 0])
-            with pytest.raises(DataError, match="start must hold 2 integers"):
-                val.root(start)
-            with pytest.raises(DataError, match="start must hold 2 integers"):
-                brute_force_value(standard_spec, build_tree(1, 1, standard_spec.horizon),
-                                  start=start)
         for branches in ([-1, -1, -1], [0, 2, 0], [0, 1], [0, 1, 0, 1], [0, 0.5, 1]):
             with pytest.raises(DataError, match="branches must hold 3 integers in 0..1"):
                 simulate_path(standard_spec, tree, a, b, (0, 1), branches)
@@ -382,7 +376,6 @@ class TestEvalSwitched:
         nodes, modes, _, _ = simulate_path(standard_spec, tree, a, b, np.array([1, 0]),
                                            np.array([1, 1, 0]))
         assert nodes == [0, 1, 3, 6] and modes[-1] == (1, 0)
-        assert val.root((np.int64(1), 0)) == val.root()[1, 0]
 
 
 class TestSaddle:
@@ -514,11 +507,11 @@ class TestResolutionDifferential:
             pairs = [(FeedbackStrategy.random("I", tree, spec.m1, spec.m2, rng),
                       FeedbackStrategy.random("II", tree, spec.m1, spec.m2, rng))
                      for _ in range(20)]
-            resolved = [eval_switched(spec, tree, a, b).root()
+            resolved = [eval_switched(spec, tree, a, b).root
                         for a, b in [(a_star, b_star)] + pairs]
             with monkeypatch.context() as patch:
                 patch.setattr(game, "_resolve_modes", flat_positions(resolve_modes_loop))
-                looped = [eval_switched(spec, tree, a, b).root()
+                looped = [eval_switched(spec, tree, a, b).root
                           for a, b in [(a_star, b_star)] + pairs]
             # the saddle pair and the cyclic random pairs alike add up bit for bit
             np.testing.assert_array_equal(resolved[0], looped[0])
@@ -631,10 +624,10 @@ def exhaustive_reply(spec, tree, opponent):
     the max over Player-II tables against a Player-I table, the min over
     Player-I tables against a Player-II table."""
     if opponent.player == "I":
-        return np.max([eval_switched(spec, tree, opponent, b).root()
+        return np.max([eval_switched(spec, tree, opponent, b).root
                        for b in feedback_strategies(tree, "II", spec.m1, spec.m2)],
                       axis=0)
-    return np.min([eval_switched(spec, tree, a, opponent).root()
+    return np.min([eval_switched(spec, tree, a, opponent).root
                    for a in feedback_strategies(tree, "I", spec.m1, spec.m2)],
                   axis=0)
 
@@ -645,7 +638,7 @@ def catalog_sweep(spec, tree, sol, catalog_size, seed, tol):
     them when it does not certify."""
     a_star, b_star = extract_saddle(sol)
     Y = sol.root
-    u = eval_switched(spec, tree, a_star, b_star).root()
+    u = eval_switched(spec, tree, a_star, b_star).root
     gaps = {(i, j): abs(u[i, j] - Y[i, j]) for i in range(spec.m1) for j in range(spec.m2)}
     violations = [("value", "saddle_pair", p, g, None) for p, g in gaps.items() if g > tol]
     rng = np.random.default_rng(seed)
@@ -655,7 +648,7 @@ def catalog_sweep(spec, tree, sol, catalog_size, seed, tol):
         sizes[player] = len(catalog)
         for name, s in catalog:
             pair = (a_star, s) if player == "II" else (s, b_star)
-            u = eval_switched(spec, tree, *pair).root()
+            u = eval_switched(spec, tree, *pair).root
             slack = u - Y if player == "II" else Y - u
             violations += [(kind, name, (i, j), slack[i, j], s)
                            for i in range(spec.m1) for j in range(spec.m2)
@@ -695,7 +688,7 @@ class TestBestReplyCertificate:
 
     @staticmethod
     def _reply(spec, tree, opponent):
-        return _best_reply(spec, tree, spec.check_terminal(tree), opponent).root()
+        return _best_reply(spec, tree, spec.check_terminal(tree), opponent).root
 
     def test_bounds_every_feedback_table_against_random_opponents(self, rng):
         # N <= 2: the state-dependent reply is at least the exhaustive best
@@ -719,6 +712,17 @@ class TestBestReplyCertificate:
                     assert gap.min() >= -1e-12
                     strict += int(gap.max() > 1e-9)
         assert strict > 0
+
+    def test_player_I_reads_before_a_player_II_table(self):
+        # a draw whose value depends on the read-out order: with Player II's
+        # forced turn taken first, Player I's reply would pass the exhaustive
+        # best table by 0.023 at start (1, 2)
+        rng = np.random.default_rng(20)
+        tree = build_tree(1, 1, 0.5)
+        spec = random_admissible_spec(rng, 2, 2, tree)
+        opponent = FeedbackStrategy.random("II", tree, 2, 2, rng)
+        assert np.all(self._reply(spec, tree, opponent)
+                      <= exhaustive_reply(spec, tree, opponent) + 1e-12)
 
     def test_equals_the_exhaustive_value_against_the_saddle_strategies(self):
         spec = make_standard()
@@ -748,10 +752,10 @@ class TestBestReplyCertificate:
                 player = "II" if opp.player == "I" else "I"
                 for _, s in _catalog(sol, player, 8, rng):
                     if player == "II":
-                        assert np.all(eval_switched(spec, tree, opp, s).root()
+                        assert np.all(eval_switched(spec, tree, opp, s).root
                                       <= reply + margin)
                     else:
-                        assert np.all(eval_switched(spec, tree, s, opp).root()
+                        assert np.all(eval_switched(spec, tree, s, opp).root
                                       >= reply - margin)
 
     def test_flags_every_violation_the_catalog_finds(self, rng):
@@ -774,7 +778,7 @@ class TestBestReplyCertificate:
                     flagged = (reply - sol.root if player == "II" else sol.root - reply)
                     for _, s in _catalog(sol, player, 10, rng):
                         pair = (bad, s) if player == "II" else (s, bad)
-                        u = eval_switched(spec, tree, *pair).root()
+                        u = eval_switched(spec, tree, *pair).root
                         slack = u - sol.root if player == "II" else sol.root - u
                         hit = slack > tol
                         found += int(hit.sum())

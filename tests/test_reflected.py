@@ -2,13 +2,14 @@
 cross-solver agreement, and the one-sided reduction."""
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchgame import build_tree, model, reflected
-from switchgame.bsde import DriverFn, backward, solve_system
+from switchgame.bsde import PICARD_TOL, DriverFn, backward, solve_system
 from switchgame.errors import DataError
 from switchgame.game import (
     FeedbackStrategy,
@@ -22,6 +23,7 @@ from switchgame.model import (
     GeneratorSpec,
     TerminalSpec,
     in_Qbar,
+    project_oblique,
     project_oblique_batch,
     upper_barrier,
 )
@@ -42,16 +44,20 @@ from conftest import (
     STANDARD_BETA,
     STANDARD_C,
     NoEntryReads,
+    assert_bitwise,
     csv_writer_fields,
     fieldwise_check_minimality,
     levelwise_export_rows,
     make_standard,
+    mirror,
     random_admissible_spec,
+    random_costs,
     repr_text,
     standard_costs,
 )
 
-BIND_3X3 = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios" / "bind_3x3.json"
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
+BIND_3X3 = SCENARIOS / "bind_3x3.json"
 
 # Entries whose text a value-keyed memo would get wrong: both zeros, NaNs of
 # four payloads (signs and a signalling one), both infinities and subnormals.
@@ -550,3 +556,132 @@ class TestText:
         for p in range(2):
             assert reflected._text(z[:, p]) == repr_text(z[:, p])
             assert reflected._text(z[::3, p, :, 1]) == repr_text(z[::3, p, :, 1])
+
+
+# ---------------------------------------------------------------------------
+# The player-swapped game
+# ---------------------------------------------------------------------------
+
+DRIVERS = ("zero", "mode_constant", "saturated_affine")
+
+
+def admissible_game(rng, recombining, d, driver):
+    """A random game that `solve_rbsde` admits, and its tree: 1 to 3 modes a
+    player, and a terminal inside the region at every leaf (a projected leaf
+    table on the path tree; on the lattice an affine terminal with one slope
+    for every pair, whose differences do not move).  dt <= 1/2 and every
+    coefficient lies in [-1, 1], so dt times the Lipschitz constant stays
+    below sqrt(2)/2."""
+    m1, m2 = (int(m) for m in rng.integers(1, 4, 2))
+    costs = random_costs(rng, m1, m2)
+    N = int(rng.integers(2, 41 if d == 1 else 13) if recombining
+            else rng.integers(1, 9 if d == 1 else 5))
+    tree = build_tree(N, d, float(rng.choice([0.25, 0.5])), recombining=recombining)
+    params = {} if driver == "zero" else {"c": rng.uniform(-2.0, 2.0, (m1, m2))}
+    if driver == "saturated_affine":
+        params.update(a=rng.uniform(-1.0, 1.0), b=rng.uniform(-1.0, 1.0, d),
+                      M=float(rng.choice([0.5, 1.0, 2.0])))
+    if recombining:
+        alpha = project_oblique(rng.uniform(-2.0, 2.0, (m1, m2)), costs)[0]
+        terminal = TerminalSpec("affine", m1, m2, alpha=alpha,
+                                beta=np.full((m1, m2), rng.uniform(-1.0, 1.0)))
+    else:
+        raw = rng.uniform(-2.0, 2.0, (tree.level_size(N), m1, m2))
+        terminal = TerminalSpec("leaf_table", m1, m2,
+                                table=[project_oblique(x, costs)[0] for x in raw])
+    generator = GeneratorSpec(driver, m1, m2, d=d, **params)
+    return GameSpec(costs, generator, terminal, horizon=tree.T, d=d), tree
+
+
+def mirror_bound(sol):
+    """(bound, one level's roundings): how far the mirror's Y may miss the
+    negated transpose at any level, and what one side rounds in one level.
+
+    Negation and transposition are exact, so the two solves differ only
+    where they round the same sums in another order, as when the projection
+    sweeps the mirror's pairs in transposed order.  Per level and side that
+    is at most R = (m1*m2 - 1) + 2**(d+1) + d + 8 roundings: the links of
+    one push chain, and the implicit step's count of
+    `game._certificate_margin`.  Each is within u = 2**-53 of a magnitude
+    S = max|Y| + (m1*m2 - 1)*max(k, l), which no partial chain sum passes.
+    For `saturated_affine` the Picard stop adds q/(1 - q)*tau, q = dt*|a|.
+    A change of the next level moves the step by at most
+    g = (1 + sqrt(dt)*||b||_1)/(1 - q) times as much (z reads the children
+    through +/-sqrt(dt)/dt), and the projection by at most as much.  Over
+    both sides and every level:
+
+        bound = 2 * sum_{t<N} g**t * (R*u*S + [q/(1 - q)*tau]).
+    """
+    spec, tree, gen = sol.spec, sol.tree, sol.spec.generator
+    links = spec.m1 * spec.m2 - 1
+    scale = (max(float(np.abs(y).max()) for y in sol.Y)
+             + links * float(max(spec.costs.k.max(), spec.costs.l.max())))
+    unit = (links + 2 ** (tree.d + 1) + tree.d + 8) * (np.finfo(float).eps / 2) * scale
+    q = tree.dt * abs(gen.a)
+    picard = q / (1.0 - q) * PICARD_TOL if gen.family == "saturated_affine" else 0.0
+    g = (1.0 + math.sqrt(tree.dt) * float(np.abs(gen.b).sum())) / (1.0 - q)
+    return 2.0 * sum(g ** t for t in range(tree.N)) * (unit + picard), unit
+
+
+def mirrored(sol):
+    """The fields the mirror's solution should hold: Y and Z negated, the
+    pushes of the other player, each with its mode axes swapped."""
+    return ([-np.swapaxes(y, 1, 2) for y in sol.Y], [-np.swapaxes(z, 2, 3) for z in sol.Z],
+            [np.swapaxes(x, 1, 2) for x in sol.dL], [np.swapaxes(x, 1, 2) for x in sol.dK])
+
+
+class TestMirror:
+    """The player-swapped game (`conftest.mirror`) solves to the negated
+    transpose: Y' = -Y^T, Z' = -Z^T, dK' = dL^T and dL' = dK^T.  Z is
+    compared by value, since the solves may write a zero with either sign."""
+
+    # (carrier, d, driver) -> the draws of `test_random_games` whose Y
+    # misses the negated transpose by a rounding, each within `mirror_bound`:
+    # two 3x3 lattices, at N=11 and N=10, each by 1.1e-16 at most
+    ROUNDED = {("lattice", 1, "zero"): {10}, ("lattice", 2, "mode_constant"): {17}}
+
+    @pytest.mark.parametrize("name", ["standard_2x2", "perf_3x3", "bind_3x3"])
+    @pytest.mark.parametrize("N,recombining", [(8, False), (12, False), (12, True), (40, True)])
+    def test_bundled_games_bit_for_bit(self, name, N, recombining):
+        spec = parse_scenario(SCENARIOS / f"{name}.json").spec
+        tree = build_tree(N, spec.d, spec.horizon, recombining=recombining)
+        if (name, N, recombining) == ("standard_2x2", 40, True):
+            # the terminal leaves the region on this lattice, and so does the mirror's
+            for game in (spec, mirror(spec)):
+                with pytest.raises(DataError, match="outside the constraint region"):
+                    solve_rbsde(game, tree)
+            return
+        sol, swapped = solve_rbsde(spec, tree), solve_rbsde(mirror(spec), tree)
+        Y, Z, dK, dL = mirrored(sol)
+        for got, want in zip(swapped.Y, Y, strict=True):
+            assert_bitwise(got, want)
+        for got, want in zip(swapped.Z, Z, strict=True):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(swapped.dK + swapped.dL, dK + dL, strict=True):
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("carrier", ["path", "lattice"])
+    def test_random_games(self, carrier, d, driver):
+        rng = np.random.default_rng([len(carrier), d, DRIVERS.index(driver)])
+        rounded = set()
+        for draw in range(20):
+            spec, tree = admissible_game(rng, carrier == "lattice", d, driver)
+            sol, swapped = solve_rbsde(spec, tree), solve_rbsde(mirror(spec), tree)
+            Y, Z, dK, dL = mirrored(sol)
+            if all(map(np.array_equal, swapped.Y, Y)):
+                for got, want in zip(swapped.Z, Z, strict=True):
+                    np.testing.assert_array_equal(got, want)
+                for got, want in zip(swapped.dK + swapped.dL, dK + dL, strict=True):
+                    assert_bitwise(got, want)
+                continue
+            rounded.add(draw)
+            bound, unit = mirror_bound(sol)
+            # z divides the children's values by sqrt(dt); a push is the
+            # difference of two values, each within the bound, rounded once
+            for fields, tol in (((swapped.Y, Y), bound),
+                                ((swapped.Z, Z), (bound + unit) / math.sqrt(tree.dt)),
+                                ((swapped.dK + swapped.dL, dK + dL), 2.0 * bound + unit)):
+                assert max(float(np.abs(g - w).max()) for g, w in zip(*fields)) <= tol
+        assert rounded <= self.ROUNDED.get((carrier, d, driver), set())

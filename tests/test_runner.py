@@ -455,6 +455,23 @@ class TestPipeline:
             count = sum(r[1] == name for r in upper)
             assert sum(r[1] == name for r in replay) == count * 15 * 4
 
+    def test_a_saddle_failure_line_reads_a_float_and_a_one_based_start(self, tmp_path):
+        # every interior level lowered by 0.05 opens the value gap at every
+        # start pair; the line names the start as saddle.csv does
+        def lower(sol):
+            for y in sol.Y[:-1]:
+                y -= 0.05
+
+        result = run(parse_scenario(BUNDLED / "standard_2x2.json"), out_dir=tmp_path / "gap",
+                     seed=0, tasks=["solve_direct", "saddle"], solution_hook=lower)
+        line = ("value inequality violated by 0.050000000000000044 "
+                "(strategy saddle_pair, start (1, 1))")
+        assert result.failures[0] == f"saddle: {line}"
+        assert result.manifest["tasks"][1]["failures"][0] == line
+        with open(tmp_path / "gap" / "saddle.csv", newline="") as fh:
+            assert ["value", "saddle_pair", "1,1", "0.050000000000000044"] in list(
+                csv.reader(fh))
+
     def test_scenario_tolerances_set_saddle_and_match(self, tmp_path):
         path = small_scenario(tmp_path, tolerances={"saddle": 1e-6, "match": 1e-6})
         assert cli_main(["solve", str(path), "--out", str(tmp_path / "tol")]) == 0
@@ -767,17 +784,20 @@ class TestCli:
         report = (tmp_path / "dom" / "validate.csv").read_text()
         assert "terminal_domain,fail" in report
 
-    def test_non_markovian_terminal_on_a_lattice_fails_validation(self, tmp_path):
-        path = small_scenario(
-            tmp_path,
-            terminal={"family": "leaf_table", "table": [[[0.0, 0.0], [0.0, 0.0]]] * 5},
-            tree={"N": 4, "recombining": True},
-            tasks=["validate"],
-        )
-        assert cli_main(["solve", str(path), "--out", str(tmp_path / "lat")]) == 1
-        report = (tmp_path / "lat" / "validate.csv").read_text()
-        assert ("terminal_domain,fail,the recombining fast path requires a Markovian terminal"
-                in report)
+    def test_non_markovian_terminal_on_a_lattice_fails_validation(self, tmp_path, capsys):
+        # refused by the parser, so every task list exits 2 and writes no report
+        for tasks in (["validate"], ["solve_direct"], EVERY_TASK):
+            path = small_scenario(
+                tmp_path,
+                terminal={"family": "leaf_table", "table": [[[0.0, 0.0], [0.0, 0.0]]] * 5},
+                tree={"N": 4, "recombining": True},
+                tasks=tasks,
+            )
+            assert cli_main(["solve", str(path), "--out", str(tmp_path / "lat")]) == 2
+            assert capsys.readouterr().err == (
+                f"{path}: terminal.family: 'leaf_table' needs a path tree, but "
+                "tree.recombining is true (a lattice state does not determine the path)\n")
+            assert not (tmp_path / "lat").exists()
 
     def test_task_subset_override(self, tmp_path):
         path = small_scenario(tmp_path)
