@@ -38,6 +38,7 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError, _require_count, _require_tolerance
+from .lattice import carrier
 from .model import (
     GameSpec,
     _lower,
@@ -464,6 +465,13 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     evaluated, drawn one strategy at a time, and each violation carries the
     strategy for replay.  `tol` must be finite and nonnegative,
     `catalog_size` and `seed` nonnegative integers (DataError otherwise).
+
+    The saddle pair and the best replies run on the tree's `carrier`, the
+    distinct nodes of a path tree with a Markovian terminal, when the values
+    they read (the levels of `sol.Y` below the leaves, and the leaf values)
+    are the same bits at every node of each of its classes; otherwise, as
+    after an edit of one node, on the whole tree.  The catalog and its
+    replay tables are always on the whole tree.
     """
     _require_tolerance("tol", tol)
     _require_count("catalog_size", catalog_size, 0)
@@ -471,9 +479,13 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     spec, tree = sol.spec, sol.tree
     spec.require_valid()
     xi = spec.check_terminal(tree)
-    a_star, b_star = extract_saddle(sol)
+    run = carrier(tree, spec.terminal.markovian)
+    levels = run.restrict(sol.Y[:tree.N] + [xi])
+    if levels is None:
+        run, levels = tree, sol.Y[:tree.N] + [xi]
+    run_a, run_b = extract_saddle(RbsdeSolution(run, spec, levels, [], [], []))
     root_Y = sol.root
-    gaps = np.abs(_switched_backward(spec, tree, xi, a_star, b_star).root - root_Y)
+    gaps = np.abs(_switched_backward(spec, run, levels[-1], run_a, run_b).root - root_Y)
     report = SaddleReport(
         value_gap=dict(np.ndenumerate(gaps)), violations=[],
         catalog_size_I=_catalog_size(spec, "I", catalog_size),
@@ -482,8 +494,8 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
     )
     _add_violations(report.violations, "value", "saddle_pair", gaps, tol, None)
     if report.certificate_margin is not None:
-        reply_II = _best_reply(spec, tree, xi, a_star).root
-        reply_I = _best_reply(spec, tree, xi, b_star).root
+        reply_II = _best_reply(spec, run, levels[-1], run_a).root
+        reply_I = _best_reply(spec, run, levels[-1], run_b).root
         report.reply_slack_II = float((reply_II - root_Y).max())
         report.reply_slack_I = float((root_Y - reply_I).max())
         report.certified = (max(report.reply_slack_I, report.reply_slack_II)
@@ -491,6 +503,8 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
         if report.certified:
             return report
 
+    # the catalog and its replay tables are on the whole tree
+    a_star, b_star = (run_a, run_b) if run is tree else extract_saddle(sol)
     # all Player-II draws come first, then the Player-I draws, from one rng
     rng = np.random.default_rng(seed)
     for name, b in _catalog(sol, "II", catalog_size, rng):

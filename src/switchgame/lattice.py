@@ -16,6 +16,19 @@ W-states and where a node's 2**d children sit:
   ``(t+1)**d`` walk states; valid only when driver and terminal depend on the
   current W-state alone.
 
+* the distinct nodes of a path tree (`PathTree.distinct`, built on first
+  read and kept on the tree).  Two path nodes of a level share a class when
+  their W-states are the same bits and their children's classes match in
+  branch order; a level of the carrier holds one node per class, its first
+  path node the representative.  A backward solve whose terminal reads W_T
+  alone gives bitwise-equal values at the nodes of a class, so it may run
+  on the carrier and be expanded to the path tree afterwards.  `carrier`
+  chooses it for a Markovian terminal on a path tree, and the tree itself
+  otherwise: on a lattice, and for a `leaf_table` terminal, which reads the
+  path.  Every tree gathers and expands fields through the same three
+  methods (`gather`, `restrict`, `expand`); on a tree that is its own
+  carrier they return the fields as they are.
+
 Values on a level are node-first, ``(n_t, m1, m2)`` or ``(n_t, d, m1, m2)``,
 summed as views with the node axis last, whose slices are a node's children.
 """
@@ -23,6 +36,7 @@ summed as views with the node axis last, whose slices are a node's children.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +113,14 @@ class _Tree:
     def time(self, t: int) -> float:
         return t * self.dt
 
+    # A tree is its own carrier: its fields need no gather or expansion.
+    def gather(self, levels, t=0):
+        """Carrier fields of the node-first path fields `levels` of tree
+        levels t, t+1, ...: here the fields themselves."""
+        return levels
+
+    restrict = expand = gather
+
     def _next_level(self, t: int, values) -> np.ndarray:
         """Level-(t+1) `values` as an (entries per node, rows) view."""
         if not 0 <= t < self.N:
@@ -156,6 +178,83 @@ class PathTree(_Tree):
     # carrier's conditioning as found in the carrier's own namespace
     expect_next, z_next = _Tree.expect_next, _Tree.z_next
 
+    @cached_property
+    def distinct(self):
+        """The carrier of this tree's distinct nodes, built on first read."""
+        return _DistinctTree(self)
+
+
+def _first_classes(keys):
+    """(class of each row, first row of each class) of an (n, k) integer
+    array whose equal rows share a class, the classes numbered in order of
+    their first rows.  A stable sort of the rows puts each class's first row
+    at the head of its run."""
+    order = np.lexsort(keys.T[::-1])
+    runs = keys[order]
+    head = np.empty(len(runs), dtype=bool)
+    head[0] = True
+    np.any(runs[1:] != runs[:-1], axis=1, out=head[1:])
+    first = order[head]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    classes = np.empty(len(runs), dtype=np.intp)
+    classes[order] = rank[np.cumsum(head) - 1]
+    return classes, np.sort(first)
+
+
+class _DistinctTree(PathTree):
+    """The distinct nodes of a path tree, one per class (see the module
+    docstring), built from the leaves up.
+
+    `classes[t]` maps each path node of level t to its class and `reps[t]`
+    each class to its first path node, whose W-state it has; class k's
+    child in branch c is the class of its representative's.  A subclass of
+    `PathTree`, so that its conditioning is `PathTree`'s own attributes,
+    found through the class at each call."""
+
+    def __init__(self, tree: PathTree):
+        B, N = tree.branching, tree.N
+        self.classes, self.reps = [None] * (N + 1), [None] * (N + 1)
+        for t in range(N, -1, -1):
+            # bits, not values: -0.0 and 0.0 are different states
+            keys = np.ascontiguousarray(tree.level_w(t)).view(np.int64)
+            if t < N:
+                keys = np.concatenate([keys, self.classes[t + 1].reshape(-1, B)], axis=1)
+            self.classes[t], self.reps[t] = _first_classes(keys)
+        # (B, classes) per level: each class's child class in branch c
+        self._kids = [self.classes[t + 1].reshape(-1, B)[self.reps[t]].T for t in range(N)]
+        self._w = [tree.level_w(t)[r] for t, r in enumerate(self.reps)]
+        _Tree.__init__(self, N, tree.d, tree.T, tree.num_nodes)
+
+    def level_size(self, t: int) -> int:
+        return len(self.reps[t])
+
+    def _children(self, t: int, v: np.ndarray) -> list:
+        return [v[:, kids] for kids in self._kids[t]]
+
+    def gather(self, levels, t=0):
+        """Carrier fields of the node-first path fields `levels` of tree
+        levels t, t+1, ...: each read at its classes' representatives."""
+        return [node_first(node_last(f).take(r, axis=-1)) for f, r in zip(levels, self.reps[t:])]
+
+    def expand(self, levels, t=0):
+        """Path fields of the node-first carrier fields `levels` of tree
+        levels t, t+1, ...: each path node reads its class, into node-first
+        views of new contiguous mode-major arrays."""
+        return [node_first(node_last(f).take(c, axis=-1))
+                for f, c in zip(levels, self.classes[t:])]
+
+    def restrict(self, levels):
+        """`gather(levels)` when every level of the path fields `levels` is
+        the same bits at the nodes of each class, else None."""
+        out = self.gather(levels)
+        same = all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(self.expand(out), levels))
+        return out if same else None
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
 
 class RecombiningTree(_Tree):
     """Recombining scaled-random-walk lattice; level t holds (t+1)**d states.
@@ -189,6 +288,14 @@ class RecombiningTree(_Tree):
 
     # see PathTree
     expect_next, z_next = _Tree.expect_next, _Tree.z_next
+
+
+def carrier(tree, markovian: bool):
+    """The tree a backward solve runs on for data on `tree`: its distinct
+    nodes when `tree` is a path tree and the terminal is Markovian (it reads
+    W_T alone), else `tree` itself.  Only a `PathTree` proper has them: a
+    wrapper or a subclass may condition otherwise."""
+    return tree.distinct if markovian and type(tree) is PathTree else tree
 
 
 def build_tree(N: int, d: int, T: float, recombining: bool = False,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError, _require_count
-from .lattice import node_first, node_last, trailing
+from .lattice import carrier, node_first, node_last, trailing
 from .model import GameSpec, _upper
 from .reflected import RbsdeSolution
 
@@ -213,14 +213,18 @@ def _sweep(spec: GameSpec, tree, n_list, post, m=0):
     upper level m, each checked first, ascending, so a SizingError names the smallest
     failing n before any Picard call.  The levels are stacked on axis 0, y (S, m1,
     m2, n_t), under one `_PenaltyDriver`, its level form built once per tree level;
-    a level leaves the Picard loop where its own pass would stop.  `post` goes to the
-    kernel as it is, ``post(t, y, z)``.  Returns the leaf values and the result."""
+    a level leaves the Picard loop where its own pass would stop.  The pass runs
+    on the tree's `carrier`, and `post` goes to the kernel as it is, ``post(t, y,
+    z)``, on the carrier's levels.  Returns the leaf values on the carrier and the
+    kernel's kept fields on `tree`."""
     spec.require_valid()
     lip = max(_require_penalty_contraction(tree, spec, n, m) for n in sorted(n_list))
     driver = _PenaltyDriver(spec, np.asarray(n_list, dtype=float)[:, None, None, None], lip, m)
-    xi = node_first(np.repeat(node_last(spec.check_terminal(tree))[None], len(n_list), axis=0))
-    return xi, bsde.backward(tree, xi, driver, post,
-                             problems=[f"penalty level {n}" for n in n_list])
+    run = carrier(tree, spec.terminal.markovian)
+    xi = run.gather([spec.check_terminal(tree)], tree.N)[0]
+    xi = node_first(np.repeat(node_last(xi)[None], len(n_list), axis=0))
+    kept = bsde.backward(run, xi, driver, post, problems=[f"penalty level {n}" for n in n_list])
+    return xi, tuple(map(run.expand, kept))
 
 
 def solve_penalized(spec: GameSpec, tree, n: int) -> PenalizedSolution:
@@ -337,12 +341,16 @@ def penalization_report(spec: GameSpec, tree, n_list,
     stat, worst, gap = np.zeros(S), np.zeros(S), np.zeros(S)
     roots = np.empty((S, spec.m1, spec.m2))
 
+    run = carrier(tree, spec.terminal.markovian)
+
     def fold(t, y):
         for _, term, _ in _lower_excess(y, l):
             np.maximum(stat, bsde.problem_max(n * np.maximum(term, 0.0, out=term)), out=stat)
         np.maximum(worst[1:], bsde.problem_max(y[1:] - y[:-1]), out=worst[1:])
         if direct is not None:
-            np.maximum(gap, bsde.problem_max(np.abs(y - node_last(direct.Y[t]))), out=gap)
+            # against every node of `direct`, each read by its carrier node
+            paths = node_last(run.expand([node_first(y)], t)[0])
+            np.maximum(gap, bsde.problem_max(np.abs(paths - node_last(direct.Y[t]))), out=gap)
         if t == 0:
             roots[...] = y[..., 0]
         return ()

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bsde
-from .lattice import node_first, node_last
+from .lattice import carrier, node_first, node_last
 from .model import (
     REGION_TOL,
     GameSpec,
@@ -91,7 +91,9 @@ def solve_rbsde(spec: GameSpec, tree) -> RbsdeSolution:
     Validates the cost structure, checks the terminal matrix lies in the
     constraint region at every leaf (hard error otherwise), then runs the
     reflected backward induction: per level the implicit BSDE step with the
-    raw generator, then the oblique projection.
+    raw generator, then the oblique projection.  The induction runs on the
+    tree's `carrier` (a path tree's distinct nodes for a Markovian
+    terminal), and its fields are expanded to every node of `tree`.
     """
     spec.require_valid()
 
@@ -99,7 +101,9 @@ def solve_rbsde(spec: GameSpec, tree) -> RbsdeSolution:
         y, dK, dL = map(node_last, project_oblique_batch(node_first(y), spec.costs))
         return y, z, dK, dL
 
-    Y, Z, dK, dL = bsde.backward(tree, spec.check_terminal(tree), spec.generator, post)
+    run = carrier(tree, spec.terminal.markovian)
+    xi = run.gather([spec.check_terminal(tree)], tree.N)[0]
+    Y, Z, dK, dL = map(run.expand, bsde.backward(run, xi, spec.generator, post))
     return RbsdeSolution(tree=tree, spec=spec, Y=Y, Z=Z, dK=dK, dL=dL)
 
 

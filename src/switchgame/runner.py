@@ -264,6 +264,14 @@ def parse_scenario(path) -> Scenario:
     if tree and tree["recombining"] and terminal is not None and not terminal.markovian:
         errs.append(f"terminal.family: {terminal.family!r} needs a path tree, but "
                     "tree.recombining is true (a lattice state does not determine the path)")
+    elif tree and tree["N"] is not None and terminal is not None and not terminal.markovian:
+        # a path tree's table holds a row per leaf; no table reaches 2**64 rows,
+        # so a larger count is written as a power, not computed
+        power = top["d"] * tree["N"]
+        leaves = 1 << power if power < 64 else f"2**{power}"
+        if len(terminal.table) != leaves:
+            errs.append(f"terminal.table: {len(terminal.table)} rows, but the path tree with "
+                        f"N={tree['N']} and d={top['d']} has {leaves} leaves")
     tasks = [_task(entry, f"tasks[{idx}]", errs) for idx, entry in enumerate(top["tasks"] or [])]
     tolerances = _fields(top["tolerances"], _FIELDS["tolerances"], "tolerances", errs,
                          unknown="{where}: unknown field(s) {names} "

@@ -17,6 +17,7 @@ import pytest
 
 from switchgame import bsde, build_tree, penalty
 from switchgame.errors import ConvergenceError, DataError, SizingError
+from switchgame.lattice import carrier
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -506,9 +507,15 @@ class TestSweep:
         spec = refine_instance()
         tree = build_tree(N, 1, spec.horizon, recombining=recombining)
         levels = [1, 8, 3 * max_penalty_level(tree, spec) // 4]
+        # both passes count per tree level, told apart by its size: on `tree`
+        # alone, on the carrier of its distinct nodes (the path tree's) stacked
+        run = carrier(tree, spec.terminal.markovian)
+        level_of = [{on.level_size(t): t for t in range(N + 1)} for on in (tree, run)]
+        assert all(len(sizes) == N + 1 for sizes in level_of)
         alone = {}
         for n in levels:
             sequential_penalized(spec, tree, n, counts=alone)
+        alone = {(level_of[0][size], n): count for (size, n), count in alone.items()}
         stacked = {}
         intensity = penalty.lower_penalty_intensity
 
@@ -516,14 +523,14 @@ class TestSweep:
             # y is (S, m1, m2, n_t): problems on axis 0, one level of n each
             assert y.ndim == 4 and np.size(n) in (1, y.shape[0])
             for level in np.ravel(n):
-                stacked[(y.shape[-1], int(level))] = stacked.get((y.shape[-1], int(level)),
-                                                                 0) + 1
+                key = (level_of[1][y.shape[-1]], int(level))
+                stacked[key] = stacked.get(key, 0) + 1
             return intensity(y, l, n)
 
         monkeypatch.setattr(penalty, "lower_penalty_intensity", counted)
         penalization_report(spec, tree, levels)
         assert stacked == alone
-        assert len({alone[(1, n)] for n in levels}) == len(levels)   # they differ
+        assert len({alone[(0, n)] for n in levels}) == len(levels)   # they differ
 
     def test_sweep_keeps_less_than_two_full_solutions(self):
         spec = refine_instance()

@@ -18,7 +18,7 @@ import pytest
 from switchgame import build_tree, reflected, runner
 from switchgame.cli import main as cli_main
 from switchgame.errors import DataError, ScenarioError
-from switchgame.penalty import solve_double_penalized, solve_penalized
+from switchgame.penalty import penalization_report, solve_double_penalized, solve_penalized
 from switchgame.reflected import solve_rbsde
 from switchgame.runner import parse_scenario, run
 
@@ -376,6 +376,35 @@ class TestPipeline:
         assert (tmp_path / "bad" / "saddle_violations.csv").exists()
         entry = next(t for t in result.manifest["tasks"] if t["name"] == "saddle")
         assert entry["certified"] is False
+
+    def test_a_corrupted_node_off_its_class_representative_trips_the_saddle_check(
+            self, tmp_path):
+        # the saddle reads the values of a Markovian game on the carrier of the
+        # tree's distinct nodes only when they are the same bits at each of its
+        # classes: one node edited, not the first of its class, is still seen
+        scenario = parse_scenario(small_scenario(tmp_path))
+        tree = scenario.build_tree()
+        level, distinct = tree.N - 1, tree.distinct
+        node = max(q for q in range(tree.level_size(level))
+                   if distinct.reps[level][distinct.classes[level][q]] != q)
+
+        def corrupt(sol):
+            sol.Y[level][node, 0, 0] += 0.3
+
+        result = run(scenario, out_dir=tmp_path / "off", seed=0,
+                     tasks=["solve_direct", "saddle"], solution_hook=corrupt)
+        assert result.exit_code == 1
+        entry = next(t for t in result.manifest["tasks"] if t["name"] == "saddle")
+        assert entry["status"] == "invariant_failure" and entry["certified"] is False
+        assert any(f.startswith("saddle: ") for f in result.failures)
+
+        # and penalization_report's gap reads every node of the direct solution
+        direct = solve_rbsde(scenario.spec, tree)
+        clean = penalization_report(scenario.spec, tree, [1, 2], direct=direct).gaps()
+        direct.Y[level][node] += 5.0
+        edited = penalization_report(scenario.spec, tree, [1, 2], direct=direct).gaps()
+        # the edited node alone is 5.0 away from its value in `direct`
+        assert all(e >= 5.0 - c for e, c in zip(edited, clean, strict=True))
 
     @pytest.mark.parametrize("b,N,status", [(3.0, 2, "fail"), (2.8, 2, "ok"), (3.0, 3, "ok")])
     def test_comparison_condition_is_validated(self, tmp_path, b, N, status):
@@ -798,6 +827,30 @@ class TestCli:
                 f"{path}: terminal.family: 'leaf_table' needs a path tree, but "
                 "tree.recombining is true (a lattice state does not determine the path)\n")
             assert not (tmp_path / "lat").exists()
+
+    @pytest.mark.parametrize("rows", [5, 8, 32])
+    def test_a_path_trees_leaf_table_holds_one_row_per_leaf(self, tmp_path, capsys, rows):
+        # refused by the parser: validate exited 1 on a failing
+        # terminal_domain row, solve_direct 2 on the solver's DataError
+        for tasks in (["validate"], ["solve_direct"]):
+            path = small_scenario(
+                tmp_path,
+                terminal={"family": "leaf_table", "table": [[[0.0, 0.0], [0.0, 0.0]]] * rows},
+                tasks=tasks,
+            )
+            assert cli_main(["solve", str(path), "--out", str(tmp_path / "leaves")]) == 2
+            assert capsys.readouterr().err == (
+                f"{path}: terminal.table: {rows} rows, but the path tree with N=4 and d=1 "
+                "has 16 leaves\n")
+            assert not (tmp_path / "leaves").exists()
+        path = small_scenario(
+            tmp_path, terminal={"family": "leaf_table", "table": [[[0.0, 0.0], [0.0, 0.0]]] * 4},
+            d=2, generator={"family": "zero"}, tree={"N": 40, "recombining": False})
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(path)
+        assert exc.value.messages == [
+            f"{path}: terminal.table: 4 rows, but the path tree with N=40 and d=2 has 2**80 "
+            "leaves"]
 
     def test_task_subset_override(self, tmp_path):
         path = small_scenario(tmp_path)
