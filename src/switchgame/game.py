@@ -38,7 +38,7 @@ import numpy as np
 
 from . import bsde
 from .errors import DataError, SizingError, _require_count, _require_tolerance
-from .lattice import carrier
+from .lattice import _DistinctTree, carrier
 from .model import (
     GameSpec,
     _lower,
@@ -110,10 +110,11 @@ class SwitchedValue:
 
 
 def _check_indices(name, values, highs):
-    """`values` as a tuple, once it holds one integer per bound in `highs`, each
-    in 0..bound-1; NumPy would wrap a negative index instead of rejecting it."""
+    """`values` as a tuple, once it holds one integer (not a bool) per bound in
+    `highs`, each in 0..bound-1; NumPy would wrap a negative index instead."""
     if np.ndim(values) != 1 or len(values) != len(highs) or not all(
-            isinstance(v, (int, np.integer)) and 0 <= v < h for v, h in zip(values, highs)):
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < h
+            for v, h in zip(values, highs)):
         ranges = ", ".join(f"0..{h - 1}" for h in dict.fromkeys(highs))
         raise DataError(f"{name} must hold {len(highs)} integers in {ranges}; got {values!r}")
     return tuple(values)
@@ -159,20 +160,22 @@ def _resolve_modes(A, B, m1, m2, k, l, paid=(0.0, 0.0)):
 
 
 def _check_actions(spec: GameSpec, tree, strategy: FeedbackStrategy):
-    """Require one (level size, m1, m2) action table per tree level, holding
-    modes inside the player's range.
+    """Require one (level size, m1, m2) integer action table per tree level,
+    holding modes inside the player's range.
 
     NumPy would read a mode of -1 as the last mode, and the flat gathers of
     `_resolve_modes` would read a neighbouring node's entry for a mode past
-    the range, so both are rejected here rather than evaluated.
+    the range, so both are rejected here rather than evaluated, and so is a
+    float or bool table, which cannot index.
     """
     hi = spec.m1 if strategy.player == "I" else spec.m2
     acts = strategy.actions
     if len(acts) != tree.N or any(
             np.shape(x) != (tree.level_size(t), spec.m1, spec.m2)
+            or not np.issubdtype(np.asarray(x).dtype, np.integer)
             or np.min(x) < 0 or np.max(x) >= hi for t, x in enumerate(acts)):
         raise DataError(
-            f"Player-{strategy.player} action tables must have shape "
+            f"Player-{strategy.player} action tables must be integer arrays of shape "
             f"(level size, {spec.m1}, {spec.m2}) on each of the tree's {tree.N} "
             f"levels and hold modes 1..{hi}"
         )
@@ -212,8 +215,9 @@ def simulate_path(spec: GameSpec, tree, a: FeedbackStrategy, b: FeedbackStrategy
     nodes, the mode pair after each step, and the cumulative cost processes
     A (Player I) and B (Player II) sampled after each step.
     """
-    if tree.recombining:
-        raise DataError("forward simulation requires a path tree")
+    if tree.recombining or isinstance(tree, _DistinctTree):
+        raise DataError("forward simulation requires a path tree, not a lattice or "
+                        "the carrier of a path tree's distinct nodes")
     _check_actions(spec, tree, a)
     _check_actions(spec, tree, b)
     i, j = _check_indices("start", start, (spec.m1, spec.m2))
@@ -394,15 +398,14 @@ def _certificate_margin(spec: GameSpec, tree, xi):
     although the exact values are ordered; None when they need not be.
 
     Monotonicity.  The comparison needs the implicit step to be nondecreasing
-    in the next level's values.  The `zero` and `mode_constant` steps are
-    E + dt*c.  For `saturated_affine`, the branches' increments are
-    +/-sqrt(dt) per component with weight 2**-d, so E + dt*b.sat(z) weights
-    a child c by 2**-d * (1 + sqrt(dt) * sum_p b_p theta_p sign_p(c)) with
-    every theta_p in [0, 1] (the clamp's slope).  All weights are
-    nonnegative exactly when sqrt(dt) * ||b||_1 <= 1; the y-term a*sat(y)
-    keeps the solution nondecreasing in its right-hand side since
-    dt*|a| < 1 (the contraction condition).  Without that
-    (`GeneratorSpec.comparison_holds`), None.
+    in the next level's values.  The branches' increments are +/-sqrt(dt)
+    per component with weight 2**-d, so E + dt*b.sat(z) weights a child c
+    by 2**-d * (1 + sqrt(dt) * sum_p b_p theta_p sign_p(c)) with every
+    theta_p in [0, 1] (the clamp's slope).  All weights are nonnegative
+    exactly when sqrt(dt) * ||b||_1 <= 1; the y-term a*sat(y) keeps the
+    solution nondecreasing in its right-hand side since dt*|a| < 1 (the
+    contraction condition).  Without that (`GeneratorSpec.comparison_holds`),
+    None.
 
     Margin.  The exact step then moves by at most 1/(1 - q), q = dt*|a|,
     per unit change of its input, and the read-out programme by at most
@@ -411,37 +414,35 @@ def _certificate_margin(spec: GameSpec, tree, xi):
         u = 2**-53 of a magnitude S = max|xi| + T*sup|psi| +
         N*cap*max(k, l), the largest value or running cost sum any
         read-out reaches (cap = `_switch_cap`, 4*m1*m2);
-      * for `saturated_affine`, the Picard stopping error: iteration stops
-        once an update moves no entry by more than tau = `bsde.PICARD_TOL`,
-        which leaves the iterate within q/(1 - q) * tau of the fixed
-        point.  The other two families do not iterate: their driver
-        ignores y, and the kernel takes the one step E + dt*c.
+      * the Picard stopping error: iteration stops once an update moves
+        no entry by more than tau = `bsde.PICARD_TOL`, which leaves the
+        iterate within q/(1 - q) * tau of the fixed point.  With a = 0 the
+        driver ignores y, the kernel takes the one step E + dt*c, and the
+        term is exactly 0.0.
     Summed over the levels with the growth factor, and over both sides:
 
-        margin = 2 * sum_{t<N} (1 - q)**-t * (R*u*S + [q/(1 - q) * tau]),
+        margin = 2 * sum_{t<N} (1 - q)**-t * (R*u*S + q/(1 - q) * tau),
 
     floored at 1e-12.
     """
     gen = spec.generator
     if not gen.comparison_holds(tree.dt):
         return None
-    affine = gen.family == "saturated_affine"
     cap = _switch_cap(spec.m1, spec.m2)
     q = tree.dt * abs(gen.a)
     rounds = cap + 2 ** (tree.d + 1) + tree.d + 8
     scale = (float(np.abs(xi).max()) + tree.T * gen.sup_bound
              + tree.N * cap * float(max(spec.costs.k.max(), spec.costs.l.max())))
-    per_level = rounds * (np.finfo(float).eps / 2) * scale
-    if affine:
-        per_level += q / (1.0 - q) * bsde.PICARD_TOL
+    per_level = (rounds * (np.finfo(float).eps / 2) * scale
+                 + q / (1.0 - q) * bsde.PICARD_TOL)
     growth = sum((1.0 - q) ** -t for t in range(tree.N))
     return max(1e-12, float(2.0 * growth * per_level))
 
 
 def _add_violations(violations, kind, name, slack, tol, strategy):
-    """Append a violation per start pair whose (m1, m2) slack exceeds tol, in
-    row-major order; start pairs are tuples of Python ints."""
-    for i, j in zip(*np.nonzero(slack > tol)):
+    """Append a violation per start pair whose (m1, m2) slack exceeds tol or
+    is NaN, in row-major order; start pairs are tuples of Python ints."""
+    for i, j in zip(*np.nonzero(~(slack <= tol))):
         violations.append((kind, name, (int(i), int(j)), slack[i, j], strategy))
 
 
@@ -498,8 +499,9 @@ def verify_saddle(sol: RbsdeSolution, catalog_size: int = 200, seed: int = 0,
         reply_I = _best_reply(spec, run, levels[-1], run_b).root
         report.reply_slack_II = float((reply_II - root_Y).max())
         report.reply_slack_I = float((root_Y - reply_I).max())
-        report.certified = (max(report.reply_slack_I, report.reply_slack_II)
-                            <= tol - report.certificate_margin)
+        # np.maximum, not max: a NaN slack on either side must not certify
+        report.certified = bool(np.maximum(report.reply_slack_I, report.reply_slack_II)
+                                <= tol - report.certificate_margin)
         if report.certified:
             return report
 

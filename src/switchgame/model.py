@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, SizingError, _require_tolerance
-from .lattice import node_first, node_last, trailing
+from .errors import ConvergenceError, DataError, SizingError
+from .lattice import _DistinctTree, node_first, node_last, trailing
 
 LOOP_TOL = 1e-12       # |alternating cost| at most this counts as a zero-cost loop
 REGION_TOL = 1e-9      # how far past a barrier a value may sit and count as inside
@@ -298,10 +298,9 @@ def _outside_region(y, costs: CostTables, tol: float):
     return node_first(out).reshape(np.shape(y))
 
 
-def in_Qbar(y, costs: CostTables, tol: float = REGION_TOL) -> bool:
-    """True when every coordinate of y satisfies both barrier constraints within tol."""
-    _require_tolerance("tol", tol)
-    return not _outside_region(y, costs, tol).any()
+def in_Qbar(y, costs: CostTables) -> bool:
+    """True when every coordinate of y satisfies both barriers within REGION_TOL."""
+    return not _outside_region(y, costs, REGION_TOL).any()
 
 
 def _outside_matrices(ym, costs: CostTables):
@@ -469,18 +468,17 @@ project_oblique = project_oblique_batch     # a single matrix is a batch too
 # ---------------------------------------------------------------------------
 
 class GeneratorSpec:
-    """Driver family for the BSDE system, with exact Lipschitz and sup bounds.
+    """Driver of the BSDE system, with exact Lipschitz and sup bounds.
 
-    Families
-    --------
-    "zero"            : psi = 0
-    "mode_constant"   : psi = c[i, j]
-    "saturated_affine": psi = a * sat_M(y) + sum_p b[p] * sat_M(z[p]) + c[i, j]
-                        with sat_M clamping to [-M, M].
+    Every family is the one formula
 
-    The declared Lipschitz constant and sup norm are computed from the
-    parameters, never asserted by the caller.  Every parameter must be
-    finite, and the saturation level M nonnegative.
+        psi = a * sat_M(y) + sum_p b[p] * sat_M(z[p]) + c[i, j]
+
+    with sat_M clamping to [-M, M], and a family fixes some parameters:
+    "zero" has a = 0, b = 0 and c = 0; "mode_constant" has a = 0 and b = 0;
+    "saturated_affine" sets them all.  The Lipschitz constant and sup norm
+    are computed from the parameters, never asserted by the caller.  Every
+    parameter must be finite, and the saturation level M nonnegative.
     """
 
     FAMILIES = ("zero", "mode_constant", "saturated_affine")
@@ -505,21 +503,17 @@ class GeneratorSpec:
             raise DataError(f"M must be a nonnegative number; got {self.M!r}")
         if family != "saturated_affine" and (self.a != 0.0 or np.any(self.b != 0.0)):
             raise DataError("a and b are only meaningful for the saturated_affine family")
-        if family == "zero" and np.any(self.c != 0.0):
-            raise DataError("the zero family takes no c table")
+        if family == "zero":
+            if np.any(self.c != 0.0):
+                raise DataError("the zero family takes no c table")
+            self.c = np.zeros((m1, m2))     # +0.0, whatever the sign of zeros given
 
     @property
     def lipschitz(self) -> float:
-        if self.family == "saturated_affine":
-            return max(abs(self.a), float(np.linalg.norm(self.b)))
-        return 0.0
+        return max(abs(self.a), float(np.linalg.norm(self.b)))
 
     @property
     def sup_bound(self) -> float:
-        if self.family == "zero":
-            return 0.0
-        if self.family == "mode_constant":
-            return float(np.abs(self.c).max())
         return abs(self.a) * self.M + float(np.abs(self.b).sum()) * self.M + float(
             np.abs(self.c).max()
         )
@@ -551,16 +545,14 @@ class GeneratorSpec:
 
         z is the kernel's ``(d, ..., m1, m2, n)`` field, modes at -3 and -2
         and nodes last, and y is a trailing run of axis 0 of z without its
-        Brownian axis (for one problem, all of it).  `zero` and
-        `mode_constant` give their (m1, m2, 1) value table, which does not
-        depend on y or z (zeros for `zero`, whatever the sign of c's zeros).
-        `saturated_affine` gives the function ``y -> (a * sat_M(y) + c) +
-        sum_p b[p] * sat_M(z[p])``, the z term summed in p order from 0.0 and
-        broadcast with c once, here; y reads the same trailing run of both.
+        Brownian axis (for one problem, all of it).  With a = 0 and b = 0
+        (every family but `saturated_affine`) it is the (m1, m2, 1) value
+        table c, which does not depend on y or z.  `saturated_affine` gives
+        the function ``y -> (a * sat_M(y) + c) + sum_p b[p] * sat_M(z[p])``,
+        the z term summed in p order from 0.0 and broadcast with c once,
+        here; y reads the same trailing run of both.
         """
-        if self.family == "zero":
-            return np.zeros((self.m1, self.m2, 1))
-        if self.family == "mode_constant":
+        if self.family != "saturated_affine":
             return self.c[:, :, None]
         a, M = self.a, self.M
         zsat = np.maximum(-M, z)    # sat_M as np.clip gives it, bit for bit
@@ -701,9 +693,13 @@ class GameSpec:
 
     def check_terminal(self, tree):
         """Leaf values of the terminal on `tree`, where every solver starts.  Hard
-        error for a tree whose Brownian dimension or horizon is not the game's,
-        for a non-Markovian terminal on a recombining lattice (a state does not
-        determine the path) and for a leaf value outside the region."""
+        error for a path tree's distinct-node carrier (the solvers map from the
+        path tree), a tree whose Brownian dimension or horizon is not the
+        game's, a non-Markovian terminal on a recombining lattice (a state does
+        not determine the path) and a leaf value outside the region."""
+        if isinstance(tree, _DistinctTree):
+            raise DataError("the tree is the carrier of a path tree's distinct nodes; "
+                            "pass the path tree itself")
         differ = [f"{name} {theirs!r} against the game's {ours!r}"
                   for name, theirs, ours in (("d", tree.d, self.d),
                                              ("horizon", tree.T, self.horizon))

@@ -111,9 +111,10 @@ def check_minimality(sol: RbsdeSolution) -> ValidationReport:
     """Every strictly positive push must sit exactly on its barrier.
 
     For nodes with dK > PUSH_TOL the value must equal its upper barrier within
-    MINIMALITY_TOL; symmetrically for dL and the lower barrier.  Violations
-    are report entries, never exceptions, per level the upper ones first, each
-    in node order, reduced on mode-major blocks of nodes.
+    MINIMALITY_TOL; symmetrically for dL and the lower barrier.  A NaN push
+    or gap is a violation whatever the other reads.  Violations are report
+    entries, never exceptions, per level the upper ones first, each in node
+    order, reduced on mode-major blocks of nodes.
     """
     spec = sol.spec
     bad = []
@@ -125,7 +126,8 @@ def check_minimality(sol: RbsdeSolution) -> ValidationReport:
                 bar = barrier(y, spec.costs)
                 gaps = np.abs(np.subtract(y, bar, out=bar), out=bar)
                 push = node_last(pushes)[..., rows]
-                viol = (push > PUSH_TOL) & (gaps > MINIMALITY_TOL)
+                viol = np.isnan(push) | np.isnan(gaps) | (
+                    (push > PUSH_TOL) & (gaps > MINIMALITY_TOL))
                 for n, i, j in np.argwhere(node_first(viol)):
                     found[name].append(
                         f"level {t} node {rows.start + n} mode ({i + 1},{j + 1}): {name} "

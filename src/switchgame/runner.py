@@ -510,7 +510,7 @@ def _run_penalize(scenario, task, state, out, seed, hook):
                     + [str(r.monotone_ok).lower(), _fmt(r.monotone_worst),
                        _fmt(r.penalty_stat), _fmt(r.penalty_bound),
                        "" if r.gap is None else _fmt(r.gap)])
-        if r.penalty_stat > r.penalty_bound + 1e-9:
+        if not r.penalty_stat <= r.penalty_bound + 1e-9:
             failures.append(
                 f"penalty intensity {r.penalty_stat!r} at n={r.n} exceeds the "
                 f"bound {r.penalty_bound!r}"
@@ -578,7 +578,7 @@ def _run_brute_force(scenario, task, state, out, seed, hook):
             if direct is not None:
                 diff = abs(float(values[i, j] - direct.root[i, j]))
                 row += [_fmt(direct.root[i, j]), _fmt(diff)]
-                if diff > scenario.tolerances["match"]:
+                if not diff <= scenario.tolerances["match"]:
                     failures.append(
                         f"strategy-enumeration value differs from the direct solve "
                         f"by {diff!r} at start ({i + 1},{j + 1})"

@@ -240,7 +240,7 @@ def fieldwise_check_minimality(sol, tol=1e-8, push_tol=1e-9):
         for push, bar, name in ((sol.dK[t], up, "upper"),
                                 (sol.dL[t], lo, "lower")):
             gaps = np.abs(y - bar)
-            viol = (push > push_tol) & (gaps > tol)
+            viol = np.isnan(push) | np.isnan(gaps) | ((push > push_tol) & (gaps > tol))
             for n, i, j in np.argwhere(viol):
                 bad.append(
                     f"level {t} node {n} mode ({i + 1},{j + 1}): {name} push "

@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from switchgame import build_tree
-from switchgame.errors import SizingError
-from switchgame.game import verify_saddle
+from switchgame.errors import DataError, SizingError
+from switchgame.game import (
+    FeedbackStrategy,
+    brute_force_value,
+    eval_switched,
+    simulate_path,
+    solve_lower_reflected,
+    verify_saddle,
+)
 from switchgame.lattice import PathTree, _DistinctTree, carrier
 from switchgame.model import GameSpec, GeneratorSpec, TerminalSpec, project_oblique
 from switchgame.penalty import (
@@ -175,6 +182,30 @@ class TestDistinctTree:
         assert carrier(lat, True) is lat
         # a carrier is its own
         assert carrier(path.distinct, True) is path.distinct
+
+    @pytest.mark.parametrize("name", ["standard_2x2", "perf_3x3"])
+    def test_a_carrier_passed_as_the_tree_is_refused(self, name):
+        # the solvers map from the path tree: on its carrier they raised an
+        # IndexError, or (eval_switched, brute force) ran on the carrier
+        scenario = parse_scenario(SCENARIOS / f"{name}.json")
+        spec, run = scenario.spec, scenario.build_tree().distinct
+        m1, m2 = spec.m1, spec.m2
+        stay_I, stay_II = (FeedbackStrategy.stay(p, run, m1, m2) for p in ("I", "II"))
+        calls = [lambda: solve_rbsde(spec, run), lambda: solve_penalized(spec, run, 2),
+                 lambda: solve_double_penalized(spec, run, 1, 1),
+                 lambda: penalization_report(spec, run, [1]),
+                 lambda: eval_switched(spec, run, stay_I, stay_II),
+                 lambda: solve_lower_reflected(spec, run, stay_I)]
+        if name == "standard_2x2":
+            small = build_tree(2, spec.d, spec.horizon).distinct
+            calls.append(lambda: brute_force_value(spec, small))
+        for call in calls:
+            with pytest.raises(DataError, match="^the tree is the carrier of a path tree's "
+                                                "distinct nodes; pass the path tree itself$"):
+                call()
+        with pytest.raises(DataError, match="^forward simulation requires a path tree, not "
+                                            "a lattice or the carrier of a path tree's"):
+            simulate_path(spec, run, stay_I, stay_II, (0, 0), [1] * run.N)
 
 
 class TestBitForBit:

@@ -1,8 +1,9 @@
 """The documents name the settings the code has, and no others.
 
 `docs/scenario_schema.md` lists every task with its parameters and the
-files it writes, and both it and `README.md` give the `switchgame solve`
-synopsis.  A task parameter, output file or command-line option removed from
+files it writes, every top-level, `tree` and `tolerances` field with its
+default, and every generator and terminal family, and both it and
+`README.md` give the `switchgame solve` synopsis.  A task parameter, output file or command-line option removed from
 the code but left in these documents (or added to the code but not to them)
 fails here, and so does a module added to
 or removed from `src/switchgame/` without its row in README's module map, or
@@ -14,12 +15,14 @@ there lists.
 
 import argparse
 import csv
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from switchgame import cli, runner
+from switchgame.model import GeneratorSpec, TerminalSpec
 
 from test_runner import EVERY_TASK, small_scenario
 
@@ -95,6 +98,63 @@ def test_parameter_table_lists_every_task_parameter():
     rows = _table(SCHEMA.read_text(), "parameter")
     documented = {name for row in rows for name in _quoted(row[0])}
     assert documented == {key for _, rules in runner._TASKS.values() for key in rules}
+
+
+def _section(text, title):
+    """The text of the `## title` section of a Markdown document."""
+    body = text[text.index(f"\n## {title}\n") + len(title) + 5:]
+    return body[:body.find("\n## ")]
+
+
+def _default(text):
+    """A documented default as a value: a number, `2^22`, a JSON literal or a
+    quoted name."""
+    power = re.fullmatch(r"(\d+)\^(\d+)", text)
+    if power:
+        return int(power.group(1)) ** int(power.group(2))
+    return json.loads(text) if not text.startswith("`") else text.strip("`")
+
+
+def test_top_level_table_lists_every_field_with_its_default():
+    rows = _table(SCHEMA.read_text(), "field")
+    fields = runner._FIELDS[""]
+    assert sorted(_quoted(name)[0] for name, *_ in rows) == sorted(fields)
+    for name, _, required, _ in rows:
+        default = fields[_quoted(name)[0]][1]
+        if default is runner._REQUIRED:
+            assert required == "yes", name
+        else:
+            given = re.fullmatch(r"no(?: \((.+)\))?", required)
+            assert given, name
+            # an empty object default is written as a bare "no"
+            assert (_default(given.group(1)) if given.group(1) else default) == default, name
+
+
+def test_tree_bullets_list_every_field_with_its_default():
+    bullets = re.findall(r"^\* `(\w+)` \(([^)]*)\)", _section(SCHEMA.read_text(), "`tree`"),
+                         re.M)
+    fields = runner._FIELDS["tree"]
+    assert sorted(name for name, _ in bullets) == sorted(fields)
+    for name, kind in bullets:
+        default = fields[name][1]
+        if default is runner._REQUIRED:
+            assert kind.endswith(", required"), name
+        else:
+            assert _default(kind.split(", default ")[1]) == default, name
+
+
+def test_tolerances_table_lists_every_key_with_its_default():
+    rows = _table(_section(SCHEMA.read_text(), "`tolerances`"), "key")
+    assert {_quoted(key)[0]: float(default) for key, default, _ in rows} == (
+        runner.DEFAULT_TOLERANCES)
+    assert list(runner._FIELDS["tolerances"]) == list(runner.DEFAULT_TOLERANCES)
+
+
+@pytest.mark.parametrize("section,cls", [("`generator`", GeneratorSpec),
+                                         ("`terminal`", TerminalSpec)])
+def test_family_bullets_list_every_family(section, cls):
+    text = _section(SCHEMA.read_text(), section)
+    assert re.findall(r'^\* `"(\w+)"`', text, re.M) == list(cls.FAMILIES)
 
 
 @pytest.mark.parametrize("doc", [README, SCHEMA], ids=lambda p: p.name)

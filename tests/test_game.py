@@ -360,6 +360,40 @@ class TestEvalSwitched:
                 with pytest.raises(DataError, match="modes 1..2"):
                     call()
 
+    def test_action_tables_must_hold_integers(self, standard_spec):
+        # a float copy of the saddle tables, or a table of 0.5s, passed the
+        # range check and failed as an IndexError; a bool table failed with
+        # "too many indices"
+        tree = build_tree(3, 1, standard_spec.horizon)
+        a, b = extract_saddle(solve_rbsde(standard_spec, tree))
+        for tables in ([x.astype(float) for x in a.actions],
+                       [np.full(x.shape, 0.5) for x in a.actions],
+                       [x.astype(bool) for x in a.actions]):
+            bad_a = FeedbackStrategy("I", tables)
+            bad_b = FeedbackStrategy("II", [x.astype(tables[0].dtype) for x in b.actions])
+            for call, player in ((lambda: eval_switched(standard_spec, tree, bad_a, b), "I"),
+                                 (lambda: eval_switched(standard_spec, tree, a, bad_b), "II"),
+                                 (lambda: solve_lower_reflected(standard_spec, tree, bad_a), "I"),
+                                 (lambda: simulate_path(standard_spec, tree, a, bad_b, (0, 1),
+                                                        [1, 0, 1]), "II")):
+                with pytest.raises(DataError, match=rf"^Player-{player} action tables must "
+                                                    rf"be integer arrays of shape"):
+                    call()
+        assert eval_switched(standard_spec, tree, FeedbackStrategy(
+            "I", [x.astype(np.int8) for x in a.actions]), b).root.shape == (2, 2)
+
+    def test_bools_are_not_start_pairs_or_branches(self, standard_spec):
+        # True ran as branch 1, and a start of (True, False) ended in a TypeError
+        tree = build_tree(3, 1, standard_spec.horizon)
+        a = FeedbackStrategy.stay("I", tree, 2, 2)
+        b = FeedbackStrategy.stay("II", tree, 2, 2)
+        for start in [(True, False), (1, False), np.array([True, False])]:
+            with pytest.raises(DataError, match="^start must hold 2 integers in 0..1"):
+                simulate_path(standard_spec, tree, a, b, start, [0, 1, 0])
+        for branches in ([True] * 3, [0, 1, False]):
+            with pytest.raises(DataError, match="^branches must hold 3 integers in 0..1"):
+                simulate_path(standard_spec, tree, a, b, (0, 1), branches)
+
     def test_outside_start_pairs_and_branches_are_rejected(self, standard_spec):
         # NumPy would wrap -1 to the last mode or node instead of failing, and
         # read past the range into a bare IndexError
@@ -389,6 +423,37 @@ class TestSaddle:
         for bad in (np.nan, np.inf, -1e-9):
             with pytest.raises(DataError, match="^tol must be a finite nonnegative"):
                 verify_saddle(sol, catalog_size=4, tol=bad)
+
+    def test_a_nan_value_is_a_violation(self):
+        # NaN gaps and slacks failed every `slack > tol` test, so a NaN root
+        # came back ok with no violation
+        spec = parse_scenario(SCENARIOS / "standard_2x2.json").spec
+        sol = solve_rbsde(spec, build_tree(8, 1, spec.horizon))
+        sol.Y[0] = np.full_like(sol.Y[0], np.nan)
+        report = verify_saddle(sol, catalog_size=5)
+        assert not report.ok and not report.certified
+        kinds = [v[:3] for v in report.violations]
+        pairs = [(i, j) for i in range(2) for j in range(2)]
+        assert kinds[:4] == [("value", "saddle_pair", p) for p in pairs]
+        assert {k for k, *_ in kinds[4:]} == {"upper", "lower"}
+
+    def test_a_nan_best_reply_slack_does_not_certify(self, monkeypatch):
+        # Python's max kept a finite Player-I slack over a NaN Player-II one
+        spec = parse_scenario(SCENARIOS / "standard_2x2.json").spec
+        sol = solve_rbsde(spec, build_tree(8, 1, spec.horizon))
+        assert verify_saddle(sol, catalog_size=5).certified
+        best_reply = game._best_reply
+
+        def nan_for_player_II(spec, tree, xi, opponent):
+            value = best_reply(spec, tree, xi, opponent)
+            if opponent.player == "I":
+                value.U[0] = np.full_like(value.U[0], np.nan)
+            return value
+
+        monkeypatch.setattr(game, "_best_reply", nan_for_player_II)
+        report = verify_saddle(sol, catalog_size=5)
+        assert math.isnan(report.reply_slack_II) and not math.isnan(report.reply_slack_I)
+        assert not report.certified and report.ok
 
     @pytest.mark.parametrize("name,bad", [("catalog_size", 2.5), ("catalog_size", -1),
                                           ("catalog_size", True), ("seed", -1),

@@ -6,6 +6,7 @@ import re
 import traceback
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchgame import build_tree, model, solve_rbsde
+from switchgame.bsde import PICARD_TOL
 from switchgame.errors import ConvergenceError, DataError, SizingError
-from switchgame.game import _barrier_actions
+from switchgame.game import _barrier_actions, _certificate_margin
 from switchgame.model import (
     CostTables,
     GameSpec,
@@ -30,6 +32,7 @@ from switchgame.model import (
     upper_barrier,
     validate_cost_matrices,
 )
+from switchgame.runner import parse_scenario
 
 from conftest import (
     STANDARD_ALPHA,
@@ -38,6 +41,7 @@ from conftest import (
     STANDARD_K,
     STANDARD_L,
     _sweep_cap,
+    assert_bitwise,
     canonical_loop,
     canonicalizing_walk_loops,
     fieldwise_generator,
@@ -54,6 +58,9 @@ from conftest import (
     tolerance_sweep,
     upper_sweep,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "switchgame" / "scenarios"
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +333,19 @@ def test_time_budget_error_carries_no_frame_of_the_block():
 class TestDomain:
     def test_upper_violation(self):
         costs = CostTables(k=[[0.0, 1.0], [1.0, 0.0]], l=[[0.0]])
-        assert in_Qbar(np.array([[0.5], [0.0]]), costs, tol=1e-12)
-        assert not in_Qbar(np.array([[3.0], [0.0]]), costs, tol=1e-12)
+        assert in_Qbar(np.array([[0.5], [0.0]]), costs)
+        assert not in_Qbar(np.array([[3.0], [0.0]]), costs)
 
     def test_lower_violation(self):
         costs = CostTables(k=[[0.0]], l=[[0.0, 1.0], [1.0, 0.0]])
-        assert not in_Qbar(np.array([[0.0, 3.0]]), costs, tol=1e-12)
+        assert not in_Qbar(np.array([[0.0, 3.0]]), costs)
 
     def test_membership_is_shift_invariant(self, rng):
         costs = admissible_costs(rng, 3, 2)
         for _ in range(50):
             y = rng.uniform(-3, 3, (3, 2))
             y, _, _ = project_oblique(y, costs)
-            assert in_Qbar(y + rng.normal() * 5.0, costs, tol=1e-9)
+            assert in_Qbar(y + rng.normal() * 5.0, costs)
 
     def test_barriers_match_direct_formulas(self, rng):
         # barriers and switch targets against per-coordinate brute force on
@@ -477,13 +484,6 @@ class TestDomain:
             with pytest.raises(DataError, match=message):
                 check(np.zeros(shape), costs)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
-    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(self, tol):
-        # a NaN tolerance made every comparison false, so nothing was outside
-        with pytest.raises(DataError, match="^tol must be a finite nonnegative number"):
-            in_Qbar(np.array([[5.0, 0.0], [0.0, 0.0]]), standard_costs(), tol=tol)
-        assert in_Qbar(np.zeros((2, 2)), standard_costs(), tol=0.0)
-
     def test_barriers_build_no_candidate_tensor(self):
         # a (..., m, m, m') candidate tensor alone holds three fields on a
         # 3x3 grid; the running reduction peaks near two
@@ -508,7 +508,7 @@ class TestProjection:
     def test_identity_on_the_domain(self):
         costs = standard_costs()
         y = np.array([[0.1, 0.2], [0.0, 0.1]])
-        assert in_Qbar(y, costs, tol=0.0)
+        assert not model._outside_region(y, costs, 0.0).any()
         y2, dK, dL = project_oblique(y, costs)
         assert np.array_equal(y2, y)
         assert not dK.any() and not dL.any()
@@ -550,7 +550,7 @@ class TestProjection:
             costs = admissible_costs(rng, m1, m2)
             y = rng.uniform(-5, 5, (m1, m2))
             y2, dK, dL = project_oblique(y, costs)
-            assert in_Qbar(y2, costs, tol=2e-12)
+            assert not model._outside_region(y2, costs, 2e-12).any()
             assert np.min(np.minimum(dK, dL)) == 0.0
             assert np.max(dK * dL) == 0.0
             y3, dK3, dL3 = project_oblique(y2, costs)
@@ -604,7 +604,7 @@ class TestProjection:
         costs = admissible_costs(r, m1, m2)
         y = r.uniform(-5, 5, (m1, m2))
         y2, dK, dL = project_oblique(y, costs)
-        assert in_Qbar(y2, costs, tol=2e-12)
+        assert not model._outside_region(y2, costs, 2e-12).any()
         assert np.max(dK * dL) == 0.0
         assert np.abs(y2 - swapped_projection(y, costs)).max() <= 1e-9
 
@@ -944,6 +944,70 @@ class TestGeneratorSpec:
             GeneratorSpec("mode_constant", 2, 2, c=np.zeros((2, 2)), a=1.0)
         with pytest.raises(DataError):
             GeneratorSpec("fancy", 2, 2)
+
+    # cases of every family, signed zeros among them, for the constants that
+    # once branched on the family name
+    FORMULA_CASES = [
+        ("zero", {}), ("zero", {"c": np.full((2, 2), -0.0)}),
+        ("zero", {"c": [[0.0, -0.0], [-0.0, 0.0]], "a": -0.0, "b": [-0.0], "M": 7.0}),
+        ("mode_constant", {"c": STANDARD_C}),
+        ("mode_constant", {"c": [[-0.0, 0.3], [-1.7, 0.0]], "a": -0.0, "M": 0.0}),
+        ("saturated_affine", {"c": STANDARD_C, "a": -1.5, "b": [0.3, -0.4], "M": 2.0}),
+        ("saturated_affine", {"c": STANDARD_C, "a": 0.1, "b": [0.3, -0.4], "M": 1.5}),
+        ("saturated_affine", {"c": [[0.1, -0.0], [0.0, 0.1]], "a": 0.5, "b": [-0.2], "M": 0.7}),
+        ("saturated_affine", {"a": -0.0, "b": [0.0, -0.0], "M": 0.0}),
+    ]
+
+    @staticmethod
+    def per_family(gen, spec, tree, xi):
+        """(lipschitz, sup_bound, certificate margin) as the per-family
+        branches once gave them."""
+        affine = gen.family == "saturated_affine"
+        lip = max(abs(gen.a), float(np.linalg.norm(gen.b))) if affine else 0.0
+        if gen.family == "zero":
+            sup = 0.0
+        elif gen.family == "mode_constant":
+            sup = float(np.abs(gen.c).max())
+        else:
+            sup = abs(gen.a) * gen.M + float(np.abs(gen.b).sum()) * gen.M + float(
+                np.abs(gen.c).max())
+        if not gen.comparison_holds(tree.dt):
+            return lip, sup, None
+        cap = 4 * spec.m1 * spec.m2
+        q = tree.dt * abs(gen.a)
+        scale = (float(np.abs(xi).max()) + tree.T * sup
+                 + tree.N * cap * float(max(spec.costs.k.max(), spec.costs.l.max())))
+        per_level = (cap + 2 ** (tree.d + 1) + tree.d + 8) * (np.finfo(float).eps / 2) * scale
+        if affine:
+            per_level += q / (1.0 - q) * PICARD_TOL
+        growth = sum((1.0 - q) ** -t for t in range(tree.N))
+        return lip, sup, max(1e-12, float(2.0 * growth * per_level))
+
+    @pytest.mark.parametrize("family,params", FORMULA_CASES)
+    def test_one_formula_gives_each_familys_constants_bit_for_bit(self, family, params):
+        d = len(params.get("b", [0.0]))
+        gen = GeneratorSpec(family, 2, 2, d=d, **params)
+        spec = make_standard()
+        spec = GameSpec(spec.costs, gen, spec.terminal, horizon=spec.horizon, d=d)
+        for tree in (build_tree(4, d, spec.horizon), build_tree(9, d, spec.horizon, True)):
+            xi = spec.check_terminal(tree)
+            got = (gen.lipschitz, gen.sup_bound, _certificate_margin(spec, tree, xi))
+            assert list(map(repr, got)) == list(map(repr, self.per_family(gen, spec, tree, xi)))
+        if family != "saturated_affine":
+            # the value table is c, and the zero family's holds +0.0 only
+            table = gen.at_level(0.0, None, np.zeros((d, 2, 2, 3)))
+            want = np.zeros((2, 2)) if family == "zero" else params["c"]
+            assert_bitwise(table, np.asarray(want)[:, :, None])
+
+    @pytest.mark.parametrize("name", ["standard_2x2", "perf_3x3", "bind_3x3"])
+    def test_bundled_games_keep_their_constants_bit_for_bit(self, name):
+        spec = parse_scenario(SCENARIOS / f"{name}.json").spec
+        tree = build_tree(6, spec.d, spec.horizon)
+        xi = spec.check_terminal(tree)
+        got = (spec.generator.lipschitz, spec.generator.sup_bound,
+               _certificate_margin(spec, tree, xi))
+        want = self.per_family(spec.generator, spec, tree, xi)
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 class TestTerminalSpec:

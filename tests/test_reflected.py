@@ -10,7 +10,7 @@ import pytest
 
 from switchgame import build_tree, model, reflected
 from switchgame.bsde import PICARD_TOL, DriverFn, backward, solve_system
-from switchgame.errors import DataError
+from switchgame.errors import DataError, SizingError
 from switchgame.game import (
     FeedbackStrategy,
     brute_force_value,
@@ -27,7 +27,7 @@ from switchgame.model import (
     project_oblique_batch,
     upper_barrier,
 )
-from switchgame.penalty import solve_double_penalized, solve_penalized
+from switchgame.penalty import penalty_rate, solve_double_penalized, solve_penalized
 from switchgame.reflected import (
     RbsdeSolution,
     check_minimality,
@@ -157,7 +157,7 @@ class TestStructure:
         assert check_minimality(sol).ok
         for t in range(tree.N):
             assert np.max(sol.dK[t] * sol.dL[t]) == 0.0
-            assert in_Qbar(sol.Y[t], standard_spec.costs, tol=1e-9)
+            assert in_Qbar(sol.Y[t], standard_spec.costs)
 
     def test_random_instances_satisfy_minimality(self, rng):
         for _ in range(10):
@@ -222,6 +222,27 @@ class TestMinimalityCheck:
                     patch.setattr(reflected, "PUSH_TOL", 0.3)
                     assert (check_minimality(planted).violations
                             == fieldwise_check_minimality(planted, tol=0.3, push_tol=0.3))
+
+    def test_a_nan_push_or_gap_is_a_violation(self):
+        # a NaN failed both `> tol` tests, so a NaN push on its barrier, or a
+        # NaN value beside no push, passed
+        scenario = parse_scenario(BIND_3X3)
+        sol = solve_rbsde(scenario.spec, scenario.build_tree())
+        assert check_minimality(sol).ok
+        t = next(t for t, k in enumerate(sol.dK) if (k > 0.0).any())
+        node, i, j = np.argwhere(sol.dK[t] > 0.0)[0]
+        dK = [k.copy() for k in sol.dK]
+        dK[t][node, i, j] = np.nan
+        planted = RbsdeSolution(tree=sol.tree, spec=sol.spec, Y=sol.Y, Z=sol.Z, dK=dK, dL=sol.dL)
+        assert check_minimality(planted).violations == (
+            f"level {t} node {node} mode ({i + 1},{j + 1}): upper push nan off the "
+            f"barrier by 0",)
+        Y = [y.copy() for y in sol.Y]
+        Y[t][node, i, j] = np.nan
+        planted = RbsdeSolution(tree=sol.tree, spec=sol.spec, Y=Y, Z=sol.Z, dK=sol.dK, dL=sol.dL)
+        with np.errstate(invalid="ignore"):
+            bad = check_minimality(planted).violations
+        assert bad and all(f"level {t} node {node} mode" in v and "by nan" in v for v in bad)
 
 
 class TestOneSidedReduction:
@@ -623,6 +644,34 @@ def mirror_bound(sol):
     return 2.0 * sum(g ** t for t in range(tree.N)) * (unit + picard), unit
 
 
+def double_mirror_bound(sol):
+    """How far the doubly penalized mirror's Y may miss the negated transpose
+    at any level: `mirror_bound`'s sum, with the penalized step's counts.
+
+    The mirror sums each penalty over the other player's modes, so per level
+    and entry each side rounds at most R = 3*(m1 + m2) + 2**(d+1) + d + 8
+    times: three per penalty term, and the implicit step's count.  Each is
+    within u = 2**-53 of S = max|Y| + dt*(sup|psi| + (n + m)*(m1 + m2)*
+    (2*max|Y| + max(k, l))), the largest term a step sums, and moves the
+    Picard fixed point by at most 1/(1 - q) times as much, q = dt times the
+    penalized driver's Lipschitz constant; Picard stops within
+    q/(1 - q)*tau of it.  A change of the next level moves the step by at
+    most g = (1 + sqrt(dt)*||b||_1)/(1 - q) times as much.  Over both sides
+    and every level:
+
+        bound = 2 * sum_{t<N} g**t * (R*u*S + q*tau) / (1 - q).
+    """
+    spec, tree, gen = sol.spec, sol.tree, sol.spec.generator
+    m1, m2 = spec.m1, spec.m2
+    q = tree.dt * (gen.lipschitz + penalty_rate(sol.m, m1) + penalty_rate(sol.n, m2))
+    top = max(float(np.abs(y).max()) for y in sol.Y)
+    cost = float(max(spec.costs.k.max(), spec.costs.l.max()))
+    scale = top + tree.dt * (gen.sup_bound + (sol.n + sol.m) * (m1 + m2) * (2.0 * top + cost))
+    unit = (3 * (m1 + m2) + 2 ** (tree.d + 1) + tree.d + 8) * (np.finfo(float).eps / 2) * scale
+    g = (1.0 + math.sqrt(tree.dt) * float(np.abs(gen.b).sum())) / (1.0 - q)
+    return 2.0 * sum(g ** t for t in range(tree.N)) * (unit + q * PICARD_TOL) / (1.0 - q)
+
+
 def mirrored(sol):
     """The fields the mirror's solution should hold: Y and Z negated, the
     pushes of the other player, each with its mode axes swapped."""
@@ -685,3 +734,48 @@ class TestMirror:
                                 ((swapped.dK + swapped.dL, dK + dL), 2.0 * bound + unit)):
                 assert max(float(np.abs(g - w).max()) for g, w in zip(*fields)) <= tol
         assert rounded <= self.ROUNDED.get((carrier, d, driver), set())
+
+    @pytest.mark.parametrize("name", ["standard_2x2", "perf_3x3", "bind_3x3"])
+    def test_doubly_penalized_bundled_games_bit_for_bit(self, name):
+        # the game's lower penalty level n is the mirror's upper one
+        spec = parse_scenario(SCENARIOS / f"{name}.json").spec
+        for N, recombining in [(8, False), (12, True)]:
+            tree = build_tree(N, spec.d, spec.horizon, recombining=recombining)
+            for n, m in [(1, 1), (2, 3), (4, 1)]:
+                sol = solve_double_penalized(spec, tree, n, m)
+                swapped = solve_double_penalized(mirror(spec), tree, m, n)
+                for got, y in zip(swapped.Y, sol.Y, strict=True):
+                    assert_bitwise(got, -np.swapaxes(y, 1, 2))
+
+    # (carrier, d, driver) -> the draws of
+    # `test_doubly_penalized_random_games` whose Y misses the negated
+    # transpose by a rounding, each within `double_mirror_bound`: two
+    # saturated_affine lattices, by 5.6e-17 and 1.1e-16.  The seeds' last
+    # entry, 14, is the first from 2 up whose draws include such a miss, so
+    # the bound is exercised.
+    DOUBLE_ROUNDED = {("lattice", 1, "saturated_affine"): {4},
+                      ("lattice", 2, "saturated_affine"): {1}}
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("carrier", ["path", "lattice"])
+    def test_doubly_penalized_random_games(self, carrier, d, driver):
+        rng = np.random.default_rng([len(carrier), d, DRIVERS.index(driver), 14])
+        rounded = set()
+        for draw in range(5):
+            spec, tree = admissible_game(rng, carrier == "lattice", d, driver)
+            try:
+                sol = solve_double_penalized(spec, tree, 1, 1)
+            except SizingError:     # the contraction check refuses the mirror alike
+                with pytest.raises(SizingError):
+                    solve_double_penalized(mirror(spec), tree, 1, 1)
+                continue
+            swapped = solve_double_penalized(mirror(spec), tree, 1, 1)
+            Y = [-np.swapaxes(y, 1, 2) for y in sol.Y]
+            if all(np.array_equal(g.view(np.uint64), w.view(np.uint64))
+                   for g, w in zip(swapped.Y, Y, strict=True)):
+                continue
+            rounded.add(draw)
+            bound = double_mirror_bound(sol)
+            assert max(float(np.abs(g - w).max()) for g, w in zip(swapped.Y, Y)) <= bound
+        assert rounded <= self.DOUBLE_ROUNDED.get((carrier, d, driver), set())

@@ -377,6 +377,34 @@ class TestPipeline:
         entry = next(t for t in result.manifest["tasks"] if t["name"] == "saddle")
         assert entry["certified"] is False
 
+    def test_a_nan_penalty_intensity_or_brute_force_gap_fails_its_task(
+            self, tmp_path, monkeypatch):
+        # both comparisons read `value > bound`, which a NaN fails, so the
+        # tasks passed
+        scenario = parse_scenario(small_scenario(
+            tmp_path, tree={"N": 2, "recombining": False}, tasks=EVERY_TASK))
+        report = runner.penalization_report
+
+        def nan_intensity(*args, **kwargs):
+            out = report(*args, **kwargs)
+            out.rows[-1].penalty_stat = math.nan
+            return out
+
+        def nan_root(sol):
+            sol.Y[0] = np.full_like(sol.Y[0], np.nan)
+
+        monkeypatch.setattr(runner, "penalization_report", nan_intensity)
+        result = run(scenario, out_dir=tmp_path / "nan", seed=0,
+                     tasks=["solve_direct", "penalize", "brute_force"], solution_hook=nan_root)
+        entries = {t["name"]: t for t in result.manifest["tasks"]}
+        assert entries["penalize"]["status"] == entries["brute_force"]["status"] == (
+            "invariant_failure")
+        assert entries["penalize"]["failures"] == [
+            "penalty intensity nan at n=2 exceeds the bound 4.0"]
+        assert entries["brute_force"]["failures"] == [
+            f"strategy-enumeration value differs from the direct solve by nan at start "
+            f"({i},{j})" for i in (1, 2) for j in (1, 2)]
+
     def test_a_corrupted_node_off_its_class_representative_trips_the_saddle_check(
             self, tmp_path):
         # the saddle reads the values of a Markovian game on the carrier of the
