@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, SizingError
+from .errors import ConvergenceError, DataError, SizingError, _require_count
 from .lattice import _DistinctTree, node_first, node_last, trailing
 
 LOOP_TOL = 1e-12       # |alternating cost| at most this counts as a zero-cost loop
@@ -477,8 +477,9 @@ class GeneratorSpec:
     with sat_M clamping to [-M, M], and a family fixes some parameters:
     "zero" has a = 0, b = 0 and c = 0; "mode_constant" has a = 0 and b = 0;
     "saturated_affine" sets them all.  The Lipschitz constant and sup norm
-    are computed from the parameters, never asserted by the caller.  Every
-    parameter must be finite, and the saturation level M nonnegative.
+    are computed from the parameters, never asserted by the caller.  The
+    grid m1 x m2 and the dimension d are positive integers, every parameter
+    must be finite, and the saturation level M nonnegative.
     """
 
     FAMILIES = ("zero", "mode_constant", "saturated_affine")
@@ -487,6 +488,8 @@ class GeneratorSpec:
                  c=None, a: float = 0.0, b=None, M: float = 1.0):
         if family not in self.FAMILIES:
             raise DataError(f"unknown generator family {family!r}")
+        for name, count in (("m1", m1), ("m2", m2), ("d", d)):
+            _require_count(name, count)
         self.family = family
         self.m1, self.m2, self.d = m1, m2, d
         self.c = np.zeros((m1, m2)) if c is None else np.asarray(c, dtype=float)
@@ -601,7 +604,8 @@ class TerminalSpec:
                    component at the leaf).
     "leaf_table" : explicit (num_leaves, m1, m2) table; tied to one tree shape.
 
-    Every entry of alpha, beta and table must be finite.
+    The grid m1 x m2 is of positive integers, and every entry of alpha, beta
+    and table must be finite.
     """
 
     FAMILIES = ("constant", "affine", "leaf_table")
@@ -609,6 +613,8 @@ class TerminalSpec:
     def __init__(self, family: str, m1: int, m2: int, alpha=None, beta=None, table=None):
         if family not in self.FAMILIES:
             raise DataError(f"unknown terminal family {family!r}")
+        for name, count in (("m1", m1), ("m2", m2)):
+            _require_count(name, count)
         self.family = family
         self.m1, self.m2 = m1, m2
         if family in ("constant", "affine"):

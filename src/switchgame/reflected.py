@@ -148,12 +148,14 @@ def domain_report(sol: RbsdeSolution) -> ValidationReport:
 
 # The export's transient memory is bounded by two sizes.
 # `_EXPORT_BLOCK_ROWS` bounds the rows (node, mode pair) of `fields.csv` held
-# as text at once: the export formats a level in blocks of whole nodes, so its
-# memory does not grow with the level.  A larger block formats a node that
-# repeats within it once more often, and spreads each block's fixed costs over
-# more rows.  `_WRITE_ROWS` bounds the lines joined and written at once: the
-# joined text and its encoding are much of the writer's memory, so a block is
-# written in slices of whole nodes of at most these many lines (or of one node).
+# as text at once: the export formats a level in blocks of whole nodes that
+# hold at most that many rows' worth of distinct nodes, so its memory does not
+# grow with the level but for one list entry (a pointer) per node of a block.
+# A larger block formats a node that repeats across blocks once more often,
+# and spreads each block's fixed costs over more rows.  `_WRITE_ROWS` bounds
+# the lines joined and written at once: the joined text and its encoding are
+# much of the writer's memory, so a block is written in slices of whole nodes
+# of at most these many lines (or of one node).
 _EXPORT_BLOCK_ROWS = 1152
 _WRITE_ROWS = 256
 
@@ -170,54 +172,58 @@ def _text(a):
     return text[inverse].tolist()
 
 
-def _node_text(fields, filled, pairs):
-    """``(index, tails)`` of a block of `_export_blocks` from the block's
-    slices of `fields`: W, and then the row columns filled at its level
-    (those of `filled` that are true, out of Y, Z1..Zd, dK, dL, K, L).
-
-    A node's key is the bytes of its cells, laid out as the fields are, so
-    -0.0 is not 0.0 and NaNs of different payloads differ.  The keys are
-    numbered in order of first appearance, and each is formatted once, into
-    its tails: ``""`` and then, per mode pair in (i, j) order, the row text
-    from the pair's ``i,j`` (of `pairs`) on, without a line break."""
+def _node_keys(fields):
+    """The key of each node of a slice of `fields`: the bytes of its cells,
+    laid out as the fields are, so -0.0 is not 0.0 and NaNs of different
+    payloads differ."""
     n, width = len(fields[0]), sum(math.prod(f.shape[1:]) for f in fields)
     cells = np.concatenate([np.reshape(f, (n, -1)) for f in fields], axis=1,
                            out=np.empty((n, width)))
-    ids = {}
-    index = [ids.setdefault(key, len(ids))
-             for key in cells.view(np.dtype((np.void, width * 8))).ravel().tolist()]
-    text = _text(np.frombuffer(b"".join(ids), dtype=float).reshape(len(ids), width).T)
+    return cells.view(np.dtype((np.void, width * 8))).ravel().tolist()
+
+
+def _node_text(keys, d, filled, pairs):
+    """The tails of the distinct nodes with `keys` (of `_node_keys`) whose
+    cells are W (`d` of them), and then the row columns filled at their
+    level (those of `filled` that are true, out of Y, Z1..Zd, dK, dL, K, L).
+
+    Each key is formatted once, into its tails: ``""`` and then, per mode
+    pair in (i, j) order, the row text from the pair's ``i,j`` (of `pairs`)
+    on, without a line break."""
+    width = len(keys[0]) // 8
+    text = _text(np.frombuffer(b"".join(keys), dtype=float).reshape(len(keys), width).T)
     # one list of texts, over the distinct nodes, per cell of the key; the
     # cells of a row column are one per mode pair
-    text = [text[c:c + len(ids)] for c in range(0, len(text), len(ids))]
-    d = fields[0].shape[1]
+    text = [text[c:c + len(keys)] for c in range(0, len(text), len(keys))]
     w = list(map(",".join, zip(*text[:d])))
-    blank = [[""] * len(ids)] * len(pairs)
+    blank = [[""] * len(keys)] * len(pairs)
     filled_cols = iter(text[c:c + len(pairs)] for c in range(d, width, len(pairs)))
     cols = [next(filled_cols) if f else blank for f in filled]
-    tails = list(zip(itertools.repeat(""), *(
+    return list(zip(itertools.repeat(""), *(
         map(",".join, zip(itertools.repeat(pair), w, *(c[q] for c in cols)))
         for q, pair in enumerate(pairs))))
-    return index, tails
 
 
 def _export_blocks(sol: RbsdeSolution):
-    """The text of the export rows, in blocks of at most `_EXPORT_BLOCK_ROWS`
-    rows (one node at least) of a level, read from whole-array slices.
+    """The text of the export rows, in blocks of a level that each hold at
+    most `_EXPORT_BLOCK_ROWS` rows' worth of distinct nodes (one node at
+    least), read from whole-array slices.
 
     Yields ``(t, nodes, index, tails)``: the level, the range of its nodes
     in the block, each node's index among the block's distinct nodes, and
     those nodes' tails.  A node's key is the bit pattern of all its cells: W,
     then Y, Z1..Zd, dK, dL, K and L over its mode pairs; only the first node
-    with each key is formatted.  ``tails[k]`` is ``""`` and then distinct
-    node k's ``i,j,W..,Y,Z..,dK,dL,K,L`` text per mode pair, in (i, j)
-    order.  Z/dK/dL are blank on leaf rows and K/L on a recombining lattice.
-    This is the one place the export formats a float or joins a cell.
+    with each key is formatted.  A block is the longest run of nodes with at
+    most `size` keys, so it ends just before the node whose key would be the
+    (`size` + 1)-th.  ``tails[k]`` is ``""`` and then distinct node k's
+    ``i,j,W..,Y,Z..,dK,dL,K,L`` text per mode pair, in (i, j) order.
+    Z/dK/dL are blank on leaf rows and K/L on a recombining lattice.  This
+    is the one place the export formats a float or joins a cell.
     """
     tree, K, L = sol.tree, sol.K, sol.L
     m1, m2 = sol.Y[0].shape[1:]
     pairs = [f"{i},{j}" for i in range(1, m1 + 1) for j in range(1, m2 + 1)]
-    size = max(1, _EXPORT_BLOCK_ROWS // len(pairs))     # nodes per block
+    size = max(1, _EXPORT_BLOCK_ROWS // len(pairs))     # distinct nodes per block
     for t in range(tree.N + 1):
         fields = [tree.level_w(t), sol.Y[t]]
         if t < tree.N:
@@ -225,9 +231,21 @@ def _export_blocks(sol: RbsdeSolution):
         if K is not None:
             fields += [K[t], L[t]]
         filled = [True] + [t < tree.N] * (tree.d + 2) + [K is not None] * 2
-        for start in range(0, len(sol.Y[t]), size):
-            block = [f[start:start + size] for f in fields]
-            yield t, range(start, start + len(block[0])), *_node_text(block, filled, pairs)
+        start, ids, index = 0, {}, []
+        # the keys are built in slices of at most `size` nodes, and a slice
+        # that brings the block past `size` keys ends it at its first node
+        # with index `size`: the rest of the slice opens the next block
+        for at in range(0, len(sol.Y[t]), size):
+            keys, first = _node_keys([f[at:at + size] for f in fields]), len(index)
+            index += [ids.setdefault(key, len(ids)) for key in keys]
+            if len(ids) > size:
+                cut = index.index(size, first)
+                yield (t, range(start, start + cut), index[:cut],
+                       _node_text(list(itertools.islice(ids, size)), tree.d, filled, pairs))
+                keys = keys[cut - first:]
+                start, ids = start + cut, {}
+                index = [ids.setdefault(key, len(ids)) for key in keys]
+        yield t, range(start, len(sol.Y[t])), index, _node_text(list(ids), tree.d, filled, pairs)
 
 
 def write_fields(path, sol: RbsdeSolution):

@@ -10,7 +10,8 @@ or removed from `src/switchgame/` without its row in README's module map, or
 a report without exactly one section in `docs/report_formats.md`, a
 report whose header row differs from the columns that its section title
 names, or a task's manifest entry whose keys differ from the ones its table
-there lists.
+there lists.  The `fields.csv` section quotes the writer's block and write
+sizes, which must be the ones `reflected` holds.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from switchgame import cli, runner
+from switchgame import cli, reflected, runner
 from switchgame.model import GeneratorSpec, TerminalSpec
 
 from test_runner import EVERY_TASK, small_scenario
@@ -219,3 +220,13 @@ def test_manifest_key_tables_match_the_entries(tmp_path):
         rows = _table(text, "key", after=f"The `{task}` task's entry")
         assert {_quoted(row[0])[0] for row in rows} == entries[task].keys() - set(
             common.split(", ")), task
+
+
+def test_fields_section_quotes_the_writers_block_and_write_sizes():
+    text = " ".join(REPORTS.read_text().split())
+    rows, lines = reflected._EXPORT_BLOCK_ROWS, reflected._WRITE_ROWS
+    block = re.search(r"at most ([\d,]+) rows' worth of distinct nodes \((\d+) of a 3×3 grid\)",
+                      text)
+    assert (int(block[1].replace(",", "")), int(block[2])) == (rows, rows // 9)
+    assert re.findall(r"cut every (\d+) nodes at 3×3", text) == [str(rows // 9)]
+    assert re.findall(r"at most (\d+) lines at a time", text) == [str(lines)]

@@ -933,6 +933,23 @@ class TestGeneratorSpec:
         with pytest.raises(DataError, match=rf"^M must be a nonnegative number; got {M!r}$"):
             GeneratorSpec("saturated_affine", 2, 2, a=0.5, b=[0.2], M=M, c=STANDARD_C)
 
+    @pytest.mark.parametrize("family", GeneratorSpec.FAMILIES)
+    @pytest.mark.parametrize("field,grid", [
+        ("m1", {"m1": 0, "m2": 2, "d": 1}),
+        ("m2", {"m1": 2, "m2": 0, "d": 1}),
+        ("d", {"m1": 2, "m2": 2, "d": -1}),
+        ("d", {"m1": 2, "m2": 2, "d": 0}),
+        ("m1", {"m1": 2.0, "m2": 2, "d": 1}),
+        ("d", {"m1": 2, "m2": 2, "d": True}),
+    ])
+    def test_an_empty_grid_or_dimension_is_refused_naming_it(self, family, field, grid):
+        # an empty grid ended in NumPy's "zero-size array to reduction
+        # operation maximum", and d = -1 in "negative dimensions are not
+        # allowed", neither naming the parameter
+        with pytest.raises(DataError, match=rf"^{field} must be a positive integer; "
+                                            rf"got {re.escape(repr(grid[field]))}$"):
+            GeneratorSpec(family, grid["m1"], grid["m2"], d=grid["d"])
+
     def test_zero_saturation_level_is_accepted(self):
         gen = GeneratorSpec("saturated_affine", 2, 2, a=0.5, b=[0.2], M=-0.0, c=STANDARD_C)
         assert gen.sup_bound == 2.0
@@ -1018,6 +1035,18 @@ class TestTerminalSpec:
         aff = TerminalSpec("affine", 2, 2, alpha=np.zeros((2, 2)), beta=np.ones((2, 2)))
         np.testing.assert_allclose(aff.evaluate(leaf_w)[:, 0, 0], [0.5, -0.5])
         assert const.markovian and aff.markovian
+
+    @pytest.mark.parametrize("family", TerminalSpec.FAMILIES)
+    @pytest.mark.parametrize("m1,m2", [(0, 2), (2, 0), (-1, 2), (2, 2.0)])
+    def test_an_empty_grid_is_refused_naming_it(self, family, m1, m2):
+        # TerminalSpec("constant", 0, 2, alpha=np.zeros((0, 2))) was built,
+        # and its evaluate returned (3, 0, 2) terminals
+        field, value = ("m1", m1) if m1 != 2 else ("m2", m2)
+        shape = tuple(int(max(m, 0)) for m in (m1, m2))
+        with pytest.raises(DataError, match=rf"^{field} must be a positive integer; "
+                                            rf"got {re.escape(repr(value))}$"):
+            TerminalSpec(family, m1, m2, alpha=np.zeros(shape), beta=np.zeros(shape),
+                         table=np.zeros((4, *shape)))
 
     def test_leaf_table_is_tied_to_one_tree_shape(self):
         term = TerminalSpec("leaf_table", 2, 2, table=np.zeros((4, 2, 2)))

@@ -470,21 +470,22 @@ class TestExportAndCumulants:
     @pytest.mark.parametrize("block", ["default", "3 nodes"])
     @pytest.mark.parametrize("cell", ["K sign", "Z ulp", "Y nan payload"])
     def test_nodes_one_bit_apart_are_never_merged(self, cell, block, tmp_path, monkeypatch):
-        # nodes a and b of one block share W and differ in one cell's bits;
-        # c, in the next block, is a's twin
+        # nodes a and b of the level's first block share W and differ in one
+        # cell's bits; c, past more than a block's worth of planted distinct
+        # nodes, is a's twin in a later block
         if block == "3 nodes":
             monkeypatch.setattr(reflected, "_EXPORT_BLOCK_ROWS", 3 * 4)
         size = reflected._EXPORT_BLOCK_ROWS // 4
         spec = standard_in_dimension(1)
-        tree = build_tree(10, 1, spec.horizon)     # level 9 spans two default blocks
+        tree = build_tree(10, 1, spec.horizon)
         sol = solve_rbsde(spec, tree)
         fields = {name: [a.copy() for a in getattr(sol, name)] for name in ("Y", "Z", "dK", "dL")}
         planted = RbsdeSolution(tree=tree, spec=spec, **fields)
         t = tree.N - 1
         w = tree.level_w(t)[:, 0].tolist()
-        a, b, c = next((a, b, c) for a in range(len(w) - size)
-                       for b in range(a + 1, (a // size + 1) * size) if w[b] == w[a]
-                       for c in range((a // size + 1) * size, len(w)) if w[c] == w[a])
+        # nodes 0..b hold at most `size` keys, so they open the first block
+        a, b, c = next((a, b, c) for a in range(size) for b in range(a + 1, size) if w[b] == w[a]
+                       for c in range(b + size + 2, len(w)) if w[c] == w[a])
         nan, other_nan = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64).view(float)
         field, at, value, other = {
             "K sign": (planted.K, (0, 1), 0.0, -0.0),
@@ -495,6 +496,7 @@ class TestExportAndCumulants:
         for f in (planted.Y, planted.Z, planted.dK, planted.dL, planted.K, planted.L):
             f[t][b] = f[t][c] = f[t][a]
         field[t][(b, *at)] = other
+        planted.Y[t][b + 1:c, 0, 0] = np.arange(b + 1, c) + 0.25
         index = {n: (nodes.start, k) for level, nodes, ks, _ in reflected._export_blocks(planted)
                  if level == t for n, k in zip(nodes, ks)}
         assert index[a][0] == index[b][0] != index[c][0]

@@ -22,7 +22,7 @@ from switchgame.penalty import penalization_report, solve_double_penalized, solv
 from switchgame.reflected import solve_rbsde
 from switchgame.runner import parse_scenario, run
 
-from conftest import random_admissible_spec, time_budget
+from conftest import csv_writer_fields, random_admissible_spec, time_budget
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ROOT / "src" / "switchgame" / "scenarios"
@@ -313,7 +313,8 @@ class TestPipeline:
         tree = scenario.build_tree()
         assert entry["rows"] == written.count(b"\r\n") - 1 == tree.num_nodes * 4
         assert entry["bytes"] == len(written)
-        # the nodes formatted: the distinct bit rows of each block of nodes
+        # the nodes formatted: the distinct bit rows of each block, the
+        # longest run of a level's nodes that holds at most `size` of them
         sol = solve_rbsde(scenario.spec, tree)
         size = reflected._EXPORT_BLOCK_ROWS // 4
         distinct = 0
@@ -321,8 +322,12 @@ class TestPipeline:
             fields = [tree.level_w(t), sol.Y[t], sol.K[t], sol.L[t]]
             fields += [sol.Z[t], sol.dK[t], sol.dL[t]] if t < tree.N else []
             bits = np.concatenate([np.reshape(f, (len(f), -1)) for f in fields], axis=1)
-            distinct += sum(len(np.unique(bits[start:start + size].view(np.uint64), axis=0))
-                            for start in range(0, len(bits), size))
+            block = set()
+            for row in map(bytes, bits.view(np.uint64)):
+                if row not in block and len(block) == size:
+                    distinct, block = distinct + size, set()
+                block.add(row)
+            distinct += len(block)
         assert entry["distinct_nodes"] == distinct < tree.num_nodes
         others = [t for t in result.manifest["tasks"] if t["name"] != "export"]
         assert not any({"rows", "bytes", "distinct_nodes"} & t.keys() for t in others)
@@ -673,6 +678,52 @@ class TestFieldsExport:
             assert np.unique(entries).size > 0.9 * entries.size
         bound = export_bound(tree.d)
         assert self.traced_peak(sol, tmp_path / "fields.csv") <= bound
+
+    def test_each_distinct_node_of_a_markov_level_is_formatted_once(self, tmp_path):
+        # perf_3x3 has no push, so a node's cells are those of its carrier
+        # class: each level is one block, formatting the class's nodes
+        solved = []
+        result = run(parse_scenario(BUNDLED / "perf_3x3.json"), out_dir=tmp_path, seed=0,
+                     tasks=["solve_direct", "export"], solution_hook=solved.append)
+        entry = next(t for t in result.manifest["tasks"] if t["name"] == "export")
+        (sol,) = solved
+        tree = sol.tree
+        assert entry["distinct_nodes"] == 91 == sum(map(tree.distinct.level_size,
+                                                        range(tree.N + 1)))
+        assert [t for t, *_ in reflected._export_blocks(sol)] == list(range(tree.N + 1))
+
+    @pytest.mark.parametrize("lead", ["a block", "half a block"])
+    def test_a_level_cycling_through_one_pattern_too_many(self, perf_3x3, lead, tmp_path):
+        # the leaf level holds one bit pattern on its first `lead` + 1 nodes
+        # and then cycles round-robin through size + 1 patterns, so that
+        # every block is cut where a pattern would be its (size + 1)-th: at
+        # the first node of a key slice, or within one
+        size = reflected._EXPORT_BLOCK_ROWS // perf_3x3.root.size
+        lead = {"a block": size, "half a block": size // 2}[lead]
+        tree = build_tree(perf_3x3.tree.N, 1, perf_3x3.spec.horizon)
+        tree.level_w(tree.N)[:] = 0.0
+        n = tree.level_size(tree.N)
+        assert n >= 4 * size
+
+        def pattern(node):
+            return max(node - lead, 0) % (size + 1)
+
+        Y = [a.copy() for a in perf_3x3.Y]
+        Y[tree.N] = np.random.default_rng(8).normal(size=(size + 1, 3, 3))[
+            list(map(pattern, range(n)))]
+        no_push = [np.zeros_like(a) for a in perf_3x3.dK]     # so K = L = 0 at the leaves
+        sol = reflected.RbsdeSolution(tree=tree, spec=perf_3x3.spec, Y=Y, Z=perf_3x3.Z,
+                                      dK=no_push, dL=no_push)
+        blocks = [(nodes, len(tails)) for t, nodes, _, tails in reflected._export_blocks(sol)
+                  if t == tree.N]
+        assert [node for nodes, _ in blocks for node in nodes] == list(range(n))
+        for (nodes, distinct), (after, _) in zip(blocks, blocks[1:]):
+            held = set(map(pattern, nodes))
+            assert distinct == len(held) == size and pattern(after.start) not in held
+        assert blocks[-1][1] == len(set(map(pattern, blocks[-1][0]))) <= size
+        assert self.traced_peak(sol, tmp_path / "fields.csv") <= export_bound(tree.d)
+        assert ((tmp_path / "fields.csv").read_bytes()
+                == csv_writer_fields(sol, tmp_path / "oracle.csv"))
 
     def test_a_writer_of_whole_levels_passes_the_bound(self, perf_3x3, tmp_path, monkeypatch):
         # the bound has teeth: one block per level holds the leaf level at once
